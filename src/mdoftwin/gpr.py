@@ -118,6 +118,9 @@ class GpTrainConfig:
             "seed": int(self.seed),
             "standardize": self.standardize,
             "use_stddev_floor": self.use_stddev_floor,
+            "lengthscale_range": [float(v) for v in self.lengthscale_range],
+            "variance_range": [float(v) for v in self.variance_range],
+            "noise_range": [float(v) for v in self.noise_range],
         }
 
     @classmethod

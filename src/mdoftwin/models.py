@@ -7,6 +7,13 @@ Conventions used throughout:
 * The second-order model is ``M x'' + C x' + K x + G(x) = F(t) + Sigma W'``
   with diagonal ``M`` and ``Sigma``, chain-assembled ``C`` and ``K``, and a
   cubic coupling nonlinearity ``G`` whose shape depends on the system kind.
+* Every spring and damper j acts on the elongation ``(B x)_j`` of the
+  bidiagonal operator ``B`` (spring 1 to ground, spring j >= 2 between DOFs
+  j-1 and j), so ``K(k) = B^T diag(s * k) B`` and ``C = B^T diag(c) B``. The
+  sign vector ``s`` is 1 except ``s_4 = -1`` for the negative-stiffness k4
+  of the DVP element; the cubic acts on one elongation too. One compiled
+  kernel evaluates the restoring acceleration for the drift and the
+  measurement alike.
 * First-order state vectors come in two orderings: ``blocked``
   ``[x1..xN, v1..vN]`` (2-DOF benchmark) and ``interleaved``
   ``[x1, v1, x2, v2, ...]`` (7-DOF benchmark). Augmented states append the
@@ -37,35 +44,6 @@ def _as_vector(x, n: int, name: str) -> np.ndarray:
     if v.shape != (n,):
         raise InvalidParameterError(f"{name} must have shape ({n},), got {v.shape}")
     return v
-
-
-def _chain_stiffness_patterns(n: int) -> np.ndarray:
-    """Per-spring stiffness patterns P with K(k) = sum_j k_j P[j].
-
-    Spring 1 ties DOF 1 to ground; spring j>=2 couples DOFs j-1 and j.
-    """
-    pat = np.zeros((n, n, n))
-    pat[0, 0, 0] = 1.0
-    for j in range(1, n):
-        pat[j, j - 1, j - 1] += 1.0
-        pat[j, j - 1, j] -= 1.0
-        pat[j, j, j - 1] -= 1.0
-        pat[j, j, j] += 1.0
-    return pat
-
-
-def _dvp_stiffness_patterns(n: int, symmetric_consistent: bool) -> np.ndarray:
-    """7-DOF patterns; spring 4 carries the negative-stiffness DVP coupling.
-
-    The sign-flipped k4 block reproduces the benchmark's linear part, where
-    the element between DOFs 3 and 4 contributes -k4*(x3 - x4) paired with
-    the hardening cubic. ``symmetric_consistent`` swaps it for a standard
-    positive chain spring (robustness-study variant).
-    """
-    pat = _chain_stiffness_patterns(n)
-    if not symmetric_consistent:
-        pat[3, 2:4, 2:4] = -pat[3, 2:4, 2:4]
-    return pat
 
 
 @dataclass(frozen=True)
@@ -140,15 +118,29 @@ class MdofSystem:
         return np.diag(self.noise_sigmas)
 
     @property
-    def stiffness_patterns(self) -> np.ndarray:
-        """(n, n, n) array P with K(k) = sum_j k_j P[j]."""
-        if self.kind == KIND_DUFFING_2DOF:
-            return _chain_stiffness_patterns(self.n_dof)
-        return _dvp_stiffness_patterns(self.n_dof, self.symmetric_consistent)
+    def elongation_operator(self) -> np.ndarray:
+        """Bidiagonal B with (B x)_j the elongation of spring j (x_0 = ground)."""
+        n = self.n_dof
+        return np.eye(n) - np.eye(n, k=-1)
+
+    @property
+    def stiffness_signs(self) -> np.ndarray:
+        """Sign of each spring's linear stiffness; -1 on the DVP k4 element."""
+        signs = np.ones(self.n_dof)
+        if self.kind == KIND_DVP_7DOF and not self.symmetric_consistent:
+            signs[3] = -1.0
+        return signs
+
+    @property
+    def cubic_element(self) -> int:
+        """0-based spring whose elongation carries the cubic nonlinearity."""
+        return 0 if self.kind == KIND_DUFFING_2DOF else 3
 
     def stiffness_matrix(self, k: np.ndarray | None = None) -> np.ndarray:
+        """K(k) = B^T diag(s * k) B."""
         k = self.stiffnesses if k is None else np.asarray(k, dtype=float)
-        return np.einsum("j,jri->ri", k, self.stiffness_patterns)
+        b = self.elongation_operator
+        return b.T @ ((self.stiffness_signs * k)[:, None] * b)
 
     @property
     def stiffness_linear(self) -> np.ndarray:
@@ -157,10 +149,9 @@ class MdofSystem:
 
     @property
     def damping(self) -> np.ndarray:
-        """Assembled damping matrix (standard chain for both kinds)."""
-        return np.einsum(
-            "j,jri->ri", self.dampings, _chain_stiffness_patterns(self.n_dof)
-        )
+        """C = B^T diag(c) B, a standard chain for both kinds."""
+        b = self.elongation_operator
+        return b.T @ (self.dampings[:, None] * b)
 
     # ---- forces -------------------------------------------------------------
 
@@ -168,12 +159,6 @@ class MdofSystem:
         """Deterministic harmonic force; t scalar or (m,) -> (n,) or (m, n)."""
         t = np.asarray(t, dtype=float)
         return self.force_amplitudes * np.sin(np.multiply.outer(t, self.force_frequencies))
-
-    def restoring_force(self, x: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
-        """Linear restoring force K(k) x, batched over leading axes of x and k."""
-        x = np.asarray(x, dtype=float)
-        k = self.stiffnesses if k is None else np.asarray(k, dtype=float)
-        return np.einsum("...j,jri,...i->...r", k, self.stiffness_patterns, x)
 
     # ---- nonlinearity -------------------------------------------------------
 
@@ -189,37 +174,6 @@ class MdofSystem:
             g[..., 2] = d
             g[..., 3] = -d
         return g
-
-    def nonlinear_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """dG/dx at a single displacement vector, (n, n)."""
-        x = np.asarray(x, dtype=float)
-        n = self.n_dof
-        jac = np.zeros((n, n))
-        a = self.nonlinear_coeff
-        if self.kind == KIND_DUFFING_2DOF:
-            jac[0, 0] = 3.0 * a * x[0] ** 2
-        else:
-            s = 3.0 * a * (x[2] - x[3]) ** 2
-            jac[2, 2] = s
-            jac[2, 3] = -s
-            jac[3, 2] = -s
-            jac[3, 3] = s
-        return jac
-
-    def nonlinear_hessian(self, x: np.ndarray) -> np.ndarray:
-        """d2G/dx2 at a single displacement vector, (n, n, n)."""
-        x = np.asarray(x, dtype=float)
-        n = self.n_dof
-        hess = np.zeros((n, n, n))
-        a = self.nonlinear_coeff
-        if self.kind == KIND_DUFFING_2DOF:
-            hess[0, 0, 0] = 6.0 * a * x[0]
-        else:
-            t = 6.0 * a * (x[2] - x[3])
-            block = np.array([[t, -t], [-t, t]])
-            hess[2, 2:4, 2:4] = block
-            hess[3, 2:4, 2:4] = -block
-        return hess
 
     # ---- serialization ------------------------------------------------------
 
@@ -413,14 +367,60 @@ class StateSpaceModel:
     dispersion_jacobian: Callable | None = None
 
 
-def _index_maps(n_dof: int, ordering: str):
+def _index_maps(n_dof: int, ordering: str) -> tuple:
+    """Displacement and velocity positions in the state, as slices."""
     if ordering == _BLOCKED:
-        disp = np.arange(n_dof)
-        vel = n_dof + np.arange(n_dof)
-    else:
-        disp = 2 * np.arange(n_dof)
-        vel = 2 * np.arange(n_dof) + 1
-    return disp, vel
+        return slice(0, n_dof), slice(n_dof, 2 * n_dof)
+    return slice(0, 2 * n_dof, 2), slice(1, 2 * n_dof, 2)
+
+
+def _augmentation(n_dof: int, augment_params: Iterable[int]) -> np.ndarray:
+    """0-based stiffness indices read off the state tail, in state order."""
+    aug = sorted(int(i) for i in augment_params)
+    if any(i < 1 or i > n_dof for i in aug):
+        raise InvalidParameterError("augment_params must be 1-based stiffness indices")
+    if len(set(aug)) != len(aug):
+        raise InvalidParameterError("augment_params must be unique")
+    return np.array(aug, dtype=int) - 1
+
+
+def _restoring_acceleration(system: MdofSystem, aug0: np.ndarray,
+                            rows=slice(None)) -> Callable:
+    """Compile r(y) = -M^-1 (G(x) + K(k) x + C v) for one state layout.
+
+    Every chain force acts along a spring elongation e = B x or its rate
+    B v, so the node forces are B^T applied to the element forces
+    s * k * e + c * B v + g(e), with g the cubic on ``cubic_element``.
+    One product with the state yields e, c * B v and the signed stiffness
+    s * k read off the state tail at ``aug0``; a second applies -M^-1 B^T
+    and keeps the DOFs selected by ``rows``. Batched over leading axes of y.
+    Returns r and ``elements``, the function giving those element values.
+    """
+    n = system.n_dof
+    disp_idx, vel_idx = _index_maps(n, system.state_ordering)
+    b = system.elongation_operator
+    signs = system.stiffness_signs
+    to_elements = np.zeros((2 * n + aug0.shape[0], 3 * n))
+    to_elements[disp_idx, :n] = b.T
+    to_elements[vel_idx, n:2 * n] = b.T * system.dampings
+    to_elements[2 * n + np.arange(aug0.shape[0]), 2 * n + aug0] = signs[aug0]
+    signed_k = signs * system.stiffnesses
+    signed_k[aug0] = 0.0  # taken from the state instead
+    to_acceleration = (-b / system.masses)[:, rows]
+    cubic, coeff = system.cubic_element, system.nonlinear_coeff
+
+    def elements(y: np.ndarray) -> tuple:
+        """Elongations B x, damper forces c * B v and signed stiffnesses s * k."""
+        ev = y @ to_elements
+        return ev[..., :n], ev[..., n:2 * n], signed_k + ev[..., 2 * n:]
+
+    def acceleration(y: np.ndarray) -> np.ndarray:
+        e, damper, stiffness = elements(y)
+        w = stiffness * e + damper
+        w[..., cubic] += coeff * e[..., cubic] ** 3
+        return w @ to_acceleration
+
+    return acceleration, elements
 
 
 def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> StateSpaceModel:
@@ -429,108 +429,88 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
     ``augment_params`` lists 1-based stiffness indices appended to the state;
     their drift and dispersion rows are identically zero (degradation is not
     dynamic on the fast time-scale). With no augmentation the state is the
-    plain kinematic vector of dimension 2 * n_dof.
+    plain kinematic vector of dimension 2 * n_dof. Everything that depends
+    only on the system is computed here once, not on every call.
     """
     n = system.n_dof
-    aug = tuple(sorted(int(i) for i in augment_params))
-    if any(i < 1 or i > n for i in aug):
-        raise InvalidParameterError("augment_params must be 1-based stiffness indices")
-    if len(set(aug)) != len(aug):
-        raise InvalidParameterError("augment_params must be unique")
-
+    aug0 = _augmentation(n, augment_params)
+    aug = tuple(int(i) + 1 for i in aug0)
     disp_idx, vel_idx = _index_maps(n, system.state_ordering)
-    n_aug = len(aug)
-    dim = 2 * n + n_aug
-    param_slots = tuple(range(2 * n, dim))
-    aug0 = np.array([i - 1 for i in aug], dtype=int)
+    dim = 2 * n + len(aug)
+    params = slice(2 * n, dim)
 
     masses = system.masses
     sig_over_m = system.noise_sigmas / masses
-    damping = system.damping
-    patterns = system.stiffness_patterns
-    k_nominal = system.stiffnesses
+    b = system.elongation_operator
+    to_acceleration = -b / masses  # element forces -> node accelerations
+    signs = system.stiffness_signs
+    cubic, coeff = system.cubic_element, system.nonlinear_coeff
     is_dvp = system.kind == KIND_DVP_7DOF
-    dvp_disp = disp_idx[3] if is_dvp else -1  # displacement of DOF 4 scales channel 4
+    if is_dvp:  # the displacement of DOF 4 scales noise channel 4
+        dvp_disp, dvp_vel = range(2 * n)[disp_idx][3], range(2 * n)[vel_idx][3]
+    restoring, elements = _restoring_acceleration(system, aug0)
 
-    if system.state_ordering == _BLOCKED:
-        labels = [f"x{i + 1}" for i in range(n)] + [f"v{i + 1}" for i in range(n)]
-    else:
-        labels = []
-        for i in range(n):
-            labels += [f"x{i + 1}", f"v{i + 1}"]
+    labels = [""] * (2 * n)
+    labels[disp_idx] = [f"x{i + 1}" for i in range(n)]
+    labels[vel_idx] = [f"v{i + 1}" for i in range(n)]
     labels += [f"k{i}" for i in aug]
 
-    def _stiffness_from_state(y: np.ndarray) -> np.ndarray:
-        if not n_aug:
-            return k_nominal
-        k = np.broadcast_to(k_nominal, y.shape[:-1] + (n,)).copy()
-        k[..., aug0] = y[..., 2 * n:]
-        return k
+    # the state-independent parts of b(y) and da/dy
+    b_const = np.zeros((dim, n))
+    b_const[vel_idx] = np.diag(sig_over_m)
+    jac_const = np.zeros((dim, dim))
+    jac_const[disp_idx, vel_idx] = np.eye(n)
+    jac_const[vel_idx, vel_idx] = -system.damping / masses[:, None]
 
     def drift(y, f) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        f = np.asarray(f, dtype=float)
-        x = y[..., disp_idx]
-        v = y[..., vel_idx]
-        k = _stiffness_from_state(y)
-        acc = (f - system.nonlinear_term(x) - system.restoring_force(x, k)
-               - v @ damping.T) / masses
         out = np.zeros_like(y)
-        out[..., disp_idx] = v
-        out[..., vel_idx] = acc
+        out[..., disp_idx] = y[..., vel_idx]
+        out[..., vel_idx] = restoring(y) + np.asarray(f, dtype=float) / masses
         return out
 
     def dispersion(y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        b = np.zeros(y.shape[:-1] + (dim, n))
-        for j in range(n):
-            b[..., vel_idx[j], j] = sig_over_m[j]
+        out = np.empty(y.shape[:-1] + (dim, n))
+        out[...] = b_const
         if is_dvp:
-            b[..., vel_idx[3], 3] *= y[..., dvp_disp]
-        return b
+            out[..., dvp_vel, 3] *= y[..., dvp_disp]
+        return out
 
     def drift_jacobian(y, f) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        x = y[disp_idx]
-        k = _stiffness_from_state(y)
-        jac = np.zeros((dim, dim))
-        jac[disp_idx, vel_idx] = 1.0
-        dacc_dx = -(system.stiffness_matrix(k) + system.nonlinear_jacobian(x)) / masses[:, None]
-        dacc_dv = -damping / masses[:, None]
-        jac[np.ix_(vel_idx, disp_idx)] = dacc_dx
-        jac[np.ix_(vel_idx, vel_idx)] = dacc_dv
-        for slot, j in zip(param_slots, aug0):
-            jac[vel_idx, slot] = -(patterns[j] @ x) / masses
+        e, _, tangent = elements(np.asarray(y, dtype=float))
+        tangent[cubic] += 3.0 * coeff * e[cubic] ** 2
+        jac = jac_const.copy()
+        jac[vel_idx, disp_idx] = (to_acceleration.T * tangent) @ b
+        jac[vel_idx, params] = to_acceleration[aug0].T * (signs * e)[aug0]
         return jac
 
     def drift_hessian_quad(y, f, weight: np.ndarray) -> np.ndarray:
         """0.5 * sum_ij weight[i, j] d2a/dy_i dy_j, analytic."""
-        y = np.asarray(y, dtype=float)
-        x = y[disp_idx]
+        e, _, _ = elements(np.asarray(y, dtype=float))
+        # per element: the cubic's curvature and the bilinear k-x cross terms
+        w = np.zeros(n)
+        b_cubic = b[cubic]
+        w[cubic] = 3.0 * coeff * e[cubic] * (b_cubic @ weight[disp_idx, disp_idx] @ b_cubic)
+        w[aug0] += signs[aug0] * np.einsum("ij,ij->i", b[aug0], weight[params, disp_idx])
         out = np.zeros(dim)
-        hess = system.nonlinear_hessian(x)  # (n, n, n) over displacements
-        w_xx = weight[np.ix_(disp_idx, disp_idx)]
-        out[vel_idx] -= 0.5 * np.einsum("rij,ij->r", hess, w_xx) / masses
-        # bilinear stiffness-displacement cross terms of the augmented model
-        for slot, j in zip(param_slots, aug0):
-            w_kx = weight[slot, disp_idx]
-            out[vel_idx] -= (patterns[j] @ w_kx) / masses
+        out[vel_idx] = w @ to_acceleration
         return out
 
     dispersion_jacobian = None
     if is_dvp:
+        db_const = np.zeros((dim, n, dim))
+        db_const[dvp_vel, 3, dvp_disp] = sig_over_m[3]
 
         def dispersion_jacobian(y) -> np.ndarray:
-            db = np.zeros((dim, n, dim))
-            db[vel_idx[3], 3, dvp_disp] = sig_over_m[3]
-            return db
+            return db_const.copy()
 
     return StateSpaceModel(
         dim_state=dim,
         n_channels=n,
         labels=tuple(labels),
         augmented_params=aug,
-        param_indices=param_slots,
+        param_indices=tuple(range(2 * n, dim)),
         drift=drift,
         dispersion=dispersion,
         drift_jacobian=drift_jacobian,
@@ -558,25 +538,10 @@ def acceleration_model(
     if any(i < 1 or i > n for i in obs) or len(set(obs)) != len(obs):
         raise InvalidParameterError("observed_dofs must be unique DOF numbers in 1..n_dof")
     obs0 = np.array([i - 1 for i in obs], dtype=int)
-
-    aug = tuple(sorted(int(i) for i in augment_params))
-    aug0 = np.array([i - 1 for i in aug], dtype=int)
-    disp_idx, vel_idx = _index_maps(n, system.state_ordering)
-    masses = system.masses
-    damping = system.damping
-    k_nominal = system.stiffnesses
+    restoring, _ = _restoring_acceleration(
+        system, _augmentation(n, augment_params), rows=obs0)
 
     def h(y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        x = y[..., disp_idx]
-        v = y[..., vel_idx]
-        if aug:
-            k = np.broadcast_to(k_nominal, y.shape[:-1] + (n,)).copy()
-            k[..., aug0] = y[..., 2 * n:]
-        else:
-            k = k_nominal
-        acc = -(system.nonlinear_term(x) + system.restoring_force(x, k)
-                + v @ damping.T) / masses
-        return acc[..., obs0]
+        return restoring(np.asarray(y, dtype=float))
 
     return h

@@ -9,7 +9,15 @@ in float64 (the symmetric weights get their low mantissa bits cleared until
 2L * Wi is exactly representable, and W0 := 1 - 2L * Wi, which is then also
 exact); the perturbation against the textbook formula is below 1e-14
 relative. Weighted means are accumulated in deviation form, which is
-algebraically identical once the weights sum to one.
+algebraically identical once the weights sum to one. The weights are
+computed once per state length and parameter set.
+
+Beliefs are validated where they enter, in the public ``GaussianBelief``
+constructor; those built by ``predict``/``update`` are symmetric by
+construction and carry the Cholesky factor of ``repair_psd``'s PSD test for
+the next ``sigma_points``. A sample thus costs three factorizations (two PSD
+tests, one innovation factor); after an eigenvalue repair ``sigma_points``
+falls back to ``cholesky_with_jitter``.
 
 The dynamic model is the first-order Euler map f(y) = y + a(y, f_t) dt and
 the measurement model is the restoring-force acceleration; the process
@@ -20,13 +28,15 @@ including the predicted-mean factor of the 7-DOF multiplicative channel.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .errors import InvalidParameterError, NumericError
 from .models import MdofSystem, StateSpaceModel, acceleration_model
@@ -70,7 +80,10 @@ class UkfParams:
 
 @dataclass
 class GaussianBelief:
-    """Filtering distribution N(mean, cov); covariance kept symmetric."""
+    """Filtering distribution N(mean, cov); covariance kept symmetric.
+
+    Beliefs from ``predict``/``update`` carry chol(cov) until ``cov`` is
+    reassigned; do not modify ``cov`` in place."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -86,6 +99,20 @@ class GaussianBelief:
         if skew > 1e-8 * scale:
             raise InvalidParameterError("covariance is not symmetric")
         self.cov = 0.5 * (self.cov + self.cov.T)
+        self._factor_of = None
+
+    @classmethod
+    def _from_filter(cls, mean, cov, factor) -> "GaussianBelief":
+        """Belief with a covariance symmetric by construction; not re-validated."""
+        belief = cls.__new__(cls)
+        belief.mean, belief.cov, belief._factor_of = mean, cov, (cov, factor)
+        return belief
+
+    @property
+    def carried_factor(self) -> np.ndarray | None:
+        """Cholesky factor of ``cov`` computed by the filter, if any."""
+        cov, factor = self._factor_of or (None, None)
+        return factor if cov is self.cov else None
 
     @property
     def std(self) -> np.ndarray:
@@ -128,8 +155,9 @@ def _trim_for_exact_multiple(w: float, q: int) -> float:
     return math.ldexp(float(scaled), exp - 53)
 
 
+@functools.lru_cache(maxsize=64)
 def ukf_weights(length: int, params: UkfParams) -> tuple:
-    """Mean and covariance weight vectors with sum(w_mean) == 1 exactly."""
+    """Read-only mean and covariance weights with sum(w_mean) == 1 exactly."""
     _, c = params.scaling(length)
     wi = _trim_for_exact_multiple(1.0 / (2.0 * c), 2 * length)
     w0_mean = 1.0 - (2 * length) * wi
@@ -137,6 +165,8 @@ def ukf_weights(length: int, params: UkfParams) -> tuple:
     w_mean[0] = w0_mean
     w_cov = w_mean.copy()
     w_cov[0] = w0_mean + (1.0 - params.alpha_f ** 2 + params.beta)
+    w_mean.flags.writeable = False
+    w_cov.flags.writeable = False
     return w_mean, w_cov
 
 
@@ -155,12 +185,13 @@ def cholesky_with_jitter(p: np.ndarray, context: str = "covariance") -> np.ndarr
     raise NumericError(f"{context}: Cholesky failed after maximum jitter")
 
 
-def repair_psd(p: np.ndarray, log: PsdRepairLog | None = None) -> np.ndarray:
-    """Clip negative eigenvalues to zero, recording the repair magnitude."""
+def repair_psd(p: np.ndarray, log: PsdRepairLog | None = None) -> tuple:
+    """Symmetrize p and return it with its lower Cholesky factor; if p is not
+    positive definite, clip negative eigenvalues to zero, record the repair
+    magnitude and return the repaired matrix with factor None."""
     p = 0.5 * (p + p.T)
     try:
-        np.linalg.cholesky(p)
-        return p
+        return p, np.linalg.cholesky(p)
     except np.linalg.LinAlgError:
         pass
     w, v = np.linalg.eigh(p)
@@ -169,14 +200,16 @@ def repair_psd(p: np.ndarray, log: PsdRepairLog | None = None) -> np.ndarray:
     fixed = 0.5 * (fixed + fixed.T)
     if log is not None:
         log.record(magnitude, float(np.trace(fixed)))
-    return fixed
+    return fixed, None
 
 
 def sigma_points(belief: GaussianBelief, params: UkfParams) -> SigmaPointSet:
     """Scaled sigma points mu, mu +/- sqrt(L + lambda) * chol(P) columns."""
     length = belief.mean.shape[0]
     _, c = params.scaling(length)
-    factor = cholesky_with_jitter(belief.cov, "sigma-point square root")
+    factor = belief.carried_factor
+    if factor is None or not np.isfinite(factor).all():
+        factor = cholesky_with_jitter(belief.cov, "sigma-point square root")
     spread = np.sqrt(c) * factor
     points = np.empty((2 * length + 1, length))
     points[0] = belief.mean
@@ -192,7 +225,7 @@ def _weighted_mean(points: np.ndarray, w_mean: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
-    if np.all(np.isfinite(values)):
+    if np.isfinite(values).all():
         return
     bad = np.nonzero(~np.all(np.isfinite(np.atleast_2d(values)), axis=-1))[0]
     raise NumericError(f"non-finite {what} at sigma index {int(bad[0])}")
@@ -215,8 +248,7 @@ def predict(
     cov = (dev * sp.w_cov[:, None]).T @ dev
     q_eval = q(mean) if callable(q) else q
     cov = cov + q_eval
-    cov = repair_psd(cov, repair_log)
-    return GaussianBelief(mean=mean, cov=cov)
+    return GaussianBelief._from_filter(mean, *repair_psd(cov, repair_log))
 
 
 def update(
@@ -247,26 +279,23 @@ def update(
     cross = (dy * sp.w_cov[:, None]).T @ dz
 
     n_z = s.shape[0]
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise NumericError("innovation covariance has non-finite entries")
     scale = max(float(np.trace(s)) / n_z, 0.0)
-    factor = None
     for jit in _JITTER_LADDER:
+        s_used = s + (jit * scale) * np.eye(n_z) if jit else s
         try:
-            factor = cho_factor(s + (jit * scale) * np.eye(n_z) if jit else s,
-                                lower=True)
-            s_used = s + (jit * scale) * np.eye(n_z) if jit else s
+            factor = cho_factor(s_used, lower=True, check_finite=False)[0]
             break
         except (np.linalg.LinAlgError, ValueError):
             continue
-    if factor is None:
+    else:
         raise NumericError("innovation covariance singular beyond jitter")
 
-    gain = cho_solve(factor, cross.T).T
+    gain = dpotrs(factor, cross.T, lower=1)[0].T  # cho_solve's LAPACK call
     mean = predicted.mean + gain @ (z - z_mean)
     cov = predicted.cov - gain @ s_used @ gain.T
-    cov = repair_psd(cov, repair_log)
-    return GaussianBelief(mean=mean, cov=cov)
+    return GaussianBelief._from_filter(mean, *repair_psd(cov, repair_log))
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +446,10 @@ def run_filter(
     if init.mean.shape[0] != model.dim_state:
         raise InvalidParameterError("initial belief dimension does not match model")
 
-    accel = np.atleast_2d(np.asarray(window.accel, dtype=float))
-    if accel.shape[0] != times.shape[0]:
-        accel = accel.T
+    accel = np.asarray(window.accel, dtype=float)
+    if accel.shape != (times.shape[0], len(window.observed_dofs)):
+        raise InvalidParameterError(
+            f"accel must be (n_samples, n_observed), got {accel.shape}")
     force = np.asarray(window.force, dtype=float)
     h = acceleration_model(system, window.observed_dofs,
                            augment_params=model.augmented_params)

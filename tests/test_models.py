@@ -98,6 +98,22 @@ def split_state(system, y):
     return y[0:2 * n:2], y[1:2 * n:2]
 
 
+def sigma_point_batch(rng, system):
+    """(2L + 1, L) augmented states, the shape the filter hands the kernel."""
+    length = 3 * system.n_dof
+    return np.stack([random_state(rng, system, augmented=True)
+                     for _ in range(2 * length + 1)])
+
+
+def build_dvp_7dof_symmetric():
+    return build_dvp_7dof(symmetric_consistent=True)
+
+
+# every sign layout of the stiffness: chain, DVP k4 flip, DVP made symmetric
+ORACLE_BUILDS = pytest.mark.parametrize(
+    "build", [build_duffing_2dof, build_dvp_7dof, build_dvp_7dof_symmetric])
+
+
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -250,7 +266,7 @@ class TestStateSpace:
                 m.drift(y, f), literal_drift_7dof(y, f, s.stiffnesses, s),
                 rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    @ORACLE_BUILDS
     def test_drift_equals_matrix_form(self, build):
         # velocity pass-through composed with -M^-1(G+Kx+Cv) + M^-1 F
         s = build()
@@ -267,6 +283,27 @@ class TestStateSpace:
                 matrix_form_acceleration(s, x, v) + f / s.masses)
             got = m.drift(y, f)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @ORACLE_BUILDS
+    def test_batched_augmented_drift_equals_matrix_form(self, build):
+        # sigma-point arrays carry a different stiffness in every row
+        s = build()
+        n = s.n_dof
+        m = to_state_space(s, range(1, n + 1))
+        rng = np.random.default_rng(4)
+        disp, vel = split_state(s, np.arange(2 * n))
+        for _ in range(5):
+            points = sigma_point_batch(rng, s)
+            f = rng.normal(0.0, 10.0, n)
+            got = m.drift(points, f)
+            assert got.shape == points.shape
+            for y, row in zip(points, got):
+                x, v = split_state(s, y)
+                expected = np.zeros(3 * n)
+                expected[disp] = v
+                expected[vel] = (matrix_form_acceleration(s, x, v, y[2 * n:])
+                                 + f / s.masses)
+                np.testing.assert_allclose(row, expected, rtol=1e-12, atol=1e-12)
 
     def test_augmented_drift_and_dispersion_param_rows_zero(self):
         s2 = build_duffing_2dof()
@@ -409,7 +446,7 @@ class TestAccelerationModel:
         y = random_state(rng, s)
         np.testing.assert_allclose(h1(y), h_full(y)[:1])
 
-    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    @ORACLE_BUILDS
     def test_full_stack_equals_matrix_form_oracle(self, build):
         s = build()
         h = acceleration_model(s, range(1, s.n_dof + 1))
@@ -419,6 +456,22 @@ class TestAccelerationModel:
             x, v = split_state(s, y)
             np.testing.assert_allclose(
                 h(y), matrix_form_acceleration(s, x, v), rtol=1e-12, atol=1e-12)
+
+    @ORACLE_BUILDS
+    def test_batched_augmented_measurement_equals_matrix_form(self, build):
+        s = build()
+        n = s.n_dof
+        h = acceleration_model(s, range(1, n + 1), augment_params=range(1, n + 1))
+        rng = np.random.default_rng(38)
+        for _ in range(5):
+            points = sigma_point_batch(rng, s)
+            got = h(points)
+            assert got.shape == (points.shape[0], n)
+            for y, row in zip(points, got):
+                x, v = split_state(s, y)
+                np.testing.assert_allclose(
+                    row, matrix_form_acceleration(s, x, v, y[2 * n:]),
+                    rtol=1e-12, atol=1e-12)
 
     def test_7dof_measurement_matches_literal_rows(self):
         # acceleration rows of the printed drift, force removed

@@ -11,6 +11,7 @@ from mdoftwin.errors import InvalidParameterError
 from mdoftwin.models import (DegradationSchedule, build_duffing_2dof,
                              degraded_stiffness)
 from mdoftwin.sde import IntegratorConfig
+from mdoftwin import gpr
 from mdoftwin import twin as twin_mod
 from mdoftwin.twin import (CampaignConfig, MeasurementWindow, TwinSnapshot,
                            UkfRunConfig, assimilate_window, campaign_times,
@@ -234,6 +235,19 @@ class TestAssimilation:
             assimilate_window(snap_b, window)
         assert snap_b.gp_models == {}
         assert snap_a.parameter_history == snap_b.parameter_history
+
+    def test_custom_gp_ranges_survive_assimilation(self):
+        # assimilate_window rebuilds the config from snapshot.config
+        gp = gpr.GpTrainConfig(lengthscale_range=(0.5, 5.0),
+                               variance_range=(0.1, 10.0),
+                               noise_range=(1e-6, 0.5))
+        system, cfg, snap, _ = self.run_snapshot(
+            n_windows=3, cfg=quick_config(gp=gp))
+        assert snap.gp_models
+        again = CampaignConfig.from_dict(snap.config).gp
+        assert again.lengthscale_range == (0.5, 5.0)
+        assert again.variance_range == (0.1, 10.0)
+        assert again.noise_range == (1e-6, 0.5)
 
     def test_measurement_noise_fallbacks(self):
         system, cfg, snap, windows = self.run_snapshot(n_windows=1)

@@ -269,7 +269,8 @@ class TestPsdRepair:
     def test_indefinite_matrix_clipped(self):
         log = PsdRepairLog()
         p = np.diag([1.0, -1e-9, 2.0])
-        fixed = repair_psd(p, log)
+        fixed, factor = repair_psd(p, log)
+        assert factor is None
         assert log.count == 1
         assert log.max_magnitude == pytest.approx(1e-9)
         assert np.min(np.linalg.eigvalsh(fixed)) >= -1e-15
@@ -277,13 +278,62 @@ class TestPsdRepair:
     def test_psd_matrix_untouched(self):
         log = PsdRepairLog()
         p = np.diag([1.0, 2.0])
-        np.testing.assert_array_equal(repair_psd(p, log), p)
+        fixed, factor = repair_psd(p, log)
+        np.testing.assert_array_equal(fixed, p)
+        np.testing.assert_array_equal(factor, np.linalg.cholesky(p))
         assert log.count == 0
 
     def test_belief_requires_symmetry(self):
         with pytest.raises(InvalidParameterError):
             GaussianBelief(mean=np.zeros(2),
                            cov=np.array([[1.0, 0.5], [-0.5, 1.0]]))
+
+
+class TestCarriedFactor:
+    """Beliefs from predict/update reuse the PSD check's Cholesky factor."""
+
+    @staticmethod
+    def assert_same_sigma_points(belief):
+        fresh = GaussianBelief(mean=belief.mean.copy(), cov=belief.cov.copy())
+        assert fresh.carried_factor is None
+        np.testing.assert_array_equal(sigma_points(belief, BENCH_PARAMS).points,
+                                      sigma_points(fresh, BENCH_PARAMS).points)
+
+    def test_predict_then_update_bit_identical(self):
+        rng = np.random.default_rng(23)
+        dim, n_obs = 5, 2
+        a_mat, h_mat, q, r = random_linear_system(rng, dim, n_obs)
+        root = rng.normal(size=(dim, dim))
+        belief = GaussianBelief(mean=rng.normal(size=dim),
+                                cov=root @ root.T + np.eye(dim))
+        predicted = predict(belief, lambda pts: pts @ a_mat.T, q, BENCH_PARAMS)
+        assert predicted.carried_factor is not None
+        self.assert_same_sigma_points(predicted)
+        updated = update(predicted, lambda pts: pts @ h_mat.T,
+                         rng.normal(size=n_obs), r, BENCH_PARAMS)
+        assert updated.carried_factor is not None
+        self.assert_same_sigma_points(updated)
+
+    def test_eigh_repair_carries_no_factor(self):
+        # the dynamics drop the last entry and Q is negative there
+        log = PsdRepairLog()
+        belief = GaussianBelief(mean=np.ones(3), cov=np.eye(3))
+        q = np.diag([0.0, 0.0, -1e-3])
+        predicted = predict(belief, lambda pts: pts * [1.0, 1.0, 0.0], q,
+                            BENCH_PARAMS, log)
+        assert log.count == 1
+        assert predicted.carried_factor is None
+        self.assert_same_sigma_points(predicted)
+        updated = update(predicted, lambda pts: pts[:, :1], np.zeros(1),
+                         np.eye(1), BENCH_PARAMS, log)
+        self.assert_same_sigma_points(updated)
+
+    def test_new_covariance_drops_factor(self):
+        belief = predict(GaussianBelief(mean=np.zeros(2), cov=np.eye(2)),
+                         lambda pts: pts, np.eye(2), BENCH_PARAMS)
+        belief.cov = 4.0 * np.eye(2)
+        assert belief.carried_factor is None
+        self.assert_same_sigma_points(belief)
 
 
 class TestProcessNoise:
@@ -429,6 +479,17 @@ class TestRunFilter:
         noise = NoiseModel(q=np.zeros((6, 6)), r=np.eye(2))
         with pytest.raises(InvalidParameterError):
             run_filter(model, system, window, init, noise, BENCH_PARAMS)
+
+    def test_accel_shape_checked(self):
+        system = build_duffing_2dof()
+        model = to_state_space(system, (1, 2))
+        window = self.make_window(system, to_state_space(system), duration=0.1)
+        init = GaussianBelief(mean=np.zeros(6), cov=np.eye(6))
+        noise = NoiseModel(q=np.zeros((6, 6)), r=np.eye(2))
+        for bad in (window.accel.T, window.accel[:, :1], window.accel[1:]):
+            window.accel = bad
+            with pytest.raises(InvalidParameterError, match="n_observed"):
+                run_filter(model, system, window, init, noise, BENCH_PARAMS)
 
     def test_result_export(self, tmp_path):
         system = build_duffing_2dof()
