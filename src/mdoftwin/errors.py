@@ -10,7 +10,15 @@ class InvalidParameterError(MdofTwinError, ValueError):
 
 
 class NumericError(MdofTwinError, RuntimeError):
-    """A numerical operation failed (non-finite state, factorization failure)."""
+    """A numerical operation failed (non-finite state, factorization failure).
+
+    A batched integration names its first failing path in ``path`` (None
+    otherwise).
+    """
+
+    def __init__(self, message, path=None):
+        super().__init__(message)
+        self.path = path
 
 
 class TrainingError(MdofTwinError, RuntimeError):

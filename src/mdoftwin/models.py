@@ -346,13 +346,26 @@ def degraded_stiffness(schedule: DegradationSchedule, t_s: float) -> np.ndarray:
 class StateSpaceModel:
     """Ito diffusion dy = a(y, f) dt + b(y) dW for simulation and filtering.
 
-    ``drift`` and ``dispersion`` accept a single state ``(dim,)`` or a batch
-    ``(m, dim)``; ``drift`` additionally takes the force sample ``(n_dof,)``.
-    The analytic partial-derivative callables operate on a single state and
-    feed the strong Taylor-1.5 scheme; ``dispersion_jacobian`` is None for
-    additive-noise systems, which makes the L(b) correction terms vanish.
-    Augmented models carry the estimated stiffness entries at
-    ``param_indices`` with zero drift and zero dispersion rows.
+    Every callable is batched over leading axes: a state is ``(..., dim)``,
+    one per path, and ``drift`` takes the force sample ``(n_dof,)`` or one
+    per path ``(..., n_dof)``. The analytic partials feed the strong
+    Taylor-1.5 scheme as directional derivatives, so no ``(dim, dim)``
+    matrix is formed per path:
+
+    * ``drift_jacobian(y, f, v)`` is ``(da/dy) v`` for a direction ``v``;
+      the scheme requires it, Euler-Maruyama does not;
+    * ``drift_hessian_quad(y, f, b)`` is
+      ``0.5 sum_ij (b b^T)_ij d2a/dy_i dy_j`` for the dispersion ``b``
+      ``(..., dim, n_channels)``; None where it vanishes identically, that
+      is where the drift is affine along every row the noise enters;
+    * ``dispersion_jacobian(y, u)`` is ``sum_j sum_i u_ji db_.j/dy_i`` for
+      one direction per channel, ``u`` ``(..., n_channels, dim)``; None for
+      additive noise, which makes the L(b) correction terms vanish.
+
+    ``scaled_noise`` lists ``(row, channel, state)`` for every dispersion
+    entry that is a constant times the state entry ``y[state]``; all other
+    entries are constant. Augmented models carry the estimated stiffness
+    entries at ``param_indices`` with zero drift and zero dispersion rows.
     """
 
     dim_state: int
@@ -365,6 +378,7 @@ class StateSpaceModel:
     drift_jacobian: Callable | None = None
     drift_hessian_quad: Callable | None = None
     dispersion_jacobian: Callable | None = None
+    scaled_noise: tuple = ()
 
 
 def _index_maps(n_dof: int, ordering: str) -> tuple:
@@ -385,16 +399,17 @@ def _augmentation(n_dof: int, augment_params: Iterable[int]) -> np.ndarray:
 
 
 def _restoring_acceleration(system: MdofSystem, aug0: np.ndarray,
-                            rows=slice(None)) -> Callable:
+                            rows=slice(None)) -> tuple:
     """Compile r(y) = -M^-1 (G(x) + K(k) x + C v) for one state layout.
 
     Every chain force acts along a spring elongation e = B x or its rate
     B v, so the node forces are B^T applied to the element forces
     s * k * e + c * B v + g(e), with g the cubic on ``cubic_element``.
-    One product with the state yields e, c * B v and the signed stiffness
-    s * k read off the state tail at ``aug0``; a second applies -M^-1 B^T
-    and keeps the DOFs selected by ``rows``. Batched over leading axes of y.
-    Returns r and ``elements``, the function giving those element values.
+    One product with the state yields e, c * B v and s * k for the
+    stiffness read off the state tail at ``aug0``; a second applies
+    -M^-1 B^T and keeps the DOFs selected by ``rows``. Batched over leading
+    axes of y. Returns r, ``elements`` (the linear map giving those three
+    element values) and ``signed_k``, the signed stiffness not on the tail.
     """
     n = system.n_dof
     disp_idx, vel_idx = _index_maps(n, system.state_ordering)
@@ -410,17 +425,17 @@ def _restoring_acceleration(system: MdofSystem, aug0: np.ndarray,
     cubic, coeff = system.cubic_element, system.nonlinear_coeff
 
     def elements(y: np.ndarray) -> tuple:
-        """Elongations B x, damper forces c * B v and signed stiffnesses s * k."""
+        """Elongations B x, damper forces c * B v and tail stiffnesses s * k."""
         ev = y @ to_elements
-        return ev[..., :n], ev[..., n:2 * n], signed_k + ev[..., 2 * n:]
+        return ev[..., :n], ev[..., n:2 * n], ev[..., 2 * n:]
 
     def acceleration(y: np.ndarray) -> np.ndarray:
-        e, damper, stiffness = elements(y)
-        w = stiffness * e + damper
+        e, damper, tail_k = elements(y)
+        w = (signed_k + tail_k) * e + damper
         w[..., cubic] += coeff * e[..., cubic] ** 3
         return w @ to_acceleration
 
-    return acceleration, elements
+    return acceleration, elements, signed_k
 
 
 def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> StateSpaceModel:
@@ -428,39 +443,38 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
 
     ``augment_params`` lists 1-based stiffness indices appended to the state;
     their drift and dispersion rows are identically zero (degradation is not
-    dynamic on the fast time-scale). With no augmentation the state is the
-    plain kinematic vector of dimension 2 * n_dof. Everything that depends
-    only on the system is computed here once, not on every call.
+    dynamic on the fast time-scale), so each path of a batch can carry its
+    own stiffness there. With no augmentation the state is the plain
+    kinematic vector of dimension 2 * n_dof. Everything that depends only on
+    the system is computed here once, not on every call.
+
+    The partials use the chain's structure: noise enters only the velocity
+    rows, on a diagonal, and the drift is affine in the velocities, so the
+    Hessian term of the Taylor-1.5 scheme vanishes and ``drift_hessian_quad``
+    is None. The only state-dependent dispersion entry is the DVP element's
+    channel 4, scaled by the DOF-4 displacement.
     """
     n = system.n_dof
     aug0 = _augmentation(n, augment_params)
     aug = tuple(int(i) + 1 for i in aug0)
     disp_idx, vel_idx = _index_maps(n, system.state_ordering)
     dim = 2 * n + len(aug)
-    params = slice(2 * n, dim)
 
     masses = system.masses
-    sig_over_m = system.noise_sigmas / masses
-    b = system.elongation_operator
-    to_acceleration = -b / masses  # element forces -> node accelerations
-    signs = system.stiffness_signs
+    to_acceleration = -system.elongation_operator / masses
     cubic, coeff = system.cubic_element, system.nonlinear_coeff
-    is_dvp = system.kind == KIND_DVP_7DOF
-    if is_dvp:  # the displacement of DOF 4 scales noise channel 4
-        dvp_disp, dvp_vel = range(2 * n)[disp_idx][3], range(2 * n)[vel_idx][3]
-    restoring, elements = _restoring_acceleration(system, aug0)
+    restoring, elements, signed_k = _restoring_acceleration(system, aug0)
 
     labels = [""] * (2 * n)
     labels[disp_idx] = [f"x{i + 1}" for i in range(n)]
     labels[vel_idx] = [f"v{i + 1}" for i in range(n)]
     labels += [f"k{i}" for i in aug]
 
-    # the state-independent parts of b(y) and da/dy
     b_const = np.zeros((dim, n))
-    b_const[vel_idx] = np.diag(sig_over_m)
-    jac_const = np.zeros((dim, dim))
-    jac_const[disp_idx, vel_idx] = np.eye(n)
-    jac_const[vel_idx, vel_idx] = -system.damping / masses[:, None]
+    b_const[vel_idx] = np.diag(system.noise_sigmas / masses)
+    scaled_noise = ()
+    if system.kind == KIND_DVP_7DOF:  # the displacement of DOF 4 scales channel 4
+        scaled_noise = ((range(2 * n)[vel_idx][3], 3, range(2 * n)[disp_idx][3]),)
 
     def drift(y, f) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -473,37 +487,29 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
         y = np.asarray(y, dtype=float)
         out = np.empty(y.shape[:-1] + (dim, n))
         out[...] = b_const
-        if is_dvp:
-            out[..., dvp_vel, 3] *= y[..., dvp_disp]
+        for row, channel, state in scaled_noise:
+            out[..., row, channel] *= y[..., state]
         return out
 
-    def drift_jacobian(y, f) -> np.ndarray:
-        e, _, tangent = elements(np.asarray(y, dtype=float))
-        tangent[cubic] += 3.0 * coeff * e[cubic] ** 2
-        jac = jac_const.copy()
-        jac[vel_idx, disp_idx] = (to_acceleration.T * tangent) @ b
-        jac[vel_idx, params] = to_acceleration[aug0].T * (signs * e)[aug0]
-        return jac
-
-    def drift_hessian_quad(y, f, weight: np.ndarray) -> np.ndarray:
-        """0.5 * sum_ij weight[i, j] d2a/dy_i dy_j, analytic."""
-        e, _, _ = elements(np.asarray(y, dtype=float))
-        # per element: the cubic's curvature and the bilinear k-x cross terms
-        w = np.zeros(n)
-        b_cubic = b[cubic]
-        w[cubic] = 3.0 * coeff * e[cubic] * (b_cubic @ weight[disp_idx, disp_idx] @ b_cubic)
-        w[aug0] += signs[aug0] * np.einsum("ij,ij->i", b[aug0], weight[params, disp_idx])
-        out = np.zeros(dim)
-        out[vel_idx] = w @ to_acceleration
+    def drift_jacobian(y, f, v) -> np.ndarray:
+        """(da/dy) v: the element tangents applied to the elements of v."""
+        e, _, tail_k = elements(np.asarray(y, dtype=float))
+        de, d_damper, d_tail_k = elements(v)
+        tangent = signed_k + tail_k
+        tangent[..., cubic] += 3.0 * coeff * e[..., cubic] ** 2
+        w = tangent * de + d_damper + d_tail_k * e
+        out = np.zeros(w.shape[:-1] + (dim,))
+        out[..., disp_idx] = v[..., vel_idx]
+        out[..., vel_idx] = w @ to_acceleration
         return out
 
     dispersion_jacobian = None
-    if is_dvp:
-        db_const = np.zeros((dim, n, dim))
-        db_const[dvp_vel, 3, dvp_disp] = sig_over_m[3]
-
-        def dispersion_jacobian(y) -> np.ndarray:
-            return db_const.copy()
+    if scaled_noise:
+        def dispersion_jacobian(y, u) -> np.ndarray:
+            out = np.zeros(u.shape[:-2] + (dim,))
+            for row, channel, state in scaled_noise:
+                out[..., row] += b_const[row, channel] * u[..., channel, state]
+            return out
 
     return StateSpaceModel(
         dim_state=dim,
@@ -514,8 +520,8 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
         drift=drift,
         dispersion=dispersion,
         drift_jacobian=drift_jacobian,
-        drift_hessian_quad=drift_hessian_quad,
         dispersion_jacobian=dispersion_jacobian,
+        scaled_noise=scaled_noise,
     )
 
 
@@ -538,7 +544,7 @@ def acceleration_model(
     if any(i < 1 or i > n for i in obs) or len(set(obs)) != len(obs):
         raise InvalidParameterError("observed_dofs must be unique DOF numbers in 1..n_dof")
     obs0 = np.array([i - 1 for i in obs], dtype=int)
-    restoring, _ = _restoring_acceleration(
+    restoring, _, _ = _restoring_acceleration(
         system, _augmentation(n, augment_params), rows=obs0)
 
     def h(y) -> np.ndarray:

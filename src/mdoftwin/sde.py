@@ -12,9 +12,11 @@ Two schemes are provided for dy = a(y, f) dt + b(y) dW:
   L^j = sum_i b_ij d_i. The force sample is held constant across a step.
   For additive noise the L(b) terms are identically zero and are skipped.
 
-Analytic partial derivatives supplied by the model builders are preferred;
-finite-difference fallbacks cover models that do not provide them and are
-reused by the validation tests.
+Both steppers carry a leading path axis: a state ``(P, dim)`` advances P
+independent paths in one call, and a single state ``(dim,)`` is the same
+code with no path axis. The scheme takes the model's analytic partials as
+directional derivatives (see ``StateSpaceModel``), so a step never forms a
+``(dim, dim)`` matrix per path.
 """
 
 from __future__ import annotations
@@ -90,99 +92,53 @@ def _check_state(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def em_step(model: StateSpaceModel, y, f_t, dw, dt: float) -> np.ndarray:
-    """One Euler-Maruyama step y + a dt + b dw."""
-    y = _check_state(y)
+def _em(model: StateSpaceModel, y, f_t, dw, dz, dt: float) -> np.ndarray:
+    b = model.dispersion(y)
+    return y + model.drift(y, f_t) * dt + (b @ dw[..., None])[..., 0]
+
+
+def _taylor15(model: StateSpaceModel, y, f_t, dw, dz, dt: float) -> np.ndarray:
     a = model.drift(y, f_t)
     b = model.dispersion(y)
-    return y + a * dt + b @ np.asarray(dw, dtype=float)
-
-
-# ---- finite-difference fallbacks -------------------------------------------
-
-
-def fd_drift_jacobian(model: StateSpaceModel, y, f_t, eps: float = 1e-6) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    dim = y.shape[0]
-    jac = np.empty((dim, dim))
-    for i in range(dim):
-        step = np.zeros(dim)
-        step[i] = eps
-        jac[:, i] = (model.drift(y + step, f_t) - model.drift(y - step, f_t)) / (2.0 * eps)
-    return jac
-
-
-def fd_dispersion_jacobian(model: StateSpaceModel, y, eps: float = 1e-6) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    dim = y.shape[0]
-    db = np.empty((dim, model.n_channels, dim))
-    for i in range(dim):
-        step = np.zeros(dim)
-        step[i] = eps
-        db[:, :, i] = (model.dispersion(y + step) - model.dispersion(y - step)) / (2.0 * eps)
-    return db
-
-
-def fd_drift_hessian_quad(
-    model: StateSpaceModel, y, f_t, weight: np.ndarray, eps: float = 1e-4
-) -> np.ndarray:
-    """0.5 sum_ij weight[i,j] d2a/dy_i dy_j by central second differences."""
-    y = np.asarray(y, dtype=float)
-    dim = y.shape[0]
-    out = np.zeros(dim)
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = eps
-        for j in range(i, dim):
-            w = weight[i, j]
-            if w == 0.0 and weight[j, i] == 0.0:
-                continue
-            ej = np.zeros(dim)
-            ej[j] = eps
-            d2 = (
-                model.drift(y + ei + ej, f_t)
-                - model.drift(y + ei - ej, f_t)
-                - model.drift(y - ei + ej, f_t)
-                + model.drift(y - ei - ej, f_t)
-            ) / (4.0 * eps * eps)
-            scale = w if i == j else w + weight[j, i]
-            out += 0.5 * scale * d2
+    noise = b @ np.stack((dw, dz), axis=-1)  # b dw and b dz side by side
+    half_dt2 = 0.5 * dt * dt
+    out = y + a * dt + noise[..., 0]
+    # L^j(a) dz_j + 0.5 L^0(a) dt^2 as one derivative along b dz + a dt^2/2
+    out += model.drift_jacobian(y, f_t, noise[..., 1] + half_dt2 * a)
+    if model.drift_hessian_quad is not None:
+        out += half_dt2 * model.drift_hessian_quad(y, f_t, b)
+    if model.dispersion_jacobian is not None:
+        # 0.5 L^j(b_j) (dw_j^2 - dt) + L^0(b_j) (dw_j dt - dz_j), with L^0(b)
+        # the first-order transport only (exact for state-affine b): both are
+        # the derivative of column j along one direction u_j per channel
+        u = ((0.5 * (dw * dw - dt))[..., None] * np.swapaxes(b, -1, -2)
+             + (dw * dt - dz)[..., None] * a[..., None, :])
+        out += model.dispersion_jacobian(y, u)
     return out
+
+
+def em_step(model: StateSpaceModel, y, f_t, dw, dt: float) -> np.ndarray:
+    """One Euler-Maruyama step y + a dt + b dw.
+
+    ``y`` is ``(dim,)`` or one state per path ``(P, dim)``, with ``dw``
+    ``(n_channels,)`` or ``(P, n_channels)`` to match.
+    """
+    y = _check_state(y)
+    return _em(model, y, f_t, np.asarray(dw, dtype=float), None, dt)
 
 
 def taylor15_step(
     model: StateSpaceModel, y, f_t, inc: BrownianIncrementPair, dt: float
 ) -> np.ndarray:
-    """One strong Taylor-1.5 step."""
+    """One strong Taylor-1.5 step; shapes as for ``em_step``.
+
+    Requires the model's analytic ``drift_jacobian``.
+    """
     y = _check_state(y)
-    dw = np.asarray(inc.dw, dtype=float)
-    dz = np.asarray(inc.dz, dtype=float)
-    a = model.drift(y, f_t)
-    b = model.dispersion(y)
-
-    if model.drift_jacobian is not None:
-        jac = model.drift_jacobian(y, f_t)
-    else:
-        jac = fd_drift_jacobian(model, y, f_t)
-    out = y + a * dt + b @ dw
-    out += (jac @ b) @ dz  # L^j(a) dz_j
-
-    bbT = b @ b.T
-    if model.drift_hessian_quad is not None:
-        hess_quad = model.drift_hessian_quad(y, f_t, bbT)
-    else:
-        hess_quad = fd_drift_hessian_quad(model, y, f_t, bbT)
-    out += 0.5 * (jac @ a + hess_quad) * dt * dt  # 0.5 L^0(a) dt^2
-
-    if model.dispersion_jacobian is not None:
-        db = model.dispersion_jacobian(y)  # (dim, channels, dim)
-        # L^j applied to column j of b (diagonal-noise Milstein term)
-        ljb = np.einsum("ij,kji->kj", b, db)
-        out += 0.5 * ljb @ (dw * dw - dt)
-        # L^0(b): first-order transport only, exact for state-affine b
-        l0b = np.einsum("i,kli->kl", a, db)
-        out += l0b @ (dw * dt - dz)
-    return out
+    if model.drift_jacobian is None:
+        raise InvalidParameterError("the Taylor-1.5 scheme needs the drift_jacobian partial")
+    return _taylor15(model, y, f_t, np.asarray(inc.dw, dtype=float),
+                     np.asarray(inc.dz, dtype=float), dt)
 
 
 # ---- trajectory simulation --------------------------------------------------
@@ -190,7 +146,11 @@ def taylor15_step(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid sample path with clean accelerations and applied forces."""
+    """Uniform-grid sample paths with clean accelerations and applied forces.
+
+    The time axis leads every array; a batched run keeps its path axis
+    second. ``to_csv`` writes one path.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -232,49 +192,67 @@ def simulate_window(
     cfg: IntegratorConfig,
     *,
     forces: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
+    rng=None,
 ) -> Trajectory:
     """Integrate the model over [0, duration] and record clean accelerations.
 
-    ``forces`` overrides the per-sample deterministic force (shape
-    (n_steps + 1, n_dof)); by default the system's harmonic force is used.
-    The left-endpoint force sample drives each step. A fresh generator is
-    derived from ``cfg.seed`` unless ``rng`` is passed.
+    ``y0`` is one initial state ``(dim,)`` or one per independent path
+    ``(P, dim)``; all paths advance together, one step at a time, and the
+    time axis leads every output array: states ``(n_steps + 1,) + y0.shape``
+    and accelerations ``(n_steps + 1, [P,] n_dof)``. ``forces`` overrides the
+    per-sample deterministic force, shared ``(n_steps + 1, n_dof)`` or per
+    path ``(n_steps + 1, P, n_dof)``; by default the system's harmonic force
+    is used. The left-endpoint force sample drives each step. ``rng`` is a
+    generator, or one per path, each drawing that path's Brownian increments
+    in one block; by default path p uses a generator seeded ``cfg.seed + p``.
+    A non-finite path raises NumericError with the first such path index in
+    ``path`` (None for a single state).
     """
     if duration < cfg.dt:
         raise InvalidParameterError("duration must be at least one time step")
     y0 = _check_state(y0)
-    if y0.shape != (model.dim_state,):
+    if y0.ndim not in (1, 2) or y0.shape[-1] != model.dim_state:
         raise InvalidParameterError(
-            f"y0 must have shape ({model.dim_state},), got {y0.shape}")
+            f"y0 must have shape ({model.dim_state},) or (P, {model.dim_state}), "
+            f"got {y0.shape}")
+    if cfg.scheme == SCHEME_TAYLOR15 and model.drift_jacobian is None:
+        raise InvalidParameterError("the Taylor-1.5 scheme needs the drift_jacobian partial")
+    paths = y0.shape[:-1]
+    n_paths = paths[0] if paths else 1
     n_steps = int(round(duration / cfg.dt))
     times = np.arange(n_steps + 1) * cfg.dt
     if forces is None:
         forces = system.force_at(times)
     else:
         forces = np.asarray(forces, dtype=float)
-        if forces.shape != (n_steps + 1, system.n_dof):
+        if forces.shape not in ((n_steps + 1, system.n_dof),
+                                (n_steps + 1,) + paths + (system.n_dof,)):
             raise InvalidParameterError("forces must be sampled on the window grid")
 
     if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    inc = sample_brownian_increments(rng, cfg.dt, model.n_channels, n_steps)
+        rng = [np.random.default_rng(cfg.seed + p) for p in range(n_paths)]
+    elif isinstance(rng, np.random.Generator):
+        rng = [rng]
+    if len(rng) != n_paths:
+        raise InvalidParameterError("rng must give one generator per path")
+    inc = [sample_brownian_increments(g, cfg.dt, model.n_channels, n_steps) for g in rng]
+    shape = (n_steps,) + paths + (model.n_channels,)
+    dw = np.stack([i.dw for i in inc], axis=1).reshape(shape)
+    dz = np.stack([i.dz for i in inc], axis=1).reshape(shape)
 
-    states = np.empty((n_steps + 1, model.dim_state))
+    step = _em if cfg.scheme == SCHEME_EULER else _taylor15
+    states = np.empty((n_steps + 1,) + y0.shape)
     states[0] = y0
     y = y0
-    if cfg.scheme == SCHEME_EULER:
+    # a diverging path only poisons its own row; it is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            y = em_step(model, y, forces[k], inc.dw[k], cfg.dt)
+            y = step(model, y, forces[k], dw[k], dz[k], cfg.dt)
             states[k + 1] = y
-    else:
-        for k in range(n_steps):
-            y = taylor15_step(
-                model, y, forces[k],
-                BrownianIncrementPair(dw=inc.dw[k], dz=inc.dz[k]), cfg.dt)
-            states[k + 1] = y
-    if not np.all(np.isfinite(states)):
-        raise NumericError("trajectory diverged to non-finite values")
+    finite = np.all(np.isfinite(states), axis=(0, -1))
+    if not np.all(finite):
+        path = int(np.argmin(finite)) if paths else None
+        raise NumericError("trajectory diverged to non-finite values", path=path)
 
     h_all = acceleration_model(
         system, range(1, system.n_dof + 1), augment_params=model.augmented_params)

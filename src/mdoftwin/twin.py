@@ -13,6 +13,11 @@ after every assimilation once three points exist.
 All randomness derives from a single master seed; window i uses seed
 ``master_seed + i`` and consumes its generator in a fixed order (force
 noise, Brownian increments, acceleration noise).
+
+Independent simulations share one integration: the windows of a campaign
+and the draws of a response ensemble are the paths of one batched
+Taylor-1.5 run, each path carrying its own stiffness in the state tail of
+the augmented model and its own generator.
 """
 
 from __future__ import annotations
@@ -340,59 +345,76 @@ def campaign_times(cfg: CampaignConfig) -> np.ndarray:
     return np.arange(n + 1) * cfg.window_interval_days
 
 
-def generate_window(system: MdofSystem, schedule: DegradationSchedule,
-                    cfg: CampaignConfig, t_s: float, seed: int,
-                    window_index: int = -1) -> MeasurementWindow:
-    """Simulate one synthetic window at slow time t_s with the given seed."""
-    observed = cfg.observed_dofs or tuple(range(1, system.n_dof + 1))
-    rng = np.random.default_rng(seed)
-    k_t = degraded_stiffness(schedule, t_s)
-    system_t = replace(system, stiffnesses=k_t)
-    model = to_state_space(system_t)
+def _synthesize(system: MdofSystem, schedule: DegradationSchedule,
+                cfg: CampaignConfig, visits: list) -> list:
+    """Windows for ``(t_s, seed, window_index)`` visits, simulated together.
+
+    Every visit is one path of one batched integration: its degraded
+    stiffness rides in the state tail of the augmented model, its noisy
+    force drives only its own path, and its own generator draws, in order,
+    the force noise, the Brownian increments and the acceleration noise.
+    A diverging path raises NumericError naming the visit's window index.
+    """
+    n = system.n_dof
+    observed = cfg.observed_dofs or tuple(range(1, n + 1))
+    obs0 = [d - 1 for d in observed]
+    rngs = [np.random.default_rng(seed) for _, seed, _ in visits]
+    model = to_state_space(system, augment_params=range(1, n + 1))
 
     dt = cfg.integrator.dt
     n_steps = int(round(cfg.window_duration_s / dt))
     times = np.arange(n_steps + 1) * dt
-    force_clean = system_t.force_at(times)
+    force_clean = system.force_at(times)
     force_noise_std = noise_std_for_snr(force_clean, cfg.snr_force)
-    force_noisy = corrupt_with_snr(force_clean, cfg.snr_force, rng)
+    forces = np.stack([corrupt_with_snr(force_clean, cfg.snr_force, rng)
+                       for rng in rngs], axis=1)
 
-    y0 = np.zeros(model.dim_state)  # at rest at the start of every visit
-    traj = simulate_window(model, system_t, y0, cfg.window_duration_s,
-                           cfg.integrator, forces=force_noisy, rng=rng)
-    obs0 = [d - 1 for d in observed]
-    accel_clean = traj.accelerations[:, obs0]
-    accel_noise_std = noise_std_for_snr(accel_clean, cfg.snr_accel)
-    accel_noisy = corrupt_with_snr(accel_clean, cfg.snr_accel, rng)
+    y0 = np.zeros((len(visits), model.dim_state))  # at rest at every visit
+    y0[:, 2 * n:] = [degraded_stiffness(schedule, t_s) for t_s, _, _ in visits]
+    try:
+        traj = simulate_window(model, system, y0, cfg.window_duration_s,
+                               cfg.integrator, forces=forces, rng=rngs)
+    except NumericError as exc:
+        t_s, _, index = visits[exc.path]
+        raise NumericError(f"window {index} (t_s={t_s}): {exc}") from exc
 
-    return MeasurementWindow(
-        t_s=float(t_s),
-        times=times,
-        accel=accel_noisy,
-        force=force_noisy,
-        observed_dofs=observed,
-        accel_noise_std=accel_noise_std,
-        force_noise_std=force_noise_std,
-        provenance={"kind": "synthetic", "seed": int(seed),
-                    "window_index": int(window_index)},
-    )
+    windows = []
+    for p, (t_s, seed, index) in enumerate(visits):
+        accel_clean = traj.accelerations[:, p, obs0]
+        windows.append(MeasurementWindow(
+            t_s=float(t_s),
+            times=times,
+            accel=corrupt_with_snr(accel_clean, cfg.snr_accel, rngs[p]),
+            force=forces[:, p],
+            observed_dofs=observed,
+            accel_noise_std=noise_std_for_snr(accel_clean, cfg.snr_accel),
+            force_noise_std=force_noise_std,
+            provenance={"kind": "synthetic", "seed": int(seed),
+                        "window_index": int(index)},
+        ))
+    return windows
+
+
+def generate_window(system: MdofSystem, schedule: DegradationSchedule,
+                    cfg: CampaignConfig, t_s: float, seed: int,
+                    window_index: int = -1) -> MeasurementWindow:
+    """Simulate one synthetic window at slow time t_s with the given seed."""
+    return _synthesize(system, schedule, cfg, [(t_s, seed, window_index)])[0]
 
 
 def generate_campaign(system: MdofSystem, schedule: DegradationSchedule,
                       cfg: CampaignConfig) -> list:
-    """Synthesize the full window sequence on the slow-time grid.
+    """Synthesize the full window sequence on the slow-time grid in one pass.
 
-    Window i is seeded with ``master_seed + i``, so any window can be
-    regenerated independently.
+    Window i is seeded with ``master_seed + i``, so it can be regenerated
+    alone by ``generate_window(..., master_seed + i, i)``: the force comes
+    back bit for bit and the accelerations equal to rounding (1e-10
+    relative), because a batched product of 7-DOF states does not keep
+    bitwise results across batch sizes.
     """
-    windows = []
-    for i, t_s in enumerate(campaign_times(cfg)):
-        try:
-            windows.append(generate_window(
-                system, schedule, cfg, t_s, cfg.master_seed + i, i))
-        except (InvalidParameterError, NumericError) as exc:
-            raise type(exc)(f"window {i} (t_s={t_s}): {exc}") from exc
-    return windows
+    visits = [(t_s, cfg.master_seed + i, i)
+              for i, t_s in enumerate(campaign_times(cfg))]
+    return _synthesize(system, schedule, cfg, visits)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +601,8 @@ def predict_response_ensemble(
     """Propagate GP parameter uncertainty through the high-fidelity model.
 
     Draw j simulates with seed ``seed + 1 + j``; the parameter draws use
-    ``seed`` itself.
+    ``seed`` itself. All draws advance together as the paths of one
+    integration; a diverging draw raises NumericError naming it.
     """
     if n_draws < 2:
         raise InvalidParameterError("n_draws must be at least 2")
@@ -595,18 +618,21 @@ def predict_response_ensemble(
         samples = rng.normal(pred.mean[0], pred.stddev[0], size=n_draws)
         draws[:, idx] = np.clip(samples, 1e-6 * k_base[idx], None)
 
-    trajectories = []
-    for j in range(n_draws):
-        system_j = replace(system, stiffnesses=draws[j])
-        model = to_state_space(system_j)
-        integrator = replace(cfg.integrator, seed=int(seed) + 1 + j)
-        start = np.zeros(model.dim_state) if y0 is None else np.asarray(y0, float)
-        traj = simulate_window(model, system_j, start, duration, integrator)
-        trajectories.append(traj.states)
-    stacked = np.stack(trajectories)  # (n_draws, n_samples, dim)
-    qs = np.quantile(stacked, levels, axis=0)
-    times = np.arange(stacked.shape[1]) * cfg.integrator.dt
-    return ResponseEnsemble(times=times, levels=tuple(levels), quantiles=qs,
+    # one path per draw, its stiffness in the state tail of the augmented model
+    n = system.n_dof
+    model = to_state_space(system, augment_params=range(1, n + 1))
+    start = np.zeros((n_draws, model.dim_state))
+    if y0 is not None:
+        start[:, :2 * n] = np.asarray(y0, dtype=float)
+    start[:, 2 * n:] = draws
+    rngs = [np.random.default_rng(int(seed) + 1 + j) for j in range(n_draws)]
+    try:
+        traj = simulate_window(model, system, start, duration, cfg.integrator,
+                               rng=rngs)
+    except NumericError as exc:
+        raise NumericError(f"draw {exc.path}: {exc}", path=exc.path) from exc
+    qs = np.quantile(traj.states[..., :2 * n], levels, axis=1)
+    return ResponseEnsemble(times=traj.times, levels=tuple(levels), quantiles=qs,
                             stiffness_draws=draws)
 
 

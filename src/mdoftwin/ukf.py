@@ -337,6 +337,12 @@ def build_process_noise(
     the diagonal by s. Structurally zero rows (the parameter entries) stay
     zero under any scale; ``extra_diag`` adds variance there explicitly
     when the estimates need artificial process noise.
+
+    Q is built once. The noise enters on a diagonal (each channel drives
+    one row), so a dispersion entry in ``model.scaled_noise`` moves only
+    its own diagonal entry of Q; each call recomputes that entry with the
+    operations the full product applies to it, so the result is the same
+    to the bit, and every other entry is constant.
     """
     if dt <= 0.0:
         raise InvalidParameterError("dt must be positive")
@@ -358,13 +364,33 @@ def build_process_noise(
             raise InvalidParameterError(
                 "extra_diag must be non-negative and broadcast to the state")
 
+    b_unit = model.dispersion(np.ones(dim))  # scaled entries at their factor
+    for row, channel, _ in model.scaled_noise:
+        if (np.count_nonzero(b_unit[row]) != 1
+                or np.count_nonzero(b_unit[:, channel]) != 1):
+            raise InvalidParameterError(
+                "a state-scaled noise entry must be alone in its row and channel")
+    q_const = dt * (b_unit @ b_unit.T)
+    if scale_outer is not None:
+        q_const = q_const * scale_outer
+    if extra is not None:
+        q_const = q_const + np.diag(extra)
+    q_const.flags.writeable = False
+    scaled = [(row, b_unit[row, channel], state)
+              for row, channel, state in model.scaled_noise]
+
     def q_of(mean: np.ndarray) -> np.ndarray:
-        b = model.dispersion(np.asarray(mean, dtype=float))
-        q = dt * (b @ b.T)
-        if scale_outer is not None:
-            q = q * scale_outer
-        if extra is not None:
-            q = q + np.diag(extra)
+        if not scaled:
+            return q_const
+        q = q_const.copy()
+        for row, gain, state in scaled:
+            b = gain * mean[state]
+            entry = dt * (b * b)
+            if scale_outer is not None:
+                entry = entry * scale_outer[row, row]
+            if extra is not None:
+                entry = entry + extra[row]
+            q[row, row] = entry
         return q
 
     return q_of

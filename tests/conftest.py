@@ -1,8 +1,8 @@
-"""Shared fixtures: tiny custom models and the strong-convergence study."""
+"""Shared fixtures: tiny custom models, finite-difference oracles for the
+analytic partials, and the strong-convergence study."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from mdoftwin.models import StateSpaceModel
 from mdoftwin.sde import BrownianIncrementPair, em_step, taylor15_step
@@ -25,48 +25,112 @@ def make_model(dim, n_channels, drift, dispersion, jacobian=None,
     )
 
 
-def batch_scalar_model(n_paths, sigma, benchmark):
-    """Scalar SDE replicated across paths as one diagonal system.
+# ---- finite-difference oracles for the analytic partials (one state) -------
+
+
+def fd_drift_jacobian(model, y, f_t, eps=1e-6):
+    y = np.asarray(y, dtype=float)
+    dim = y.shape[0]
+    jac = np.empty((dim, dim))
+    for i in range(dim):
+        step = np.zeros(dim)
+        step[i] = eps
+        jac[:, i] = (model.drift(y + step, f_t) - model.drift(y - step, f_t)) / (2.0 * eps)
+    return jac
+
+
+def fd_dispersion_jacobian(model, y, eps=1e-6):
+    """db[k, j, i] = d b_kj / d y_i."""
+    y = np.asarray(y, dtype=float)
+    dim = y.shape[0]
+    db = np.empty((dim, model.n_channels, dim))
+    for i in range(dim):
+        step = np.zeros(dim)
+        step[i] = eps
+        db[:, :, i] = (model.dispersion(y + step) - model.dispersion(y - step)) / (2.0 * eps)
+    return db
+
+
+def fd_drift_hessian_quad(model, y, f_t, weight, eps=1e-4):
+    """0.5 sum_ij weight[i,j] d2a/dy_i dy_j by central second differences."""
+    y = np.asarray(y, dtype=float)
+    dim = y.shape[0]
+    out = np.zeros(dim)
+    for i in range(dim):
+        ei = np.zeros(dim)
+        ei[i] = eps
+        for j in range(i, dim):
+            w = weight[i, j]
+            if w == 0.0 and weight[j, i] == 0.0:
+                continue
+            ej = np.zeros(dim)
+            ej[j] = eps
+            d2 = (
+                model.drift(y + ei + ej, f_t)
+                - model.drift(y + ei - ej, f_t)
+                - model.drift(y - ei + ej, f_t)
+                + model.drift(y - ei - ej, f_t)
+            ) / (4.0 * eps * eps)
+            scale = w if i == j else w + weight[j, i]
+            out += 0.5 * scale * d2
+    return out
+
+
+def fd_partials_model(model):
+    """The same drift and dispersion, with every partial a finite-difference
+    oracle in the library's directional form (single states only)."""
+    def jacobian(y, f, v):
+        return fd_drift_jacobian(model, y, f) @ v
+
+    def hessian_quad(y, f, b):
+        return fd_drift_hessian_quad(model, y, f, b @ b.T)
+
+    def dispersion_jacobian(y, u):
+        return np.einsum("kji,ji->k", fd_dispersion_jacobian(model, y), u)
+
+    return make_model(model.dim_state, model.n_channels, model.drift,
+                      model.dispersion, jacobian, hessian_quad,
+                      dispersion_jacobian)
+
+
+# ---- scalar benchmark SDEs on the path axis ---------------------------------
+
+
+def scalar_model(sigma, benchmark):
+    """Scalar SDE whose independent paths are the library's leading path axis.
 
     Benchmarks: ``ou`` dy = -y dt + s dW; ``multiplicative``
-    dy = -y dt + s y dW; ``cubic`` dy = -y^3 dt + s dW. Each path is an
-    independent state entry driven by its own channel, so the library
-    steppers advance all paths in one call.
+    dy = -y dt + s y dW; ``cubic`` dy = -y^3 dt + s dW. States are
+    ``(n_paths, 1)``, so the library steppers advance all paths in one call.
     """
-    eye = sp.identity(n_paths, format="csr")
-    const_disp = sigma * eye
-
     if benchmark == "cubic":
         def drift(y, f):
-            y = np.asarray(y, dtype=float)
             return -y ** 3
 
-        def jacobian(y, f):
-            return sp.diags(-3.0 * np.asarray(y, dtype=float) ** 2,
-                            format="csr")
+        def jacobian(y, f, v):
+            return -3.0 * y ** 2 * v
 
-        def hessian_quad(y, f, weight):
-            # paths are independent, so only the diagonal of bb^T enters
-            return 0.5 * np.asarray(weight.diagonal()) * (-6.0 * y)
+        def hessian_quad(y, f, b):
+            # 0.5 b^2 d2a/dy2 for the single state entry and channel
+            return 0.5 * b[..., 0] ** 2 * (-6.0 * y)
     else:
         def drift(y, f):
-            return -np.asarray(y, dtype=float)
+            return -y
 
-        def jacobian(y, f):
-            return -eye
+        def jacobian(y, f, v):
+            return -v
 
-        def hessian_quad(y, f, weight):
-            return np.zeros(n_paths)
+        hessian_quad = None
 
     if benchmark == "multiplicative":
         def dispersion(y):
-            return sp.diags(sigma * np.asarray(y, dtype=float), format="csr")
+            return sigma * y[..., None]
     else:
         def dispersion(y):
-            return const_disp
+            return np.full(y.shape + (1,), sigma)
 
-    return make_model(n_paths, n_paths, drift, dispersion, jacobian,
-                      hessian_quad, dispersion_jacobian=None)
+    return make_model(1, 1, drift, dispersion, jacobian, hessian_quad,
+                      dispersion_jacobian=None)
 
 
 def _reference_step_ou(y, h, sigma, dw, dz):
@@ -133,19 +197,20 @@ def strong_error_study(benchmark, n_paths=100, t_end=1.0, fine_dt=1e-5,
                 acc_dw[dt][:] = 0.0
                 acc_dz[dt][:] = 0.0
 
-    model = batch_scalar_model(n_paths, sigma, benchmark)
-    f_dummy = np.zeros(n_paths)
+    model = scalar_model(sigma, benchmark)
+    f_dummy = np.zeros(1)
     errors = {"euler-maruyama": [], "taylor15": []}
     for dt in coarse_dts:
         dws, dzs = stored[dt]
-        y_em = np.full(n_paths, y0)
-        y_t15 = np.full(n_paths, y0)
+        y_em = np.full((n_paths, 1), y0)
+        y_t15 = np.full((n_paths, 1), y0)
         for dw, dz in zip(dws, dzs):
-            y_em = em_step(model, y_em, f_dummy, dw, dt)
+            y_em = em_step(model, y_em, f_dummy, dw[:, None], dt)
             y_t15 = taylor15_step(
-                model, y_t15, f_dummy, BrownianIncrementPair(dw=dw, dz=dz), dt)
-        errors["euler-maruyama"].append(np.mean(np.abs(y_em - y_ref)))
-        errors["taylor15"].append(np.mean(np.abs(y_t15 - y_ref)))
+                model, y_t15, f_dummy,
+                BrownianIncrementPair(dw=dw[:, None], dz=dz[:, None]), dt)
+        errors["euler-maruyama"].append(np.mean(np.abs(y_em[:, 0] - y_ref)))
+        errors["taylor15"].append(np.mean(np.abs(y_t15[:, 0] - y_ref)))
     return {
         "dts": np.array(coarse_dts),
         "em": np.array(errors["euler-maruyama"]),

@@ -19,8 +19,8 @@ from mdoftwin.models import (DegradationSchedule, build_duffing_2dof,
                              build_dvp_7dof, degraded_stiffness)
 from mdoftwin.sde import IntegratorConfig
 from mdoftwin.twin import (CampaignConfig, assimilate_window, campaign_times,
-                           filter_window, generate_window, new_snapshot,
-                           predict_parameters)
+                           filter_window, generate_campaign, generate_window,
+                           new_snapshot, predict_parameters)
 from mdoftwin.ukf import (GaussianBelief, UkfParams, predict as ukf_predict,
                           ukf_weights, update as ukf_update)
 
@@ -98,14 +98,10 @@ def tracking_campaign():
     )
     schedule = DegradationSchedule.for_system(system)
     snapshot = new_snapshot(system, cfg, schedule)
-    grid = campaign_times(cfg)
-    assert grid.shape[0] == 41
-    for i, t_s in enumerate(grid):
-        if t_s > 1500.0:
-            continue
-        window = generate_window(system, schedule, cfg, t_s,
-                                 cfg.master_seed + i, i)
-        assimilate_window(snapshot, window)
+    assert campaign_times(cfg).shape[0] == 41
+    for window in generate_campaign(system, schedule, cfg):
+        if window.t_s <= 1500.0:
+            assimilate_window(snapshot, window)
     return system, schedule, snapshot
 
 

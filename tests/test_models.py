@@ -10,8 +10,9 @@ from mdoftwin.models import (DegradationSchedule, MdofSystem,
                              acceleration_model, build_duffing_2dof,
                              build_dvp_7dof, degraded_stiffness,
                              to_state_space)
-from mdoftwin.sde import (fd_drift_hessian_quad, fd_drift_jacobian,
-                          fd_dispersion_jacobian)
+
+from conftest import (fd_drift_hessian_quad, fd_drift_jacobian,
+                      fd_dispersion_jacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +380,8 @@ class TestAnalyticDerivatives:
         (build_dvp_7dof, tuple(range(1, 8))),
     ])
     def test_jacobian_matches_finite_differences(self, build, augment):
+        # the directional derivative along every basis direction at once
+        # (one batch of directions) is the full Jacobian, column by column
         s = build()
         m = to_state_space(s, augment)
         rng = np.random.default_rng(21)
@@ -387,34 +390,46 @@ class TestAnalyticDerivatives:
             if augment and len(augment) != s.n_dof:
                 y = y[:m.dim_state]
             f = rng.normal(0.0, 10.0, s.n_dof)
+            columns = m.drift_jacobian(y, f, np.eye(m.dim_state))
             np.testing.assert_allclose(
-                m.drift_jacobian(y, f), fd_drift_jacobian(m, y, f),
-                rtol=1e-5, atol=1e-4)
+                columns.T, fd_drift_jacobian(m, y, f), rtol=1e-5, atol=1e-4)
 
     @pytest.mark.parametrize("build,augment", [
         (build_duffing_2dof, (1, 2)),
         (build_dvp_7dof, tuple(range(1, 8))),
     ])
     def test_hessian_quad_matches_finite_differences(self, build, augment):
+        # the chain declares the Taylor-1.5 Hessian term identically zero:
+        # the drift is affine along every row the noise enters, so any
+        # weight supported there has zero second differences, while the
+        # same oracle does see the cubic's curvature on the displacements
         s = build()
         m = to_state_space(s, augment)
+        assert m.drift_hessian_quad is None
         rng = np.random.default_rng(23)
         y = random_state(rng, s, augmented=True)
         f = rng.normal(0.0, 10.0, s.n_dof)
+        noisy = np.any(m.dispersion(y) != 0.0, axis=1)
         w = rng.normal(size=(m.dim_state, m.dim_state))
         w = w + w.T
         np.testing.assert_allclose(
-            m.drift_hessian_quad(y, f, w), fd_drift_hessian_quad(m, y, f, w),
-            rtol=1e-3, atol=1e-3)
+            fd_drift_hessian_quad(m, y, f, w * np.outer(noisy, noisy)),
+            np.zeros(m.dim_state), rtol=1e-3, atol=1e-3)
+        assert np.max(np.abs(fd_drift_hessian_quad(m, y, f, w))) > 1.0
 
     def test_dispersion_jacobian_matches_finite_differences(self):
+        # one direction per channel; the batch of all unit (channel, state)
+        # directions recovers the full derivative tensor
         s = build_dvp_7dof()
         m = to_state_space(s, range(1, 8))
         rng = np.random.default_rng(29)
         y = random_state(rng, s, augmented=True)
+        units = np.eye(m.n_channels * m.dim_state).reshape(
+            -1, m.n_channels, m.dim_state)
+        db = m.dispersion_jacobian(y, units)  # (n_channels * dim, dim)
         np.testing.assert_allclose(
-            m.dispersion_jacobian(y), fd_dispersion_jacobian(m, y),
-            rtol=1e-6, atol=1e-9)
+            db.T.reshape(m.dim_state, m.n_channels, m.dim_state),
+            fd_dispersion_jacobian(m, y), rtol=1e-6, atol=1e-9)
 
     def test_additive_system_has_no_dispersion_jacobian(self):
         s = build_duffing_2dof()

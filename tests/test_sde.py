@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from mdoftwin.errors import InvalidParameterError, NumericError
-from mdoftwin.models import build_duffing_2dof, to_state_space
+from mdoftwin.models import build_duffing_2dof, build_dvp_7dof, to_state_space
 from mdoftwin.sde import (BrownianIncrementPair, IntegratorConfig, Trajectory,
                           corrupt_with_snr, em_step, noise_std_for_snr,
                           sample_brownian_increments, simulate_window,
                           taylor15_step)
 
-from conftest import batch_scalar_model, fitted_slope, make_model
+from conftest import fd_partials_model, fitted_slope, make_model, scalar_model
 
 
 class TestIntegratorConfig:
@@ -76,13 +76,13 @@ class TestEmStep:
         n_paths = 100_000
         sigma = 0.5
         dt = 2e-3
-        model = batch_scalar_model(n_paths, sigma, 'ou')
+        model = scalar_model(sigma, 'ou')
         rng = np.random.default_rng(555)
-        y = np.ones(n_paths)
-        f = np.zeros(n_paths)
+        y = np.ones((n_paths, 1))
+        f = np.zeros(1)
         for _ in range(int(round(1.0 / dt))):
             dw = math.sqrt(dt) * rng.standard_normal(n_paths)
-            y = em_step(model, y, f, dw, dt)
+            y = em_step(model, y, f, dw[:, None], dt)
         mean_exact = math.exp(-1.0)
         var_exact = sigma ** 2 * (1.0 - math.exp(-2.0)) / 2.0
         se_mean = y.std() / math.sqrt(n_paths)
@@ -99,8 +99,8 @@ class TestTaylor15Step:
             2, 1,
             drift=lambda y, f: np.broadcast_to(a_const, y.shape).copy(),
             dispersion=lambda y: np.zeros((2, 1)),
-            jacobian=lambda y, f: np.zeros((2, 2)),
-            hessian_quad=lambda y, f, w: np.zeros(2))
+            jacobian=lambda y, f, v: np.zeros_like(v),
+            hessian_quad=lambda y, f, b: np.zeros(2))
         y = np.array([0.0, 1.0])
         inc = BrownianIncrementPair(dw=np.array([0.4]), dz=np.array([0.02]))
         out = taylor15_step(model, y, 0.0, inc, 0.5)
@@ -109,7 +109,7 @@ class TestTaylor15Step:
     def test_linear_decay_full_expansion(self):
         # dy = -y dt + s dW: y+ = y(1 - dt + dt^2/2) + s(dw - dz)
         sigma = 0.3
-        model = batch_scalar_model(1, sigma, 'ou')
+        model = scalar_model(sigma, 'ou')
         y = np.array([2.0])
         dt, dw, dz = 0.05, np.array([0.11]), np.array([0.004])
         out = taylor15_step(model, y, np.zeros(1),
@@ -126,7 +126,7 @@ class TestTaylor15Step:
         forced = make_model(
             4, 2, model.drift, model.dispersion, model.drift_jacobian,
             model.drift_hessian_quad,
-            dispersion_jacobian=lambda y: np.zeros((4, 2, 4)))
+            dispersion_jacobian=lambda y, u: np.zeros(4))
         rng = np.random.default_rng(3)
         y = rng.normal(size=4)
         f = rng.normal(size=2)
@@ -137,17 +137,23 @@ class TestTaylor15Step:
         np.testing.assert_array_equal(a, b)
 
     def test_finite_difference_fallback_matches_analytic(self):
-        system = build_duffing_2dof()
-        model = to_state_space(system)
-        bare = make_model(4, 2, model.drift, model.dispersion)
+        # a step from the analytic partials against one whose partials are
+        # all finite-difference oracles, including the Hessian term the
+        # chain models leave out as identically zero
         rng = np.random.default_rng(8)
-        y = rng.normal(size=4) * 0.3
-        f = rng.normal(size=2)
-        inc = BrownianIncrementPair(dw=rng.normal(size=2) * 0.03,
-                                    dz=rng.normal(size=2) * 0.001)
-        np.testing.assert_allclose(
-            taylor15_step(model, y, f, inc, 1e-3),
-            taylor15_step(bare, y, f, inc, 1e-3), rtol=1e-8, atol=1e-10)
+        for system, augment in ((build_duffing_2dof(), ()),
+                                (build_dvp_7dof(), range(1, 8))):
+            model = to_state_space(system, augment)
+            oracle = fd_partials_model(model)
+            n = system.n_dof
+            y = rng.normal(size=model.dim_state) * 0.3
+            y[2 * n:] = system.stiffnesses[:len(y) - 2 * n]
+            f = rng.normal(size=n)
+            inc = BrownianIncrementPair(dw=rng.normal(size=n) * 0.03,
+                                        dz=rng.normal(size=n) * 0.001)
+            np.testing.assert_allclose(
+                taylor15_step(model, y, f, inc, 1e-3),
+                taylor15_step(oracle, y, f, inc, 1e-3), rtol=1e-8, atol=1e-10)
 
 
 class TestConvergenceOrders:
@@ -267,6 +273,36 @@ class TestSimulateWindow:
             simulate_window(model, system, np.zeros(4), 1.0,
                             IntegratorConfig(dt=1e-3),
                             forces=np.zeros((10, 2)))
+
+    def test_paths_advance_together(self):
+        # P independent paths in one call against P single-path runs; the
+        # default generators are seeded cfg.seed + p
+        system = build_dvp_7dof()
+        model = to_state_space(system)
+        rng = np.random.default_rng(4)
+        y0 = rng.normal(size=(3, model.dim_state)) * 0.01
+        cfg = IntegratorConfig(dt=1e-3, seed=20)
+        batch = simulate_window(model, system, y0, 0.5, cfg)
+        assert batch.states.shape == (501, 3, 14)
+        assert batch.accelerations.shape == (501, 3, 7)
+        for p in range(3):
+            alone = simulate_window(model, system, y0[p], 0.5,
+                                    IntegratorConfig(dt=1e-3, seed=20 + p))
+            scale = np.max(np.abs(alone.states), axis=0)
+            assert np.all(np.abs(batch.states[:, p] - alone.states) <= 1e-12 * scale)
+
+    def test_diverging_path_index(self):
+        system = build_duffing_2dof()
+        model = to_state_space(system)
+        y0 = np.zeros((3, 4))
+        y0[2, 0] = 1e3  # the cubic spring at this stretch is far too stiff
+        with pytest.raises(NumericError) as info:
+            simulate_window(model, system, y0, 0.2, IntegratorConfig(dt=1e-3),
+                            rng=[np.random.default_rng(s) for s in range(3)])
+        assert info.value.path == 2
+        with pytest.raises(InvalidParameterError):
+            simulate_window(model, system, y0, 0.2, IntegratorConfig(dt=1e-3),
+                            rng=[np.random.default_rng(0)])
 
     def test_csv_export(self, tmp_path):
         system = build_duffing_2dof()

@@ -3,14 +3,16 @@
 import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mdoftwin.errors import InvalidParameterError
+from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.models import (DegradationSchedule, build_duffing_2dof,
+                             build_dvp_7dof, to_state_space,
                              degraded_stiffness)
-from mdoftwin.sde import IntegratorConfig
+from mdoftwin.sde import IntegratorConfig, simulate_window
 from mdoftwin import gpr
 from mdoftwin import twin as twin_mod
 from mdoftwin.twin import (CampaignConfig, MeasurementWindow, TwinSnapshot,
@@ -147,6 +149,42 @@ class TestCampaignGeneration:
         for a, b in zip(w1, w2):
             np.testing.assert_array_equal(a.accel, b.accel)
             np.testing.assert_array_equal(a.force, b.force)
+
+    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    def test_campaign_window_regenerated_alone(self, build):
+        # one batched pass against each window generated on its own: the
+        # same generator stream, so the same force to the bit; the batch
+        # changes only the rounding of the simulated accelerations
+        system = build()
+        sched = DegradationSchedule.for_system(system)
+        cfg = quick_config()
+        windows = generate_campaign(system, sched, cfg)
+        for i, (t_s, batched) in enumerate(zip(campaign_times(cfg), windows)):
+            alone = generate_window(system, sched, cfg, t_s,
+                                    cfg.master_seed + i, i)
+            np.testing.assert_array_equal(batched.force, alone.force)
+            scale = np.max(np.abs(alone.accel))
+            assert np.max(np.abs(batched.accel - alone.accel)) <= 1e-10 * scale
+            assert batched.provenance == alone.provenance
+            assert batched.t_s == alone.t_s
+
+    def test_diverging_window_named(self):
+        # stiffness growing with service time makes the explicit scheme
+        # unstable from some window on; the batch names the first one, as
+        # generating the windows one by one finds it
+        system = build_duffing_2dof()
+        sched = DegradationSchedule(k0=[1e6, 500.0], rate_per_day=-0.01)
+        cfg = quick_config()
+        first = None
+        for i, t_s in enumerate(campaign_times(cfg)):
+            try:
+                generate_window(system, sched, cfg, t_s, cfg.master_seed + i, i)
+            except NumericError:
+                first = i
+                break
+        assert first is not None and first > 0
+        with pytest.raises(NumericError, match=rf"^window {first} \(t_s="):
+            generate_campaign(system, sched, cfg)
 
 
 class TestAssimilation:
@@ -365,6 +403,67 @@ class TestPrediction:
         spread_n = ens_narrow.spread[-200:, :2].mean()
         spread_w = ens_wide.spread[-200:, :2].mean()
         assert spread_w > spread_n
+
+    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    def test_ensemble_matches_serial_draws(self, build):
+        # all draws in one integration against one plain simulation per
+        # draw, seeded seed + 1 + j as before the batching
+        system = build()
+        cfg = quick_config()
+        times = np.arange(8) * 50.0
+        rng = np.random.default_rng(3)
+        est = system.stiffnesses * (1.0 + 0.01 * rng.normal(size=(8, system.n_dof)))
+        snap = fabricate_snapshot(system, cfg, times, est)
+        seed, n_draws, duration = 17, 5, 0.5
+        ens = predict_response_ensemble(snap, 450.0, duration, seed,
+                                        n_draws=n_draws)
+        serial = []
+        for j in range(n_draws):
+            system_j = replace(system, stiffnesses=ens.stiffness_draws[j])
+            model = to_state_space(system_j)
+            integrator = replace(cfg.integrator, seed=seed + 1 + j)
+            serial.append(simulate_window(model, system_j, np.zeros(model.dim_state),
+                                          duration, integrator).states)
+        expected = np.quantile(np.stack(serial), ens.levels, axis=0)
+        assert ens.quantiles.shape == expected.shape
+        scale = np.max(np.abs(expected), axis=(0, 1))
+        assert np.all(np.max(np.abs(ens.quantiles - expected), axis=(0, 1))
+                      <= 1e-10 * scale)
+        assert np.unique(ens.stiffness_draws[:, 0]).shape[0] == n_draws
+
+    def test_diverging_draw_named(self):
+        # a band straddling the stability limit of the explicit scheme:
+        # the batch names the first draw that diverges on its own
+        system = build_duffing_2dof()
+        cfg = quick_config()
+        times = np.arange(8) * 50.0
+        rng = np.random.default_rng(0)
+        est = np.column_stack([2.0e6 + rng.normal(0.0, 8e5, 8), np.full(8, 500.0)])
+        snap = fabricate_snapshot(system, cfg, times, est,
+                                  np.tile([8e5, 1.0], (8, 1)))
+        seed, n_draws, t_q = 2, 8, 400.0
+        with pytest.raises(NumericError) as info:
+            predict_response_ensemble(snap, t_q, 1.0, seed, n_draws=n_draws)
+        named = info.value.path
+        assert str(info.value).startswith(f"draw {named}: ")
+        # the same draws, each simulated alone
+        draw_rng = np.random.default_rng(seed)
+        draws = np.tile(system.stiffnesses, (n_draws, 1))
+        for name, pred in predict_parameters(snap, [t_q]).items():
+            idx = int(name[1:]) - 1
+            draws[:, idx] = np.clip(draw_rng.normal(pred.mean[0], pred.stddev[0],
+                                                    size=n_draws),
+                                    1e-6 * system.stiffnesses[idx], None)
+        diverged = []
+        for j in range(named + 1):
+            system_j = replace(system, stiffnesses=draws[j])
+            model = to_state_space(system_j)
+            try:
+                simulate_window(model, system_j, np.zeros(4), 1.0,
+                                replace(cfg.integrator, seed=seed + 1 + j))
+            except NumericError:
+                diverged.append(j)
+        assert named > 0 and diverged == [named]
 
     def test_degraded_stiffness_lowers_spectral_peak(self):
         # free vibration FFT: the fundamental drops with the GP-mean k

@@ -387,6 +387,33 @@ class TestProcessNoise:
         # remaining velocity entries follow sigma_i sqrt(dt) / m_i squared
         assert qa[1, 1] == pytest.approx(1e-3 * (0.1 / 20.0) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    @pytest.mark.parametrize("scale,extra", [
+        (None, None), (4.0, None), (None, 1e-4), ("vector", "vector")])
+    def test_cached_q_equals_full_product_bitwise(self, build, scale, extra):
+        # Q built once (one entry recomputed for the DVP) against the
+        # construction dt * b(m) b(m)^T at the mean, rescaled, on every call
+        system = build()
+        n = system.n_dof
+        model = to_state_space(system, range(1, n + 1))
+        rng = np.random.default_rng(41)
+        dim = model.dim_state
+        if scale == "vector":
+            scale = rng.uniform(0.5, 3.0, dim)
+            extra = rng.uniform(0.0, 1e-3, dim)
+        dt = 7e-4
+        q_fn = build_process_noise(model, dt, scale_factors=scale, extra_diag=extra)
+        for _ in range(5):
+            mean = rng.normal(size=dim)
+            b = model.dispersion(mean)
+            q = dt * (b @ b.T)
+            if scale is not None:
+                root = np.sqrt(np.asarray(scale, dtype=float) * np.ones(dim))
+                q = q * np.outer(root, root)
+            if extra is not None:
+                q = q + np.diag(np.asarray(extra, dtype=float) * np.ones(dim))
+            np.testing.assert_array_equal(q_fn(mean), q)
+
     def test_validation(self):
         system = build_duffing_2dof()
         model = to_state_space(system)
