@@ -2,11 +2,13 @@
 
 Subcommands: simulate, filter, campaign, predict, report. Every run writes
 ``config_echo.json`` into the output directory; all outputs are plain CSV
-(UTF-8, header row) or JSON and are reproduced byte for byte given the same
-inputs and seed. Exit codes: 0 success, 2 usage or configuration error,
-3 numeric failure.
+(UTF-8, header row) or JSON (each JSON file replaced atomically) and are
+reproduced byte for byte given the same inputs and seed. Exit codes: 0
+success, 2 usage or configuration error (a malformed window file
+included), 3 numeric failure.
 
-Configuration file layout (JSON, all sections optional except ``system``)::
+Configuration file layout (JSON, all sections optional except ``system``;
+an unknown section, or an unknown key in any section, is an error)::
 
     {
       "system":     {"kind": "duffing_2dof", ...parameter overrides...},
@@ -29,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import write_json
 from .errors import InvalidParameterError, NumericError
 from .models import (KIND_DUFFING_2DOF, KIND_DVP_7DOF, DegradationSchedule,
                      MdofSystem, build_duffing_2dof, build_dvp_7dof,
@@ -47,23 +50,20 @@ EXIT_NUMERIC = 3
 
 _BUILDER_KWARGS = ("masses", "stiffnesses", "dampings", "force_amplitudes",
                    "force_frequencies", "noise_sigmas")
+_BUILDERS = {KIND_DUFFING_2DOF: (build_duffing_2dof, _BUILDER_KWARGS),
+             KIND_DVP_7DOF: (build_dvp_7dof, _BUILDER_KWARGS + ("symmetric_consistent",))}
 
 
 def _build_system(doc: dict) -> MdofSystem:
     kind = doc.get("kind")
-    if kind == KIND_DUFFING_2DOF:
-        builder = build_duffing_2dof
-        extra = ()
-    elif kind == KIND_DVP_7DOF:
-        builder = build_dvp_7dof
-        extra = ("symmetric_consistent",)
-    else:
+    if kind not in _BUILDERS:
         raise InvalidParameterError(f"system kind must be one of "
                                     f"{KIND_DUFFING_2DOF!r}, {KIND_DVP_7DOF!r}")
-    kwargs = {}
-    for key in _BUILDER_KWARGS + extra:
-        if key in doc:
-            kwargs[key] = doc[key]
+    builder, keys = _BUILDERS[kind]
+    unknown = sorted(set(doc) - {"kind", "nonlinear_coefficient", *keys})
+    if unknown:
+        raise InvalidParameterError(f"unknown key {unknown[0]!r} in the {kind} system section")
+    kwargs = {key: doc[key] for key in keys if key in doc}
     if "nonlinear_coefficient" in doc:
         kwargs["nonlinear_coeff"] = doc["nonlinear_coefficient"]
     return builder(**kwargs)
@@ -74,6 +74,9 @@ def _load_config(path: str, args) -> tuple:
         doc = json.load(fh)
     if "system" not in doc:
         raise InvalidParameterError("config file must contain a 'system' section")
+    unknown = sorted(set(doc) - {"system", "campaign", "ukf", "gp", "integrator"})
+    if unknown:
+        raise InvalidParameterError(f"unknown config section {unknown[0]!r}")
     system = _build_system(doc["system"])
     campaign_doc = dict(doc.get("campaign", {}))
     for section in ("ukf", "gp", "integrator"):
@@ -94,9 +97,7 @@ def _echo_config(out_dir: Path, system: MdofSystem, cfg: CampaignConfig,
     doc = {"system": system.to_dict(), "campaign": cfg.to_dict()}
     if extras:
         doc.update(extras)
-    with open(out_dir / "config_echo.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "config_echo.json", doc)
 
 
 def _out_dir(args) -> Path:
@@ -117,20 +118,16 @@ def cmd_simulate(args) -> int:
     model = to_state_space(system)
     traj = simulate_window(model, system, np.zeros(model.dim_state),
                            cfg.window_duration_s, cfg.integrator)
-    traj.to_csv(out / "trajectory.csv", model.labels)
+    columns = traj.to_csv(out / "trajectory.csv", model.labels)
     meta = {
         "n_samples": int(traj.times.shape[0]),
         "dt": cfg.integrator.dt,
         "scheme": cfg.integrator.scheme,
         "seed": int(cfg.integrator.seed),
         "state_labels": list(model.labels),
-        "columns": (["time"] + list(model.labels)
-                    + [f"accel_{i + 1}" for i in range(system.n_dof)]
-                    + [f"force_{i + 1}" for i in range(system.n_dof)]),
+        "columns": columns,
     }
-    with open(out / "trajectory_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "trajectory_meta.json", meta)
     return EXIT_OK
 
 
@@ -145,9 +142,7 @@ def cmd_filter(args) -> int:
     summary["t_s"] = float(window.t_s)
     summary["observed_dofs"] = list(window.observed_dofs)
     summary["config"] = {"system": system.to_dict(), "campaign": cfg.to_dict()}
-    with open(out / "filter_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "filter_summary.json", summary)
     return EXIT_OK
 
 
@@ -192,19 +187,15 @@ def cmd_campaign(args) -> int:
 def cmd_predict(args) -> int:
     snapshot = TwinSnapshot.load(args.snapshot)
     out = _out_dir(args)
-    with open(out / "config_echo.json", "w", encoding="utf-8") as fh:
-        json.dump({"command": "predict", "snapshot": str(args.snapshot),
-                   "times": args.times, "config": snapshot.config},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "config_echo.json",
+               {"command": "predict", "snapshot": str(args.snapshot),
+                "times": args.times, "config": snapshot.config.to_dict()})
     query = np.array([float(tok) for tok in args.times.split(",")])
     write_gp_track_csv(snapshot, out / "parameters_prediction.csv", query)
     if args.response_at is not None:
         traj = predict_response(snapshot, args.response_at, args.duration,
                                 seed=args.seed if args.seed is not None else 0)
-        system = MdofSystem.from_dict(snapshot.system)
-        labels = to_state_space(system).labels
-        traj.to_csv(out / "response.csv", labels)
+        traj.to_csv(out / "response.csv", to_state_space(snapshot.system).labels)
     return EXIT_OK
 
 
@@ -228,32 +219,29 @@ def _report_doc(snapshot: TwinSnapshot) -> dict:
 
     last = snapshot.parameter_history[-1]
     parameters = {}
-    schedule = (None if snapshot.schedule is None
-                else DegradationSchedule.from_dict(snapshot.schedule))
     for j, name in enumerate(names):
         entry = {
             "terminal_estimate": last["estimate"][j],
             "terminal_stddev": last["stddev"][j],
             "t_s": last["t_s"],
         }
-        if schedule is not None:
-            truth = float(degraded_stiffness(schedule, last["t_s"])[j])
+        if snapshot.schedule is not None:
+            truth = float(degraded_stiffness(snapshot.schedule, last["t_s"])[j])
             entry["truth"] = truth
             entry["relative_error"] = abs(entry["terminal_estimate"] - truth) / truth
             entry["accuracy_percent"] = 100.0 * (1.0 - entry["relative_error"])
         parameters[name] = entry
     doc["parameters"] = parameters
 
-    if snapshot.gp_models and schedule is not None:
-        cfg = CampaignConfig.from_dict(snapshot.config)
-        grid = campaign_times(cfg)
+    if snapshot.gp_models and snapshot.schedule is not None:
+        grid = campaign_times(snapshot.config)
         held_out = grid[grid > (snapshot.gp_trained_upto or 0.0)]
         if held_out.size:
             predictions = predict_parameters(snapshot, held_out)
             errors = {}
             for name, pred in predictions.items():
                 idx = int(name[1:]) - 1
-                truth = np.array([degraded_stiffness(schedule, t)[idx]
+                truth = np.array([degraded_stiffness(snapshot.schedule, t)[idx]
                                   for t in held_out])
                 rel = np.abs(pred.mean - truth) / truth
                 errors[name] = {"mean_relative_error": float(rel.mean()),
@@ -297,14 +285,10 @@ def _report_text(doc: dict) -> str:
 def cmd_report(args) -> int:
     snapshot = TwinSnapshot.load(args.snapshot)
     out = _out_dir(args)
-    with open(out / "config_echo.json", "w", encoding="utf-8") as fh:
-        json.dump({"command": "report", "snapshot": str(args.snapshot),
-                   "config": snapshot.config}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "config_echo.json", {"command": "report", "snapshot": str(args.snapshot),
+                                          "config": snapshot.config.to_dict()})
     doc = _report_doc(snapshot)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "report.json", doc)
     text = _report_text(doc)
     with open(out / "report.txt", "w", encoding="utf-8") as fh:
         fh.write(text)

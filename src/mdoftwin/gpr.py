@@ -26,6 +26,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
+from .codec import codec
 from .errors import InvalidParameterError, TrainingError
 
 logger = logging.getLogger(__name__)
@@ -84,6 +85,7 @@ def _kernel_grads(family, variance, lengthscale, x):
     return k, dk_dlogl, k.copy()  # dK/dlog(variance) = K
 
 
+@codec
 @dataclass(frozen=True)
 class GpTrainConfig:
     """Hyperparameter search settings (Latin-hypercube multi-start L-BFGS)."""
@@ -96,9 +98,9 @@ class GpTrainConfig:
     seed: int = 0
     standardize: bool = True
     use_stddev_floor: bool = False
-    lengthscale_range: tuple = (1e-2, 1e2)
-    variance_range: tuple = (1e-2, 1e2)
-    noise_range: tuple = (1e-8, 1.0)
+    lengthscale_range: tuple[float, float] = (1e-2, 1e2)
+    variance_range: tuple[float, float] = (1e-2, 1e2)
+    noise_range: tuple[float, float] = (1e-8, 1.0)
 
     def __post_init__(self):
         if self.kernel_family not in _FAMILIES:
@@ -107,30 +109,6 @@ class GpTrainConfig:
             raise InvalidParameterError("mean_spec must be 'zero' or 'constant'")
         if self.n_restarts < 1 or self.n_max < 1:
             raise InvalidParameterError("n_restarts and n_max must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel_family": self.kernel_family,
-            "mean_spec": self.mean_spec,
-            "n_restarts": self.n_restarts,
-            "n_max": self.n_max,
-            "eps_tol": self.eps_tol,
-            "seed": int(self.seed),
-            "standardize": self.standardize,
-            "use_stddev_floor": self.use_stddev_floor,
-            "lengthscale_range": [float(v) for v in self.lengthscale_range],
-            "variance_range": [float(v) for v in self.variance_range],
-            "noise_range": [float(v) for v in self.noise_range],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GpTrainConfig":
-        known = set(cls.__dataclass_fields__)
-        clean = {}
-        for key, value in doc.items():
-            if key in known:
-                clean[key] = tuple(value) if key.endswith("_range") else value
-        return cls(**clean)
 
 
 @dataclass
@@ -151,13 +129,14 @@ class GpPrediction:
         return self.mean - half, self.mean + half
 
 
+@codec
 @dataclass
 class GpModel:
     """Trained GP: hyperparameters, data, transforms, cached factorization.
 
     ``noise_floor`` holds optional fixed per-point noise variances in raw
     target units (e.g. squared filter stddevs). The cached Cholesky factor
-    lives in standardized coordinates and is rebuilt on deserialization.
+    and GLS mean ``beta`` are derived on construction, never serialized.
     """
 
     kernel: Kernel
@@ -231,49 +210,6 @@ class GpModel:
     @property
     def raw_noise_variance(self) -> float:
         return self.noise_variance * self.target_scale ** 2
-
-    # ---- serialization --------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        doc = {
-            "kernel": {
-                "family": self.kernel.family,
-                "variance": float(self.kernel.variance),
-                "lengthscale": float(self.kernel.lengthscale),
-            },
-            "mean_spec": self.mean_spec,
-            "beta": float(self.beta),
-            "noise_variance": float(self.noise_variance),
-            "train_inputs": [float(v) for v in self.train_inputs],
-            "train_targets": [float(v) for v in self.train_targets],
-            "input_shift": float(self.input_shift),
-            "input_scale": float(self.input_scale),
-            "target_shift": float(self.target_shift),
-            "target_scale": float(self.target_scale),
-            "nlml": float(self.nlml),
-        }
-        if self.noise_floor is not None:
-            doc["noise_floor"] = [float(v) for v in self.noise_floor]
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GpModel":
-        kern = doc["kernel"]
-        floor = doc.get("noise_floor")
-        return cls(
-            kernel=Kernel(family=kern["family"], variance=kern["variance"],
-                          lengthscale=kern["lengthscale"]),
-            mean_spec=doc["mean_spec"],
-            noise_variance=doc["noise_variance"],
-            train_inputs=doc["train_inputs"],
-            train_targets=doc["train_targets"],
-            input_shift=doc.get("input_shift", 0.0),
-            input_scale=doc.get("input_scale", 1.0),
-            target_shift=doc.get("target_shift", 0.0),
-            target_scale=doc.get("target_scale", 1.0),
-            noise_floor=floor,
-            nlml=doc.get("nlml", math.nan),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .codec import codec
 from .errors import InvalidParameterError
 
 KIND_DUFFING_2DOF = "duffing_2dof"
@@ -46,6 +47,7 @@ def _as_vector(x, n: int, name: str) -> np.ndarray:
     return v
 
 
+@codec
 @dataclass(frozen=True)
 class MdofSystem:
     """Immutable description of one chain-topology benchmark system.
@@ -75,7 +77,7 @@ class MdofSystem:
     noise_sigmas: np.ndarray
     nonlinear_coeff: float
     kind: str
-    frozen_indices: tuple = ()
+    frozen_indices: tuple[int, ...] = ()
     symmetric_consistent: bool = False
 
     def __post_init__(self):
@@ -175,40 +177,6 @@ class MdofSystem:
             g[..., 3] = -d
         return g
 
-    # ---- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "masses": [float(v) for v in self.masses],
-            "stiffnesses": [float(v) for v in self.stiffnesses],
-            "dampings": [float(v) for v in self.dampings],
-            "force_amplitudes": [float(v) for v in self.force_amplitudes],
-            "force_frequencies": [float(v) for v in self.force_frequencies],
-            "noise_sigmas": [float(v) for v in self.noise_sigmas],
-            "nonlinear_coefficient": float(self.nonlinear_coeff),
-            "frozen_indices": list(self.frozen_indices),
-            "symmetric_consistent": bool(self.symmetric_consistent),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MdofSystem":
-        try:
-            return cls(
-                masses=doc["masses"],
-                stiffnesses=doc["stiffnesses"],
-                dampings=doc["dampings"],
-                force_amplitudes=doc["force_amplitudes"],
-                force_frequencies=doc["force_frequencies"],
-                noise_sigmas=doc["noise_sigmas"],
-                nonlinear_coeff=doc["nonlinear_coefficient"],
-                kind=doc["kind"],
-                frozen_indices=tuple(doc.get("frozen_indices", ())),
-                symmetric_consistent=bool(doc.get("symmetric_consistent", False)),
-            )
-        except KeyError as exc:
-            raise InvalidParameterError(f"system document missing key {exc}") from exc
-
 
 def build_duffing_2dof(
     *,
@@ -275,6 +243,7 @@ def build_dvp_7dof(
 # ---------------------------------------------------------------------------
 
 
+@codec
 @dataclass(frozen=True)
 class DegradationSchedule:
     """Exponential slow-time stiffness decay k(t_s) = k0 * exp(-rate * t_s).
@@ -285,7 +254,7 @@ class DegradationSchedule:
 
     k0: np.ndarray
     rate_per_day: float = 0.5e-4
-    frozen_indices: tuple = ()
+    frozen_indices: tuple[int, ...] = ()
 
     def __post_init__(self):
         k0 = np.asarray(self.k0, dtype=float)
@@ -297,21 +266,6 @@ class DegradationSchedule:
         if any(i < 1 or i > k0.shape[0] for i in frozen):
             raise InvalidParameterError("frozen_indices must lie in 1..len(k0)")
         object.__setattr__(self, "frozen_indices", frozen)
-
-    def to_dict(self) -> dict:
-        return {
-            "k0": [float(v) for v in self.k0],
-            "rate_per_day": self.rate_per_day,
-            "frozen_indices": list(self.frozen_indices),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DegradationSchedule":
-        return cls(
-            k0=doc["k0"],
-            rate_per_day=doc.get("rate_per_day", 0.5e-4),
-            frozen_indices=tuple(doc.get("frozen_indices", ())),
-        )
 
     @classmethod
     def for_system(cls, system: MdofSystem, rate_per_day: float = 0.5e-4) -> "DegradationSchedule":

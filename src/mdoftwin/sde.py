@@ -21,12 +21,12 @@ directional derivatives (see ``StateSpaceModel``), so a step never forms a
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .codec import codec, write_csv
 from .errors import InvalidParameterError, NumericError
 from .models import MdofSystem, StateSpaceModel, acceleration_model
 
@@ -34,6 +34,7 @@ SCHEME_EULER = "euler-maruyama"
 SCHEME_TAYLOR15 = "taylor15"
 
 
+@codec
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Time step, scheme selector and seed; identical config and seed
@@ -48,17 +49,6 @@ class IntegratorConfig:
             raise InvalidParameterError("dt must be positive")
         if self.scheme not in (SCHEME_EULER, SCHEME_TAYLOR15):
             raise InvalidParameterError(f"unknown scheme {self.scheme!r}")
-
-    def to_dict(self) -> dict:
-        return {"dt": self.dt, "scheme": self.scheme, "seed": int(self.seed)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "IntegratorConfig":
-        return cls(
-            dt=doc.get("dt", 1e-3),
-            scheme=doc.get("scheme", SCHEME_TAYLOR15),
-            seed=int(doc.get("seed", 0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -158,30 +148,32 @@ class Trajectory:
     forces: np.ndarray
 
     def __post_init__(self):
-        m = self.times.shape[0]
         if not (self.states.shape[0] == self.accelerations.shape[0]
-                == self.forces.shape[0] == m):
+                == self.forces.shape[0] == self.times.shape[0]):
             raise InvalidParameterError("trajectory arrays must share the grid length")
-        steps = np.diff(self.times)
-        if m > 1 and not (np.all(steps > 0.0)
-                          and np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)):
-            raise InvalidParameterError("times must increase on a uniform grid")
+        uniform_step(self.times)
 
-    def to_csv(self, path, state_labels: Sequence[str]) -> None:
-        n_acc = self.accelerations.shape[1]
-        n_f = self.forces.shape[1]
+    def to_csv(self, path, state_labels: Sequence[str]) -> list:
+        """Write one path as CSV; return the header row."""
         header = (["time"] + list(state_labels)
-                  + [f"accel_{i + 1}" for i in range(n_acc)]
-                  + [f"force_{i + 1}" for i in range(n_f)])
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(self.times.shape[0]):
-                row = ([repr(float(self.times[i]))]
-                       + [repr(float(v)) for v in self.states[i]]
-                       + [repr(float(v)) for v in self.accelerations[i]]
-                       + [repr(float(v)) for v in self.forces[i]])
-                writer.writerow(row)
+                  + [f"accel_{i + 1}" for i in range(self.accelerations.shape[1])]
+                  + [f"force_{i + 1}" for i in range(self.forces.shape[1])])
+        write_csv(path, header, np.column_stack(
+            (self.times, self.states, self.accelerations, self.forces)))
+        return header
+
+
+def uniform_step(times) -> float:
+    """Step of a time grid of at least two strictly increasing, uniformly
+    spaced samples; InvalidParameterError otherwise."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.shape[0] < 2:
+        raise InvalidParameterError("a time grid needs at least two samples")
+    steps = np.diff(times)
+    if not (np.all(steps > 0.0)
+            and np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)):
+        raise InvalidParameterError("times must increase on a uniform grid")
+    return float(steps[0])
 
 
 def simulate_window(

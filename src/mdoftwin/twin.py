@@ -31,17 +31,18 @@ from pathlib import Path
 import numpy as np
 
 from . import gpr
+from .codec import codec, write_csv, write_json
 from .errors import InvalidParameterError, NumericError
 from .models import (DegradationSchedule, MdofSystem, degraded_stiffness,
                      to_state_space)
 from .sde import (IntegratorConfig, Trajectory, corrupt_with_snr,
-                  noise_std_for_snr, simulate_window)
+                  noise_std_for_snr, simulate_window, uniform_step)
 from .ukf import (GaussianBelief, NoiseModel, UkfParams, build_process_noise,
                   run_filter)
 
 logger = logging.getLogger(__name__)
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -64,17 +65,14 @@ class MeasurementWindow:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        self.accel = np.atleast_2d(np.asarray(self.accel, dtype=float))
-        if self.accel.shape[0] != self.times.shape[0] and \
-                self.accel.shape[1] == self.times.shape[0]:
-            self.accel = self.accel.T
+        self.accel = np.asarray(self.accel, dtype=float)
         self.force = np.asarray(self.force, dtype=float)
         self.observed_dofs = tuple(int(d) for d in self.observed_dofs)
         n = self.times.shape[0]
         if self.accel.shape != (n, len(self.observed_dofs)):
             raise InvalidParameterError("accel must be (n_samples, n_observed)")
-        if self.force.shape[0] != n:
-            raise InvalidParameterError("force must be sampled on the window grid")
+        if self.force.ndim != 2 or self.force.shape[0] != n:
+            raise InvalidParameterError("force must be (n_samples, n_force) on the window grid")
         if self.accel_noise_std is not None:
             self.accel_noise_std = np.asarray(self.accel_noise_std, dtype=float)
         if self.force_noise_std is not None:
@@ -88,31 +86,21 @@ class MeasurementWindow:
         header = (["time"]
                   + [f"accel_dof{d}" for d in self.observed_dofs]
                   + [f"force_dof{i + 1}" for i in range(self.force.shape[1])])
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(self.times.shape[0]):
-                writer.writerow(
-                    [repr(float(self.times[i]))]
-                    + [repr(float(v)) for v in self.accel[i]]
-                    + [repr(float(v)) for v in self.force[i]])
-        sidecar = {
-            "t_s": float(self.t_s),
-            "observed_dofs": list(self.observed_dofs),
-            "n_samples": int(self.times.shape[0]),
-            "provenance": self.provenance,
-        }
-        if self.accel_noise_std is not None:
-            sidecar["accel_noise_std"] = [float(v) for v in self.accel_noise_std]
-        if self.force_noise_std is not None:
-            sidecar["force_noise_std"] = [float(v) for v in self.force_noise_std]
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_csv(csv_path, header, np.column_stack((self.times, self.accel, self.force)))
+        sidecar = {"t_s": float(self.t_s), "observed_dofs": list(self.observed_dofs),
+                   "n_samples": self.times.shape[0], "provenance": self.provenance}
+        for name in ("accel_noise_std", "force_noise_std"):
+            if getattr(self, name) is not None:
+                sidecar[name] = getattr(self, name).tolist()
+        write_json(sidecar_path, sidecar)
         return csv_path, sidecar_path
 
     @classmethod
     def load(cls, base_path) -> "MeasurementWindow":
+        """Read <base>.csv and <base>.json; InvalidParameterError for an empty
+        CSV or a header without the observed DOFs, ragged, non-numeric or
+        non-finite rows, a sidecar ``n_samples`` other than the row count
+        and a non-uniform time grid."""
         base = Path(base_path)
         csv_path = base.with_suffix(".csv")
         sidecar_path = base.with_suffix(".json")
@@ -120,27 +108,30 @@ class MeasurementWindow:
             sidecar = json.load(fh)
         observed = tuple(sidecar["observed_dofs"])
         with open(csv_path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = np.array([[float(v) for v in row] for row in reader])
+            header, *rows = list(csv.reader(fh)) or [[]]
         n_obs = len(observed)
-        times = rows[:, 0]
-        accel = rows[:, 1:1 + n_obs]
-        force = rows[:, 1 + n_obs:]
         expected = ["time"] + [f"accel_dof{d}" for d in observed]
         if header[:1 + n_obs] != expected:
-            raise InvalidParameterError(f"unexpected window header {header[:1 + n_obs]}")
-        return cls(
-            t_s=sidecar["t_s"],
-            times=times,
-            accel=accel,
-            force=force,
-            observed_dofs=observed,
-            accel_noise_std=sidecar.get("accel_noise_std"),
-            force_noise_std=sidecar.get("force_noise_std"),
-            provenance=dict(sidecar.get("provenance", {"kind": "ingested",
-                                                       "path": str(csv_path)})),
-        )
+            raise InvalidParameterError(
+                f"{csv_path}: unexpected window header {header[:1 + n_obs]}")
+        if any(len(row) != len(header) for row in rows):
+            raise InvalidParameterError(f"{csv_path}: rows must match the header's columns")
+        try:
+            data = np.array(rows, dtype=float).reshape(len(rows), len(header))
+        except ValueError as exc:
+            raise InvalidParameterError(f"{csv_path}: non-numeric sample: {exc}") from exc
+        if sidecar.get("n_samples") != len(rows):
+            raise InvalidParameterError(f"{sidecar_path}: n_samples {sidecar.get('n_samples')!r}"
+                                        f" does not match the {len(rows)} rows of {csv_path}")
+        if not np.isfinite(data).all():
+            raise InvalidParameterError(f"{csv_path}: samples must be finite")
+        uniform_step(data[:, 0])
+        return cls(t_s=sidecar["t_s"], times=data[:, 0], accel=data[:, 1:1 + n_obs],
+                   force=data[:, 1 + n_obs:], observed_dofs=observed,
+                   accel_noise_std=sidecar.get("accel_noise_std"),
+                   force_noise_std=sidecar.get("force_noise_std"),
+                   provenance=dict(sidecar.get("provenance", {"kind": "ingested",
+                                                              "path": str(csv_path)})))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +139,7 @@ class MeasurementWindow:
 # ---------------------------------------------------------------------------
 
 
+@codec
 @dataclass(frozen=True)
 class UkfRunConfig:
     """Per-window filter settings (priors, warm start, noise overrides)."""
@@ -160,39 +152,10 @@ class UkfRunConfig:
     frozen_param_std_factor: float = 1e-3
     q_scale: float | None = None
     q_extra_diag: float | None = None
-    measurement_noise_std: tuple | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "init_offset_factor": self.init_offset_factor,
-            "init_state_variance": self.init_state_variance,
-            "init_param_std_factor": self.init_param_std_factor,
-            "warm_param_std_factor": self.warm_param_std_factor,
-            "frozen_param_std_factor": self.frozen_param_std_factor,
-            "q_scale": self.q_scale,
-            "q_extra_diag": self.q_extra_diag,
-            "measurement_noise_std": (
-                None if self.measurement_noise_std is None
-                else list(self.measurement_noise_std)),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "UkfRunConfig":
-        mns = doc.get("measurement_noise_std")
-        return cls(
-            params=UkfParams.from_dict(doc.get("params", {})),
-            init_offset_factor=doc.get("init_offset_factor", 0.8),
-            init_state_variance=doc.get("init_state_variance", 1e-4),
-            init_param_std_factor=doc.get("init_param_std_factor", 0.1),
-            warm_param_std_factor=doc.get("warm_param_std_factor", 0.02),
-            frozen_param_std_factor=doc.get("frozen_param_std_factor", 1e-3),
-            q_scale=doc.get("q_scale"),
-            q_extra_diag=doc.get("q_extra_diag"),
-            measurement_noise_std=None if mns is None else tuple(mns),
-        )
+    measurement_noise_std: tuple[float, ...] | None = None
 
 
+@codec
 @dataclass(frozen=True)
 class CampaignConfig:
     """Slow-time sampling plan plus all sub-configurations."""
@@ -200,7 +163,7 @@ class CampaignConfig:
     horizon_days: float = 2000.0
     window_interval_days: float = 50.0
     window_duration_s: float = 5.0
-    observed_dofs: tuple | None = None  # None = all DOFs
+    observed_dofs: tuple[int, ...] | None = None  # None = all DOFs
     snr_accel: float = 50.0
     snr_force: float = 20.0
     degradation_rate_per_day: float = 0.5e-4
@@ -218,63 +181,32 @@ class CampaignConfig:
             object.__setattr__(self, "observed_dofs",
                                tuple(int(d) for d in self.observed_dofs))
 
-    def to_dict(self) -> dict:
-        return {
-            "horizon_days": self.horizon_days,
-            "window_interval_days": self.window_interval_days,
-            "window_duration_s": self.window_duration_s,
-            "observed_dofs": (None if self.observed_dofs is None
-                              else list(self.observed_dofs)),
-            "snr_accel": self.snr_accel,
-            "snr_force": self.snr_force,
-            "degradation_rate_per_day": self.degradation_rate_per_day,
-            "master_seed": int(self.master_seed),
-            "integrator": self.integrator.to_dict(),
-            "ukf": self.ukf.to_dict(),
-            "gp": self.gp.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CampaignConfig":
-        obs = doc.get("observed_dofs")
-        return cls(
-            horizon_days=doc.get("horizon_days", 2000.0),
-            window_interval_days=doc.get("window_interval_days", 50.0),
-            window_duration_s=doc.get("window_duration_s", 5.0),
-            observed_dofs=None if obs is None else tuple(obs),
-            snr_accel=doc.get("snr_accel", 50.0),
-            snr_force=doc.get("snr_force", 20.0),
-            degradation_rate_per_day=doc.get("degradation_rate_per_day", 0.5e-4),
-            master_seed=int(doc.get("master_seed", 0)),
-            integrator=IntegratorConfig.from_dict(doc.get("integrator", {})),
-            ukf=UkfRunConfig.from_dict(doc.get("ukf", {})),
-            gp=gpr.GpTrainConfig.from_dict(doc.get("gp", {})),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Snapshot
 # ---------------------------------------------------------------------------
 
 
+@codec
 @dataclass
 class TwinSnapshot:
-    """Persisted twin state: config echo, estimate history, trained GPs."""
+    """Twin state carried from window to window, live between save and load:
+    the nominal system, the config, the true schedule when known, the
+    estimate history and one trained GP per tracked stiffness."""
 
-    system: dict
-    config: dict
-    schedule: dict | None = None
+    system: MdofSystem
+    config: CampaignConfig
+    schedule: DegradationSchedule | None = None
     version: int = SNAPSHOT_VERSION
     windows_processed: int = 0
     parameter_history: list = field(default_factory=list)
     rejected_windows: list = field(default_factory=list)
-    gp_models: dict = field(default_factory=dict)
+    gp_models: dict[str, gpr.GpModel] = field(default_factory=dict)
     gp_trained_upto: float | None = None
 
     @property
     def param_names(self) -> tuple:
-        n = len(self.system["stiffnesses"])
-        return tuple(f"k{i + 1}" for i in range(n))
+        return tuple(f"k{i + 1}" for i in range(self.system.n_dof))
 
     @property
     def history_times(self) -> np.ndarray:
@@ -288,23 +220,9 @@ class TwinSnapshot:
     def history_stddevs(self) -> np.ndarray:
         return np.array([rec["stddev"] for rec in self.parameter_history])
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "system": self.system,
-            "config": self.config,
-            "schedule": self.schedule,
-            "windows_processed": self.windows_processed,
-            "parameter_history": self.parameter_history,
-            "rejected_windows": self.rejected_windows,
-            "gp_models": self.gp_models,
-            "gp_trained_upto": self.gp_trained_upto,
-        }
-
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        """Write the snapshot atomically (see ``codec.write_json``)."""
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "TwinSnapshot":
@@ -313,26 +231,12 @@ class TwinSnapshot:
         version = doc.get("version")
         if version != SNAPSHOT_VERSION:
             raise InvalidParameterError(f"unsupported snapshot version {version!r}")
-        return cls(
-            system=doc["system"],
-            config=doc["config"],
-            schedule=doc.get("schedule"),
-            version=version,
-            windows_processed=doc.get("windows_processed", 0),
-            parameter_history=doc.get("parameter_history", []),
-            rejected_windows=doc.get("rejected_windows", []),
-            gp_models=doc.get("gp_models", {}),
-            gp_trained_upto=doc.get("gp_trained_upto"),
-        )
+        return cls.from_dict(doc)
 
 
 def new_snapshot(system: MdofSystem, cfg: CampaignConfig,
                  schedule: DegradationSchedule | None = None) -> TwinSnapshot:
-    return TwinSnapshot(
-        system=system.to_dict(),
-        config=cfg.to_dict(),
-        schedule=None if schedule is None else schedule.to_dict(),
-    )
+    return TwinSnapshot(system=system, config=cfg, schedule=schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +401,7 @@ def assimilate_window(snapshot: TwinSnapshot,
         logger.warning("rejected out-of-order window at t_s=%s", window.t_s)
         return snapshot
 
-    system = MdofSystem.from_dict(snapshot.system)
-    cfg = CampaignConfig.from_dict(snapshot.config)
+    system, cfg = snapshot.system, snapshot.config
     prior = history[-1]["estimate"] if history else None
     try:
         result = filter_window(system, cfg, window, prior_estimate=prior)
@@ -532,8 +435,7 @@ def _retrain_gps(snapshot: TwinSnapshot, system: MdofSystem,
     columns = [i - 1 for i in tracked]
     models = gpr.track_parameters(
         times, estimates[:, columns], stddevs[:, columns], cfg.gp)
-    snapshot.gp_models = {
-        f"k{idx}": model.to_dict() for idx, model in zip(tracked, models)}
+    snapshot.gp_models = dict(zip((f"k{idx}" for idx in tracked), models))
     snapshot.gp_trained_upto = float(times[-1])
 
 
@@ -546,17 +448,13 @@ def predict_parameters(snapshot: TwinSnapshot, future_ts) -> dict:
     """GP mean and 95% band per tracked stiffness at the queried slow times."""
     if not snapshot.gp_models:
         raise InvalidParameterError("snapshot has no trained GP models yet")
-    out = {}
-    for name in sorted(snapshot.gp_models):
-        model = gpr.GpModel.from_dict(snapshot.gp_models[name])
-        out[name] = gpr.predict(model, future_ts)
-    return out
+    return {name: gpr.predict(snapshot.gp_models[name], future_ts)
+            for name in sorted(snapshot.gp_models)}
 
 
 def predicted_stiffness_vector(snapshot: TwinSnapshot, t_tilde: float) -> np.ndarray:
     """Full stiffness vector at t_tilde: GP means plus nominal frozen entries."""
-    system = MdofSystem.from_dict(snapshot.system)
-    k = system.stiffnesses.copy()
+    k = snapshot.system.stiffnesses.copy()
     predictions = predict_parameters(snapshot, [float(t_tilde)])
     for name, pred in predictions.items():
         idx = int(name[1:]) - 1
@@ -569,8 +467,7 @@ def predicted_stiffness_vector(snapshot: TwinSnapshot, t_tilde: float) -> np.nda
 def predict_response(snapshot: TwinSnapshot, t_tilde: float, duration: float,
                      seed: int, y0=None) -> Trajectory:
     """High-fidelity forward simulation at the GP-mean stiffness."""
-    system = MdofSystem.from_dict(snapshot.system)
-    cfg = CampaignConfig.from_dict(snapshot.config)
+    system, cfg = snapshot.system, snapshot.config
     k_pred = predicted_stiffness_vector(snapshot, t_tilde)
     system_pred = replace(system, stiffnesses=k_pred)
     model = to_state_space(system_pred)
@@ -606,8 +503,7 @@ def predict_response_ensemble(
     """
     if n_draws < 2:
         raise InvalidParameterError("n_draws must be at least 2")
-    system = MdofSystem.from_dict(snapshot.system)
-    cfg = CampaignConfig.from_dict(snapshot.config)
+    system, cfg = snapshot.system, snapshot.config
     predictions = predict_parameters(snapshot, [float(t_tilde)])
     k_base = system.stiffnesses.copy()
     rng = np.random.default_rng(seed)
@@ -642,36 +538,18 @@ def predict_response_ensemble(
 
 
 def write_estimates_csv(snapshot: TwinSnapshot, path) -> None:
-    names = snapshot.param_names
-    header = ["t_s"]
-    for name in names:
-        header += [name, f"sd_{name}"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in snapshot.parameter_history:
-            row = [repr(float(rec["t_s"]))]
-            for est, std in zip(rec["estimate"], rec["stddev"]):
-                row += [repr(float(est)), repr(float(std))]
-            writer.writerow(row)
+    header = ["t_s"] + [col for name in snapshot.param_names for col in (name, f"sd_{name}")]
+    write_csv(path, header, [
+        [rec["t_s"]] + [v for pair in zip(rec["estimate"], rec["stddev"]) for v in pair]
+        for rec in snapshot.parameter_history])
 
 
 def write_gp_track_csv(snapshot: TwinSnapshot, path, query_times) -> None:
     """Dense GP track with confidence bands at the queried slow times."""
-    predictions = predict_parameters(snapshot, np.asarray(query_times, dtype=float))
-    names = sorted(predictions)
-    header = ["t_s"]
-    for name in names:
+    query_times = np.asarray(query_times, dtype=float)
+    predictions = predict_parameters(snapshot, query_times)
+    header, columns = ["t_s"], [query_times]
+    for name, pred in sorted(predictions.items()):
         header += [f"{name}_mean", f"{name}_sd", f"{name}_lo95", f"{name}_hi95"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        query_times = np.asarray(query_times, dtype=float)
-        for i, t in enumerate(query_times):
-            row = [repr(float(t))]
-            for name in names:
-                pred = predictions[name]
-                lo, hi = pred.confidence_band
-                row += [repr(float(pred.mean[i])), repr(float(pred.stddev[i])),
-                        repr(float(lo[i])), repr(float(hi[i]))]
-            writer.writerow(row)
+        columns += [pred.mean, pred.stddev, *pred.confidence_band]
+    write_csv(path, header, np.column_stack(columns))

@@ -27,7 +27,7 @@ including the predicted-mean factor of the 7-DOF multiplicative channel.
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 import functools
 import logging
 import math
@@ -38,8 +38,10 @@ import numpy as np
 from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrs
 
+from .codec import codec, write_csv
 from .errors import InvalidParameterError, NumericError
 from .models import MdofSystem, StateSpaceModel, acceleration_model
+from .sde import uniform_step
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +49,7 @@ _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 _REPAIR_BOUND_FACTOR = 1e-6
 
 
+@codec
 @dataclass(frozen=True)
 class UkfParams:
     """Scaled-transform parameters; defaults are the benchmark values."""
@@ -65,17 +68,6 @@ class UkfParams:
         if c <= 0.0:
             raise InvalidParameterError("L + lambda must be positive")
         return c - length, c
-
-    def to_dict(self) -> dict:
-        return {"alpha_f": self.alpha_f, "beta": self.beta, "kappa": self.kappa}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "UkfParams":
-        return cls(
-            alpha_f=doc.get("alpha_f", 0.001),
-            beta=doc.get("beta", 2.0),
-            kappa=doc.get("kappa", 0.0),
-        )
 
 
 @dataclass
@@ -420,28 +412,15 @@ class FilterResult:
     def to_csv(self, path) -> None:
         header = ["time"] + [f"mean_{s}" for s in self.labels] \
             + [f"std_{s}" for s in self.labels]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(self.times.shape[0]):
-                writer.writerow(
-                    [repr(float(self.times[i]))]
-                    + [repr(float(v)) for v in self.means[i]]
-                    + [repr(float(v)) for v in self.stds[i]])
+        write_csv(path, header, np.column_stack((self.times, self.means, self.stds)))
 
     def summary_dict(self) -> dict:
         return {
             "parameters": {
-                name: {"estimate": float(est), "stddev": float(std)}
-                for name, est, std in zip(
-                    self.param_names, self.param_estimate, self.param_std)
-            },
-            "parameter_covariance": [
-                [float(v) for v in row] for row in self.param_cov],
-            "psd_repairs": {
-                "count": int(self.psd_repairs.count),
-                "max_magnitude": float(self.psd_repairs.max_magnitude),
-            },
+                name: {"estimate": est, "stddev": std} for name, est, std in zip(
+                    self.param_names, self.param_estimate.tolist(), self.param_std.tolist())},
+            "parameter_covariance": self.param_cov.tolist(),
+            "psd_repairs": dataclasses.asdict(self.psd_repairs),
             "n_updates": int(self.n_updates),
         }
 
@@ -457,18 +436,14 @@ def run_filter(
     """Sequential predict/update over one measurement window.
 
     ``window`` provides ``times`` (uniform grid), ``accel`` (samples by
-    observed channels), ``force`` (samples by DOF) and ``observed_dofs``.
+    observed channels), ``force`` (samples by DOF, one column per DOF of
+    ``system``) and ``observed_dofs``.
     The dynamic map is one Euler step per measurement sample with the
     left-endpoint force injected; the measurement map is the selected
     restoring-force accelerations with stiffness read off the state tail.
     """
     times = np.asarray(window.times, dtype=float)
-    if times.shape[0] < 2:
-        raise InvalidParameterError("window must contain at least two samples")
-    steps = np.diff(times)
-    dt = float(steps[0])
-    if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
-        raise InvalidParameterError("window sampling grid must be uniform")
+    dt = uniform_step(times)
     if init.mean.shape[0] != model.dim_state:
         raise InvalidParameterError("initial belief dimension does not match model")
 
@@ -477,6 +452,10 @@ def run_filter(
         raise InvalidParameterError(
             f"accel must be (n_samples, n_observed), got {accel.shape}")
     force = np.asarray(window.force, dtype=float)
+    if force.shape != (times.shape[0], system.n_dof):
+        raise InvalidParameterError(
+            f"force must be (n_samples, n_dof) = ({times.shape[0]}, {system.n_dof}), "
+            f"got {force.shape}")
     h = acceleration_model(system, window.observed_dofs,
                            augment_params=model.augmented_params)
 

@@ -85,6 +85,13 @@ class TestSimulate:
         assert main(["simulate", "--config", str(badkind),
                      "--out", str(out)]) == 2
 
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json",
+                           campaign={"horizon_day": 100.0})
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "'horizon_day'" in capsys.readouterr().err
+
     def test_unknown_flag_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["simulate", "--config", str(cfg),
@@ -136,7 +143,7 @@ class TestCampaignCommand:
         code, out = self.run_campaign(tmp_path, extra_args=["--observe", "1"])
         assert code == 0
         snap = TwinSnapshot.load(out / "snapshot.json")
-        assert snap.config["observed_dofs"] == [1]
+        assert snap.config.observed_dofs == (1,)
         assert snap.windows_processed == 3
 
     def test_cutoff_days(self, tmp_path):

@@ -267,19 +267,3 @@ class TestTrackParameters:
         with pytest.raises(InvalidParameterError):
             track_parameters([0.0, 50.0], np.ones((2, 1)))
 
-
-class TestSerialization:
-    def test_round_trip_preserves_predictions(self):
-        tau, v = decay_samples()
-        rng = np.random.default_rng(41)
-        noisy = v + rng.normal(0.0, 2.0, v.shape)
-        model = train(tau, noisy, GpTrainConfig(seed=9),
-                      noise_floor=np.full(tau.shape, 4.0))
-        doc = model.to_dict()
-        again = GpModel.from_dict(doc)
-        assert again.to_dict() == doc
-        q = np.linspace(0.0, 3000.0, 7)
-        p1 = predict(model, q)
-        p2 = predict(again, q)
-        np.testing.assert_array_equal(p1.mean, p2.mean)
-        np.testing.assert_array_equal(p1.variance, p2.variance)

@@ -564,12 +564,6 @@ class TestSerialization:
         np.testing.assert_array_equal(s2.stiffnesses, s.stiffnesses)
         assert s2.frozen_indices == s.frozen_indices
 
-    def test_schedule_round_trip(self):
-        sched = DegradationSchedule(k0=[1000.0, 500.0], frozen_indices=(1,))
-        doc = sched.to_dict()
-        again = DegradationSchedule.from_dict(doc)
-        assert again.to_dict() == doc
-
     def test_missing_key_raises(self):
         with pytest.raises(InvalidParameterError):
             MdofSystem.from_dict({"kind": "duffing_2dof"})

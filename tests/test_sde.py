@@ -22,10 +22,6 @@ class TestIntegratorConfig:
         with pytest.raises(InvalidParameterError):
             IntegratorConfig(scheme="rk4")
 
-    def test_round_trip(self):
-        cfg = IntegratorConfig(dt=5e-4, scheme="euler-maruyama", seed=42)
-        assert IntegratorConfig.from_dict(cfg.to_dict()) == cfg
-
 
 class TestBrownianIncrements:
     def test_joint_moments(self):

@@ -1,6 +1,7 @@
 """Campaign generation, assimilation, snapshot persistence, prediction."""
 
 import copy
+import csv
 import json
 import math
 from dataclasses import replace
@@ -8,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mdoftwin.cli import main
 from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.models import (DegradationSchedule, build_duffing_2dof,
                              build_dvp_7dof, to_state_space,
@@ -95,6 +97,37 @@ class TestMeasurementWindow:
         sidecar = json.loads(sidecar_path.read_text())
         assert sidecar["t_s"] == 50.0
         assert sidecar["observed_dofs"] == [1, 2]
+
+    # each case corrupts the rows (header first) or the sidecar of a good
+    # window; the last one loads, but its single force column does not
+    # match the 2-DOF system
+    @pytest.mark.parametrize("corrupt", [
+        lambda rows, side: [],
+        lambda rows, side: rows[:1],
+        lambda rows, side: rows[:3] + [rows[3][:-1]] + rows[4:],
+        lambda rows, side: rows[:3] + [rows[3][:1] + ["abc"] + rows[3][2:]] + rows[4:],
+        lambda rows, side: rows[:3] + [rows[3][:1] + ["nan"] + rows[3][2:]] + rows[4:],
+        lambda rows, side: side.update(n_samples=5) or rows,
+        lambda rows, side: rows[:3] + [["0.0025"] + rows[3][1:]] + rows[4:],
+        lambda rows, side: [row[:-1] for row in rows],
+    ], ids=["empty", "header-only", "ragged", "non-numeric", "non-finite",
+            "n-samples", "non-uniform", "one-force-column"])
+    def test_bad_window_rejected(self, tmp_path, corrupt):
+        csv_path, sidecar_path = self.make_window().save(tmp_path / "w")
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        sidecar = json.loads(sidecar_path.read_text())
+        rows = corrupt(rows, sidecar)
+        with open(csv_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(InvalidParameterError):
+            window = MeasurementWindow.load(tmp_path / "w")
+            filter_window(build_duffing_2dof(), CampaignConfig(), window)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"system": {"kind": "duffing_2dof"}}))
+        assert main(["filter", "--config", str(config), "--out",
+                     str(tmp_path / "out"), "--window", str(tmp_path / "w")]) == 2
 
 
 class TestCampaignGeneration:
@@ -249,9 +282,7 @@ class TestAssimilation:
         system = build_duffing_2dof()
         sched = DegradationSchedule.for_system(system)
         cfg = quick_config(horizon_days=250.0)
-        cfg = CampaignConfig.from_dict(
-            {**cfg.to_dict(), "ukf": {**cfg.ukf.to_dict(),
-                                      "init_offset_factor": 0.6}})
+        cfg = replace(cfg, ukf=replace(cfg.ukf, init_offset_factor=0.6))
         snap = new_snapshot(system, cfg, sched)
         for i, t_s in enumerate(campaign_times(cfg)):
             window = generate_window(system, sched, cfg, t_s,
@@ -275,14 +306,13 @@ class TestAssimilation:
         assert snap_a.parameter_history == snap_b.parameter_history
 
     def test_custom_gp_ranges_survive_assimilation(self):
-        # assimilate_window rebuilds the config from snapshot.config
         gp = gpr.GpTrainConfig(lengthscale_range=(0.5, 5.0),
                                variance_range=(0.1, 10.0),
                                noise_range=(1e-6, 0.5))
         system, cfg, snap, _ = self.run_snapshot(
             n_windows=3, cfg=quick_config(gp=gp))
         assert snap.gp_models
-        again = CampaignConfig.from_dict(snap.config).gp
+        again = snap.config.gp
         assert again.lengthscale_range == (0.5, 5.0)
         assert again.variance_range == (0.1, 10.0)
         assert again.noise_range == (1e-6, 0.5)
@@ -316,19 +346,28 @@ class TestSnapshotPersistence:
         again.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        system = build_duffing_2dof()
+        path = tmp_path / "snapshot.json"
+        new_snapshot(system, quick_config(), None).save(path)
+        before = path.read_bytes()
+
+        def dump_then_fail(doc, fh, **kwargs):
+            fh.write('{"version": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        snap = new_snapshot(system, quick_config(master_seed=12), None)
+        with pytest.raises(OSError, match="disk full"):
+            snap.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 99, "system": {}, "config": {}}))
         with pytest.raises(InvalidParameterError):
             TwinSnapshot.load(path)
-
-    def test_config_round_trip(self):
-        cfg = quick_config(observed_dofs=(1,), snr_accel=30.0)
-        doc = cfg.to_dict()
-        again = CampaignConfig.from_dict(doc)
-        assert again.to_dict() == doc
-        assert again.observed_dofs == (1,)
-        assert again.integrator.dt == 2e-3
 
 
 class TestPrediction:
