@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import write_json
+from .codec import decode, write_json
 from .errors import InvalidParameterError, NumericError
 from .models import (KIND_DUFFING_2DOF, KIND_DVP_7DOF, DegradationSchedule,
                      MdofSystem, build_duffing_2dof, build_dvp_7dof,
@@ -54,9 +54,10 @@ _BUILDERS = {KIND_DUFFING_2DOF: (build_duffing_2dof, _BUILDER_KWARGS),
              KIND_DVP_7DOF: (build_dvp_7dof, _BUILDER_KWARGS + ("symmetric_consistent",))}
 
 
-def _build_system(doc: dict) -> MdofSystem:
+def _build_system(doc) -> MdofSystem:
+    doc = decode(dict, doc, "system")
     kind = doc.get("kind")
-    if kind not in _BUILDERS:
+    if not isinstance(kind, str) or kind not in _BUILDERS:
         raise InvalidParameterError(f"system kind must be one of "
                                     f"{KIND_DUFFING_2DOF!r}, {KIND_DVP_7DOF!r}")
     builder, keys = _BUILDERS[kind]
@@ -71,14 +72,14 @@ def _build_system(doc: dict) -> MdofSystem:
 
 def _load_config(path: str, args) -> tuple:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = decode(dict, json.load(fh), "config file")
     if "system" not in doc:
         raise InvalidParameterError("config file must contain a 'system' section")
     unknown = sorted(set(doc) - {"system", "campaign", "ukf", "gp", "integrator"})
     if unknown:
         raise InvalidParameterError(f"unknown config section {unknown[0]!r}")
     system = _build_system(doc["system"])
-    campaign_doc = dict(doc.get("campaign", {}))
+    campaign_doc = decode(dict, doc.get("campaign", {}), "campaign")
     for section in ("ukf", "gp", "integrator"):
         if section in doc:
             campaign_doc[section] = doc[section]

@@ -3,8 +3,11 @@
 ``to_dict`` writes every field under its name: nested dataclasses as dicts,
 tuples and arrays as lists, numpy scalars as Python numbers. ``from_dict``
 reads the fields back by their type hints and raises InvalidParameterError
-for an unknown key, a missing field without a default or a scalar of the
-wrong type. Scalars are not coerced, so ``to_dict(from_dict(doc)) == doc``.
+for an unknown key, a missing field without a default, a scalar of the
+wrong type or an array that does not hold numbers. Scalars are not coerced,
+so ``to_dict(from_dict(doc)) == doc``.
+``decode`` applies the same rules to one value of a document that is not a
+dataclass, such as a config section or a window sidecar field.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ def codec(cls):
         return _encode(self)
 
     def from_dict(klass, doc: dict):
-        return _decode(klass, doc, klass.__name__)
+        return decode(klass, doc, klass.__name__)
 
     cls.to_dict = to_dict
     cls.from_dict = classmethod(from_dict)
@@ -56,32 +59,37 @@ def _encode(value):
     return value
 
 
-def _decode(hint, value, where: str):
+def decode(hint, value, where: str):
+    """``value`` read as type ``hint`` by the rules above; ``where`` names it
+    in the InvalidParameterError raised for a value of another type."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):  # X | None
         if value is None:
             return None
         (hint,) = [arg for arg in args if arg is not type(None)]
-        return _decode(hint, value, where)
+        return decode(hint, value, where)
     if dataclasses.is_dataclass(hint):
         if not isinstance(value, dict):
             raise InvalidParameterError(f"{where} must be an object")
         return _decode_fields(hint, value, where)
     if hint is np.ndarray:
         try:
-            return np.asarray(value, dtype=float)
+            array = np.asarray(value)
         except (TypeError, ValueError) as exc:
             raise InvalidParameterError(f"{where}: {exc}") from exc
+        if array.dtype.kind not in "iuf":
+            raise InvalidParameterError(f"{where} must hold numbers, got {value!r}")
+        return array.astype(float, copy=False)
     if hint is tuple or origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise InvalidParameterError(f"{where} must be a list")
         if args and args[-1] is not Ellipsis and len(args) != len(value):
             raise InvalidParameterError(f"{where} must have {len(args)} entries")
-        return tuple(_decode(args[0] if args else object, item, where) for item in value)
-    if origin is dict:
+        return tuple(decode(args[0] if args else object, item, where) for item in value)
+    if hint is dict or origin is dict:
         if not isinstance(value, dict):
             raise InvalidParameterError(f"{where} must be an object")
-        return {key: _decode(args[1], item, f"{where}.{key}")
+        return {key: decode(args[1] if args else object, item, f"{where}.{key}")
                 for key, item in value.items()}
     if hint in _SCALARS and (not isinstance(value, _SCALARS[hint])
                              or (isinstance(value, bool) and hint is not bool)):
@@ -99,7 +107,7 @@ def _decode_fields(cls, doc: dict, where: str):
     kwargs = {}
     for f in fields:
         if f.name in doc:
-            kwargs[f.name] = _decode(hints[f.name], doc[f.name], f"{where}.{f.name}")
+            kwargs[f.name] = decode(hints[f.name], doc[f.name], f"{where}.{f.name}")
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise InvalidParameterError(f"{where} is missing {f.name!r}")
     return cls(**kwargs)

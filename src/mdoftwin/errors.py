@@ -22,11 +22,4 @@ class NumericError(MdofTwinError, RuntimeError):
 
 
 class TrainingError(MdofTwinError, RuntimeError):
-    """Hyperparameter optimization failed on all restarts.
-
-    Carries the best parameters found so far in ``best_theta`` (may be None).
-    """
-
-    def __init__(self, message, best_theta=None):
-        super().__init__(message)
-        self.best_theta = best_theta
+    """Hyperparameter optimization failed on all restarts."""

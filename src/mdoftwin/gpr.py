@@ -14,6 +14,11 @@ predictive variance through the universal-kriging correction term
 
 with Kt = K + sn^2 I. Inputs (days) and targets (N/m) are standardized
 internally and the transforms undone at prediction time.
+
+Each formula is stated once: ``_kernel`` (K and dK/dlog l), ``_posterior``
+(factorization of Kt, GLS mean, alpha) and ``_standardize``. The likelihood
+and ``GpModel`` share the first two, ``train`` and ``GpModel`` the third, so
+the served model is the posterior the likelihood scored, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,35 +59,52 @@ class Kernel:
             raise InvalidParameterError("variance and lengthscale must be positive")
 
     def cross(self, a, b) -> np.ndarray:
-        return _kernel_matrix(self.family, self.variance, self.lengthscale,
-                              np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        return _kernel(self.family, self.variance, self.lengthscale,
+                       np.asarray(a, dtype=float), np.asarray(b, dtype=float))[0]
 
     def gram(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return self.cross(x, x)
 
 
-def _kernel_matrix(family, variance, lengthscale, a, b):
+def _kernel(family, variance, lengthscale, a, b):
+    """K(a, b) and dK/dlog(lengthscale); dK/dlog(variance) is K itself."""
     r = np.abs(np.subtract.outer(a, b))
-    if family == FAMILY_SE:
-        return variance * np.exp(-0.5 * (r / lengthscale) ** 2)
-    u = math.sqrt(5.0) * r / lengthscale
-    return variance * (1.0 + u + u * u / 3.0) * np.exp(-u)
-
-
-def _kernel_grads(family, variance, lengthscale, x):
-    """Gram matrix plus derivatives w.r.t. log lengthscale and log variance."""
-    r = np.abs(np.subtract.outer(x, x))
     if family == FAMILY_SE:
         s = (r / lengthscale) ** 2
         k = variance * np.exp(-0.5 * s)
-        dk_dlogl = k * s
-    else:
-        u = math.sqrt(5.0) * r / lengthscale
-        e = np.exp(-u)
-        k = variance * (1.0 + u + u * u / 3.0) * e
-        dk_dlogl = variance * (u * u / 3.0) * (1.0 + u) * e
-    return k, dk_dlogl, k.copy()  # dK/dlog(variance) = K
+        return k, k * s
+    u = math.sqrt(5.0) * r / lengthscale
+    e = np.exp(-u)
+    return variance * (1.0 + u + u * u / 3.0) * e, variance * (u * u / 3.0) * (1.0 + u) * e
+
+
+def _standardize(tau, v, floor, input_shift, input_scale, target_shift, target_scale):
+    """Training inputs, targets and per-point noise floors in standardized units."""
+    floor_std = None if floor is None else np.asarray(floor, dtype=float) / target_scale ** 2
+    return (tau - input_shift) / input_scale, (v - target_shift) / target_scale, floor_std
+
+
+def _posterior(gram, noise, floor, v, mean_spec):
+    """Factorize Kt = gram + (noise + jitter) I + diag(floor), profile a
+    constant mean by GLS and solve alpha = Kt^-1 (v - beta).
+
+    Returns (cho_factor pair, beta, alpha, Phi^T Kt^-1 Phi), the last None
+    for a zero mean. Raises LinAlgError if Kt is not positive definite.
+    """
+    n = gram.shape[0]
+    kt = gram.copy()
+    kt[np.diag_indices(n)] += noise + _GRAM_JITTER
+    if floor is not None:
+        kt[np.diag_indices(n)] += floor
+    chol = cho_factor(kt, lower=True)
+    beta, gls_denom = 0.0, None
+    if mean_spec == "constant":
+        phi = np.ones(n)
+        w = cho_solve(chol, phi)
+        gls_denom = float(phi @ w)
+        beta = float(w @ v) / gls_denom
+    return chol, beta, cho_solve(chol, v - beta), gls_denom
 
 
 @codec
@@ -165,37 +187,15 @@ class GpModel:
             self.noise_floor = np.asarray(self.noise_floor, dtype=float)
             if self.noise_floor.shape != self.train_inputs.shape:
                 raise InvalidParameterError("noise_floor must match the training grid")
-        self._refactorize()
-
-    # ---- cached standardized quantities -------------------------------------
-
-    def _std_inputs(self, tau) -> np.ndarray:
-        return (np.asarray(tau, dtype=float) - self.input_shift) / self.input_scale
-
-    def _refactorize(self) -> None:
-        x = self._std_inputs(self.train_inputs)
-        v = (self.train_targets - self.target_shift) / self.target_scale
-        n = x.shape[0]
-        kt = self.kernel.gram(x)
-        kt[np.diag_indices(n)] += self.noise_variance + _GRAM_JITTER
-        if self.noise_floor is not None:
-            kt[np.diag_indices(n)] += self.noise_floor / self.target_scale ** 2
+        self._x_std, v, floor = _standardize(
+            self.train_inputs, self.train_targets, self.noise_floor, self.input_shift,
+            self.input_scale, self.target_shift, self.target_scale)
         try:
-            self._chol = cho_factor(kt, lower=True)
+            self._chol, self.beta, self._alpha, self._gls_denom = _posterior(
+                self.kernel.gram(self._x_std), self.noise_variance, floor, v,
+                self.mean_spec)
         except np.linalg.LinAlgError as exc:
-            raise InvalidParameterError(f"kernel matrix not positive definite: {exc}")
-        self._x_std = x
-        if self.mean_spec == "constant":
-            phi = np.ones(n)
-            w = cho_solve(self._chol, phi)
-            self._gls_denom = float(phi @ w)
-            self.beta = float(w @ v) / self._gls_denom
-            self._phi = phi
-        else:
-            self.beta = 0.0
-            self._phi = None
-            self._gls_denom = None
-        self._alpha = cho_solve(self._chol, v - self.beta)
+            raise InvalidParameterError(f"kernel matrix not positive definite: {exc}") from exc
 
     # ---- raw-unit views of the hyperparameters -------------------------------
 
@@ -206,10 +206,6 @@ class GpModel:
     @property
     def raw_variance(self) -> float:
         return self.kernel.variance * self.target_scale ** 2
-
-    @property
-    def raw_noise_variance(self) -> float:
-        return self.noise_variance * self.target_scale ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -232,27 +228,14 @@ def negative_log_marginal_likelihood(
     """
     lengthscale, variance, noise = np.exp(log_theta)
     n = x.shape[0]
-    k, dk_dlogl, dk_dlogv = _kernel_grads(family, variance, lengthscale, x)
-    kt = k.copy()
-    kt[np.diag_indices(n)] += noise + _GRAM_JITTER
-    if floor is not None:
-        kt[np.diag_indices(n)] += floor
-    chol = cho_factor(kt, lower=True)
-
-    if mean_spec == "constant":
-        phi = np.ones(n)
-        w = cho_solve(chol, phi)
-        beta = float(w @ v) / float(phi @ w)
-        e = v - beta
-    else:
-        e = v
-    alpha = cho_solve(chol, e)
+    k, dk_dlogl = _kernel(family, variance, lengthscale, x, x)
+    chol, beta, alpha, _ = _posterior(k, noise, floor, v, mean_spec)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-    value = 0.5 * float(e @ alpha) + 0.5 * logdet + 0.5 * n * math.log(2.0 * math.pi)
+    value = 0.5 * float((v - beta) @ alpha) + 0.5 * logdet + 0.5 * n * math.log(2.0 * math.pi)
 
     kt_inv = cho_solve(chol, np.eye(n))
     grad = np.empty(3)
-    for i, dk in enumerate((dk_dlogl, dk_dlogv, noise * np.eye(n))):
+    for i, dk in enumerate((dk_dlogl, k, noise * np.eye(n))):
         grad[i] = 0.5 * (float(np.sum(kt_inv * dk)) - float(alpha @ dk @ alpha))
     return value, grad
 
@@ -272,8 +255,7 @@ def train(tau, v, config: GpTrainConfig = GpTrainConfig(),
 
     Requires at least 3 strictly increasing training pairs. ``noise_floor``
     gives fixed per-point noise variances in raw target units. Raises
-    TrainingError (carrying the best parameters found) if every restart
-    fails to produce a usable likelihood.
+    TrainingError if every restart fails to produce a usable likelihood.
     """
     tau = np.asarray(tau, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -284,6 +266,7 @@ def train(tau, v, config: GpTrainConfig = GpTrainConfig(),
     if np.any(np.diff(tau) <= 0.0):
         raise InvalidParameterError("training inputs must be strictly increasing")
 
+    input_shift, input_scale, target_shift, target_scale = 0.0, 1.0, 0.0, 1.0
     if config.standardize:
         input_shift = float(np.mean(tau))
         input_scale = float(np.std(tau))
@@ -292,16 +275,10 @@ def train(tau, v, config: GpTrainConfig = GpTrainConfig(),
         target_shift = float(np.mean(v))
         spread = float(np.std(v))
         target_scale = spread if spread > 0.0 else 1.0
-    else:
-        input_shift, input_scale = 0.0, 1.0
-        target_shift, target_scale = 0.0, 1.0
-    x_std = (tau - input_shift) / input_scale
-    v_std = (v - target_shift) / target_scale
-    floor_std = None
-    if noise_floor is not None:
-        floor_std = np.asarray(noise_floor, dtype=float) / target_scale ** 2
-        if floor_std.shape != tau.shape or np.any(floor_std < 0.0):
-            raise InvalidParameterError("noise_floor must be non-negative per point")
+    x_std, v_std, floor_std = _standardize(tau, v, noise_floor, input_shift, input_scale,
+                                           target_shift, target_scale)
+    if floor_std is not None and (floor_std.shape != tau.shape or np.any(floor_std < 0.0)):
+        raise InvalidParameterError("noise_floor must be non-negative per point")
 
     log_ranges = [
         (math.log(config.lengthscale_range[0]), math.log(config.lengthscale_range[1])),
@@ -325,8 +302,7 @@ def train(tau, v, config: GpTrainConfig = GpTrainConfig(),
         except np.linalg.LinAlgError:
             return _PENALTY, np.zeros(3)
 
-    best_value = math.inf
-    best_theta = None
+    best_value, best_log_theta = math.inf, None
     for x0 in starts:
         state = {"prev": np.asarray(x0, dtype=float)}
 
@@ -336,24 +312,21 @@ def train(tau, v, config: GpTrainConfig = GpTrainConfig(),
             if eps <= config.eps_tol:
                 raise StopIteration
 
+        # minimize ends at the callback's xk when the callback raises StopIteration
         try:
             result = minimize(
                 objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
                 callback=callback, options={"maxiter": config.n_max})
-            candidate, value = result.x, float(result.fun)
-        except StopIteration:
-            candidate = state["prev"]
-            value = float(objective(candidate)[0])
         except np.linalg.LinAlgError:
             continue
+        value = float(result.fun)
         if math.isfinite(value) and value < min(best_value, _PENALTY):
-            best_value = value
-            best_theta = np.array(candidate, copy=True)
+            best_value, best_log_theta = value, result.x
 
-    if best_theta is None:
-        raise TrainingError("all hyperparameter restarts failed", best_theta=None)
+    if best_log_theta is None:
+        raise TrainingError("all hyperparameter restarts failed")
 
-    lengthscale, variance, noise = np.exp(best_theta)
+    lengthscale, variance, noise = np.exp(best_log_theta)
     return GpModel(
         kernel=Kernel(family=config.kernel_family, variance=float(variance),
                       lengthscale=float(lengthscale)),
@@ -365,7 +338,7 @@ def train(tau, v, config: GpTrainConfig = GpTrainConfig(),
         input_scale=input_scale,
         target_shift=target_shift,
         target_scale=target_scale,
-        noise_floor=None if noise_floor is None else np.asarray(noise_floor, float),
+        noise_floor=noise_floor,
         nlml=float(best_value),
     )
 
@@ -378,13 +351,13 @@ def train(tau, v, config: GpTrainConfig = GpTrainConfig(),
 def predict(model: GpModel, query) -> GpPrediction:
     """Predictive mean and latent-function variance at the query inputs."""
     query = np.atleast_1d(np.asarray(query, dtype=float))
-    xq = model._std_inputs(query)
+    xq = (query - model.input_shift) / model.input_scale
     k_star = model.kernel.cross(model._x_std, xq)  # (n, m)
     mean_std = model.beta + k_star.T @ model._alpha
     w = cho_solve(model._chol, k_star)
     var_std = model.kernel.variance - np.einsum("nm,nm->m", k_star, w)
     if model.mean_spec == "constant":
-        u = 1.0 - model._phi @ w
+        u = 1.0 - np.ones(w.shape[0]) @ w
         var_std = var_std + u * u / model._gls_denom
     negative = var_std < 0.0
     if np.any(negative):

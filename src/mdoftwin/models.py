@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .codec import codec
+from .codec import codec, decode
 from .errors import InvalidParameterError
 
 KIND_DUFFING_2DOF = "duffing_2dof"
@@ -41,7 +41,7 @@ _INTERLEAVED = "interleaved"
 
 
 def _as_vector(x, n: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
+    v = decode(np.ndarray, x, name)
     if v.shape != (n,):
         raise InvalidParameterError(f"{name} must have shape ({n},), got {v.shape}")
     return v
@@ -93,7 +93,9 @@ class MdofSystem:
             raise InvalidParameterError("stiffnesses must be strictly positive")
         if np.any(self.dampings < 0.0) or np.any(self.noise_sigmas < 0.0):
             raise InvalidParameterError("dampings and noise_sigmas must be non-negative")
-        object.__setattr__(self, "nonlinear_coeff", float(self.nonlinear_coeff))
+        object.__setattr__(self, "nonlinear_coeff",
+                           float(decode(float, self.nonlinear_coeff, "nonlinear_coeff")))
+        decode(bool, self.symmetric_consistent, "symmetric_consistent")
         frozen = tuple(sorted(int(i) for i in self.frozen_indices))
         if any(i < 1 or i > n for i in frozen):
             raise InvalidParameterError("frozen_indices must lie in 1..n_dof")

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gpr
-from .codec import codec, write_csv, write_json
+from .codec import codec, decode, write_csv, write_json
 from .errors import InvalidParameterError, NumericError
 from .models import (DegradationSchedule, MdofSystem, degraded_stiffness,
                      to_state_space)
@@ -97,16 +97,25 @@ class MeasurementWindow:
 
     @classmethod
     def load(cls, base_path) -> "MeasurementWindow":
-        """Read <base>.csv and <base>.json; InvalidParameterError for an empty
-        CSV or a header without the observed DOFs, ragged, non-numeric or
-        non-finite rows, a sidecar ``n_samples`` other than the row count
-        and a non-uniform time grid."""
+        """Read <base>.csv and <base>.json; InvalidParameterError for a
+        sidecar that is not an object or has a field of the wrong type
+        (``t_s`` a number, ``observed_dofs`` a list of integers, the noise
+        levels numeric, ``provenance`` an object), an empty CSV or a header
+        without the observed DOFs, ragged, non-numeric or non-finite rows, a
+        sidecar ``n_samples`` other than the row count and a non-uniform time
+        grid."""
         base = Path(base_path)
         csv_path = base.with_suffix(".csv")
         sidecar_path = base.with_suffix(".json")
         with open(sidecar_path, encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-        observed = tuple(sidecar["observed_dofs"])
+            sidecar = decode(dict, json.load(fh), str(sidecar_path))
+        where = f"{sidecar_path}: "
+        t_s = decode(float, sidecar.get("t_s"), where + "t_s")
+        observed = decode(tuple[int, ...], sidecar.get("observed_dofs"), where + "observed_dofs")
+        ingested = {"kind": "ingested", "path": str(csv_path)}
+        provenance = decode(dict, sidecar.get("provenance", ingested), where + "provenance")
+        noise_stds = {name: decode(np.ndarray | None, sidecar.get(name), where + name)
+                      for name in ("accel_noise_std", "force_noise_std")}
         with open(csv_path, newline="", encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh)) or [[]]
         n_obs = len(observed)
@@ -126,12 +135,9 @@ class MeasurementWindow:
         if not np.isfinite(data).all():
             raise InvalidParameterError(f"{csv_path}: samples must be finite")
         uniform_step(data[:, 0])
-        return cls(t_s=sidecar["t_s"], times=data[:, 0], accel=data[:, 1:1 + n_obs],
+        return cls(t_s=t_s, times=data[:, 0], accel=data[:, 1:1 + n_obs],
                    force=data[:, 1 + n_obs:], observed_dofs=observed,
-                   accel_noise_std=sidecar.get("accel_noise_std"),
-                   force_noise_std=sidecar.get("force_noise_std"),
-                   provenance=dict(sidecar.get("provenance", {"kind": "ingested",
-                                                              "path": str(csv_path)})))
+                   provenance=provenance, **noise_stds)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +233,7 @@ class TwinSnapshot:
     @classmethod
     def load(cls, path) -> "TwinSnapshot":
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = decode(dict, json.load(fh), f"snapshot {path}")
         version = doc.get("version")
         if version != SNAPSHOT_VERSION:
             raise InvalidParameterError(f"unsupported snapshot version {version!r}")

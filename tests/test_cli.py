@@ -8,7 +8,8 @@ import pytest
 from mdoftwin.cli import main
 from mdoftwin.models import DegradationSchedule, build_duffing_2dof
 from mdoftwin.sde import IntegratorConfig
-from mdoftwin.twin import CampaignConfig, TwinSnapshot, generate_window
+from mdoftwin.twin import (CampaignConfig, MeasurementWindow, TwinSnapshot,
+                          generate_window)
 
 
 def write_config(path, *, kind="duffing_2dof", campaign=None, integrator=None,
@@ -248,3 +249,68 @@ class TestPredictAndReport:
     def test_missing_snapshot_exit_2(self, tmp_path):
         assert main(["report", "--snapshot", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "rep")]) == 2
+
+
+def _config_argv(doc):
+    def argv(tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
+    return argv
+
+
+def _snapshot_argv(command, *extra):
+    def argv(tmp_path):
+        path = tmp_path / "snap.json"
+        path.write_text("[1, 2]")
+        return [command, "--snapshot", str(path), "--out", str(tmp_path / "out"), *extra]
+    return argv
+
+
+def _sidecar_argv(key, value):
+    def argv(tmp_path):
+        window = MeasurementWindow(
+            t_s=0.0, times=np.arange(5) * 1e-3, accel=np.zeros((5, 2)),
+            force=np.zeros((5, 2)), observed_dofs=(1, 2),
+            accel_noise_std=np.full(2, 0.1), force_noise_std=np.full(2, 0.1))
+        _, sidecar = window.save(tmp_path / "w0")
+        doc = json.loads(sidecar.read_text())
+        doc[key] = value
+        sidecar.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path / "cfg.json")
+        return ["filter", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                "--window", str(tmp_path / "w0")]
+    return argv
+
+
+MALFORMED_INPUTS = [
+    pytest.param("masses", _config_argv(
+        {"system": {"kind": "duffing_2dof", "masses": "abc"}}), id="system-vector"),
+    pytest.param("stiffnesses", _config_argv(
+        {"system": {"kind": "duffing_2dof", "stiffnesses": ["1000", "500"]}}),
+        id="system-vector-entries"),
+    pytest.param("nonlinear_coeff", _config_argv(
+        {"system": {"kind": "duffing_2dof", "nonlinear_coefficient": "x"}}), id="system-scalar"),
+    pytest.param("symmetric_consistent", _config_argv(
+        {"system": {"kind": "dvp_7dof", "symmetric_consistent": "no"}}), id="system-flag"),
+    pytest.param("system", _config_argv({"system": []}), id="system-section"),
+    pytest.param("system kind", _config_argv({"system": {"kind": []}}), id="system-kind"),
+    pytest.param("config file", _config_argv(5), id="config-document"),
+    pytest.param("campaign", _config_argv(
+        {"system": {"kind": "duffing_2dof"}, "campaign": []}), id="campaign-section"),
+    pytest.param("snapshot", _snapshot_argv("report"), id="report-snapshot"),
+    pytest.param("snapshot", _snapshot_argv("predict", "--times", "100"),
+                 id="predict-snapshot"),
+    pytest.param("t_s", _sidecar_argv("t_s", "abc"), id="sidecar-time"),
+    pytest.param("provenance", _sidecar_argv("provenance", [1]), id="sidecar-provenance"),
+    pytest.param("observed_dofs", _sidecar_argv("observed_dofs", "12"), id="sidecar-dofs"),
+    pytest.param("accel_noise_std", _sidecar_argv("accel_noise_std", "abc"),
+                 id="sidecar-noise"),
+]
+
+
+@pytest.mark.parametrize("field, argv", MALFORMED_INPUTS)
+def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, field, argv):
+    assert main(argv(tmp_path)) == 2
+    # the temporary path is dropped so that only the message can name the field
+    assert field in capsys.readouterr().err.replace(str(tmp_path), "")

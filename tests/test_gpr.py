@@ -120,6 +120,24 @@ class TestTrain:
         assert m1.kernel.variance == m2.kernel.variance
         assert m1.noise_variance == m2.noise_variance
 
+    @pytest.mark.parametrize("family", [FAMILY_SE, FAMILY_MATERN52])
+    @pytest.mark.parametrize("mean_spec", ["zero", "constant"])
+    @pytest.mark.parametrize("with_floor", [False, True])
+    def test_nlml_is_the_likelihood_at_the_trained_hyperparameters(
+            self, family, mean_spec, with_floor):
+        tau, v = decay_samples(spacing=100.0)
+        v = v + np.random.default_rng(37).normal(0.0, 2.0, v.shape)
+        floor = np.full(tau.shape, 4.0) if with_floor else None
+        cfg = GpTrainConfig(kernel_family=family, mean_spec=mean_spec, n_restarts=2, seed=8)
+        model = train(tau, v, cfg, noise_floor=floor)
+        log_theta = np.log([model.kernel.lengthscale, model.kernel.variance,
+                            model.noise_variance])
+        value, _ = negative_log_marginal_likelihood(
+            log_theta, (tau - model.input_shift) / model.input_scale,
+            (v - model.target_shift) / model.target_scale, family, mean_spec,
+            None if floor is None else floor / model.target_scale ** 2)
+        assert value == pytest.approx(model.nlml, rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             train([0.0, 1.0], [1.0, 2.0])
