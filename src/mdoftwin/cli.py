@@ -185,13 +185,25 @@ def cmd_campaign(args) -> int:
     return EXIT_NUMERIC if generation_failed else EXIT_OK
 
 
+def _parse_times(text: str) -> np.ndarray:
+    """The slow times of ``--times``: finite numbers separated by commas."""
+    try:
+        query = np.array([float(tok) for tok in text.split(",")])
+    except ValueError as exc:
+        raise InvalidParameterError(
+            f"--times must be comma-separated numbers, got {text!r}") from exc
+    if not np.isfinite(query).all():
+        raise InvalidParameterError(f"--times must be finite, got {text!r}")
+    return query
+
+
 def cmd_predict(args) -> int:
+    query = _parse_times(args.times)
     snapshot = TwinSnapshot.load(args.snapshot)
     out = _out_dir(args)
     write_json(out / "config_echo.json",
                {"command": "predict", "snapshot": str(args.snapshot),
                 "times": args.times, "config": snapshot.config.to_dict()})
-    query = np.array([float(tok) for tok in args.times.split(",")])
     write_gp_track_csv(snapshot, out / "parameters_prediction.csv", query)
     if args.response_at is not None:
         traj = predict_response(snapshot, args.response_at, args.duration,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericError
 
 _SCALARS = {float: (int, float), int: (int,), str: (str,), bool: (bool,)}
 
@@ -116,13 +116,17 @@ def _decode_fields(cls, doc: dict, where: str):
 def write_json(path, doc) -> None:
     """Write ``doc`` as sorted, indented JSON plus a newline, atomically: a
     temporary file beside ``path``, flushed to disk, then renamed over it.
+    A non-finite number, which strict JSON cannot hold, raises NumericError.
     On failure the temporary file is removed and a previous file at
     ``path`` is left as it was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
+            try:
+                json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
+            except ValueError as exc:
+                raise NumericError(f"cannot write {path}: {exc}") from exc
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())

@@ -19,6 +19,12 @@ Each formula is stated once: ``_kernel`` (K and dK/dlog l), ``_posterior``
 (factorization of Kt, GLS mean, alpha) and ``_standardize``. The likelihood
 and ``GpModel`` share the first two, ``train`` and ``GpModel`` the third, so
 the served model is the posterior the likelihood scored, bit for bit.
+
+Kt is factorized and solved through the LAPACK pair of ``linalg``
+(``dpotrf``/``dpotrs``), which returns what scipy's ``cho_factor`` and
+``cho_solve`` return, bit for bit, without their scans for non-finite
+input. Finiteness is instead checked once where values enter: the training
+data in ``train``, every field in ``GpModel`` and the query in ``predict``.
 """
 
 from __future__ import annotations
@@ -28,11 +34,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from .codec import codec
 from .errors import InvalidParameterError, TrainingError
+from .linalg import cho_factor, cho_solve
 
 logger = logging.getLogger(__name__)
 
@@ -55,8 +61,8 @@ class Kernel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise InvalidParameterError(f"unknown kernel family {self.family!r}")
-        if self.variance <= 0.0 or self.lengthscale <= 0.0:
-            raise InvalidParameterError("variance and lengthscale must be positive")
+        if not (0.0 < self.variance < math.inf and 0.0 < self.lengthscale < math.inf):
+            raise InvalidParameterError("variance and lengthscale must be positive and finite")
 
     def cross(self, a, b) -> np.ndarray:
         return _kernel(self.family, self.variance, self.lengthscale,
@@ -89,22 +95,22 @@ def _posterior(gram, noise, floor, v, mean_spec):
     """Factorize Kt = gram + (noise + jitter) I + diag(floor), profile a
     constant mean by GLS and solve alpha = Kt^-1 (v - beta).
 
-    Returns (cho_factor pair, beta, alpha, Phi^T Kt^-1 Phi), the last None
-    for a zero mean. Raises LinAlgError if Kt is not positive definite.
+    Returns (lower Cholesky factor, beta, alpha, Phi^T Kt^-1 Phi), the last
+    None for a zero mean. Raises LinAlgError if Kt is not positive definite.
     """
     n = gram.shape[0]
     kt = gram.copy()
     kt[np.diag_indices(n)] += noise + _GRAM_JITTER
     if floor is not None:
         kt[np.diag_indices(n)] += floor
-    chol = cho_factor(kt, lower=True)
+    factor = cho_factor(kt)
     beta, gls_denom = 0.0, None
     if mean_spec == "constant":
         phi = np.ones(n)
-        w = cho_solve(chol, phi)
+        w = cho_solve(factor, phi)
         gls_denom = float(phi @ w)
         beta = float(w @ v) / gls_denom
-    return chol, beta, cho_solve(chol, v - beta), gls_denom
+    return factor, beta, cho_solve(factor, v - beta), gls_denom
 
 
 @codec
@@ -157,8 +163,10 @@ class GpModel:
     """Trained GP: hyperparameters, data, transforms, cached factorization.
 
     ``noise_floor`` holds optional fixed per-point noise variances in raw
-    target units (e.g. squared filter stddevs). The cached Cholesky factor
-    and GLS mean ``beta`` are derived on construction, never serialized.
+    target units (e.g. squared filter stddevs). The cached Cholesky factor,
+    the GLS mean ``beta`` and the constant-mean ones vector are derived on
+    construction, never serialized. Every value must be finite, since the
+    factorization does not check.
     """
 
     kernel: Kernel
@@ -183,29 +191,27 @@ class GpModel:
             raise InvalidParameterError("training inputs must be strictly increasing")
         if self.noise_variance < 0.0:
             raise InvalidParameterError("noise variance must be non-negative")
+        if not (self.input_scale > 0.0 and self.target_scale > 0.0):
+            raise InvalidParameterError("input and target scales must be positive")
         if self.noise_floor is not None:
             self.noise_floor = np.asarray(self.noise_floor, dtype=float)
             if self.noise_floor.shape != self.train_inputs.shape:
                 raise InvalidParameterError("noise_floor must match the training grid")
+        values = (self.train_inputs, self.train_targets, self.noise_variance,
+                  self.input_shift, self.input_scale, self.target_shift,
+                  self.target_scale, () if self.noise_floor is None else self.noise_floor)
+        if not all(np.isfinite(value).all() for value in values):
+            raise InvalidParameterError("GP model values must be finite")
+        self._ones = np.ones(self.train_inputs.shape[0])
         self._x_std, v, floor = _standardize(
             self.train_inputs, self.train_targets, self.noise_floor, self.input_shift,
             self.input_scale, self.target_shift, self.target_scale)
         try:
-            self._chol, self.beta, self._alpha, self._gls_denom = _posterior(
+            self._factor, self.beta, self._alpha, self._gls_denom = _posterior(
                 self.kernel.gram(self._x_std), self.noise_variance, floor, v,
                 self.mean_spec)
         except np.linalg.LinAlgError as exc:
             raise InvalidParameterError(f"kernel matrix not positive definite: {exc}") from exc
-
-    # ---- raw-unit views of the hyperparameters -------------------------------
-
-    @property
-    def raw_lengthscale(self) -> float:
-        return self.kernel.lengthscale * self.input_scale
-
-    @property
-    def raw_variance(self) -> float:
-        return self.kernel.variance * self.target_scale ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +235,11 @@ def negative_log_marginal_likelihood(
     lengthscale, variance, noise = np.exp(log_theta)
     n = x.shape[0]
     k, dk_dlogl = _kernel(family, variance, lengthscale, x, x)
-    chol, beta, alpha, _ = _posterior(k, noise, floor, v, mean_spec)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
+    factor, beta, alpha, _ = _posterior(k, noise, floor, v, mean_spec)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
     value = 0.5 * float((v - beta) @ alpha) + 0.5 * logdet + 0.5 * n * math.log(2.0 * math.pi)
 
-    kt_inv = cho_solve(chol, np.eye(n))
+    kt_inv = cho_solve(factor, np.eye(n))
     grad = np.empty(3)
     for i, dk in enumerate((dk_dlogl, k, noise * np.eye(n))):
         grad[i] = 0.5 * (float(np.sum(kt_inv * dk)) - float(alpha @ dk @ alpha))
@@ -263,6 +269,8 @@ def train(tau, v, config: GpTrainConfig = GpTrainConfig(),
         raise InvalidParameterError("tau and v must be matching vectors")
     if tau.shape[0] < 3:
         raise InvalidParameterError("need at least 3 training pairs")
+    if not (np.isfinite(tau).all() and np.isfinite(v).all()):
+        raise InvalidParameterError("tau and v must be finite")
     if np.any(np.diff(tau) <= 0.0):
         raise InvalidParameterError("training inputs must be strictly increasing")
 
@@ -277,8 +285,9 @@ def train(tau, v, config: GpTrainConfig = GpTrainConfig(),
         target_scale = spread if spread > 0.0 else 1.0
     x_std, v_std, floor_std = _standardize(tau, v, noise_floor, input_shift, input_scale,
                                            target_shift, target_scale)
-    if floor_std is not None and (floor_std.shape != tau.shape or np.any(floor_std < 0.0)):
-        raise InvalidParameterError("noise_floor must be non-negative per point")
+    if floor_std is not None and (floor_std.shape != tau.shape
+                                  or not np.all((floor_std >= 0.0) & (floor_std < math.inf))):
+        raise InvalidParameterError("noise_floor must be finite and non-negative per point")
 
     log_ranges = [
         (math.log(config.lengthscale_range[0]), math.log(config.lengthscale_range[1])),
@@ -349,15 +358,18 @@ def train(tau, v, config: GpTrainConfig = GpTrainConfig(),
 
 
 def predict(model: GpModel, query) -> GpPrediction:
-    """Predictive mean and latent-function variance at the query inputs."""
+    """Predictive mean and latent-function variance at the query inputs;
+    InvalidParameterError for a non-finite query."""
     query = np.atleast_1d(np.asarray(query, dtype=float))
+    if not np.isfinite(query).all():
+        raise InvalidParameterError("GP query times must be finite")
     xq = (query - model.input_shift) / model.input_scale
     k_star = model.kernel.cross(model._x_std, xq)  # (n, m)
     mean_std = model.beta + k_star.T @ model._alpha
-    w = cho_solve(model._chol, k_star)
+    w = cho_solve(model._factor, k_star)
     var_std = model.kernel.variance - np.einsum("nm,nm->m", k_star, w)
     if model.mean_spec == "constant":
-        u = 1.0 - np.ones(w.shape[0]) @ w
+        u = 1.0 - model._ones @ w
         var_std = var_std + u * u / model._gls_denom
     negative = var_std < 0.0
     if np.any(negative):

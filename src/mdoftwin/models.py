@@ -117,11 +117,6 @@ class MdofSystem:
         return np.diag(self.masses)
 
     @property
-    def noise_intensity(self) -> np.ndarray:
-        """Diagonal stochastic-load intensity matrix Sigma."""
-        return np.diag(self.noise_sigmas)
-
-    @property
     def elongation_operator(self) -> np.ndarray:
         """Bidiagonal B with (B x)_j the elongation of spring j (x_0 = ground)."""
         n = self.n_dof
@@ -145,11 +140,6 @@ class MdofSystem:
         k = self.stiffnesses if k is None else np.asarray(k, dtype=float)
         b = self.elongation_operator
         return b.T @ ((self.stiffness_signs * k)[:, None] * b)
-
-    @property
-    def stiffness_linear(self) -> np.ndarray:
-        """Assembled linear stiffness matrix at the stored coefficients."""
-        return self.stiffness_matrix()
 
     @property
     def damping(self) -> np.ndarray:

@@ -99,11 +99,11 @@ class MeasurementWindow:
     def load(cls, base_path) -> "MeasurementWindow":
         """Read <base>.csv and <base>.json; InvalidParameterError for a
         sidecar that is not an object or has a field of the wrong type
-        (``t_s`` a number, ``observed_dofs`` a list of integers, the noise
-        levels numeric, ``provenance`` an object), an empty CSV or a header
-        without the observed DOFs, ragged, non-numeric or non-finite rows, a
-        sidecar ``n_samples`` other than the row count and a non-uniform time
-        grid."""
+        (``t_s`` a finite number, ``observed_dofs`` a list of integers, the
+        noise levels finite numbers, ``provenance`` an object), an empty CSV
+        or a header without the observed DOFs, ragged, non-numeric or
+        non-finite rows, a sidecar ``n_samples`` other than the row count
+        and a non-uniform time grid."""
         base = Path(base_path)
         csv_path = base.with_suffix(".csv")
         sidecar_path = base.with_suffix(".json")
@@ -116,6 +116,9 @@ class MeasurementWindow:
         provenance = decode(dict, sidecar.get("provenance", ingested), where + "provenance")
         noise_stds = {name: decode(np.ndarray | None, sidecar.get(name), where + name)
                       for name in ("accel_noise_std", "force_noise_std")}
+        for name, value in (("t_s", t_s), *noise_stds.items()):
+            if value is not None and not np.isfinite(value).all():
+                raise InvalidParameterError(f"{where}{name} must be finite")
         with open(csv_path, newline="", encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh)) or [[]]
         n_obs = len(observed)

@@ -9,7 +9,7 @@ from mdoftwin.cli import main
 from mdoftwin.models import DegradationSchedule, build_duffing_2dof
 from mdoftwin.sde import IntegratorConfig
 from mdoftwin.twin import (CampaignConfig, MeasurementWindow, TwinSnapshot,
-                          generate_window)
+                          generate_window, new_snapshot)
 
 
 def write_config(path, *, kind="duffing_2dof", campaign=None, integrator=None,
@@ -236,7 +236,6 @@ class TestPredictAndReport:
 
     def test_report_empty_snapshot(self, tmp_path):
         system = build_duffing_2dof()
-        from mdoftwin.twin import new_snapshot
         snap = new_snapshot(system, CampaignConfig(), None)
         snap_path = tmp_path / "empty_snap.json"
         snap.save(snap_path)
@@ -264,6 +263,15 @@ def _snapshot_argv(command, *extra):
         path = tmp_path / "snap.json"
         path.write_text("[1, 2]")
         return [command, "--snapshot", str(path), "--out", str(tmp_path / "out"), *extra]
+    return argv
+
+
+def _predict_times_argv(times):
+    def argv(tmp_path):
+        path = tmp_path / "snap.json"
+        new_snapshot(build_duffing_2dof(), CampaignConfig()).save(path)
+        return ["predict", "--snapshot", str(path), "--out", str(tmp_path / "out"),
+                "--times", times]
     return argv
 
 
@@ -301,11 +309,17 @@ MALFORMED_INPUTS = [
     pytest.param("snapshot", _snapshot_argv("report"), id="report-snapshot"),
     pytest.param("snapshot", _snapshot_argv("predict", "--times", "100"),
                  id="predict-snapshot"),
+    pytest.param("--times", _predict_times_argv("nan"), id="predict-times-nan"),
+    pytest.param("--times", _predict_times_argv("100,inf"), id="predict-times-inf"),
+    pytest.param("--times", _predict_times_argv("abc"), id="predict-times-text"),
     pytest.param("t_s", _sidecar_argv("t_s", "abc"), id="sidecar-time"),
+    pytest.param("t_s", _sidecar_argv("t_s", float("nan")), id="sidecar-time-nan"),
     pytest.param("provenance", _sidecar_argv("provenance", [1]), id="sidecar-provenance"),
     pytest.param("observed_dofs", _sidecar_argv("observed_dofs", "12"), id="sidecar-dofs"),
     pytest.param("accel_noise_std", _sidecar_argv("accel_noise_std", "abc"),
                  id="sidecar-noise"),
+    pytest.param("accel_noise_std", _sidecar_argv("accel_noise_std", [0.1, float("inf")]),
+                 id="sidecar-noise-inf"),
 ]
 
 

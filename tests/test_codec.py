@@ -8,7 +8,8 @@ import pytest
 from hypothesis import configuration, example, given, settings
 from hypothesis import strategies as st
 
-from mdoftwin.errors import InvalidParameterError
+from mdoftwin.codec import write_json
+from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.gpr import (FAMILY_MATERN52, FAMILY_SE, GpModel, GpTrainConfig,
                           Kernel, predict, train)
 from mdoftwin.models import (DegradationSchedule, MdofSystem,
@@ -174,3 +175,12 @@ def test_round_trip(cls):
 def test_strict_documents(cls, doc, key):
     with pytest.raises(InvalidParameterError, match=key):
         cls.from_dict(doc)
+
+
+def test_write_json_rejects_non_finite(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"value": 1.0})
+    with pytest.raises(NumericError, match="doc.json"):
+        write_json(path, {"value": float("nan")})
+    assert json.loads(path.read_text()) == {"value": 1.0}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]

@@ -1,6 +1,7 @@
 """Kernels, marginal likelihood, training, prediction, tracking."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,6 +50,8 @@ class TestKernel:
             Kernel(family="cauchy")
         with pytest.raises(InvalidParameterError):
             Kernel(variance=-1.0)
+        with pytest.raises(InvalidParameterError):
+            Kernel(lengthscale=math.nan)
 
 
 class TestLikelihoodGradient:
@@ -106,8 +109,10 @@ class TestTrain:
         assert m2.kernel.lengthscale == pytest.approx(m1.kernel.lengthscale,
                                                       rel=1e-6)
         assert m2.kernel.variance == pytest.approx(m1.kernel.variance, rel=1e-6)
-        assert m2.raw_variance == pytest.approx(4.0 * m1.raw_variance, rel=1e-6)
-        assert m2.raw_lengthscale == pytest.approx(m1.raw_lengthscale, rel=1e-6)
+        assert m2.kernel.variance * m2.target_scale ** 2 == pytest.approx(
+            4.0 * m1.kernel.variance * m1.target_scale ** 2, rel=1e-6)
+        assert m2.kernel.lengthscale * m2.input_scale == pytest.approx(
+            m1.kernel.lengthscale * m1.input_scale, rel=1e-6)
 
     def test_reproducibility(self):
         tau, v = decay_samples()
@@ -145,6 +150,12 @@ class TestTrain:
             train([0.0, 1.0, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(InvalidParameterError):
             train([0.0, 2.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(InvalidParameterError):
+            train([0.0, math.nan, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(InvalidParameterError):
+            train([0.0, 1.0, 2.0], [1.0, math.inf, 3.0])
+        with pytest.raises(InvalidParameterError):
+            train([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], noise_floor=[0.0, math.nan, 0.0])
 
     def test_all_restarts_failing_raises_training_error(self, monkeypatch):
         def exploding(*args, **kwargs):
@@ -163,6 +174,19 @@ class TestPredict:
         return GpModel(kernel=Kernel(variance=2.0, lengthscale=1.2),
                        mean_spec=mean_spec, noise_variance=noise,
                        train_inputs=x, train_targets=v)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_rejected(self, bad):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            predict(self.fixed_model(mean_spec="constant"), [1.0, bad])
+
+    @pytest.mark.parametrize("field", ["train_targets", "noise_floor", "target_shift"])
+    def test_non_finite_model_rejected(self, field):
+        model = self.fixed_model(noise=0.1)
+        bad = {"train_targets": [1.0, math.nan, 0.3, 2.0],
+               "noise_floor": [0.0, 0.0, math.inf, 0.0], "target_shift": math.nan}
+        with pytest.raises(InvalidParameterError, match="finite"):
+            replace(model, **{field: bad[field]})
 
     def test_noise_free_interpolation(self):
         model = self.fixed_model(noise=0.0)

@@ -216,13 +216,16 @@ class TestAssembledMatrices:
 
     def test_2dof_matrices_symmetric(self):
         s = build_duffing_2dof()
-        np.testing.assert_allclose(s.stiffness_linear, s.stiffness_linear.T)
+        np.testing.assert_allclose(s.stiffness_matrix(), s.stiffness_matrix().T)
         np.testing.assert_allclose(s.damping, s.damping.T)
 
     def test_mass_and_noise_diagonal(self):
         s = build_dvp_7dof()
         np.testing.assert_allclose(s.mass, np.diag(s.masses))
-        np.testing.assert_allclose(s.noise_intensity, np.diag(s.noise_sigmas))
+        model = to_state_space(s)
+        b = model.dispersion(np.ones(model.dim_state))  # the DOF-4 scale at 1
+        vel = [model.labels.index(f"v{i + 1}") for i in range(s.n_dof)]
+        np.testing.assert_allclose(b[vel], np.diag(s.noise_sigmas / s.masses))
 
 
 # ---------------------------------------------------------------------------

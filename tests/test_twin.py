@@ -99,7 +99,7 @@ class TestMeasurementWindow:
         assert sidecar["observed_dofs"] == [1, 2]
 
     # each case corrupts the rows (header first) or the sidecar of a good
-    # window; the last one loads, but its single force column does not
+    # window; "one-force-column" loads, but its single force column does not
     # match the 2-DOF system
     @pytest.mark.parametrize("corrupt", [
         lambda rows, side: [],
@@ -110,8 +110,11 @@ class TestMeasurementWindow:
         lambda rows, side: side.update(n_samples=5) or rows,
         lambda rows, side: rows[:3] + [["0.0025"] + rows[3][1:]] + rows[4:],
         lambda rows, side: [row[:-1] for row in rows],
+        lambda rows, side: side.update(t_s=float("nan")) or rows,
+        lambda rows, side: side.update(force_noise_std=[0.1, float("inf")]) or rows,
     ], ids=["empty", "header-only", "ragged", "non-numeric", "non-finite",
-            "n-samples", "non-uniform", "one-force-column"])
+            "n-samples", "non-uniform", "one-force-column", "non-finite-time",
+            "non-finite-noise"])
     def test_bad_window_rejected(self, tmp_path, corrupt):
         csv_path, sidecar_path = self.make_window().save(tmp_path / "w")
         with open(csv_path, newline="") as fh:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mdoftwin.errors import InvalidParameterError, NumericError
+from mdoftwin.linalg import cho_factor
 from mdoftwin.models import (build_duffing_2dof, build_dvp_7dof,
                              to_state_space)
 from mdoftwin.sde import IntegratorConfig, simulate_window
@@ -229,6 +230,21 @@ class TestPredictUpdate:
         with pytest.raises(NumericError):
             update(belief, lambda pts: np.zeros((pts.shape[0], 1)),
                    np.zeros(1), np.zeros((1, 1)), BENCH_PARAMS)
+
+    def test_singular_innovation_with_positive_trace_uses_jitter_rung(self):
+        # 1-D state N(0, 4) measured twice without noise: the sigma points are
+        # 0 and +/-2 with weights 0 and 1/2, so S = [[4, 4], [4, 4]] exactly,
+        # which fails rung 0 and factors at rung 1 (1e-12 * trace(S) / 2)
+        params = UkfParams(alpha_f=1.0, beta=0.0, kappa=0.0)
+        belief = GaussianBelief(mean=np.zeros(1), cov=np.full((1, 1), 4.0))
+        twice = lambda pts: pts[:, [0, 0]]  # noqa: E731
+        z = np.array([0.3, 0.3])
+        out = update(belief, twice, z, np.zeros((2, 2)), params)
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(np.full((2, 2), 4.0))
+        ref = update(belief, twice, z, (1e-12 * 4.0) * np.eye(2), params)
+        np.testing.assert_array_equal(out.mean, ref.mean)
+        np.testing.assert_array_equal(out.cov, ref.cov)
 
     def test_measurement_dimension_checked(self):
         belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
