@@ -25,6 +25,6 @@ from .twin import (CampaignConfig, MeasurementWindow, ResponseEnsemble,
                    TwinSnapshot, UkfRunConfig, assimilate_window,
                    filter_window, generate_campaign, new_snapshot,
                    predict_parameters, predict_response,
-                   predict_response_ensemble)
+                   predict_response_ensemble, run_campaign)
 
 __version__ = "0.1.0"

@@ -7,6 +7,11 @@ reproduced byte for byte given the same inputs and seed. Exit codes: 0
 success, 2 usage or configuration error (a malformed window file
 included), 3 numeric failure.
 
+``campaign`` runs ``twin.run_campaign``: windows are generated in batches
+of up to 64 and assimilated in order. A diverging window is recorded as a
+generation failure, the outputs are still written, and the exit code is 3;
+a config no window can be generated from (a zero-amplitude force) exits 2.
+
 Configuration file layout (JSON, all sections optional except ``system``;
 an unknown section, or an unknown key in any section, is an error)::
 
@@ -25,7 +30,6 @@ import argparse
 import json
 import logging
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,11 +42,9 @@ from .models import (KIND_DUFFING_2DOF, KIND_DVP_7DOF, DegradationSchedule,
                      degraded_stiffness, to_state_space)
 from .sde import simulate_window
 from .twin import (CampaignConfig, MeasurementWindow, TwinSnapshot,
-                   assimilate_window, campaign_times, filter_window,
-                   generate_window, new_snapshot, predict_parameters,
-                   predict_response, write_estimates_csv, write_gp_track_csv)
-
-logger = logging.getLogger(__name__)
+                   campaign_times, filter_window, new_snapshot,
+                   predict_parameters, predict_response, run_campaign,
+                   write_estimates_csv, write_gp_track_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -150,39 +152,18 @@ def cmd_filter(args) -> int:
 def cmd_campaign(args) -> int:
     system, cfg = _load_config(args.config, args)
     out = _out_dir(args)
-    cutoff = args.cutoff_days
-    _echo_config(out, system, cfg,
-                 {"command": "campaign", "cutoff_days": cutoff})
-    schedule = DegradationSchedule.for_system(
-        system, rate_per_day=cfg.degradation_rate_per_day)
+    _echo_config(out, system, cfg, {"command": "campaign", "cutoff_days": args.cutoff_days})
+    schedule = DegradationSchedule.for_system(system, rate_per_day=cfg.degradation_rate_per_day)
     snapshot = new_snapshot(system, cfg, schedule)
-
-    generation_failed = False
-    t_start = time.monotonic()
-    for i, t_s in enumerate(campaign_times(cfg)):
-        if cutoff is not None and t_s > cutoff:
-            break
-        try:
-            window = generate_window(system, schedule, cfg, t_s,
-                                     cfg.master_seed + i, i)
-        except (InvalidParameterError, NumericError) as exc:
-            snapshot.rejected_windows.append(
-                {"t_s": float(t_s), "reason": f"generation failure: {exc}"})
-            logger.warning("window %d generation failed: %s", i, exc)
-            generation_failed = True
-            continue
-        assimilate_window(snapshot, window)
-        logger.info("assimilated window %d (t_s=%g days)", i, t_s)
-    logger.info("campaign loop took %.1f s", time.monotonic() - t_start)
+    generation_failures = run_campaign(snapshot, args.cutoff_days)
 
     snapshot.save(out / "snapshot.json")
     write_estimates_csv(snapshot, out / "estimates.csv")
     if snapshot.gp_models:
         step = cfg.window_interval_days / 5.0
-        extension = args.track_extension_days
-        grid = np.arange(0.0, cfg.horizon_days + extension + step / 2.0, step)
+        grid = np.arange(0.0, cfg.horizon_days + args.track_extension_days + step / 2.0, step)
         write_gp_track_csv(snapshot, out / "gp_track.csv", grid)
-    return EXIT_NUMERIC if generation_failed else EXIT_OK
+    return EXIT_NUMERIC if generation_failures else EXIT_OK
 
 
 def _parse_times(text: str) -> np.ndarray:
@@ -314,6 +295,14 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the numeric flags: a finite number."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdoftwin",
@@ -345,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_cam)
     p_cam.add_argument("--observe", default=None,
                        help="comma-separated observed DOF list override")
-    p_cam.add_argument("--cutoff-days", type=float, default=None,
+    p_cam.add_argument("--cutoff-days", type=_finite_float, default=None,
                        help="assimilate only windows up to this slow time")
-    p_cam.add_argument("--track-extension-days", type=float, default=500.0,
+    p_cam.add_argument("--track-extension-days", type=_finite_float, default=500.0,
                        help="extend the GP track grid past the horizon")
     p_cam.set_defaults(func=cmd_campaign)
 
@@ -356,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--out", required=True)
     p_pre.add_argument("--times", required=True,
                        help="comma-separated slow times (days)")
-    p_pre.add_argument("--response-at", type=float, default=None,
+    p_pre.add_argument("--response-at", type=_finite_float, default=None,
                        help="also simulate the response at this slow time")
-    p_pre.add_argument("--duration", type=float, default=5.0,
+    p_pre.add_argument("--duration", type=_finite_float, default=5.0,
                        help="response simulation length (s)")
     p_pre.add_argument("--seed", type=int, default=None)
     p_pre.set_defaults(func=cmd_predict)

@@ -101,7 +101,7 @@ class MdofSystem:
             raise InvalidParameterError("frozen_indices must lie in 1..n_dof")
         object.__setattr__(self, "frozen_indices", frozen)
 
-    # ---- assembled matrices -------------------------------------------------
+    # ---- topology -----------------------------------------------------------
 
     @property
     def n_dof(self) -> int:
@@ -110,11 +110,6 @@ class MdofSystem:
     @property
     def state_ordering(self) -> str:
         return _BLOCKED if self.kind == KIND_DUFFING_2DOF else _INTERLEAVED
-
-    @property
-    def mass(self) -> np.ndarray:
-        """Diagonal mass matrix."""
-        return np.diag(self.masses)
 
     @property
     def elongation_operator(self) -> np.ndarray:
@@ -135,39 +130,12 @@ class MdofSystem:
         """0-based spring whose elongation carries the cubic nonlinearity."""
         return 0 if self.kind == KIND_DUFFING_2DOF else 3
 
-    def stiffness_matrix(self, k: np.ndarray | None = None) -> np.ndarray:
-        """K(k) = B^T diag(s * k) B."""
-        k = self.stiffnesses if k is None else np.asarray(k, dtype=float)
-        b = self.elongation_operator
-        return b.T @ ((self.stiffness_signs * k)[:, None] * b)
-
-    @property
-    def damping(self) -> np.ndarray:
-        """C = B^T diag(c) B, a standard chain for both kinds."""
-        b = self.elongation_operator
-        return b.T @ (self.dampings[:, None] * b)
-
     # ---- forces -------------------------------------------------------------
 
     def force_at(self, t) -> np.ndarray:
         """Deterministic harmonic force; t scalar or (m,) -> (n,) or (m, n)."""
         t = np.asarray(t, dtype=float)
         return self.force_amplitudes * np.sin(np.multiply.outer(t, self.force_frequencies))
-
-    # ---- nonlinearity -------------------------------------------------------
-
-    def nonlinear_term(self, x: np.ndarray) -> np.ndarray:
-        """Cubic coupling force G(x); batched over leading axes."""
-        x = np.asarray(x, dtype=float)
-        g = np.zeros_like(x)
-        a = self.nonlinear_coeff
-        if self.kind == KIND_DUFFING_2DOF:
-            g[..., 0] = a * x[..., 0] ** 3
-        else:
-            d = a * (x[..., 2] - x[..., 3]) ** 3
-            g[..., 2] = d
-            g[..., 3] = -d
-        return g
 
 
 def build_duffing_2dof(

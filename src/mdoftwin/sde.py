@@ -200,8 +200,8 @@ def simulate_window(
     A non-finite path raises NumericError with the first such path index in
     ``path`` (None for a single state).
     """
-    if duration < cfg.dt:
-        raise InvalidParameterError("duration must be at least one time step")
+    if not np.isfinite(duration) or duration < cfg.dt:
+        raise InvalidParameterError(f"duration must be finite and at least dt, got {duration}")
     y0 = _check_state(y0)
     if y0.ndim not in (1, 2) or y0.shape[-1] != model.dim_state:
         raise InvalidParameterError(

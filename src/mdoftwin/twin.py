@@ -14,10 +14,12 @@ All randomness derives from a single master seed; window i uses seed
 ``master_seed + i`` and consumes its generator in a fixed order (force
 noise, Brownian increments, acceleration noise).
 
-Independent simulations share one integration: the windows of a campaign
-and the draws of a response ensemble are the paths of one batched
-Taylor-1.5 run, each path carrying its own stiffness in the state tail of
-the augmented model and its own generator.
+Independent simulations share one integration: the draws of a response
+ensemble, and the windows of a campaign in chunks of up to 64
+(``run_campaign``), are the paths of one batched Taylor-1.5 run, each path
+carrying its own stiffness in the state tail of the augmented model and its
+own generator. A diverging window is recorded as rejected, and the rest of
+its chunk is generated again without it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from .ukf import (GaussianBelief, NoiseModel, UkfParams, build_process_noise,
 logger = logging.getLogger(__name__)
 
 SNAPSHOT_VERSION = 2
+
+_BATCH_WINDOWS = 64  # campaign visits per batched integration
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +270,8 @@ def _synthesize(system: MdofSystem, schedule: DegradationSchedule,
     stiffness rides in the state tail of the augmented model, its noisy
     force drives only its own path, and its own generator draws, in order,
     the force noise, the Brownian increments and the acceleration noise.
-    A diverging path raises NumericError naming the visit's window index.
+    A diverging path raises NumericError naming the visit's window index,
+    with its position in ``visits`` in ``path``.
     """
     n = system.n_dof
     observed = cfg.observed_dofs or tuple(range(1, n + 1))
@@ -289,7 +294,7 @@ def _synthesize(system: MdofSystem, schedule: DegradationSchedule,
                                cfg.integrator, forces=forces, rng=rngs)
     except NumericError as exc:
         t_s, _, index = visits[exc.path]
-        raise NumericError(f"window {index} (t_s={t_s}): {exc}") from exc
+        raise NumericError(f"window {index} (t_s={t_s}): {exc}", path=exc.path) from exc
 
     windows = []
     for p, (t_s, seed, index) in enumerate(visits):
@@ -446,6 +451,42 @@ def _retrain_gps(snapshot: TwinSnapshot, system: MdofSystem,
         times, estimates[:, columns], stddevs[:, columns], cfg.gp)
     snapshot.gp_models = dict(zip((f"k{idx}" for idx in tracked), models))
     snapshot.gp_trained_upto = float(times[-1])
+
+
+def run_campaign(snapshot: TwinSnapshot, cutoff_days: float | None = None) -> int:
+    """Generate and assimilate the snapshot's synthetic campaign; return the
+    number of windows whose simulation diverged.
+
+    Window i is visited at ``campaign_times(cfg)[i]`` with seed
+    ``master_seed + i`` for every ``t_s <= cutoff_days``. Each chunk of up to
+    ``_BATCH_WINDOWS`` visits is one integration, assimilated in order; a
+    diverging visit is recorded under ``rejected_windows`` at its place.
+    """
+    if snapshot.schedule is None:
+        raise InvalidParameterError("run_campaign needs a snapshot with a degradation schedule")
+    system, cfg, schedule = snapshot.system, snapshot.config, snapshot.schedule
+    visits = [(t_s, cfg.master_seed + i, i) for i, t_s in enumerate(campaign_times(cfg))
+              if cutoff_days is None or t_s <= cutoff_days]
+    failed = {}  # window index -> rejection reason
+    for start in range(0, len(visits), _BATCH_WINDOWS):
+        chunk = visits[start:start + _BATCH_WINDOWS]
+        while True:
+            todo = [visit for visit in chunk if visit[2] not in failed]
+            try:
+                windows = _synthesize(system, schedule, cfg, todo) if todo else []
+                break
+            except NumericError as exc:
+                index = todo[exc.path][2]
+                failed[index] = f"generation failure: {exc}"
+                logger.warning("window %d generation failed: %s", index, exc)
+        generated = iter(windows)
+        for t_s, _, index in chunk:
+            if index in failed:
+                snapshot.rejected_windows.append({"t_s": float(t_s), "reason": failed[index]})
+            else:
+                assimilate_window(snapshot, next(generated))
+                logger.info("assimilated window %d (t_s=%g days)", index, t_s)
+    return len(failed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Shared fixtures: tiny custom models, finite-difference oracles for the
-analytic partials, and the strong-convergence study."""
+"""Shared fixtures: tiny custom models, matrix-form oracles of the
+second-order system, finite-difference oracles for the analytic partials,
+and the strong-convergence study."""
 
 import numpy as np
 import pytest
 
-from mdoftwin.models import StateSpaceModel
+from mdoftwin.models import KIND_DUFFING_2DOF, StateSpaceModel
 from mdoftwin.sde import BrownianIncrementPair, em_step, taylor15_step
 
 
@@ -23,6 +24,41 @@ def make_model(dim, n_channels, drift, dispersion, jacobian=None,
         drift_hessian_quad=hessian_quad,
         dispersion_jacobian=dispersion_jacobian,
     )
+
+
+# ---- matrix-form oracles of M x'' + C x' + K x + G(x) -----------------------
+
+
+def mass_matrix(system):
+    """Diagonal mass matrix M."""
+    return np.diag(system.masses)
+
+
+def stiffness_matrix(system, k=None):
+    """K(k) = B^T diag(s * k) B."""
+    k = system.stiffnesses if k is None else np.asarray(k, dtype=float)
+    b = system.elongation_operator
+    return b.T @ ((system.stiffness_signs * k)[:, None] * b)
+
+
+def damping_matrix(system):
+    """C = B^T diag(c) B, a standard chain for both kinds."""
+    b = system.elongation_operator
+    return b.T @ (system.dampings[:, None] * b)
+
+
+def nonlinear_term(system, x):
+    """Cubic coupling force G(x); batched over leading axes."""
+    x = np.asarray(x, dtype=float)
+    g = np.zeros_like(x)
+    a = system.nonlinear_coeff
+    if system.kind == KIND_DUFFING_2DOF:
+        g[..., 0] = a * x[..., 0] ** 3
+    else:
+        d = a * (x[..., 2] - x[..., 3]) ** 3
+        g[..., 2] = d
+        g[..., 3] = -d
+    return g
 
 
 # ---- finite-difference oracles for the analytic partials (one state) -------

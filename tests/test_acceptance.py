@@ -18,9 +18,9 @@ from mdoftwin.gpr import (GpModel, Kernel,
 from mdoftwin.models import (DegradationSchedule, build_duffing_2dof,
                              build_dvp_7dof, degraded_stiffness)
 from mdoftwin.sde import IntegratorConfig
-from mdoftwin.twin import (CampaignConfig, assimilate_window, campaign_times,
-                           filter_window, generate_campaign, generate_window,
-                           new_snapshot, predict_parameters)
+from mdoftwin.twin import (CampaignConfig, campaign_times, filter_window,
+                           generate_window, new_snapshot, predict_parameters,
+                           run_campaign)
 from mdoftwin.ukf import (GaussianBelief, UkfParams, predict as ukf_predict,
                           ukf_weights, update as ukf_update)
 
@@ -99,9 +99,7 @@ def tracking_campaign():
     schedule = DegradationSchedule.for_system(system)
     snapshot = new_snapshot(system, cfg, schedule)
     assert campaign_times(cfg).shape[0] == 41
-    for window in generate_campaign(system, schedule, cfg):
-        if window.t_s <= 1500.0:
-            assimilate_window(snapshot, window)
+    run_campaign(snapshot, cutoff_days=1500.0)
     return system, schedule, snapshot
 
 

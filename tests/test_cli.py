@@ -185,6 +185,16 @@ class TestCampaignCommand:
         assert snap.windows_processed == 0
         assert len(snap.rejected_windows) == 2
 
+    def test_zero_amplitude_force_exits_2(self, tmp_path, capsys):
+        # a force channel of zero amplitude has no SNR in any window: a
+        # config error, reported once instead of a rejection per window
+        cfg = write_config(tmp_path / "cfg.json", campaign=QUICK_CAMPAIGN,
+                           integrator=QUICK_INTEGRATOR,
+                           system_extra={"force_amplitudes": [10, 0]})
+        code = main(["campaign", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "zero-variance" in capsys.readouterr().err
+
 
 class TestPredictAndReport:
     @pytest.fixture()
@@ -266,12 +276,20 @@ def _snapshot_argv(command, *extra):
     return argv
 
 
-def _predict_times_argv(times):
+def _predict_argv(times, *extra):
     def argv(tmp_path):
         path = tmp_path / "snap.json"
         new_snapshot(build_duffing_2dof(), CampaignConfig()).save(path)
         return ["predict", "--snapshot", str(path), "--out", str(tmp_path / "out"),
-                "--times", times]
+                "--times", times, *extra]
+    return argv
+
+
+def _campaign_argv(*extra):
+    def argv(tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", campaign=QUICK_CAMPAIGN,
+                           integrator=QUICK_INTEGRATOR)
+        return ["campaign", "--config", str(cfg), "--out", str(tmp_path / "out"), *extra]
     return argv
 
 
@@ -309,9 +327,19 @@ MALFORMED_INPUTS = [
     pytest.param("snapshot", _snapshot_argv("report"), id="report-snapshot"),
     pytest.param("snapshot", _snapshot_argv("predict", "--times", "100"),
                  id="predict-snapshot"),
-    pytest.param("--times", _predict_times_argv("nan"), id="predict-times-nan"),
-    pytest.param("--times", _predict_times_argv("100,inf"), id="predict-times-inf"),
-    pytest.param("--times", _predict_times_argv("abc"), id="predict-times-text"),
+    pytest.param("--times", _predict_argv("nan"), id="predict-times-nan"),
+    pytest.param("--times", _predict_argv("100,inf"), id="predict-times-inf"),
+    pytest.param("--times", _predict_argv("abc"), id="predict-times-text"),
+    pytest.param("--response-at", _predict_argv("100", "--response-at", "nan"),
+                 id="predict-response-at-nan"),
+    pytest.param("--duration", _predict_argv("100", "--response-at", "100", "--duration", "nan"),
+                 id="predict-duration-nan"),
+    pytest.param("--duration", _predict_argv("100", "--response-at", "100", "--duration", "inf"),
+                 id="predict-duration-inf"),
+    pytest.param("--cutoff-days", _campaign_argv("--cutoff-days", "nan"),
+                 id="campaign-cutoff-nan"),
+    pytest.param("--track-extension-days", _campaign_argv("--track-extension-days", "inf"),
+                 id="campaign-extension-inf"),
     pytest.param("t_s", _sidecar_argv("t_s", "abc"), id="sidecar-time"),
     pytest.param("t_s", _sidecar_argv("t_s", float("nan")), id="sidecar-time-nan"),
     pytest.param("provenance", _sidecar_argv("provenance", [1]), id="sidecar-provenance"),

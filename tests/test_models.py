@@ -11,8 +11,9 @@ from mdoftwin.models import (DegradationSchedule, MdofSystem,
                              build_dvp_7dof, degraded_stiffness,
                              to_state_space)
 
-from conftest import (fd_drift_hessian_quad, fd_drift_jacobian,
-                      fd_dispersion_jacobian)
+from conftest import (damping_matrix, fd_drift_hessian_quad,
+                      fd_drift_jacobian, fd_dispersion_jacobian, mass_matrix,
+                      nonlinear_term, stiffness_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -24,9 +25,9 @@ from conftest import (fd_drift_hessian_quad, fd_drift_jacobian,
 def matrix_form_acceleration(system, x, v, k=None):
     """-M^-1 (G + K x + C v), assembled independently of the library path."""
     m_inv = np.diag(1.0 / system.masses)
-    kmat = system.stiffness_matrix(k)
-    cmat = system.damping
-    return -m_inv @ (system.nonlinear_term(x) + kmat @ x + cmat @ v)
+    kmat = stiffness_matrix(system, k)
+    cmat = damping_matrix(system)
+    return -m_inv @ (nonlinear_term(system, x) + kmat @ x + cmat @ v)
 
 
 def literal_drift_2dof(y, f, k, sys2):
@@ -143,18 +144,18 @@ class TestBuilders:
 
     def test_duffing_nonlinearity(self):
         s = build_duffing_2dof()
-        np.testing.assert_allclose(s.nonlinear_term(np.zeros(2)), [0.0, 0.0])
+        np.testing.assert_allclose(nonlinear_term(s, np.zeros(2)), [0.0, 0.0])
         np.testing.assert_allclose(
-            s.nonlinear_term(np.array([2.0, 5.0])), [800.0, 0.0])
+            nonlinear_term(s, np.array([2.0, 5.0])), [800.0, 0.0])
 
     def test_dvp_nonlinearity(self):
         s = build_dvp_7dof()
         x = np.zeros(7)
         x[2] = x[3] = 0.7
-        np.testing.assert_allclose(s.nonlinear_term(x), np.zeros(7))
+        np.testing.assert_allclose(nonlinear_term(s, x), np.zeros(7))
         x = np.zeros(7)
         x[2] = 1.0
-        g = s.nonlinear_term(x)
+        g = nonlinear_term(s, x)
         expected = np.zeros(7)
         expected[2] = 100.0
         expected[3] = -100.0
@@ -163,7 +164,7 @@ class TestBuilders:
     def test_nonlinearity_vanishes_at_origin(self):
         for s in (build_duffing_2dof(), build_dvp_7dof()):
             np.testing.assert_array_equal(
-                s.nonlinear_term(np.zeros(s.n_dof)), np.zeros(s.n_dof))
+                nonlinear_term(s, np.zeros(s.n_dof)), np.zeros(s.n_dof))
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -188,7 +189,7 @@ class TestAssembledMatrices:
         for i in range(2):
             e = np.zeros(2)
             e[i] = 1.0
-            np.testing.assert_allclose(s.stiffness_matrix() @ e, expected[:, i])
+            np.testing.assert_allclose(stiffness_matrix(s) @ e, expected[:, i])
 
     def test_7dof_stiffness_matrix_verbatim(self):
         s = build_dvp_7dof(stiffnesses=(2100, 2200, 1300, 1400, 1500, 1600, 700))
@@ -205,23 +206,23 @@ class TestAssembledMatrices:
         for i in range(7):
             e = np.zeros(7)
             e[i] = 1.0
-            np.testing.assert_allclose(s.stiffness_matrix() @ e, expected[:, i])
+            np.testing.assert_allclose(stiffness_matrix(s) @ e, expected[:, i])
 
     def test_7dof_symmetric_consistent_variant(self):
         s = build_dvp_7dof(symmetric_consistent=True)
-        kmat = s.stiffness_matrix()
+        kmat = stiffness_matrix(s)
         np.testing.assert_allclose(kmat, kmat.T)
         assert kmat[2, 2] == s.stiffnesses[2] + s.stiffnesses[3]
         assert kmat[2, 3] == -s.stiffnesses[3]
 
     def test_2dof_matrices_symmetric(self):
         s = build_duffing_2dof()
-        np.testing.assert_allclose(s.stiffness_matrix(), s.stiffness_matrix().T)
-        np.testing.assert_allclose(s.damping, s.damping.T)
+        np.testing.assert_allclose(stiffness_matrix(s), stiffness_matrix(s).T)
+        np.testing.assert_allclose(damping_matrix(s), damping_matrix(s).T)
 
     def test_mass_and_noise_diagonal(self):
         s = build_dvp_7dof()
-        np.testing.assert_allclose(s.mass, np.diag(s.masses))
+        np.testing.assert_allclose(mass_matrix(s), np.diag(s.masses))
         model = to_state_space(s)
         b = model.dispersion(np.ones(model.dim_state))  # the DOF-4 scale at 1
         vel = [model.labels.index(f"v{i + 1}") for i in range(s.n_dof)]

@@ -262,6 +262,14 @@ class TestSimulateWindow:
             simulate_window(model, system, np.zeros(4), 1e-4,
                             IntegratorConfig(dt=1e-3))
 
+    @pytest.mark.parametrize("duration", [np.nan, np.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        system = build_duffing_2dof()
+        model = to_state_space(system)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            simulate_window(model, system, np.zeros(4), duration,
+                            IntegratorConfig(dt=1e-3))
+
     def test_forces_override_shape_checked(self):
         system = build_duffing_2dof()
         model = to_state_space(system)

@@ -22,8 +22,8 @@ from mdoftwin.twin import (CampaignConfig, MeasurementWindow, TwinSnapshot,
                            filter_window, generate_campaign, generate_window,
                            new_snapshot, predict_parameters, predict_response,
                            predict_response_ensemble,
-                           predicted_stiffness_vector, write_estimates_csv,
-                           write_gp_track_csv)
+                           predicted_stiffness_vector, run_campaign,
+                           write_estimates_csv, write_gp_track_csv)
 
 
 def quick_config(**overrides) -> CampaignConfig:
@@ -287,10 +287,7 @@ class TestAssimilation:
         cfg = quick_config(horizon_days=250.0)
         cfg = replace(cfg, ukf=replace(cfg.ukf, init_offset_factor=0.6))
         snap = new_snapshot(system, cfg, sched)
-        for i, t_s in enumerate(campaign_times(cfg)):
-            window = generate_window(system, sched, cfg, t_s,
-                                     cfg.master_seed + i, i)
-            assimilate_window(snap, window)
+        run_campaign(snap)
         truth = np.array([degraded_stiffness(sched, t)
                           for t in snap.history_times])
         rel = np.abs(snap.history_estimates - truth) / truth
@@ -332,16 +329,65 @@ class TestAssimilation:
         assert np.all(np.isfinite(result.param_estimate))
 
 
+class TestRunCampaign:
+    @pytest.mark.parametrize("batch", [twin_mod._BATCH_WINDOWS, 4])
+    def test_diverging_windows_recorded_in_order(self, monkeypatch, batch):
+        # the schedule of test_diverging_window_named over six windows: the
+        # later ones diverge, and each is recorded with the reason the
+        # per-window loop wrote when it generated every window alone
+        monkeypatch.setattr(twin_mod, "_BATCH_WINDOWS", batch)
+        system = build_duffing_2dof()
+        sched = DegradationSchedule(k0=[1e6, 500.0], rate_per_day=-0.01)
+        cfg = quick_config(horizon_days=250.0)
+        times = campaign_times(cfg)
+        failed, reasons = [], []
+        for i, t_s in enumerate(times):
+            try:
+                generate_window(system, sched, cfg, t_s, cfg.master_seed + i, i)
+            except NumericError as exc:
+                failed.append(i)
+                reasons.append(f"generation failure: {exc}")
+        first = failed[0]
+        assert 0 < first < len(times) - 1
+        assert failed == list(range(first, len(times)))
+        snap = new_snapshot(system, cfg, sched)
+        assert run_campaign(snap) == len(failed)
+        assert snap.windows_processed == first
+        assert snap.history_times.tolist() == times[:first].tolist()
+        assert snap.rejected_windows == [{"t_s": float(times[i]), "reason": reason}
+                                         for i, reason in zip(failed, reasons)]
+
+    def test_chunked_run_matches_one_batch(self, monkeypatch):
+        system = build_duffing_2dof()
+        sched = DegradationSchedule.for_system(system)
+        cfg = quick_config()
+        whole = new_snapshot(system, cfg, sched)
+        assert run_campaign(whole) == 0
+        monkeypatch.setattr(twin_mod, "_BATCH_WINDOWS", 2)
+        chunked = new_snapshot(system, cfg, sched)
+        assert run_campaign(chunked) == 0
+        assert chunked.windows_processed == whole.windows_processed == 4
+        np.testing.assert_array_equal(chunked.history_times, whole.history_times)
+        np.testing.assert_allclose(chunked.history_estimates, whole.history_estimates,
+                                   rtol=1e-9, atol=0.0)
+
+    def test_cutoff_and_missing_schedule(self):
+        system = build_duffing_2dof()
+        cfg = quick_config()
+        with pytest.raises(InvalidParameterError, match="schedule"):
+            run_campaign(new_snapshot(system, cfg, None))
+        snap = new_snapshot(system, cfg, DegradationSchedule.for_system(system))
+        assert run_campaign(snap, cutoff_days=50.0) == 0
+        assert snap.history_times.tolist() == [0.0, 50.0]
+
+
 class TestSnapshotPersistence:
     def test_round_trip_byte_identical(self, tmp_path):
         system = build_duffing_2dof()
         sched = DegradationSchedule.for_system(system)
         cfg = quick_config()
         snap = new_snapshot(system, cfg, sched)
-        for i, t_s in enumerate(campaign_times(cfg)[:3]):
-            window = generate_window(system, sched, cfg, t_s,
-                                     cfg.master_seed + i, i)
-            assimilate_window(snap, window)
+        run_campaign(snap, cutoff_days=100.0)
         p1 = tmp_path / "snap1.json"
         p2 = tmp_path / "snap2.json"
         snap.save(p1)
