@@ -15,7 +15,8 @@ predictive variance through the universal-kriging correction term
 with Kt = K + sn^2 I. Inputs (days) and targets (N/m) are standardized
 internally and the transforms undone at prediction time.
 
-Each formula is stated once: ``_kernel`` (K and dK/dlog l), ``_posterior``
+Each formula is stated once: ``_kernel`` (K, plus dK/dlog l for the
+likelihood only; prediction evaluates K alone), ``_posterior``
 (factorization of Kt, GLS mean, alpha) and ``_standardize``. The likelihood
 and ``GpModel`` share the first two, ``train`` and ``GpModel`` the third, so
 the served model is the posterior the likelihood scored, bit for bit.
@@ -66,23 +67,25 @@ class Kernel:
 
     def cross(self, a, b) -> np.ndarray:
         return _kernel(self.family, self.variance, self.lengthscale,
-                       np.asarray(a, dtype=float), np.asarray(b, dtype=float))[0]
+                       np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
     def gram(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return self.cross(x, x)
 
 
-def _kernel(family, variance, lengthscale, a, b):
-    """K(a, b) and dK/dlog(lengthscale); dK/dlog(variance) is K itself."""
+def _kernel(family, variance, lengthscale, a, b, with_grad=False):
+    """K(a, b), and with ``with_grad`` the pair K, dK/dlog(lengthscale);
+    dK/dlog(variance) is K itself."""
     r = np.abs(np.subtract.outer(a, b))
     if family == FAMILY_SE:
         s = (r / lengthscale) ** 2
         k = variance * np.exp(-0.5 * s)
-        return k, k * s
+        return (k, k * s) if with_grad else k
     u = math.sqrt(5.0) * r / lengthscale
     e = np.exp(-u)
-    return variance * (1.0 + u + u * u / 3.0) * e, variance * (u * u / 3.0) * (1.0 + u) * e
+    k = variance * (1.0 + u + u * u / 3.0) * e
+    return (k, variance * (u * u / 3.0) * (1.0 + u) * e) if with_grad else k
 
 
 def _standardize(tau, v, floor, input_shift, input_scale, target_shift, target_scale):
@@ -234,7 +237,7 @@ def negative_log_marginal_likelihood(
     """
     lengthscale, variance, noise = np.exp(log_theta)
     n = x.shape[0]
-    k, dk_dlogl = _kernel(family, variance, lengthscale, x, x)
+    k, dk_dlogl = _kernel(family, variance, lengthscale, x, x, with_grad=True)
     factor, beta, alpha, _ = _posterior(k, noise, floor, v, mean_spec)
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
     value = 0.5 * float((v - beta) @ alpha) + 0.5 * logdet + 0.5 * n * math.log(2.0 * math.pi)

@@ -278,8 +278,16 @@ class StateSpaceModel:
 
     ``scaled_noise`` lists ``(row, channel, state)`` for every dispersion
     entry that is a constant times the state entry ``y[state]``; all other
-    entries are constant. Augmented models carry the estimated stiffness
-    entries at ``param_indices`` with zero drift and zero dispersion rows.
+    entries are constant (see ``dispersion_split``). Augmented models carry
+    the estimated stiffness entries at ``param_indices``, after the
+    kinematic entries, with zero drift and zero dispersion rows.
+
+    ``cubic_drift`` is ``(l, h, coeff)`` where the drift is affine in the
+    kinematic entries apart from one cubic element: with the parameter
+    entries held, ``a(y, f) = a(r, f) + A (y - r) + coeff (l . y)^3 h`` for
+    the state ``r`` at rest (kinematic entries zero) and ``A`` the drift
+    Jacobian at ``r``; ``l`` and ``h`` are ``(dim,)``. The window kernel of
+    ``simulate_window`` needs it.
     """
 
     dim_state: int
@@ -293,6 +301,27 @@ class StateSpaceModel:
     drift_hessian_quad: Callable | None = None
     dispersion_jacobian: Callable | None = None
     scaled_noise: tuple = ()
+    cubic_drift: tuple | None = None
+
+
+def dispersion_split(model: StateSpaceModel) -> tuple:
+    """The constant dispersion and its state-scaled entries.
+
+    Returns ``b_const`` ``(dim, n_channels)``, zero at every entry of
+    ``model.scaled_noise``, and ``(row, channel, state, gain)`` per scaled
+    entry, whose value is ``gain * y[state]``. InvalidParameterError unless
+    each scaled entry is alone in its row and its channel.
+    """
+    b_const = model.dispersion(np.ones(model.dim_state))  # scaled entries at their gain
+    scaled = []
+    for row, channel, state in model.scaled_noise:
+        if (np.count_nonzero(b_const[row]) != 1
+                or np.count_nonzero(b_const[:, channel]) != 1):
+            raise InvalidParameterError(
+                "a state-scaled noise entry must be alone in its row and channel")
+        scaled.append((row, channel, state, float(b_const[row, channel])))
+        b_const[row, channel] = 0.0
+    return b_const, tuple(scaled)
 
 
 def _index_maps(n_dof: int, ordering: str) -> tuple:
@@ -366,7 +395,9 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
     rows, on a diagonal, and the drift is affine in the velocities, so the
     Hessian term of the Taylor-1.5 scheme vanishes and ``drift_hessian_quad``
     is None. The only state-dependent dispersion entry is the DVP element's
-    channel 4, scaled by the DOF-4 displacement.
+    channel 4, scaled by the DOF-4 displacement. The drift is linear in the
+    kinematic entries for a given stiffness apart from the cubic element,
+    which ``cubic_drift`` declares from the same compiled operators.
     """
     n = system.n_dof
     aug0 = _augmentation(n, augment_params)
@@ -425,6 +456,10 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
                 out[..., row] += b_const[row, channel] * u[..., channel, state]
             return out
 
+    h = np.zeros(dim)
+    h[vel_idx] = to_acceleration[cubic]  # acceleration of a unit cubic element force
+    elongation = elements(np.eye(dim))[0][:, cubic]
+
     return StateSpaceModel(
         dim_state=dim,
         n_channels=n,
@@ -436,6 +471,7 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
         drift_jacobian=drift_jacobian,
         dispersion_jacobian=dispersion_jacobian,
         scaled_noise=scaled_noise,
+        cubic_drift=(elongation, h, coeff),
     )
 
 

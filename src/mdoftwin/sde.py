@@ -12,23 +12,42 @@ Two schemes are provided for dy = a(y, f) dt + b(y) dW:
   L^j = sum_i b_ij d_i. The force sample is held constant across a step.
   For additive noise the L(b) terms are identically zero and are skipped.
 
-Both steppers carry a leading path axis: a state ``(P, dim)`` advances P
-independent paths in one call, and a single state ``(dim,)`` is the same
-code with no path axis. The scheme takes the model's analytic partials as
-directional derivatives (see ``StateSpaceModel``), so a step never forms a
-``(dim, dim)`` matrix per path.
+``em_step`` and ``taylor15_step`` are the reference scheme: one step of any
+``StateSpaceModel`` from its analytic partials, taken as directional
+derivatives, for a single state ``(dim,)`` or one per path ``(P, dim)``.
+
+``simulate_window`` integrates a whole window with the window kernel, the
+same scheme rearranged for the chain models. With the stiffness held, their
+drift is ``a(z) = A z + coeff (l . z)^3 h + a(r, f)`` on the kinematic
+entries z (``StateSpaceModel.cubic_drift``), the noise enters only the
+velocity rows and only the entries of ``scaled_noise`` depend on the state.
+A Taylor-1.5 step is then, exactly in arithmetic,
+
+      z' = M z + c_k + coeff e^3 N h + 1.5 coeff dt^2 e^2 (l . A z) h
+           + (one rank-one term per scaled-noise contribution)
+
+with e = l . z, M = I + A dt + A^2 dt^2 / 2, N = I dt + A dt^2 / 2 and the
+step input c_k = N a(r, f_k) + b dw_k + A b dz_k; for Euler-Maruyama
+M = I + A dt, N = I dt and the Jacobian and L(b) terms drop out. M, N and
+every c_k are formed once per integration and per path, from one
+``drift_jacobian`` call, so a step is one batched product of the state with
+M and the rows that read e and the scaled entries, and one with the rank-one
+terms. The kernel agrees with the reference steppers to rounding (the
+summation order differs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .codec import codec, write_csv
 from .errors import InvalidParameterError, NumericError
-from .models import MdofSystem, StateSpaceModel, acceleration_model
+from .models import (MdofSystem, StateSpaceModel, acceleration_model,
+                     dispersion_split)
 
 SCHEME_EULER = "euler-maruyama"
 SCHEME_TAYLOR15 = "taylor15"
@@ -136,7 +155,8 @@ def taylor15_step(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid sample paths with clean accelerations and applied forces.
+    """Uniform-grid sample paths with applied forces; clean accelerations are
+    evaluated from the states by ``measure`` on first access.
 
     The time axis leads every array; a batched run keeps its path axis
     second. ``to_csv`` writes one path.
@@ -144,14 +164,17 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    accelerations: np.ndarray
     forces: np.ndarray
+    measure: Callable = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.states.shape[0] == self.accelerations.shape[0]
-                == self.forces.shape[0] == self.times.shape[0]):
+        if not (self.states.shape[0] == self.forces.shape[0] == self.times.shape[0]):
             raise InvalidParameterError("trajectory arrays must share the grid length")
         uniform_step(self.times)
+
+    @cached_property
+    def accelerations(self) -> np.ndarray:
+        return self.measure(self.states)
 
     def to_csv(self, path, state_labels: Sequence[str]) -> list:
         """Write one path as CSV; return the header row."""
@@ -176,6 +199,57 @@ def uniform_step(times) -> float:
     return float(steps[0])
 
 
+def _window_operators(model: StateSpaceModel, rest: np.ndarray, dt: float,
+                      taylor: bool) -> tuple:
+    """Per-path operators of the window kernel on the kinematic entries z.
+
+    ``rest`` holds each path's state at rest ``(P, dim)``; A is the drift
+    Jacobian there, from one ``drift_jacobian`` call along the unit
+    directions. A step is ``z' = M z + c_k + sum_j g_kj (o_j . z) b_j``: the
+    affine part, then one rank-one term per cubic or state-scaled noise
+    contribution. The cubic terms come first, weighted by e^2 = (l . z)^2;
+    the noise terms are weighted by the step's increments (see
+    ``simulate_window``). Returns ``ops`` ``(P, m + J, m)``, the rows M and
+    o_j, ``basis`` ``(P, J, m)``, the b_j, the cubic term count, A, the map
+    N of the step's constant input, and the dispersion split.
+    """
+    dim = model.dim_state
+    m = dim - len(model.param_indices)
+    jac_rows = model.drift_jacobian(rest[:, None, :], 0.0, np.eye(dim))
+    a_lin = np.swapaxes(jac_rows, 1, 2)[:, :m, :m]  # row j of jac_rows is J e_j
+    elongation, h, coeff = model.cubic_drift
+    elongation, h = elongation[:m], h[:m]
+    b_const, scaled = dispersion_split(model)
+    eye = np.eye(m)
+    if taylor:
+        half_dt2 = 0.5 * dt * dt
+        step_map = eye + dt * a_lin + half_dt2 * (a_lin @ a_lin)
+        input_map = dt * eye + half_dt2 * a_lin
+    else:
+        step_map = eye + dt * a_lin
+        input_map = np.broadcast_to(dt * eye, a_lin.shape)
+
+    # (o_j, b_j): coeff e^3 N h, then for Taylor-1.5 the transport of the
+    # cubic's Jacobian along a dt^2 / 2, 1.5 coeff dt^2 e^2 (l . A z) h
+    terms = [(elongation, coeff * (input_map @ h))]
+    if taylor:
+        terms.append((elongation @ a_lin, 1.5 * coeff * dt * dt * h))
+    n_cubic = len(terms)
+    for row, _, state, _ in scaled:
+        at_row, at_state = eye[row], eye[state]
+        if taylor:  # gain y[state] in b dw, in A b dz, and L^0(b) through a[state]
+            terms += [(at_state, a_lin[:, :, row]), (at_state, at_row),
+                      (a_lin[:, state], at_row)]
+        else:
+            terms.append((at_state, at_row))
+    shape = (rest.shape[0], 1, m)
+    ops = np.concatenate([step_map] + [np.broadcast_to(o[..., None, :], shape)
+                                       for o, _ in terms], axis=1)
+    basis = np.concatenate([np.broadcast_to(b[..., None, :], shape) for _, b in terms],
+                           axis=1)
+    return ops, basis, n_cubic, a_lin, input_map, b_const[:m], scaled
+
+
 def simulate_window(
     model: StateSpaceModel,
     system: MdofSystem,
@@ -186,7 +260,7 @@ def simulate_window(
     forces: np.ndarray | None = None,
     rng=None,
 ) -> Trajectory:
-    """Integrate the model over [0, duration] and record clean accelerations.
+    """Integrate the model over [0, duration] with the window kernel.
 
     ``y0`` is one initial state ``(dim,)`` or one per independent path
     ``(P, dim)``; all paths advance together, one step at a time, and the
@@ -198,17 +272,19 @@ def simulate_window(
     generator, or one per path, each drawing that path's Brownian increments
     in one block; by default path p uses a generator seeded ``cfg.seed + p``.
     A non-finite path raises NumericError with the first such path index in
-    ``path`` (None for a single state).
+    ``path`` (None for a single state). The model must declare
+    ``cubic_drift`` and give ``drift_jacobian``.
     """
     if not np.isfinite(duration) or duration < cfg.dt:
         raise InvalidParameterError(f"duration must be finite and at least dt, got {duration}")
     y0 = _check_state(y0)
-    if y0.ndim not in (1, 2) or y0.shape[-1] != model.dim_state:
+    dim = model.dim_state
+    if y0.ndim not in (1, 2) or y0.shape[-1] != dim:
         raise InvalidParameterError(
-            f"y0 must have shape ({model.dim_state},) or (P, {model.dim_state}), "
-            f"got {y0.shape}")
-    if cfg.scheme == SCHEME_TAYLOR15 and model.drift_jacobian is None:
-        raise InvalidParameterError("the Taylor-1.5 scheme needs the drift_jacobian partial")
+            f"y0 must have shape ({dim},) or (P, {dim}), got {y0.shape}")
+    if model.drift_jacobian is None or model.cubic_drift is None:
+        raise InvalidParameterError(
+            "the window kernel needs the drift_jacobian partial and the cubic_drift declaration")
     paths = y0.shape[:-1]
     n_paths = paths[0] if paths else 1
     n_steps = int(round(duration / cfg.dt))
@@ -220,37 +296,63 @@ def simulate_window(
         if forces.shape not in ((n_steps + 1, system.n_dof),
                                 (n_steps + 1,) + paths + (system.n_dof,)):
             raise InvalidParameterError("forces must be sampled on the window grid")
-
     if rng is None:
         rng = [np.random.default_rng(cfg.seed + p) for p in range(n_paths)]
     elif isinstance(rng, np.random.Generator):
         rng = [rng]
     if len(rng) != n_paths:
         raise InvalidParameterError("rng must give one generator per path")
-    inc = [sample_brownian_increments(g, cfg.dt, model.n_channels, n_steps) for g in rng]
-    shape = (n_steps,) + paths + (model.n_channels,)
-    dw = np.stack([i.dw for i in inc], axis=1).reshape(shape)
-    dz = np.stack([i.dz for i in inc], axis=1).reshape(shape)
 
-    step = _em if cfg.scheme == SCHEME_EULER else _taylor15
-    states = np.empty((n_steps + 1,) + y0.shape)
-    states[0] = y0
-    y = y0
+    taylor = cfg.scheme == SCHEME_TAYLOR15
+    y = y0.reshape(n_paths, dim)
+    m = dim - len(model.param_indices)  # kinematic entries; the parameters trail
+    rest = y.copy()
+    rest[:, :m] = 0.0
+    ops, basis, n_cubic, a_lin, input_map, b_const, scaled = _window_operators(
+        model, rest, cfg.dt, taylor)
+
+    # per path, the step input c_k = N a(r, f_k) + b dw_k + A b dz_k and the
+    # weights of the scaled-noise terms, gain times (dz, dw, dw dt - dz) for
+    # Taylor-1.5 and gain dw for Euler, built in place of the increments
+    inputs = np.empty((n_steps, n_paths, m))
+    weights = np.empty((n_steps, n_paths, basis.shape[1]))
+    for p, gen in enumerate(rng):
+        inc = sample_brownian_increments(gen, cfg.dt, model.n_channels, n_steps)
+        f_p = forces[:n_steps, p] if forces.ndim == 3 else forces[:n_steps]
+        a_rest = model.drift(np.tile(rest[p], (n_steps, 1)), f_p)[:, :m]
+        inputs[:, p] = a_rest @ input_map[p].T + inc.dw @ b_const.T
+        if taylor:
+            inputs[:, p] += inc.dz @ (a_lin[p] @ b_const).T
+        j = n_cubic
+        for _, channel, _, gain in scaled:
+            dw, dz = inc.dw[:, channel], inc.dz[:, channel]
+            for d in ((dz, dw, dw * cfg.dt - dz) if taylor else (dw,)):
+                weights[:, p, j] = gain * d
+                j += 1
+
+    states = np.empty((n_steps + 1, n_paths, dim))
+    states[:, :, m:] = y[:, m:]
+    states[0, :, :m] = y[:, :m]
+    z = y[:, :m].copy()
     # a diverging path only poisons its own row; it is reported below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            y = step(model, y, forces[k], dw[k], dz[k], cfg.dt)
-            states[k + 1] = y
+            w = (ops @ z[:, :, None])[:, :, 0]
+            o = w[:, m:]
+            g = weights[k]
+            np.multiply(o[:, :1], o[:, :1], out=g[:, :n_cubic])  # e^2
+            g *= o
+            z = w[:, :m] + inputs[k] + (g[:, None, :] @ basis)[:, 0]
+            states[k + 1, :, :m] = z
     finite = np.all(np.isfinite(states), axis=(0, -1))
     if not np.all(finite):
         path = int(np.argmin(finite)) if paths else None
         raise NumericError("trajectory diverged to non-finite values", path=path)
 
-    h_all = acceleration_model(
+    measure = acceleration_model(
         system, range(1, system.n_dof + 1), augment_params=model.augmented_params)
-    accelerations = h_all(states)
-    return Trajectory(times=times, states=states,
-                      accelerations=accelerations, forces=forces)
+    return Trajectory(times=times, states=states.reshape((n_steps + 1,) + y0.shape),
+                      forces=forces, measure=measure)
 
 
 # ---- measurement-noise injection --------------------------------------------

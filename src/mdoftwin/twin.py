@@ -16,10 +16,13 @@ noise, Brownian increments, acceleration noise).
 
 Independent simulations share one integration: the draws of a response
 ensemble, and the windows of a campaign in chunks of up to 64
-(``run_campaign``), are the paths of one batched Taylor-1.5 run, each path
-carrying its own stiffness in the state tail of the augmented model and its
-own generator. A diverging window is recorded as rejected, and the rest of
-its chunk is generated again without it.
+(``run_campaign``), are the paths of one batched Taylor-1.5 run of the
+window kernel (``sde.simulate_window``), each path carrying its own
+stiffness in the state tail of the augmented model, and so its own step
+operators, and its own generator. A diverging window is recorded as
+rejected, and the rest of its chunk is generated again without it. Clean
+accelerations are evaluated only where they are used, for the measurement
+of a window; a response ensemble never evaluates them.
 """
 
 from __future__ import annotations

@@ -49,7 +49,8 @@ import numpy as np
 from .codec import codec, write_csv
 from .errors import InvalidParameterError, NumericError
 from .linalg import cho_factor, cho_solve
-from .models import MdofSystem, StateSpaceModel, acceleration_model
+from .models import (MdofSystem, StateSpaceModel, acceleration_model,
+                     dispersion_split)
 from .sde import uniform_step
 
 logger = logging.getLogger(__name__)
@@ -354,26 +355,19 @@ def build_process_noise(
             raise InvalidParameterError(
                 "extra_diag must be non-negative and broadcast to the state")
 
-    b_unit = model.dispersion(np.ones(dim))  # scaled entries at their factor
-    for row, channel, _ in model.scaled_noise:
-        if (np.count_nonzero(b_unit[row]) != 1
-                or np.count_nonzero(b_unit[:, channel]) != 1):
-            raise InvalidParameterError(
-                "a state-scaled noise entry must be alone in its row and channel")
-    q_const = dt * (b_unit @ b_unit.T)
+    b_const, scaled = dispersion_split(model)
+    q_const = dt * (b_const @ b_const.T)
     if scale_outer is not None:
         q_const = q_const * scale_outer
     if extra is not None:
         q_const = q_const + np.diag(extra)
     q_const.flags.writeable = False
-    scaled = [(row, b_unit[row, channel], state)
-              for row, channel, state in model.scaled_noise]
 
     def q_of(mean: np.ndarray) -> np.ndarray:
         if not scaled:
             return q_const
         q = q_const.copy()
-        for row, gain, state in scaled:
+        for row, _, state, gain in scaled:
             b = gain * mean[state]
             entry = dt * (b * b)
             if scale_outer is not None:
@@ -460,10 +454,10 @@ def run_filter(
     repair_log = PsdRepairLog()
     n_samples = times.shape[0]
     means = np.empty((n_samples, model.dim_state))
-    stds = np.empty((n_samples, model.dim_state))
+    variances = np.empty((n_samples, model.dim_state))
     belief = init
     means[0] = belief.mean
-    stds[0] = belief.std
+    variances[0] = belief.cov.diagonal()
 
     for k in range(1, n_samples):
         f_prev = force[k - 1]
@@ -477,14 +471,14 @@ def run_filter(
         except NumericError as exc:
             raise NumericError(f"sample {k}: {exc}") from exc
         means[k] = belief.mean
-        stds[k] = belief.std
+        variances[k] = belief.cov.diagonal()
 
     slots = list(model.param_indices)
     param_cov = belief.cov[np.ix_(slots, slots)] if slots else np.zeros((0, 0))
     return FilterResult(
         times=times,
         means=means,
-        stds=stds,
+        stds=np.sqrt(np.clip(variances, 0.0, None)),  # GaussianBelief.std per sample
         labels=model.labels,
         final_belief=belief,
         param_names=tuple(model.labels[i] for i in slots),

@@ -188,6 +188,26 @@ class TestPredict:
         with pytest.raises(InvalidParameterError, match="finite"):
             replace(model, **{field: bad[field]})
 
+    @pytest.mark.parametrize("family", [FAMILY_SE, FAMILY_MATERN52])
+    def test_prediction_path_skips_the_gradient_bit_for_bit(self, family, monkeypatch):
+        # the query path evaluates K alone; the likelihood's K-and-gradient
+        # evaluation must give the same predictions to the bit
+        tau, v = decay_samples(spacing=100.0)
+        model = train(tau, v, GpTrainConfig(kernel_family=family, n_restarts=2, seed=4))
+        query = np.linspace(-100.0, 3000.0, 41)
+        lean = predict(model, query)
+
+        def cross_with_gradient(kernel, a, b):
+            k, _ = gpr._kernel(kernel.family, kernel.variance, kernel.lengthscale,
+                               np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                               with_grad=True)
+            return k
+
+        monkeypatch.setattr(Kernel, "cross", cross_with_gradient)
+        full = predict(model, query)
+        np.testing.assert_array_equal(lean.mean, full.mean)
+        np.testing.assert_array_equal(lean.variance, full.variance)
+
     def test_noise_free_interpolation(self):
         model = self.fixed_model(noise=0.0)
         pred = predict(model, model.train_inputs)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mdoftwin.errors import InvalidParameterError, NumericError
-from mdoftwin.models import build_duffing_2dof, build_dvp_7dof, to_state_space
+from mdoftwin.models import (acceleration_model, build_duffing_2dof, build_dvp_7dof,
+                             to_state_space)
 from mdoftwin.sde import (BrownianIncrementPair, IntegratorConfig, Trajectory,
                           corrupt_with_snr, em_step, noise_std_for_snr,
                           sample_brownian_increments, simulate_window,
@@ -308,6 +309,12 @@ class TestSimulateWindow:
             simulate_window(model, system, y0, 0.2, IntegratorConfig(dt=1e-3),
                             rng=[np.random.default_rng(0)])
 
+    def test_model_without_cubic_declaration_rejected(self):
+        model = scalar_model(0.3, 'ou')
+        with pytest.raises(InvalidParameterError, match="cubic_drift"):
+            simulate_window(model, build_duffing_2dof(), np.zeros(1), 0.1,
+                            IntegratorConfig(dt=1e-3))
+
     def test_csv_export(self, tmp_path):
         system = build_duffing_2dof()
         model = to_state_space(system)
@@ -318,6 +325,57 @@ class TestSimulateWindow:
         lines = path.read_text().splitlines()
         assert lines[0] == "time,x1,x2,v1,v2,accel_1,accel_2,force_1,force_2"
         assert len(lines) == 102  # header + 101 samples
+
+
+def _reference_window(model, y0, forces, n_steps, cfg):
+    """States of the reference steppers fed the increments that
+    ``simulate_window`` draws, from generators seeded cfg.seed + p."""
+    paths = y0.shape[:-1]
+    inc = [sample_brownian_increments(np.random.default_rng(cfg.seed + p), cfg.dt,
+                                      model.n_channels, n_steps)
+           for p in range(paths[0] if paths else 1)]
+    shape = (n_steps,) + paths + (model.n_channels,)
+    dw = np.stack([i.dw for i in inc], axis=1).reshape(shape)
+    dz = np.stack([i.dz for i in inc], axis=1).reshape(shape)
+    states = [y0]
+    for k in range(n_steps):
+        if cfg.scheme == "taylor15":
+            states.append(taylor15_step(model, states[-1], forces[k],
+                                        BrownianIncrementPair(dw=dw[k], dz=dz[k]), cfg.dt))
+        else:
+            states.append(em_step(model, states[-1], forces[k], dw[k], cfg.dt))
+    return np.array(states)
+
+
+class TestWindowKernel:
+    """The affine window kernel against a hand loop of the reference
+    steppers: the same scheme up to summation order."""
+
+    @pytest.mark.parametrize("scheme", ["taylor15", "euler-maruyama"])
+    @pytest.mark.parametrize("augmented", [False, True])
+    @pytest.mark.parametrize("n_paths", [None, 1, 3])
+    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    def test_matches_reference_steppers(self, build, n_paths, augmented, scheme):
+        n = 2 if build is build_duffing_2dof else 7
+        # strong cubic and noise, so that every term of the step is visible
+        system = build(nonlinear_coeff=1e5, noise_sigmas=(20.0,) * n)
+        model = to_state_space(system, range(1, n + 1) if augmented else ())
+        rng = np.random.default_rng(n + 10 * augmented + (n_paths or 0))
+        shape = (model.dim_state,) if n_paths is None else (n_paths, model.dim_state)
+        y0 = np.zeros(shape)
+        y0[..., :2 * n] = rng.normal(size=shape[:-1] + (2 * n,)) * 0.1
+        if augmented:
+            y0[..., 2 * n:] = system.stiffnesses * rng.uniform(
+                0.7, 1.0, size=shape[:-1] + (n,))
+        cfg = IntegratorConfig(dt=1e-3, scheme=scheme, seed=11)
+        n_steps = 300
+        for forces in (system.force_at(np.arange(n_steps + 1) * cfg.dt),
+                       rng.normal(size=(n_steps + 1,) + shape[:-1] + (n,)) * 5.0):
+            traj = simulate_window(model, system, y0, n_steps * cfg.dt, cfg,
+                                   forces=forces)
+            reference = _reference_window(model, y0, forces, n_steps, cfg)
+            scale = np.max(np.abs(reference), axis=0)
+            assert np.all(np.abs(traj.states - reference) <= 1e-12 * scale)
 
 
 class TestCorruptWithSnr:
@@ -361,4 +419,27 @@ class TestTrajectoryValidation:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(InvalidParameterError):
             Trajectory(times=np.arange(3.0), states=np.zeros((4, 2)),
-                       accelerations=np.zeros((3, 1)), forces=np.zeros((3, 1)))
+                       forces=np.zeros((3, 1)), measure=lambda states: states)
+
+    def test_accelerations_evaluated_once_on_first_access(self):
+        calls = []
+
+        def measure(states):
+            calls.append(states)
+            return 2.0 * states
+
+        traj = Trajectory(times=np.arange(3.0), states=np.ones((3, 2)),
+                          forces=np.zeros((3, 1)), measure=measure)
+        assert not calls
+        np.testing.assert_array_equal(traj.accelerations, np.full((3, 2), 2.0))
+        assert traj.accelerations is traj.accelerations
+        assert len(calls) == 1
+
+    def test_simulated_accelerations_are_the_measurement_of_the_states(self):
+        system = build_dvp_7dof()
+        model = to_state_space(system, range(1, 8))
+        y0 = np.zeros((2, model.dim_state))
+        y0[:, 14:] = system.stiffnesses
+        traj = simulate_window(model, system, y0, 0.2, IntegratorConfig(dt=1e-3))
+        h = acceleration_model(system, range(1, 8), augment_params=range(1, 8))
+        np.testing.assert_array_equal(traj.accelerations, h(traj.states))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mdoftwin import ukf
 from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.linalg import cho_factor
 from mdoftwin.models import (build_duffing_2dof, build_dvp_7dof,
@@ -493,6 +494,29 @@ class TestRunFilter:
         assert abs(result.param_estimate[1] - 500.0) < 0.05 * 500.0
         assert result.param_names == ("k1", "k2")
         assert result.n_updates == window.times.shape[0] - 1
+
+    def test_stds_are_each_beliefs_std_bit_for_bit(self, monkeypatch):
+        # run_filter keeps each sample's variances and takes the root once
+        system = build_dvp_7dof()
+        model = to_state_space(system, range(1, 8))
+        window = self.make_window(system, to_state_space(system), duration=0.2,
+                                  observed=(1, 4, 7), accel_noise=1e-3)
+        init_mean = np.zeros(model.dim_state)
+        init_mean[14:] = 0.9 * system.stiffnesses
+        init = GaussianBelief(mean=init_mean,
+                              cov=np.diag([1e-4] * 14 + list((0.1 * system.stiffnesses) ** 2)))
+        seen = [init.std]
+        update = ukf.update
+
+        def recording_update(*args, **kwargs):
+            belief = update(*args, **kwargs)
+            seen.append(belief.std)
+            return belief
+
+        monkeypatch.setattr(ukf, "update", recording_update)
+        noise = NoiseModel(q=build_process_noise(model, 1e-3), r=np.eye(3) * 1e-6)
+        result = run_filter(model, system, window, init, noise, BENCH_PARAMS)
+        np.testing.assert_array_equal(result.stds, np.array(seen))
 
     def test_augment_order_does_not_matter(self):
         system = build_duffing_2dof()
