@@ -26,20 +26,37 @@ Kt is factorized and solved through the LAPACK pair of ``linalg``
 ``cho_solve`` return, bit for bit, without their scans for non-finite
 input. Finiteness is instead checked once where values enter: the training
 data in ``train``, every field in ``GpModel`` and the query in ``predict``.
+
+Prediction (Rasmussen & Williams 2006, Alg. 2.1, plus the GLS term) runs on
+a ``GpStack``: J models of one kernel family and one training length, their
+arrays stacked on a leading axis. The GPs of a twin are trained together on
+one history, so a query for every tracked stiffness is one ``_kernel`` call
+on (J, n, m), one posterior product and one variance reduction:
+
+    mean = beta + alpha^T K*,   v = L^-1 K*,
+    s^2  = sigma^2 - v^T v + (1 - (L^-1 1)^T v)^2 / (1^T Kt^-1 1).
+
+L^-1, the inverse of the Cholesky factor of Kt (LAPACK ``dtrtri``), is
+formed once per model, so that a query is a batched matrix product rather
+than J triangular solves; at n <= 41 points the per-call overhead of J
+solves costs more than the arithmetic. Each ``GpModel`` carries its
+one-model stack, derived on construction; ``stack`` concatenates those.
+Means agree with the per-solve formula to ~1e-15 relative and variances to
+~1e-15 of sigma^2 absolute.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .codec import codec
 from .errors import InvalidParameterError, TrainingError
-from .linalg import cho_factor, cho_solve
+from .linalg import cho_factor, cho_solve, tri_inverse
 
 logger = logging.getLogger(__name__)
 
@@ -65,19 +82,12 @@ class Kernel:
         if not (0.0 < self.variance < math.inf and 0.0 < self.lengthscale < math.inf):
             raise InvalidParameterError("variance and lengthscale must be positive and finite")
 
-    def cross(self, a, b) -> np.ndarray:
-        return _kernel(self.family, self.variance, self.lengthscale,
-                       np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-    def gram(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.cross(x, x)
-
 
 def _kernel(family, variance, lengthscale, a, b, with_grad=False):
-    """K(a, b), and with ``with_grad`` the pair K, dK/dlog(lengthscale);
-    dK/dlog(variance) is K itself."""
-    r = np.abs(np.subtract.outer(a, b))
+    """K(a, b) over the last axes of the input arrays (..., n) and (..., m),
+    and with ``with_grad`` the pair K, dK/dlog(lengthscale); dK/dlog(variance)
+    is K itself. Leading axes and array-valued hyperparameters broadcast."""
+    r = np.abs(a[..., :, None] - b[..., None, :])
     if family == FAMILY_SE:
         s = (r / lengthscale) ** 2
         k = variance * np.exp(-0.5 * s)
@@ -163,13 +173,13 @@ class GpPrediction:
 @codec
 @dataclass
 class GpModel:
-    """Trained GP: hyperparameters, data, transforms, cached factorization.
+    """Trained GP: hyperparameters, data, transforms, cached posterior.
 
     ``noise_floor`` holds optional fixed per-point noise variances in raw
-    target units (e.g. squared filter stddevs). The cached Cholesky factor,
-    the GLS mean ``beta`` and the constant-mean ones vector are derived on
-    construction, never serialized. Every value must be finite, since the
-    factorization does not check.
+    target units (e.g. squared filter stddevs). The GLS mean ``beta`` and
+    the model's one-model ``GpStack`` are derived on construction, never
+    serialized. Every value must be finite, since the factorization does
+    not check.
     """
 
     kernel: Kernel
@@ -205,16 +215,68 @@ class GpModel:
                   self.target_scale, () if self.noise_floor is None else self.noise_floor)
         if not all(np.isfinite(value).all() for value in values):
             raise InvalidParameterError("GP model values must be finite")
-        self._ones = np.ones(self.train_inputs.shape[0])
-        self._x_std, v, floor = _standardize(
+        kernel = self.kernel
+        x_std, v, floor = _standardize(
             self.train_inputs, self.train_targets, self.noise_floor, self.input_shift,
             self.input_scale, self.target_shift, self.target_scale)
         try:
-            self._factor, self.beta, self._alpha, self._gls_denom = _posterior(
-                self.kernel.gram(self._x_std), self.noise_variance, floor, v,
-                self.mean_spec)
+            factor, self.beta, alpha, gls_denom = _posterior(
+                _kernel(kernel.family, kernel.variance, kernel.lengthscale, x_std, x_std),
+                self.noise_variance, floor, v, self.mean_spec)
+            l_inv = tri_inverse(factor)
         except np.linalg.LinAlgError as exc:
             raise InvalidParameterError(f"kernel matrix not positive definite: {exc}") from exc
+        self._stack = GpStack(
+            family=kernel.family, x_std=x_std[None],
+            variance=np.full((1, 1, 1), kernel.variance),
+            lengthscale=np.full((1, 1, 1), kernel.lengthscale),
+            input_shift=np.full((1, 1), self.input_shift),
+            input_scale=np.full((1, 1), self.input_scale),
+            target_shift=np.full((1, 1), self.target_shift),
+            target_scale=np.full((1, 1), self.target_scale),
+            beta=np.full((1, 1), self.beta), alpha=alpha[None, None],
+            l_inv=l_inv[None], l_inv_ones=l_inv.sum(axis=1)[None, None],
+            gls_denom=np.full((1, 1), math.inf if gls_denom is None else gls_denom))
+
+
+@dataclass(frozen=True)
+class GpStack:
+    """J trained GPs of one kernel family and one training length, stacked on
+    a leading model axis for one batched prediction. Derived from the
+    models, never serialized."""
+
+    family: str
+    x_std: np.ndarray  # (J, n) standardized training inputs
+    variance: np.ndarray  # (J, 1, 1) kernel variance
+    lengthscale: np.ndarray  # (J, 1, 1)
+    input_shift: np.ndarray  # (J, 1), as the three transforms below
+    input_scale: np.ndarray
+    target_shift: np.ndarray
+    target_scale: np.ndarray
+    beta: np.ndarray  # (J, 1) GLS mean, 0 for a zero mean
+    alpha: np.ndarray  # (J, 1, n) Kt^-1 (v - beta)
+    l_inv: np.ndarray  # (J, n, n) inverse of the lower Cholesky factor L of Kt
+    l_inv_ones: np.ndarray  # (J, 1, n) (L^-1 1)^T
+    gls_denom: np.ndarray  # (J, 1) 1^T Kt^-1 1; inf for a zero mean, so no GLS term
+
+
+def stack(models) -> GpStack:
+    """One stack of trained GPs; InvalidParameterError naming the field when
+    they differ in kernel family or training length."""
+    stacks = [model._stack for model in models]
+    first = stacks[0]
+    for other in stacks[1:]:
+        if other.family != first.family:
+            raise InvalidParameterError(
+                f"cannot stack GP models of kernel.family {first.family!r} "
+                f"and {other.family!r}")
+        if other.x_std.shape != first.x_std.shape:
+            raise InvalidParameterError(
+                f"cannot stack GP models with train_inputs of length "
+                f"{first.x_std.shape[1]} and {other.x_std.shape[1]}")
+    return GpStack(first.family, *(
+        np.concatenate([getattr(one, f.name) for one in stacks])
+        for f in fields(GpStack)[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -360,28 +422,32 @@ def train(tau, v, config: GpTrainConfig = GpTrainConfig(),
 # ---------------------------------------------------------------------------
 
 
-def predict(model: GpModel, query) -> GpPrediction:
-    """Predictive mean and latent-function variance at the query inputs;
-    InvalidParameterError for a non-finite query."""
+def predict(model: GpModel | GpStack, query) -> GpPrediction:
+    """Predictive mean and latent-function variance at the m query inputs:
+    (m,) arrays for a model, (J, m) for a stack of J models.
+    InvalidParameterError for a query that is not a finite vector."""
+    single = isinstance(model, GpModel)
+    s = model._stack if single else model
     query = np.atleast_1d(np.asarray(query, dtype=float))
+    if query.ndim != 1:
+        raise InvalidParameterError("GP query times must be a vector")
     if not np.isfinite(query).all():
         raise InvalidParameterError("GP query times must be finite")
-    xq = (query - model.input_shift) / model.input_scale
-    k_star = model.kernel.cross(model._x_std, xq)  # (n, m)
-    mean_std = model.beta + k_star.T @ model._alpha
-    w = cho_solve(model._factor, k_star)
-    var_std = model.kernel.variance - np.einsum("nm,nm->m", k_star, w)
-    if model.mean_spec == "constant":
-        u = 1.0 - model._ones @ w
-        var_std = var_std + u * u / model._gls_denom
-    negative = var_std < 0.0
-    if np.any(negative):
-        worst = float(var_std.min())
-        if worst < -1e-8 * model.kernel.variance:
-            logger.warning("clipped negative predictive variance %.3e", worst)
+    xq = (query - s.input_shift) / s.input_scale  # (J, m)
+    k_star = _kernel(s.family, s.variance, s.lengthscale, s.x_std, xq)  # (J, n, m)
+    mean_std = s.beta + (s.alpha @ k_star)[:, 0]
+    v = s.l_inv @ k_star
+    u = 1.0 - (s.l_inv_ones @ v)[:, 0]
+    var_std = s.variance[:, 0] - np.einsum("jnm,jnm->jm", v, v) + u * u / s.gls_denom
+    if (var_std < 0.0).any():
+        worst = var_std.min(axis=1)
+        for value in worst[worst < -1e-8 * s.variance[:, 0, 0]]:
+            logger.warning("clipped negative predictive variance %.3e", value)
         var_std = np.clip(var_std, 0.0, None)
-    mean = mean_std * model.target_scale + model.target_shift
-    variance = var_std * model.target_scale ** 2
+    mean = mean_std * s.target_scale + s.target_shift
+    variance = var_std * s.target_scale ** 2
+    if single:
+        return GpPrediction(inputs=query, mean=mean[0], variance=variance[0])
     return GpPrediction(inputs=query, mean=mean, variance=variance)
 
 

@@ -1,12 +1,13 @@
-"""Cholesky factor and solve for the small SPD matrices of the filter and the GP.
+"""Cholesky factor, solve and factor inverse for the small SPD matrices of
+the filter and the GP.
 
-Both call LAPACK ``dpotrf``/``dpotrs`` directly. At the sizes used here (a
-6x6 or 21x21 covariance, a Gram matrix of at most a few dozen points) the
-numpy and scipy wrappers cost more than the factorization itself. The
-results equal scipy's ``cho_factor(a, lower=True)`` (its lower triangle) and
+They call LAPACK ``dpotrf``/``dpotrs``/``dtrtri`` directly. At the sizes
+used here (a 6x6 or 21x21 covariance, a Gram matrix of at most a few dozen
+points) the numpy and scipy wrappers cost more than the factorization
+itself. The results equal scipy's ``cho_factor(a, lower=True)`` (its lower triangle) and
 ``cho_solve`` bit for bit, since those wrap the same two routines.
 
-Neither function scans its input for non-finite entries, and ``dpotrf``
+No function scans its input for non-finite entries, and ``dpotrf``
 returns a NaN factor for a NaN matrix without reporting an error. Callers
 check finiteness where an input can carry a NaN or an infinity.
 """
@@ -14,7 +15,7 @@ check finiteness where an input can carry a NaN or an infinity.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 
 def cho_factor(a: np.ndarray) -> np.ndarray:
@@ -36,3 +37,15 @@ def cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"dpotrs: illegal value in argument {-info}")
     return x
+
+
+def tri_inverse(factor: np.ndarray) -> np.ndarray:
+    """Inverse of a lower triangular factor whose upper triangle is zero, as
+    ``cho_factor`` returns it; the inverse's upper triangle is zero too.
+    Raises LinAlgError if a diagonal entry is zero."""
+    inverse, info = dtrtri(factor, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"diagonal entry {info} of the factor is zero")
+    if info < 0:
+        raise ValueError(f"dtrtri: illegal value in argument {-info}")
+    return inverse

@@ -236,6 +236,18 @@ class TwinSnapshot:
     def history_stddevs(self) -> np.ndarray:
         return np.array([rec["stddev"] for rec in self.parameter_history])
 
+    def gp_stack(self) -> tuple:
+        """The sorted GP names and their ``gpr.GpStack``. The stack is built on
+        the first query and reused while ``gp_models`` holds the same model
+        objects under the same names; it is never serialized."""
+        names = sorted(self.gp_models)
+        models = [self.gp_models[name] for name in names]
+        cached = getattr(self, "_gp_stack", None)
+        if (cached is None or cached[0] != names
+                or any(old is not new for old, new in zip(cached[1], models))):
+            cached = self._gp_stack = (names, models, gpr.stack(models))
+        return names, cached[2]
+
     def save(self, path) -> None:
         """Write the snapshot atomically (see ``codec.write_json``)."""
         write_json(path, self.to_dict())
@@ -498,11 +510,14 @@ def run_campaign(snapshot: TwinSnapshot, cutoff_days: float | None = None) -> in
 
 
 def predict_parameters(snapshot: TwinSnapshot, future_ts) -> dict:
-    """GP mean and 95% band per tracked stiffness at the queried slow times."""
+    """GP mean and 95% band per tracked stiffness at the queried slow times,
+    all GPs predicted as one stack."""
     if not snapshot.gp_models:
         raise InvalidParameterError("snapshot has no trained GP models yet")
-    return {name: gpr.predict(snapshot.gp_models[name], future_ts)
-            for name in sorted(snapshot.gp_models)}
+    names, stack = snapshot.gp_stack()
+    stacked = gpr.predict(stack, future_ts)
+    return {name: gpr.GpPrediction(stacked.inputs, stacked.mean[j], stacked.variance[j])
+            for j, name in enumerate(names)}
 
 
 def predicted_stiffness_vector(snapshot: TwinSnapshot, t_tilde: float) -> np.ndarray:

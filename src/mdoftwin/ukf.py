@@ -55,7 +55,7 @@ from .sde import uniform_step
 
 logger = logging.getLogger(__name__)
 
-_JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
+_JITTER_LADDER = (1e-12, 1e-10, 1e-8, 1e-6)  # tried after p itself fails
 _REPAIR_BOUND_FACTOR = 1e-6
 
 
@@ -173,15 +173,20 @@ def ukf_weights(length: int, params: UkfParams) -> tuple:
 
 
 def cholesky_with_jitter(p: np.ndarray, context: str = "covariance") -> tuple:
-    """Lower Cholesky factor of p + rung * scale * I at the first rung of
-    the jitter ladder that factorizes, scale = trace(p) / n; returns the
-    factor and the matrix it factors (p itself at rung 0)."""
-    if not np.all(np.isfinite(p)):
+    """Lower Cholesky factor of p, or else of p + rung * scale * I at the
+    first rung of the jitter ladder that factorizes, scale = trace(p) / n;
+    returns the factor and the matrix it factors. The scale is computed only
+    when p itself fails."""
+    if not np.isfinite(p).all():
         raise NumericError(f"{context}: matrix has non-finite entries")
+    try:
+        return cho_factor(p), p
+    except np.linalg.LinAlgError:
+        pass
     n = p.shape[0]
     scale = max(float(np.trace(p)) / n, 0.0)
     for jit in _JITTER_LADDER:
-        used = p + (jit * scale) * np.eye(n) if jit else p
+        used = p + (jit * scale) * np.eye(n)
         try:
             return cho_factor(used), used
         except np.linalg.LinAlgError:

@@ -1,10 +1,12 @@
 """Shared fixtures: tiny custom models, matrix-form oracles of the
 second-order system, finite-difference oracles for the analytic partials,
-and the strong-convergence study."""
+the per-model GP predictor and the strong-convergence study."""
 
 import numpy as np
 import pytest
 
+from mdoftwin import gpr
+from mdoftwin.linalg import cho_solve
 from mdoftwin.models import KIND_DUFFING_2DOF, StateSpaceModel
 from mdoftwin.sde import BrownianIncrementPair, em_step, taylor15_step
 
@@ -127,6 +129,44 @@ def fd_partials_model(model):
     return make_model(model.dim_state, model.n_channels, model.drift,
                       model.dispersion, jacobian, hessian_quad,
                       dispersion_jacobian)
+
+
+# ---- per-model GP prediction (GPML Alg. 2.1 plus the GLS term) -------------
+
+
+def reference_predict(model, query):
+    """Predictive mean and variance of one GP by Cholesky solves, the
+    posterior recomputed from the model's fields; the oracle of the stacked
+    prediction path."""
+    kernel = model.kernel
+    x, v, floor = gpr._standardize(
+        model.train_inputs, model.train_targets, model.noise_floor, model.input_shift,
+        model.input_scale, model.target_shift, model.target_scale)
+    factor, beta, alpha, gls_denom = gpr._posterior(
+        gpr._kernel(kernel.family, kernel.variance, kernel.lengthscale, x, x),
+        model.noise_variance, floor, v, model.mean_spec)
+    query = np.atleast_1d(np.asarray(query, dtype=float))
+    xq = (query - model.input_shift) / model.input_scale
+    k_star = gpr._kernel(kernel.family, kernel.variance, kernel.lengthscale, x, xq)
+    mean_std = beta + k_star.T @ alpha
+    w = cho_solve(factor, k_star)
+    var_std = kernel.variance - np.einsum("nm,nm->m", k_star, w)
+    if model.mean_spec == "constant":
+        u = 1.0 - np.ones(x.shape[0]) @ w
+        var_std = var_std + u * u / gls_denom
+    var_std = np.clip(var_std, 0.0, None)
+    return gpr.GpPrediction(inputs=query,
+                            mean=mean_std * model.target_scale + model.target_shift,
+                            variance=var_std * model.target_scale ** 2)
+
+
+def assert_matches_reference(prediction, model, query):
+    """Means to rtol 1e-12; variances to 1e-10 of the raw prior variance."""
+    oracle = reference_predict(model, query)
+    np.testing.assert_allclose(prediction.mean, oracle.mean, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        prediction.variance, oracle.variance, rtol=0.0,
+        atol=1e-10 * model.kernel.variance * model.target_scale ** 2)
 
 
 # ---- scalar benchmark SDEs on the path axis ---------------------------------

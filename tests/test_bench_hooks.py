@@ -5,6 +5,7 @@ one of them breaks the traced run, so installing the hooks is tested here."""
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mdoftwin.twin as twin
 import mdoftwin.ukf as ukf
@@ -28,28 +29,48 @@ def test_tracer_hooks_install_and_restore(monkeypatch):
     assert np.linalg.cholesky is cholesky
 
 
-def test_traced_layers_report_finite_sde_and_model_metrics(monkeypatch):
+@pytest.fixture(scope="module")
+def traced_metrics():
+    """Per-layer metrics of a traced 7-DOF run: three 0.5 s windows generated
+    and assimilated (the third trains the GPs), one 2-draw ensemble and one
+    parameter query."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        from tracer import SpanTable, Tracer, layer_metrics
+
+        system = build_dvp_7dof()
+        cfg = twin.CampaignConfig(window_duration_s=0.5, master_seed=3)
+        schedule = DegradationSchedule.for_system(system)
+        snapshot = twin.new_snapshot(system, cfg, schedule)
+        tracer = Tracer()
+        try:
+            tracer.install()
+            for i, t_s in enumerate(twin.campaign_times(cfg)[:3]):
+                window = tracer.call("twin.generate_window", twin.generate_window,
+                                     system, schedule, cfg, t_s, cfg.master_seed + i, i)
+                tracer.call("twin.assimilate", twin.assimilate_window, snapshot, window)
+            tracer.call("twin.ensemble", twin.predict_response_ensemble,
+                        snapshot, 600.0, 0.5, 7, n_draws=2)
+            tracer.call("twin.predict_parameters", twin.predict_parameters,
+                        snapshot, [700.0])
+        finally:
+            tracer.uninstall()
+        return {name: value for name, (value, _) in
+                layer_metrics(SpanTable(tracer), draws=2).items()}
+
+
+def test_traced_layers_report_finite_sde_and_model_metrics(traced_metrics):
     # the traced benchmark is correct only when every per-layer metric is
     # finite; a model partial or layer that is never called reads NaN
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    from tracer import SpanTable, Tracer, layer_metrics
-
-    system = build_dvp_7dof()
-    cfg = twin.CampaignConfig(window_duration_s=0.5, master_seed=3)
-    schedule = DegradationSchedule.for_system(system)
-    snapshot = twin.new_snapshot(system, cfg, schedule)
-    tracer = Tracer()
-    try:
-        tracer.install()
-        for i, t_s in enumerate(twin.campaign_times(cfg)[:3]):
-            window = tracer.call("twin.generate_window", twin.generate_window,
-                                 system, schedule, cfg, t_s, cfg.master_seed + i, i)
-            tracer.call("twin.assimilate", twin.assimilate_window, snapshot, window)
-        tracer.call("twin.ensemble", twin.predict_response_ensemble,
-                    snapshot, 600.0, 0.5, 7, n_draws=2)
-    finally:
-        tracer.uninstall()
-    metrics = layer_metrics(SpanTable(tracer), draws=2)
-    layers = {name: value for name, (value, _) in metrics.items()
+    layers = {name: value for name, value in traced_metrics.items()
               if name.startswith(("sde.", "models."))}
     assert layers and all(np.isfinite(v) for v in layers.values()), layers
+
+
+def test_traced_read_side_reports_finite_gp_metrics(traced_metrics):
+    # a query that stops calling gpr.predict by module name reads NaN in
+    # gpr.predict_us
+    layers = {name: value for name, value in traced_metrics.items()
+              if name.startswith("gpr.") or name == "twin.predict_parameters_self_us"}
+    assert "gpr.predict_us" in layers
+    assert all(np.isfinite(v) for v in layers.values()), layers

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, file contracts, idempotence."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mdoftwin.cli import main
+from mdoftwin.gpr import GpModel, Kernel
 from mdoftwin.models import DegradationSchedule, build_duffing_2dof
 from mdoftwin.sde import IntegratorConfig
 from mdoftwin.twin import (CampaignConfig, MeasurementWindow, TwinSnapshot,
@@ -285,6 +287,19 @@ def _predict_argv(times, *extra):
     return argv
 
 
+def _unstackable_gp_argv(**other):
+    def argv(tmp_path):
+        model = GpModel(kernel=Kernel(variance=2.0, lengthscale=1.2), mean_spec="constant",
+                        noise_variance=1e-3, train_inputs=[0.0, 1.0, 2.5, 4.0],
+                        train_targets=[1.0, -0.5, 0.3, 2.0], nlml=0.0)
+        snap = new_snapshot(build_duffing_2dof(), CampaignConfig())
+        snap.gp_models = {"k1": model, "k2": replace(model, **other)}
+        snap.save(tmp_path / "snap.json")
+        return ["predict", "--snapshot", str(tmp_path / "snap.json"),
+                "--out", str(tmp_path / "out"), "--times", "100"]
+    return argv
+
+
 def _campaign_argv(*extra):
     def argv(tmp_path):
         cfg = write_config(tmp_path / "cfg.json", campaign=QUICK_CAMPAIGN,
@@ -336,6 +351,12 @@ MALFORMED_INPUTS = [
                  id="predict-duration-nan"),
     pytest.param("--duration", _predict_argv("100", "--response-at", "100", "--duration", "inf"),
                  id="predict-duration-inf"),
+    pytest.param("train_inputs", _unstackable_gp_argv(
+        train_inputs=[0.0, 1.0, 2.5], train_targets=[1.0, -0.5, 0.3]),
+        id="predict-gp-lengths"),
+    pytest.param("kernel.family", _unstackable_gp_argv(
+        kernel=Kernel(family="matern-5/2", variance=2.0, lengthscale=1.2)),
+        id="predict-gp-families"),
     pytest.param("--cutoff-days", _campaign_argv("--cutoff-days", "nan"),
                  id="campaign-cutoff-nan"),
     pytest.param("--track-extension-days", _campaign_argv("--track-extension-days", "inf"),

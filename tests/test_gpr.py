@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import assert_matches_reference
 from mdoftwin.errors import InvalidParameterError, TrainingError
 from mdoftwin import gpr
 from mdoftwin.gpr import (FAMILY_MATERN52, FAMILY_SE, GpModel, GpTrainConfig,
-                          Kernel, negative_log_marginal_likelihood, predict,
-                          track_parameters, train)
+                          Kernel, _kernel, negative_log_marginal_likelihood,
+                          predict, stack, track_parameters, train)
 
 DECAY_RATE = 0.5e-4
 
@@ -26,24 +27,34 @@ class TestKernel:
         rng = np.random.default_rng(3)
         for size in (2, 5, 20, 80, 200):
             x = np.sort(rng.uniform(-50.0, 50.0, size))
-            kern = Kernel(family=family, variance=rng.uniform(0.1, 10.0),
-                          lengthscale=rng.uniform(0.1, 30.0))
-            gram = kern.gram(x)
+            gram = _kernel(family, rng.uniform(0.1, 10.0), rng.uniform(0.1, 30.0), x, x)
             gram[np.diag_indices(size)] += 1e-10
             eigs = np.linalg.eigvalsh(gram)
             assert eigs.min() > -1e-12
 
     def test_se_values(self):
-        kern = Kernel(variance=4.0, lengthscale=2.0)
-        assert kern.cross([0.0], [0.0])[0, 0] == pytest.approx(4.0)
-        assert kern.cross([0.0], [2.0])[0, 0] == pytest.approx(4.0 * math.exp(-0.5))
+        k = _kernel(FAMILY_SE, 4.0, 2.0, np.array([0.0]), np.array([0.0, 2.0]))
+        assert k[0, 0] == pytest.approx(4.0)
+        assert k[0, 1] == pytest.approx(4.0 * math.exp(-0.5))
 
     def test_matern_values(self):
-        kern = Kernel(family=FAMILY_MATERN52, variance=1.0, lengthscale=1.0)
-        assert kern.cross([0.0], [0.0])[0, 0] == pytest.approx(1.0)
+        k = _kernel(FAMILY_MATERN52, 1.0, 1.0, np.array([0.0]), np.array([0.0, 1.0]))
+        assert k[0, 0] == pytest.approx(1.0)
         u = math.sqrt(5.0)
         expected = (1.0 + u + u * u / 3.0) * math.exp(-u)
-        assert kern.cross([0.0], [1.0])[0, 0] == pytest.approx(expected)
+        assert k[0, 1] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("family", [FAMILY_SE, FAMILY_MATERN52])
+    def test_stacked_evaluation_equals_each_model_bit_for_bit(self, family):
+        # array-valued hyperparameters and a leading model axis broadcast
+        rng = np.random.default_rng(5)
+        a, b = rng.uniform(-3.0, 3.0, (3, 7)), rng.uniform(-3.0, 3.0, (3, 4))
+        variance, lengthscale = rng.uniform(0.1, 10.0, 3), rng.uniform(0.1, 5.0, 3)
+        stacked = _kernel(family, variance[:, None, None], lengthscale[:, None, None], a, b)
+        assert stacked.shape == (3, 7, 4)
+        for j in range(3):
+            np.testing.assert_array_equal(
+                stacked[j], _kernel(family, variance[j], lengthscale[j], a[j], b[j]))
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -180,6 +191,10 @@ class TestPredict:
         with pytest.raises(InvalidParameterError, match="finite"):
             predict(self.fixed_model(mean_spec="constant"), [1.0, bad])
 
+    def test_query_matrix_rejected(self):
+        with pytest.raises(InvalidParameterError, match="vector"):
+            predict(self.fixed_model(), [[1.0, 2.0]])
+
     @pytest.mark.parametrize("field", ["train_targets", "noise_floor", "target_shift"])
     def test_non_finite_model_rejected(self, field):
         model = self.fixed_model(noise=0.1)
@@ -190,21 +205,31 @@ class TestPredict:
 
     @pytest.mark.parametrize("family", [FAMILY_SE, FAMILY_MATERN52])
     def test_prediction_path_skips_the_gradient_bit_for_bit(self, family, monkeypatch):
-        # the query path evaluates K alone; the likelihood's K-and-gradient
-        # evaluation must give the same predictions to the bit
+        # the stacked query path evaluates K alone; the likelihood's
+        # K-and-gradient evaluation must give the same predictions to the bit
         tau, v = decay_samples(spacing=100.0)
-        model = train(tau, v, GpTrainConfig(kernel_family=family, n_restarts=2, seed=4))
+        values = np.column_stack([v, 0.5 * v, v[::-1]])
+        models = track_parameters(
+            tau, values, config=GpTrainConfig(kernel_family=family, n_restarts=2, seed=4))
+        stacked = stack(models)
         query = np.linspace(-100.0, 3000.0, 41)
-        lean = predict(model, query)
+        kernel = gpr._kernel
+        asked_for_gradient = []
 
-        def cross_with_gradient(kernel, a, b):
-            k, _ = gpr._kernel(kernel.family, kernel.variance, kernel.lengthscale,
-                               np.asarray(a, dtype=float), np.asarray(b, dtype=float),
-                               with_grad=True)
-            return k
+        def spy(*args, with_grad=False):
+            asked_for_gradient.append(with_grad)
+            return kernel(*args, with_grad=with_grad)
 
-        monkeypatch.setattr(Kernel, "cross", cross_with_gradient)
-        full = predict(model, query)
+        monkeypatch.setattr(gpr, "_kernel", spy)
+        lean = predict(stacked, query)
+        assert asked_for_gradient == [False]
+
+        def with_gradient(*args, with_grad=False):
+            k, dk = kernel(*args, with_grad=True)
+            return (k, dk) if with_grad else k
+
+        monkeypatch.setattr(gpr, "_kernel", with_gradient)
+        full = predict(stacked, query)
         np.testing.assert_array_equal(lean.mean, full.mean)
         np.testing.assert_array_equal(lean.variance, full.variance)
 
@@ -282,6 +307,57 @@ class TestPredict:
         pred = predict(model, [2000.0])
         truth = 1000.0 * math.exp(-DECAY_RATE * 2000.0)
         assert abs(pred.mean[0] - truth) < 0.02 * truth
+
+
+def trained_set(family, mean_spec, with_floor, n_points):
+    """Three GPs trained together on one history, as a twin trains them."""
+    rng = np.random.default_rng(n_points)
+    tau = np.linspace(0.0, 50.0 * (n_points - 1), n_points)
+    decay = 1000.0 * np.exp(-DECAY_RATE * tau)
+    values = decay[:, None] * [1.0, 0.5, 0.8] + rng.normal(0.0, 3.0, (n_points, 3))
+    cfg = GpTrainConfig(kernel_family=family, mean_spec=mean_spec, n_restarts=2,
+                        seed=9, use_stddev_floor=with_floor)
+    return tau, track_parameters(tau, values, np.full(values.shape, 2.0), cfg)
+
+
+class TestStackedPrediction:
+    @pytest.mark.parametrize("n_points", [3, 25])
+    @pytest.mark.parametrize("with_floor", [False, True])
+    @pytest.mark.parametrize("mean_spec", ["zero", "constant"])
+    @pytest.mark.parametrize("family", [FAMILY_SE, FAMILY_MATERN52])
+    def test_matches_the_per_model_oracle(self, family, mean_spec, with_floor, n_points):
+        tau, models = trained_set(family, mean_spec, with_floor, n_points)
+        stacked = stack(models)
+        dense = np.sort(np.concatenate([tau, np.linspace(-200.0, 3000.0, 200)]))
+        for query in ([1234.5], dense):
+            prediction = predict(stacked, query)
+            assert prediction.mean.shape == (3, len(query))
+            for j, model in enumerate(models):
+                one = gpr.GpPrediction(prediction.inputs, prediction.mean[j],
+                                       prediction.variance[j])
+                assert_matches_reference(one, model, query)
+                assert_matches_reference(predict(model, query), model, query)
+
+    def test_mixed_mean_specs_stack(self):
+        # a zero mean adds no GLS term beside a constant-mean neighbour
+        models = [TestPredict().fixed_model(noise=1e-3, mean_spec=spec)
+                  for spec in ("zero", "constant")]
+        query = np.array([-3.0, 1.7, 50.0])
+        prediction = predict(stack(models), query)
+        for j, model in enumerate(models):
+            assert_matches_reference(
+                gpr.GpPrediction(query, prediction.mean[j], prediction.variance[j]),
+                model, query)
+
+    @pytest.mark.parametrize("field, other", [
+        ("train_inputs", dict(train_inputs=[0.0, 1.0, 2.5], train_targets=[1.0, -0.5, 0.3])),
+        ("kernel.family", dict(kernel=Kernel(family=FAMILY_MATERN52, variance=2.0,
+                                             lengthscale=1.2))),
+    ], ids=["length", "family"])
+    def test_models_that_differ_cannot_be_stacked(self, field, other):
+        model = TestPredict().fixed_model(noise=1e-3)
+        with pytest.raises(InvalidParameterError, match=field):
+            stack([model, replace(model, **other)])
 
 
 class TestTrackParameters:

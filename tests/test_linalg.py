@@ -1,10 +1,11 @@
-"""The LAPACK Cholesky pair against scipy's wrappers of the same routines."""
+"""The LAPACK Cholesky pair against scipy's wrappers of the same routines,
+and the inverse of a Cholesky factor."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from mdoftwin.linalg import cho_factor, cho_solve
+from mdoftwin.linalg import cho_factor, cho_solve, tri_inverse
 
 
 @pytest.mark.parametrize("n", range(1, 42))
@@ -31,3 +32,19 @@ def test_equals_scipy_bit_for_bit(n):
 def test_not_positive_definite_raises(a):
     with pytest.raises(np.linalg.LinAlgError):
         cho_factor(a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 25, 41])
+def test_tri_inverse_inverts_the_factor(n):
+    rng = np.random.default_rng(200 + n)
+    root = rng.normal(size=(n, n))
+    factor = cho_factor(root @ root.T + 1e-3 * np.eye(n))
+    inverse = tri_inverse(factor)
+    assert not np.triu(inverse, 1).any()
+    np.testing.assert_allclose(inverse, scipy.linalg.solve_triangular(
+        factor, np.eye(n), lower=True), rtol=1e-10, atol=1e-12 * np.abs(inverse).max())
+
+
+def test_tri_inverse_of_singular_factor_raises():
+    with pytest.raises(np.linalg.LinAlgError):
+        tri_inverse(np.diag([1.0, 0.0, 2.0]))

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import assert_matches_reference
 from mdoftwin.cli import main
 from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.models import (DegradationSchedule, build_duffing_2dof,
@@ -578,6 +579,55 @@ class TestPrediction:
         f_deg = peak_frequency(degraded)
         assert f_deg < f_nom
         assert f_deg == pytest.approx(f_nom * math.sqrt(0.5), rel=0.05)
+
+
+class TestGpStackCache:
+    """Queries go through a stack cached on the snapshot; it must follow the
+    models that ``gp_models`` holds at the time of the query."""
+
+    QUERY = np.array([25.0, 100.0, 150.0, 400.0])
+
+    def assert_current(self, snap):
+        preds = predict_parameters(snap, self.QUERY)
+        assert sorted(preds) == sorted(snap.gp_models)
+        for name, model in snap.gp_models.items():
+            assert preds[name].mean.shape == self.QUERY.shape
+            assert_matches_reference(preds[name], model, self.QUERY)
+        return preds
+
+    def test_retrain_after_a_further_window(self):
+        system, cfg, snap, windows = TestAssimilation().run_snapshot(n_windows=3)
+        before = self.assert_current(snap)
+        sched = DegradationSchedule.for_system(system)
+        assimilate_window(snap, generate_window(system, sched, cfg, 150.0,
+                                                cfg.master_seed + 3, 3))
+        assert snap.gp_trained_upto == 150.0
+        after = self.assert_current(snap)
+        assert not np.array_equal(before["k1"].mean, after["k1"].mean)
+
+    def test_model_replaced_in_place(self):
+        system = build_duffing_2dof()
+        times = np.arange(8) * 50.0
+        est = np.tile(system.stiffnesses, (8, 1)) * np.linspace(1.0, 0.97, 8)[:, None]
+        snap = fabricate_snapshot(system, quick_config(), times, est)
+        self.assert_current(snap)
+        model = snap.gp_models["k1"]
+        snap.gp_models["k1"] = replace(model, train_targets=model.train_targets - 20.0)
+        preds = self.assert_current(snap)
+        assert preds["k1"].mean[1] < model.target_shift - 10.0
+
+    def test_save_load_round_trip(self, tmp_path):
+        system = build_dvp_7dof()
+        times = np.arange(5) * 100.0
+        est = np.tile(system.stiffnesses, (5, 1)) * np.linspace(1.0, 0.95, 5)[:, None]
+        snap = fabricate_snapshot(system, quick_config(), times, est)
+        before = self.assert_current(snap)
+        snap.save(tmp_path / "snap.json")
+        loaded = TwinSnapshot.load(tmp_path / "snap.json")
+        after = self.assert_current(loaded)
+        for name in before:
+            np.testing.assert_array_equal(before[name].mean, after[name].mean)
+            np.testing.assert_array_equal(before[name].variance, after[name].variance)
 
 
 class TestExports:

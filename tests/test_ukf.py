@@ -254,6 +254,30 @@ class TestPredictUpdate:
                    BENCH_PARAMS)
 
 
+class TestCholeskyWithJitter:
+    def test_positive_definite_matrix_factored_as_given(self):
+        rng = np.random.default_rng(8)
+        root = rng.normal(size=(7, 7))
+        p = root @ root.T + 1e-3 * np.eye(7)
+        factor, used = ukf.cholesky_with_jitter(p)
+        assert used is p
+        np.testing.assert_array_equal(factor, cho_factor(p))
+
+    def test_rung_scaled_by_mean_diagonal(self):
+        p = np.array([[4.0, 4.0], [4.0, 4.0]])
+        factor, used = ukf.cholesky_with_jitter(p)
+        np.testing.assert_array_equal(used, p + 1e-12 * 4.0 * np.eye(2))
+        np.testing.assert_array_equal(factor, cho_factor(used))
+
+    @pytest.mark.parametrize("p, message", [
+        (np.array([[1.0, math.nan], [math.nan, 1.0]]), "S: matrix has non-finite entries"),
+        (-np.eye(2), "S: Cholesky failed after maximum jitter"),
+    ], ids=["non-finite", "negative-definite"])
+    def test_failures_keep_their_messages(self, p, message):
+        with pytest.raises(NumericError, match=message):
+            ukf.cholesky_with_jitter(p, "S")
+
+
 class TestUkfEqualsKf:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_linear_gaussian_equivalence(self, dim):
