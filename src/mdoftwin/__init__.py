@@ -15,9 +15,9 @@ from .models import (DegradationSchedule, MdofSystem, StateSpaceModel,
 from .sde import (BrownianIncrementPair, IntegratorConfig, Trajectory,
                   corrupt_with_snr, em_step, sample_brownian_increments,
                   simulate_window, taylor15_step)
-from .ukf import (FilterResult, GaussianBelief, NoiseModel, SigmaPointSet,
-                  UkfParams, build_process_noise, predict, run_filter,
-                  sigma_points, ukf_weights, update)
+from .ukf import (FilterResult, GaussianBelief, NoiseModel, UkfParams,
+                  build_process_noise, predict, run_filter, sigma_points,
+                  ukf_weights, update)
 from .gpr import (GpModel, GpPrediction, GpTrainConfig, Kernel,
                   track_parameters, train)
 from .gpr import predict as gp_predict

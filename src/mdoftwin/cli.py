@@ -90,7 +90,11 @@ def _load_config(path: str, args) -> tuple:
         cfg = replace(cfg, master_seed=int(args.seed),
                       integrator=replace(cfg.integrator, seed=int(args.seed)))
     if getattr(args, "observe", None):
-        dofs = tuple(int(tok) for tok in args.observe.split(","))
+        try:
+            dofs = tuple(int(tok) for tok in args.observe.split(","))
+        except ValueError as exc:
+            raise InvalidParameterError(
+                f"--observe must be comma-separated DOF numbers, got {args.observe!r}") from exc
         cfg = replace(cfg, observed_dofs=dofs)
     return system, cfg
 
@@ -326,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_fil)
     p_fil.add_argument("--window", required=True,
                        help="window base path (reads <base>.csv and <base>.json)")
-    p_fil.add_argument("--observe", default=None,
-                       help="comma-separated observed DOF list override")
     p_fil.set_defaults(func=cmd_filter)
 
     p_cam = sub.add_parser("campaign", help="synthetic campaign + assimilation")

@@ -4,8 +4,9 @@
 tuples and arrays as lists, numpy scalars as Python numbers. ``from_dict``
 reads the fields back by their type hints and raises InvalidParameterError
 for an unknown key, a missing field without a default, a scalar of the
-wrong type or an array that does not hold numbers. Scalars are not coerced,
-so ``to_dict(from_dict(doc)) == doc``.
+wrong type, an array that does not hold numbers, or a non-finite float or
+array entry (``write_json`` refuses those, so no written document holds
+one). Scalars are not coerced, so ``to_dict(from_dict(doc)) == doc``.
 ``decode`` applies the same rules to one value of a document that is not a
 dataclass, such as a config section or a window sidecar field.
 """
@@ -16,6 +17,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import os
 import types
 import typing
@@ -79,6 +81,8 @@ def decode(hint, value, where: str):
             raise InvalidParameterError(f"{where}: {exc}") from exc
         if array.dtype.kind not in "iuf":
             raise InvalidParameterError(f"{where} must hold numbers, got {value!r}")
+        if not np.isfinite(array).all():
+            raise InvalidParameterError(f"{where} must be finite, got {value!r}")
         return array.astype(float, copy=False)
     if hint is tuple or origin is tuple:
         if not isinstance(value, (list, tuple)):
@@ -95,6 +99,8 @@ def decode(hint, value, where: str):
                              or (isinstance(value, bool) and hint is not bool)):
         raise InvalidParameterError(
             f"{where} must be of type {hint.__name__}, got {value!r}")
+    if hint is float and not math.isfinite(value):
+        raise InvalidParameterError(f"{where} must be finite, got {value!r}")
     return value
 
 

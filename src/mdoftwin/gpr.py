@@ -387,12 +387,9 @@ def train(tau, v, config: GpTrainConfig = GpTrainConfig(),
                 raise StopIteration
 
         # minimize ends at the callback's xk when the callback raises StopIteration
-        try:
-            result = minimize(
-                objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                callback=callback, options={"maxiter": config.n_max})
-        except np.linalg.LinAlgError:
-            continue
+        result = minimize(
+            objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+            callback=callback, options={"maxiter": config.n_max})
         value = float(result.fun)
         if math.isfinite(value) and value < min(best_value, _PENALTY):
             best_value, best_log_theta = value, result.x

@@ -475,6 +475,17 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
     )
 
 
+def check_observed_dofs(observed_dofs: Iterable[int], n_dof: int) -> tuple:
+    """The observed DOF numbers as a tuple of ints; InvalidParameterError
+    unless they are unique DOF numbers in 1..n_dof."""
+    obs = tuple(int(i) for i in observed_dofs)
+    if not obs:
+        raise InvalidParameterError("observed_dofs must be nonempty")
+    if any(i < 1 or i > n_dof for i in obs) or len(set(obs)) != len(obs):
+        raise InvalidParameterError("observed_dofs must be unique DOF numbers in 1..n_dof")
+    return obs
+
+
 def acceleration_model(
     system: MdofSystem,
     observed_dofs: Iterable[int],
@@ -487,12 +498,8 @@ def acceleration_model(
     ``augment_params`` must match the state layout h will be applied to:
     when nonempty, the stiffness entering K is read off the state tail.
     """
-    obs = tuple(int(i) for i in observed_dofs)
     n = system.n_dof
-    if not obs:
-        raise InvalidParameterError("observed_dofs must be nonempty")
-    if any(i < 1 or i > n for i in obs) or len(set(obs)) != len(obs):
-        raise InvalidParameterError("observed_dofs must be unique DOF numbers in 1..n_dof")
+    obs = check_observed_dofs(observed_dofs, n)
     obs0 = np.array([i - 1 for i in obs], dtype=int)
     restoring, _, _ = _restoring_acceleration(
         system, _augmentation(n, augment_params), rows=obs0)

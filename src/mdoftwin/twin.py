@@ -38,8 +38,8 @@ import numpy as np
 from . import gpr
 from .codec import codec, decode, write_csv, write_json
 from .errors import InvalidParameterError, NumericError
-from .models import (DegradationSchedule, MdofSystem, degraded_stiffness,
-                     to_state_space)
+from .models import (DegradationSchedule, MdofSystem, check_observed_dofs,
+                     degraded_stiffness, to_state_space)
 from .sde import (IntegratorConfig, Trajectory, corrupt_with_snr,
                   noise_std_for_snr, simulate_window, uniform_step)
 from .ukf import (GaussianBelief, NoiseModel, UkfParams, build_process_noise,
@@ -123,9 +123,6 @@ class MeasurementWindow:
         provenance = decode(dict, sidecar.get("provenance", ingested), where + "provenance")
         noise_stds = {name: decode(np.ndarray | None, sidecar.get(name), where + name)
                       for name in ("accel_noise_std", "force_noise_std")}
-        for name, value in (("t_s", t_s), *noise_stds.items()):
-            if value is not None and not np.isfinite(value).all():
-                raise InvalidParameterError(f"{where}{name} must be finite")
         with open(csv_path, newline="", encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh)) or [[]]
         n_obs = len(observed)
@@ -289,7 +286,7 @@ def _synthesize(system: MdofSystem, schedule: DegradationSchedule,
     with its position in ``visits`` in ``path``.
     """
     n = system.n_dof
-    observed = cfg.observed_dofs or tuple(range(1, n + 1))
+    observed = check_observed_dofs(cfg.observed_dofs or range(1, n + 1), n)
     obs0 = [d - 1 for d in observed]
     rngs = [np.random.default_rng(seed) for _, seed, _ in visits]
     model = to_state_space(system, augment_params=range(1, n + 1))

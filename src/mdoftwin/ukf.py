@@ -12,13 +12,15 @@ relative. Weighted means are accumulated in deviation form, which is
 algebraically identical once the weights sum to one. The weights are
 computed once per state length and parameter set.
 
-Beliefs are validated where they enter, in the public ``GaussianBelief``
-constructor; those built by ``predict``/``update`` are symmetric by
-construction and carry the Cholesky factor of ``repair_psd``'s PSD test for
-the next ``sigma_points``. A sample thus costs three factorizations (two PSD
-tests, one innovation factor); after an eigenvalue repair ``sigma_points``
-falls back to ``cholesky_with_jitter``, the one jitter ladder, which also
-factors the innovation covariance.
+Every ``GaussianBelief`` holds ``factor`` = chol(cov), and a belief is
+frozen, so the factor cannot go stale. The public constructor validates the
+covariance and factors it through ``cholesky_with_jitter``, the one jitter
+ladder (which also factors the innovation covariance); the beliefs built by
+``predict``/``update`` are symmetric by construction and take the factor of
+``repair_psd``, which is the PSD test's factor or, after an eigenvalue
+repair, the ladder's factor of the repaired matrix. A sample thus costs
+three factorizations (two PSD tests, one innovation factor), and
+``sigma_points`` only scales and shifts the belief's factor.
 
 Every factorization and solve goes through the LAPACK pair of ``linalg``
 (``dpotrf``/``dpotrs`` without the wrappers' input scans), called through
@@ -41,7 +43,7 @@ import dataclasses
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -72,62 +74,48 @@ class UkfParams:
         if not 0.0 < self.alpha_f <= 1.0:
             raise InvalidParameterError("alpha_f must lie in (0, 1]")
 
-    def scaling(self, length: int) -> tuple:
-        """Return (lambda, L + lambda) for a state of the given length."""
+    def scaling(self, length: int) -> float:
+        """Return L + lambda for a state of the given length."""
         c = self.alpha_f * self.alpha_f * (length + self.kappa)
         if c <= 0.0:
             raise InvalidParameterError("L + lambda must be positive")
-        return c - length, c
+        return c
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianBelief:
-    """Filtering distribution N(mean, cov); covariance kept symmetric.
-
-    Beliefs from ``predict``/``update`` carry chol(cov) until ``cov`` is
-    reassigned; do not modify ``cov`` in place."""
+    """Filtering distribution N(mean, cov) with ``factor`` = chol(cov); the
+    covariance is kept symmetric."""
 
     mean: np.ndarray
     cov: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.cov = np.asarray(self.cov, dtype=float)
-        n = self.mean.shape[0]
-        if self.cov.shape != (n, n):
+        mean = np.asarray(self.mean, dtype=float)
+        cov = np.asarray(self.cov, dtype=float)
+        n = mean.shape[0]
+        if cov.shape != (n, n):
             raise InvalidParameterError("covariance shape does not match mean")
-        skew = np.max(np.abs(self.cov - self.cov.T))
-        scale = max(1.0, float(np.max(np.abs(self.cov))))
+        skew = np.max(np.abs(cov - cov.T))
+        scale = max(1.0, float(np.max(np.abs(cov))))
         if skew > 1e-8 * scale:
             raise InvalidParameterError("covariance is not symmetric")
-        self.cov = 0.5 * (self.cov + self.cov.T)
-        self._factor_of = None
+        cov = 0.5 * (cov + cov.T)
+        factor = cholesky_with_jitter(cov, "sigma-point square root")[0]
+        self.__dict__.update(mean=mean, cov=cov, factor=factor)  # frozen
 
     @classmethod
     def _from_filter(cls, mean, cov, factor) -> "GaussianBelief":
-        """Belief with a covariance symmetric by construction; not re-validated."""
+        """Belief with a covariance symmetric by construction and its factor;
+        not re-validated."""
         belief = cls.__new__(cls)
-        belief.mean, belief.cov, belief._factor_of = mean, cov, (cov, factor)
+        belief.__dict__.update(mean=mean, cov=cov, factor=factor)
         return belief
-
-    @property
-    def carried_factor(self) -> np.ndarray | None:
-        """Cholesky factor of ``cov`` computed by the filter, if any."""
-        cov, factor = self._factor_of or (None, None)
-        return factor if cov is self.cov else None
 
     @property
     def std(self) -> np.ndarray:
         return np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
-
-
-@dataclass(frozen=True)
-class SigmaPointSet:
-    """2L + 1 points with mean/covariance weights; symmetric about the mean."""
-
-    points: np.ndarray
-    w_mean: np.ndarray
-    w_cov: np.ndarray
 
 
 @dataclass
@@ -160,7 +148,7 @@ def _trim_for_exact_multiple(w: float, q: int) -> float:
 @functools.lru_cache(maxsize=64)
 def ukf_weights(length: int, params: UkfParams) -> tuple:
     """Read-only mean and covariance weights with sum(w_mean) == 1 exactly."""
-    _, c = params.scaling(length)
+    c = params.scaling(length)
     wi = _trim_for_exact_multiple(1.0 / (2.0 * c), 2 * length)
     w0_mean = 1.0 - (2 * length) * wi
     w_mean = np.full(2 * length + 1, wi)
@@ -197,8 +185,11 @@ def cholesky_with_jitter(p: np.ndarray, context: str = "covariance") -> tuple:
 def repair_psd(p: np.ndarray, log: PsdRepairLog | None = None) -> tuple:
     """Symmetrize p and return it with its lower Cholesky factor; if p is not
     positive definite, clip negative eigenvalues to zero, record the repair
-    magnitude and return the repaired matrix with factor None."""
+    magnitude and return the repaired matrix with the jitter ladder's
+    factor. A non-finite p raises NumericError."""
     p = 0.5 * (p + p.T)
+    if not np.isfinite(p).all():
+        raise NumericError("sigma-point square root: matrix has non-finite entries")
     try:
         return p, cho_factor(p)
     except np.linalg.LinAlgError:
@@ -209,28 +200,19 @@ def repair_psd(p: np.ndarray, log: PsdRepairLog | None = None) -> tuple:
     fixed = 0.5 * (fixed + fixed.T)
     if log is not None:
         log.record(magnitude, float(np.trace(fixed)))
-    return fixed, None
+    return fixed, cholesky_with_jitter(fixed, "sigma-point square root")[0]
 
 
-def sigma_points(belief: GaussianBelief, params: UkfParams) -> SigmaPointSet:
-    """Scaled sigma points mu, mu +/- sqrt(L + lambda) * chol(P) columns."""
+def sigma_points(belief: GaussianBelief, params: UkfParams) -> np.ndarray:
+    """Scaled sigma points mu, mu +/- sqrt(L + lambda) * chol(P) columns, as
+    the rows of a (2L + 1, L) array; ``ukf_weights`` gives their weights."""
     length = belief.mean.shape[0]
-    _, c = params.scaling(length)
-    factor = belief.carried_factor
-    if factor is None or not np.isfinite(factor).all():
-        factor = cholesky_with_jitter(belief.cov, "sigma-point square root")[0]
-    spread = np.sqrt(c) * factor
+    spread = np.sqrt(params.scaling(length)) * belief.factor
     points = np.empty((2 * length + 1, length))
     points[0] = belief.mean
     points[1:length + 1] = belief.mean + spread.T
     points[length + 1:] = belief.mean - spread.T
-    w_mean, w_cov = ukf_weights(length, params)
-    return SigmaPointSet(points=points, w_mean=w_mean, w_cov=w_cov)
-
-
-def _weighted_mean(points: np.ndarray, w_mean: np.ndarray) -> np.ndarray:
-    # deviation form; identical to sum_i w_i y_i because the weights sum to 1
-    return points[0] + w_mean[1:] @ (points[1:] - points[0])
+    return points
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -238,6 +220,22 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         return
     bad = np.nonzero(~np.all(np.isfinite(np.atleast_2d(values)), axis=-1))[0]
     raise NumericError(f"non-finite {what} at sigma index {int(bad[0])}")
+
+
+def _unscented(belief: GaussianBelief, fn: Callable, params: UkfParams,
+               what: str) -> tuple:
+    """The sigma points of ``belief``, the mean of their images under ``fn``
+    (a 1-D image is one column), the images' deviations from it and the
+    covariance weights."""
+    points = sigma_points(belief, params)
+    image = np.asarray(fn(points), dtype=float)
+    if image.ndim == 1:
+        image = image[:, None]
+    _require_finite(image, what)
+    w_mean, w_cov = ukf_weights(points.shape[1], params)
+    # deviation form; identical to sum_i w_i y_i because the weights sum to 1
+    mean = image[0] + w_mean[1:] @ (image[1:] - image[0])
+    return points, mean, image - mean, w_cov
 
 
 def predict(
@@ -249,12 +247,9 @@ def predict(
 ) -> GaussianBelief:
     """Unscented time update; ``q`` is a matrix or a function of the
     predicted mean."""
-    sp = sigma_points(belief, params)
-    propagated = np.asarray(dynamic_fn(sp.points), dtype=float)
-    _require_finite(propagated, "propagated sigma point")
-    mean = _weighted_mean(propagated, sp.w_mean)
-    dev = propagated - mean
-    cov = (dev * sp.w_cov[:, None]).T @ dev
+    _, mean, dev, w_cov = _unscented(belief, dynamic_fn, params,
+                                     "propagated sigma point")
+    cov = (dev * w_cov[:, None]).T @ dev
     q_eval = q(mean) if callable(q) else q
     cov = cov + q_eval
     return GaussianBelief._from_filter(mean, *repair_psd(cov, repair_log))
@@ -270,22 +265,17 @@ def update(
 ) -> GaussianBelief:
     """Unscented measurement update with gain K = C S^-1."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    sp = sigma_points(predicted, params)
-    z_points = np.asarray(measurement_fn(sp.points), dtype=float)
-    if z_points.ndim == 1:
-        z_points = z_points[:, None]
-    _require_finite(z_points, "measurement sigma point")
-    if z_points.shape[1] != z.shape[0]:
+    points, z_mean, dz, w_cov = _unscented(predicted, measurement_fn, params,
+                                           "measurement sigma point")
+    if dz.shape[1] != z.shape[0]:
         raise InvalidParameterError(
             f"measurement dimension {z.shape[0]} does not match model output "
-            f"{z_points.shape[1]}")
+            f"{dz.shape[1]}")
 
-    z_mean = _weighted_mean(z_points, sp.w_mean)
-    dz = z_points - z_mean
-    s = (dz * sp.w_cov[:, None]).T @ dz + r
+    s = (dz * w_cov[:, None]).T @ dz + r
     s = 0.5 * (s + s.T)
-    dy = sp.points - predicted.mean
-    cross = (dy * sp.w_cov[:, None]).T @ dz
+    dy = points - predicted.mean
+    cross = (dy * w_cov[:, None]).T @ dz
 
     factor, s_used = cholesky_with_jitter(s, "innovation covariance")
     gain = cho_solve(factor, cross.T).T
@@ -398,7 +388,6 @@ class FilterResult:
     means: np.ndarray
     stds: np.ndarray
     labels: tuple
-    final_belief: GaussianBelief
     param_names: tuple
     param_estimate: np.ndarray
     param_std: np.ndarray
@@ -485,7 +474,6 @@ def run_filter(
         means=means,
         stds=np.sqrt(np.clip(variances, 0.0, None)),  # GaussianBelief.std per sample
         labels=model.labels,
-        final_belief=belief,
         param_names=tuple(model.labels[i] for i in slots),
         param_estimate=belief.mean[slots].copy(),
         param_std=belief.std[slots].copy(),

@@ -74,3 +74,14 @@ def test_traced_read_side_reports_finite_gp_metrics(traced_metrics):
               if name.startswith("gpr.") or name == "twin.predict_parameters_self_us"}
     assert "gpr.predict_us" in layers
     assert all(np.isfinite(v) for v in layers.values()), layers
+
+
+def test_traced_filter_reports_finite_ukf_metrics(traced_metrics):
+    # predict, update, sigma_points and cho_factor are called by module name,
+    # so every ukf metric is finite; a sample costs three factorizations (two
+    # PSD tests and the innovation factor) and each 500-sample window's prior
+    # one more
+    layers = {name: value for name, value in traced_metrics.items()
+              if name.startswith("ukf.")}
+    assert layers and all(np.isfinite(v) for v in layers.values()), layers
+    assert layers["ukf.factorizations_per_sample"] == pytest.approx(3.002, rel=1e-12)

@@ -278,6 +278,17 @@ def _snapshot_argv(command, *extra):
     return argv
 
 
+def _snapshot_field_argv(key, value):
+    def argv(tmp_path):
+        path = tmp_path / "snap.json"
+        new_snapshot(build_duffing_2dof(), CampaignConfig()).save(path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        return ["report", "--snapshot", str(path), "--out", str(tmp_path / "out")]
+    return argv
+
+
 def _predict_argv(times, *extra):
     def argv(tmp_path):
         path = tmp_path / "snap.json"
@@ -300,9 +311,9 @@ def _unstackable_gp_argv(**other):
     return argv
 
 
-def _campaign_argv(*extra):
+def _campaign_argv(*extra, **campaign):
     def argv(tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", campaign=QUICK_CAMPAIGN,
+        cfg = write_config(tmp_path / "cfg.json", campaign={**QUICK_CAMPAIGN, **campaign},
                            integrator=QUICK_INTEGRATOR)
         return ["campaign", "--config", str(cfg), "--out", str(tmp_path / "out"), *extra]
     return argv
@@ -334,12 +345,20 @@ MALFORMED_INPUTS = [
         {"system": {"kind": "duffing_2dof", "nonlinear_coefficient": "x"}}), id="system-scalar"),
     pytest.param("symmetric_consistent", _config_argv(
         {"system": {"kind": "dvp_7dof", "symmetric_consistent": "no"}}), id="system-flag"),
+    pytest.param("masses", _config_argv(
+        {"system": {"kind": "duffing_2dof", "masses": [float("nan"), 10.0]}}),
+        id="system-vector-nan"),
     pytest.param("system", _config_argv({"system": []}), id="system-section"),
     pytest.param("system kind", _config_argv({"system": {"kind": []}}), id="system-kind"),
     pytest.param("config file", _config_argv(5), id="config-document"),
     pytest.param("campaign", _config_argv(
         {"system": {"kind": "duffing_2dof"}, "campaign": []}), id="campaign-section"),
+    pytest.param("horizon_days", _config_argv(
+        {"system": {"kind": "duffing_2dof"}, "campaign": {"horizon_days": float("nan")}}),
+        id="campaign-scalar-nan"),
     pytest.param("snapshot", _snapshot_argv("report"), id="report-snapshot"),
+    pytest.param("gp_trained_upto", _snapshot_field_argv("gp_trained_upto", float("inf")),
+                 id="snapshot-field-inf"),
     pytest.param("snapshot", _snapshot_argv("predict", "--times", "100"),
                  id="predict-snapshot"),
     pytest.param("--times", _predict_argv("nan"), id="predict-times-nan"),
@@ -361,6 +380,11 @@ MALFORMED_INPUTS = [
                  id="campaign-cutoff-nan"),
     pytest.param("--track-extension-days", _campaign_argv("--track-extension-days", "inf"),
                  id="campaign-extension-inf"),
+    pytest.param("--observe", _campaign_argv("--observe", "1,x"), id="campaign-observe-text"),
+    pytest.param("observed_dofs", _campaign_argv("--observe", "3"),
+                 id="campaign-observe-range"),
+    pytest.param("observed_dofs", _campaign_argv(observed_dofs=[3]),
+                 id="campaign-config-dofs"),
     pytest.param("t_s", _sidecar_argv("t_s", "abc"), id="sidecar-time"),
     pytest.param("t_s", _sidecar_argv("t_s", float("nan")), id="sidecar-time-nan"),
     pytest.param("provenance", _sidecar_argv("provenance", [1]), id="sidecar-provenance"),

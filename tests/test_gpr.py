@@ -169,10 +169,11 @@ class TestTrain:
             train([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], noise_floor=[0.0, math.nan, 0.0])
 
     def test_all_restarts_failing_raises_training_error(self, monkeypatch):
+        # a likelihood that never factors scores the penalty at every start
         def exploding(*args, **kwargs):
             raise np.linalg.LinAlgError("synthetic failure")
 
-        monkeypatch.setattr(gpr, "minimize", exploding)
+        monkeypatch.setattr(gpr, "negative_log_marginal_likelihood", exploding)
         tau, v = decay_samples()
         with pytest.raises(TrainingError):
             train(tau, v)

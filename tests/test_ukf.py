@@ -1,5 +1,6 @@
 """Sigma points, unscented transform, filter recursion, process noise."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -90,8 +91,8 @@ class TestSigmaPoints:
     def test_scalar_hand_example(self):
         # L=1, mu=0, cov=1: points {0, +1e-3, -1e-3}
         belief = GaussianBelief(mean=np.zeros(1), cov=np.eye(1))
-        sp = sigma_points(belief, BENCH_PARAMS)
-        np.testing.assert_allclose(sp.points.ravel(), [0.0, 1e-3, -1e-3],
+        points = sigma_points(belief, BENCH_PARAMS)
+        np.testing.assert_allclose(points.ravel(), [0.0, 1e-3, -1e-3],
                                    atol=1e-18)
 
     def test_pair_symmetry_and_mean_recovery(self):
@@ -100,12 +101,13 @@ class TestSigmaPoints:
             mean = rng.normal(size=dim) * 10.0
             root = rng.normal(size=(dim, dim))
             belief = GaussianBelief(mean=mean, cov=root @ root.T + np.eye(dim))
-            sp = sigma_points(belief, BENCH_PARAMS)
-            assert sp.points.shape == (2 * dim + 1, dim)
+            points = sigma_points(belief, BENCH_PARAMS)
+            assert points.shape == (2 * dim + 1, dim)
             np.testing.assert_allclose(
-                sp.points[1:dim + 1] + sp.points[dim + 1:],
+                points[1:dim + 1] + points[dim + 1:],
                 np.broadcast_to(2.0 * mean, (dim, dim)), rtol=1e-12)
-            recovered = sp.w_mean @ sp.points
+            w_mean, _ = ukf_weights(dim, BENCH_PARAMS)
+            recovered = w_mean @ points
             np.testing.assert_allclose(recovered, mean,
                                        rtol=1e-8, atol=1e-8 * (1 + abs(mean).max()))
 
@@ -115,22 +117,26 @@ class TestSigmaPoints:
         root = rng.normal(size=(dim, dim))
         cov = root @ root.T + np.eye(dim)
         belief = GaussianBelief(mean=rng.normal(size=dim), cov=cov)
-        sp = sigma_points(belief, BENCH_PARAMS)
-        dev = sp.points - belief.mean
-        np.testing.assert_allclose((dev * sp.w_cov[:, None]).T @ dev
+        dev = sigma_points(belief, BENCH_PARAMS) - belief.mean
+        w_mean, w_cov = ukf_weights(dim, BENCH_PARAMS)
+        np.testing.assert_allclose((dev * w_cov[:, None]).T @ dev
                                    - (BENCH_PARAMS.beta + 1.0
                                       - BENCH_PARAMS.alpha_f ** 2) * 0.0,
-                                   cov + (sp.w_cov[0] - sp.w_mean[0])
+                                   cov + (w_cov[0] - w_mean[0])
                                    * np.outer(dev[0], dev[0]), atol=1e-8)
         # the deviation-weighted sum with mean weights recovers cov exactly
-        np.testing.assert_allclose((dev * sp.w_mean[:, None]).T @ dev, cov,
+        np.testing.assert_allclose((dev * w_mean[:, None]).T @ dev, cov,
                                    rtol=1e-7, atol=1e-9)
 
     def test_failure_on_nan_covariance(self):
-        belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
-        belief.cov = np.array([[np.nan, 0.0], [0.0, 1.0]])
-        with pytest.raises(NumericError):
-            sigma_points(belief, BENCH_PARAMS)
+        # the belief factors its covariance when it is built, so a NaN
+        # covariance fails there, and a filter covariance fails in repair_psd
+        nan_cov = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        message = "sigma-point square root: matrix has non-finite entries"
+        with pytest.raises(NumericError, match=message):
+            GaussianBelief(mean=np.zeros(2), cov=nan_cov)
+        with pytest.raises(NumericError, match=message):
+            repair_psd(nan_cov)
 
 
 class TestUnscentedTransformAffine:
@@ -311,7 +317,7 @@ class TestPsdRepair:
         log = PsdRepairLog()
         p = np.diag([1.0, -1e-9, 2.0])
         fixed, factor = repair_psd(p, log)
-        assert factor is None
+        np.testing.assert_array_equal(factor, ukf.cholesky_with_jitter(fixed)[0])
         assert log.count == 1
         assert log.max_magnitude == pytest.approx(1e-9)
         assert np.min(np.linalg.eigvalsh(fixed)) >= -1e-15
@@ -330,15 +336,17 @@ class TestPsdRepair:
                            cov=np.array([[1.0, 0.5], [-0.5, 1.0]]))
 
 
-class TestCarriedFactor:
-    """Beliefs from predict/update reuse the PSD check's Cholesky factor."""
+class TestBeliefFactor:
+    """Every belief holds chol(cov): the filter's beliefs hold the factor of
+    repair_psd, bit for bit the one a fresh belief of the same covariance
+    computes."""
 
     @staticmethod
-    def assert_same_sigma_points(belief):
+    def assert_same_factor(belief):
         fresh = GaussianBelief(mean=belief.mean.copy(), cov=belief.cov.copy())
-        assert fresh.carried_factor is None
-        np.testing.assert_array_equal(sigma_points(belief, BENCH_PARAMS).points,
-                                      sigma_points(fresh, BENCH_PARAMS).points)
+        np.testing.assert_array_equal(belief.factor, fresh.factor)
+        np.testing.assert_array_equal(sigma_points(belief, BENCH_PARAMS),
+                                      sigma_points(fresh, BENCH_PARAMS))
 
     def test_predict_then_update_bit_identical(self):
         rng = np.random.default_rng(23)
@@ -348,14 +356,14 @@ class TestCarriedFactor:
         belief = GaussianBelief(mean=rng.normal(size=dim),
                                 cov=root @ root.T + np.eye(dim))
         predicted = predict(belief, lambda pts: pts @ a_mat.T, q, BENCH_PARAMS)
-        assert predicted.carried_factor is not None
-        self.assert_same_sigma_points(predicted)
+        np.testing.assert_array_equal(predicted.factor, cho_factor(predicted.cov))
+        self.assert_same_factor(predicted)
         updated = update(predicted, lambda pts: pts @ h_mat.T,
                          rng.normal(size=n_obs), r, BENCH_PARAMS)
-        assert updated.carried_factor is not None
-        self.assert_same_sigma_points(updated)
+        np.testing.assert_array_equal(updated.factor, cho_factor(updated.cov))
+        self.assert_same_factor(updated)
 
-    def test_eigh_repair_carries_no_factor(self):
+    def test_eigh_repair_carries_ladder_factor(self):
         # the dynamics drop the last entry and Q is negative there
         log = PsdRepairLog()
         belief = GaussianBelief(mean=np.ones(3), cov=np.eye(3))
@@ -363,18 +371,19 @@ class TestCarriedFactor:
         predicted = predict(belief, lambda pts: pts * [1.0, 1.0, 0.0], q,
                             BENCH_PARAMS, log)
         assert log.count == 1
-        assert predicted.carried_factor is None
-        self.assert_same_sigma_points(predicted)
+        np.testing.assert_array_equal(
+            predicted.factor, ukf.cholesky_with_jitter(predicted.cov)[0])
+        self.assert_same_factor(predicted)
         updated = update(predicted, lambda pts: pts[:, :1], np.zeros(1),
                          np.eye(1), BENCH_PARAMS, log)
-        self.assert_same_sigma_points(updated)
+        self.assert_same_factor(updated)
 
-    def test_new_covariance_drops_factor(self):
+    def test_belief_is_frozen(self):
         belief = predict(GaussianBelief(mean=np.zeros(2), cov=np.eye(2)),
                          lambda pts: pts, np.eye(2), BENCH_PARAMS)
-        belief.cov = 4.0 * np.eye(2)
-        assert belief.carried_factor is None
-        self.assert_same_sigma_points(belief)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            belief.cov = 4.0 * np.eye(2)
+        self.assert_same_factor(belief)
 
 
 class TestProcessNoise:
