@@ -23,8 +23,7 @@ from .gpr import (GpModel, GpPrediction, GpTrainConfig, Kernel,
 from .gpr import predict as gp_predict
 from .twin import (CampaignConfig, MeasurementWindow, ResponseEnsemble,
                    TwinSnapshot, UkfRunConfig, assimilate_window,
-                   filter_window, generate_campaign, new_snapshot,
-                   predict_parameters, predict_response,
-                   predict_response_ensemble, run_campaign)
+                   filter_window, new_snapshot, predict_parameters,
+                   predict_response, predict_response_ensemble, run_campaign)
 
 __version__ = "0.1.0"

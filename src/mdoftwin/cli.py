@@ -8,9 +8,11 @@ success, 2 usage or configuration error (a malformed window file
 included), 3 numeric failure.
 
 ``campaign`` runs ``twin.run_campaign``: windows are generated in batches
-of up to 64 and assimilated in order. A diverging window is recorded as a
-generation failure, the outputs are still written, and the exit code is 3;
-a config no window can be generated from (a zero-amplitude force) exits 2.
+of up to 64, each one integration, and assimilated in order. A diverging
+window is recorded as a generation failure at its place, the outputs are
+still written, and the exit code is 3; a config no window can be generated
+from (a zero-amplitude force) exits 2, as do observed DOFs the system lacks
+or, for ``filter``, that differ from the window's sidecar.
 
 Configuration file layout (JSON, all sections optional except ``system``;
 an unknown section, or an unknown key in any section, is an error)::
@@ -39,7 +41,7 @@ from .codec import decode, write_json
 from .errors import InvalidParameterError, NumericError
 from .models import (KIND_DUFFING_2DOF, KIND_DVP_7DOF, DegradationSchedule,
                      MdofSystem, build_duffing_2dof, build_dvp_7dof,
-                     degraded_stiffness, to_state_space)
+                     check_observed_dofs, degraded_stiffness, to_state_space)
 from .sde import simulate_window
 from .twin import (CampaignConfig, MeasurementWindow, TwinSnapshot,
                    campaign_times, filter_window, new_snapshot,
@@ -90,12 +92,14 @@ def _load_config(path: str, args) -> tuple:
         cfg = replace(cfg, master_seed=int(args.seed),
                       integrator=replace(cfg.integrator, seed=int(args.seed)))
     if getattr(args, "observe", None):
-        try:
-            dofs = tuple(int(tok) for tok in args.observe.split(","))
+        try:  # a token that is not an integer, or not a DOF of the system
+            dofs = check_observed_dofs([int(tok) for tok in args.observe.split(",")],
+                                       system.n_dof)
         except ValueError as exc:
-            raise InvalidParameterError(
-                f"--observe must be comma-separated DOF numbers, got {args.observe!r}") from exc
+            raise InvalidParameterError(f"--observe {args.observe!r}: {exc}") from exc
         cfg = replace(cfg, observed_dofs=dofs)
+    elif cfg.observed_dofs is not None:
+        check_observed_dofs(cfg.observed_dofs, system.n_dof)
     return system, cfg
 
 
@@ -140,9 +144,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_filter(args) -> int:
     system, cfg = _load_config(args.config, args)
+    window = MeasurementWindow.load(args.window)
+    if cfg.observed_dofs not in (None, window.observed_dofs):
+        raise InvalidParameterError(
+            f"campaign.observed_dofs {list(cfg.observed_dofs)} disagrees with "
+            f"observed_dofs {list(window.observed_dofs)} of the window")
     out = _out_dir(args)
     _echo_config(out, system, cfg, {"command": "filter", "window": args.window})
-    window = MeasurementWindow.load(args.window)
     result = filter_window(system, cfg, window)
     result.to_csv(out / "filter_result.csv")
     summary = result.summary_dict()

@@ -12,8 +12,8 @@ class InvalidParameterError(MdofTwinError, ValueError):
 class NumericError(MdofTwinError, RuntimeError):
     """A numerical operation failed (non-finite state, factorization failure).
 
-    A batched integration names its first failing path in ``path`` (None
-    otherwise).
+    An error about one path of a batched integration, a campaign window or
+    an ensemble draw, names its position in ``path`` (None otherwise).
     """
 
     def __init__(self, message, path=None):

@@ -273,8 +273,10 @@ class StateSpaceModel:
       ``(..., dim, n_channels)``; None where it vanishes identically, that
       is where the drift is affine along every row the noise enters;
     * ``dispersion_jacobian(y, u)`` is ``sum_j sum_i u_ji db_.j/dy_i`` for
-      one direction per channel, ``u`` ``(..., n_channels, dim)``; None for
-      additive noise, which makes the L(b) correction terms vanish.
+      one direction per channel, ``u`` ``(..., n_channels, dim)``; None
+      skips the L(b) correction terms, which vanish for additive noise.
+      The chain models leave it None: the window kernel takes their
+      state-scaled noise from ``scaled_noise`` instead.
 
     ``scaled_noise`` lists ``(row, channel, state)`` for every dispersion
     entry that is a constant times the state entry ``y[state]``; all other
@@ -448,14 +450,6 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
         out[..., vel_idx] = w @ to_acceleration
         return out
 
-    dispersion_jacobian = None
-    if scaled_noise:
-        def dispersion_jacobian(y, u) -> np.ndarray:
-            out = np.zeros(u.shape[:-2] + (dim,))
-            for row, channel, state in scaled_noise:
-                out[..., row] += b_const[row, channel] * u[..., channel, state]
-            return out
-
     h = np.zeros(dim)
     h[vel_idx] = to_acceleration[cubic]  # acceleration of a unit cubic element force
     elongation = elements(np.eye(dim))[0][:, cubic]
@@ -469,7 +463,6 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
         drift=drift,
         dispersion=dispersion,
         drift_jacobian=drift_jacobian,
-        dispersion_jacobian=dispersion_jacobian,
         scaled_noise=scaled_noise,
         cubic_drift=(elongation, h, coeff),
     )
@@ -482,7 +475,8 @@ def check_observed_dofs(observed_dofs: Iterable[int], n_dof: int) -> tuple:
     if not obs:
         raise InvalidParameterError("observed_dofs must be nonempty")
     if any(i < 1 or i > n_dof for i in obs) or len(set(obs)) != len(obs):
-        raise InvalidParameterError("observed_dofs must be unique DOF numbers in 1..n_dof")
+        raise InvalidParameterError(
+            f"observed_dofs must be unique DOF numbers in 1..{n_dof}, got {list(obs)}")
     return obs
 
 

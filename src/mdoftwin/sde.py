@@ -51,6 +51,7 @@ from .models import (MdofSystem, StateSpaceModel, acceleration_model,
 
 SCHEME_EULER = "euler-maruyama"
 SCHEME_TAYLOR15 = "taylor15"
+DIVERGED = "trajectory diverged to non-finite values"
 
 
 @codec
@@ -159,13 +160,15 @@ class Trajectory:
     evaluated from the states by ``measure`` on first access.
 
     The time axis leads every array; a batched run keeps its path axis
-    second. ``to_csv`` writes one path.
+    second and flags in ``diverged`` each path that went non-finite.
+    ``to_csv`` writes one path.
     """
 
     times: np.ndarray
     states: np.ndarray
     forces: np.ndarray
     measure: Callable = field(repr=False, compare=False)
+    diverged: np.ndarray = np.False_
 
     def __post_init__(self):
         if not (self.states.shape[0] == self.forces.shape[0] == self.times.shape[0]):
@@ -174,7 +177,9 @@ class Trajectory:
 
     @cached_property
     def accelerations(self) -> np.ndarray:
-        return self.measure(self.states)
+        # a diverged path overflows here too; ``diverged`` already names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.measure(self.states)
 
     def to_csv(self, path, state_labels: Sequence[str]) -> list:
         """Write one path as CSV; return the header row."""
@@ -271,8 +276,9 @@ def simulate_window(
     is used. The left-endpoint force sample drives each step. ``rng`` is a
     generator, or one per path, each drawing that path's Brownian increments
     in one block; by default path p uses a generator seeded ``cfg.seed + p``.
-    A non-finite path raises NumericError with the first such path index in
-    ``path`` (None for a single state). The model must declare
+    A path that diverges to non-finite values leaves the others as they
+    would be alone; a batch flags it in ``Trajectory.diverged`` ``(P,)``,
+    and a single state raises NumericError. The model must declare
     ``cubic_drift`` and give ``drift_jacobian``.
     """
     if not np.isfinite(duration) or duration < cfg.dt:
@@ -334,7 +340,7 @@ def simulate_window(
     states[:, :, m:] = y[:, m:]
     states[0, :, :m] = y[:, :m]
     z = y[:, :m].copy()
-    # a diverging path only poisons its own row; it is reported below
+    # a diverging path only poisons its own row; it is flagged below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             w = (ops @ z[:, :, None])[:, :, 0]
@@ -344,15 +350,14 @@ def simulate_window(
             g *= o
             z = w[:, :m] + inputs[k] + (g[:, None, :] @ basis)[:, 0]
             states[k + 1, :, :m] = z
-    finite = np.all(np.isfinite(states), axis=(0, -1))
-    if not np.all(finite):
-        path = int(np.argmin(finite)) if paths else None
-        raise NumericError("trajectory diverged to non-finite values", path=path)
+    diverged = ~np.all(np.isfinite(states), axis=(0, -1))
+    if not paths and diverged[0]:
+        raise NumericError(DIVERGED)
 
     measure = acceleration_model(
         system, range(1, system.n_dof + 1), augment_params=model.augmented_params)
     return Trajectory(times=times, states=states.reshape((n_steps + 1,) + y0.shape),
-                      forces=forces, measure=measure)
+                      forces=forces, measure=measure, diverged=diverged.reshape(paths))
 
 
 # ---- measurement-noise injection --------------------------------------------

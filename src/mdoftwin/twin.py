@@ -19,10 +19,10 @@ ensemble, and the windows of a campaign in chunks of up to 64
 (``run_campaign``), are the paths of one batched Taylor-1.5 run of the
 window kernel (``sde.simulate_window``), each path carrying its own
 stiffness in the state tail of the augmented model, and so its own step
-operators, and its own generator. A diverging window is recorded as
-rejected, and the rest of its chunk is generated again without it. Clean
-accelerations are evaluated only where they are used, for the measurement
-of a window; a response ensemble never evaluates them.
+operators, and its own generator. A diverging path leaves the others as
+they would be alone, so each chunk is integrated once. Clean accelerations
+are evaluated only where they are used, for the measurement of a window; a
+response ensemble never evaluates them.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .codec import codec, decode, write_csv, write_json
 from .errors import InvalidParameterError, NumericError
 from .models import (DegradationSchedule, MdofSystem, check_observed_dofs,
                      degraded_stiffness, to_state_space)
-from .sde import (IntegratorConfig, Trajectory, corrupt_with_snr,
+from .sde import (DIVERGED, IntegratorConfig, Trajectory, corrupt_with_snr,
                   noise_std_for_snr, simulate_window, uniform_step)
 from .ukf import (GaussianBelief, NoiseModel, UkfParams, build_process_noise,
                   run_filter)
@@ -282,8 +282,9 @@ def _synthesize(system: MdofSystem, schedule: DegradationSchedule,
     stiffness rides in the state tail of the augmented model, its noisy
     force drives only its own path, and its own generator draws, in order,
     the force noise, the Brownian increments and the acceleration noise.
-    A diverging path raises NumericError naming the visit's window index,
-    with its position in ``visits`` in ``path``.
+    Returns one entry per visit, in order: its MeasurementWindow, or for a
+    diverged path the NumericError naming the visit's window index, with
+    its position in ``visits`` in ``path``, unraised.
     """
     n = system.n_dof
     observed = check_observed_dofs(cfg.observed_dofs or range(1, n + 1), n)
@@ -301,15 +302,14 @@ def _synthesize(system: MdofSystem, schedule: DegradationSchedule,
 
     y0 = np.zeros((len(visits), model.dim_state))  # at rest at every visit
     y0[:, 2 * n:] = [degraded_stiffness(schedule, t_s) for t_s, _, _ in visits]
-    try:
-        traj = simulate_window(model, system, y0, cfg.window_duration_s,
-                               cfg.integrator, forces=forces, rng=rngs)
-    except NumericError as exc:
-        t_s, _, index = visits[exc.path]
-        raise NumericError(f"window {index} (t_s={t_s}): {exc}", path=exc.path) from exc
+    traj = simulate_window(model, system, y0, cfg.window_duration_s,
+                           cfg.integrator, forces=forces, rng=rngs)
 
     windows = []
     for p, (t_s, seed, index) in enumerate(visits):
+        if traj.diverged[p]:
+            windows.append(NumericError(f"window {index} (t_s={t_s}): {DIVERGED}", path=p))
+            continue
         accel_clean = traj.accelerations[:, p, obs0]
         windows.append(MeasurementWindow(
             t_s=float(t_s),
@@ -328,23 +328,12 @@ def _synthesize(system: MdofSystem, schedule: DegradationSchedule,
 def generate_window(system: MdofSystem, schedule: DegradationSchedule,
                     cfg: CampaignConfig, t_s: float, seed: int,
                     window_index: int = -1) -> MeasurementWindow:
-    """Simulate one synthetic window at slow time t_s with the given seed."""
-    return _synthesize(system, schedule, cfg, [(t_s, seed, window_index)])[0]
-
-
-def generate_campaign(system: MdofSystem, schedule: DegradationSchedule,
-                      cfg: CampaignConfig) -> list:
-    """Synthesize the full window sequence on the slow-time grid in one pass.
-
-    Window i is seeded with ``master_seed + i``, so it can be regenerated
-    alone by ``generate_window(..., master_seed + i, i)``: the force comes
-    back bit for bit and the accelerations equal to rounding (1e-10
-    relative), because a batched product of 7-DOF states does not keep
-    bitwise results across batch sizes.
-    """
-    visits = [(t_s, cfg.master_seed + i, i)
-              for i, t_s in enumerate(campaign_times(cfg))]
-    return _synthesize(system, schedule, cfg, visits)
+    """Simulate one synthetic window at slow time t_s with the given seed;
+    NumericError if it diverges."""
+    window = _synthesize(system, schedule, cfg, [(t_s, seed, window_index)])[0]
+    if isinstance(window, NumericError):
+        raise window
+    return window
 
 
 # ---------------------------------------------------------------------------
@@ -471,34 +460,29 @@ def run_campaign(snapshot: TwinSnapshot, cutoff_days: float | None = None) -> in
 
     Window i is visited at ``campaign_times(cfg)[i]`` with seed
     ``master_seed + i`` for every ``t_s <= cutoff_days``. Each chunk of up to
-    ``_BATCH_WINDOWS`` visits is one integration, assimilated in order; a
-    diverging visit is recorded under ``rejected_windows`` at its place.
+    ``_BATCH_WINDOWS`` visits is integrated once and assimilated in order; a
+    diverging visit is recorded under ``rejected_windows`` at its place. A
+    window equals the one ``generate_window`` makes alone, its accelerations
+    to rounding (1e-10 relative: 7-DOF products round by batch size).
     """
     if snapshot.schedule is None:
         raise InvalidParameterError("run_campaign needs a snapshot with a degradation schedule")
     system, cfg, schedule = snapshot.system, snapshot.config, snapshot.schedule
     visits = [(t_s, cfg.master_seed + i, i) for i, t_s in enumerate(campaign_times(cfg))
               if cutoff_days is None or t_s <= cutoff_days]
-    failed = {}  # window index -> rejection reason
+    failures = 0
     for start in range(0, len(visits), _BATCH_WINDOWS):
         chunk = visits[start:start + _BATCH_WINDOWS]
-        while True:
-            todo = [visit for visit in chunk if visit[2] not in failed]
-            try:
-                windows = _synthesize(system, schedule, cfg, todo) if todo else []
-                break
-            except NumericError as exc:
-                index = todo[exc.path][2]
-                failed[index] = f"generation failure: {exc}"
-                logger.warning("window %d generation failed: %s", index, exc)
-        generated = iter(windows)
-        for t_s, _, index in chunk:
-            if index in failed:
-                snapshot.rejected_windows.append({"t_s": float(t_s), "reason": failed[index]})
+        for (t_s, _, index), window in zip(chunk, _synthesize(system, schedule, cfg, chunk)):
+            if isinstance(window, NumericError):
+                failures += 1
+                snapshot.rejected_windows.append(
+                    {"t_s": float(t_s), "reason": f"generation failure: {window}"})
+                logger.warning("window %d generation failed: %s", index, window)
             else:
-                assimilate_window(snapshot, next(generated))
+                assimilate_window(snapshot, window)
                 logger.info("assimilated window %d (t_s=%g days)", index, t_s)
-    return len(failed)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +571,10 @@ def predict_response_ensemble(
         start[:, :2 * n] = np.asarray(y0, dtype=float)
     start[:, 2 * n:] = draws
     rngs = [np.random.default_rng(int(seed) + 1 + j) for j in range(n_draws)]
-    try:
-        traj = simulate_window(model, system, start, duration, cfg.integrator,
-                               rng=rngs)
-    except NumericError as exc:
-        raise NumericError(f"draw {exc.path}: {exc}", path=exc.path) from exc
+    traj = simulate_window(model, system, start, duration, cfg.integrator, rng=rngs)
+    if traj.diverged.any():
+        j = int(np.argmax(traj.diverged))
+        raise NumericError(f"draw {j}: {DIVERGED}", path=j)
     qs = np.quantile(traj.states[..., :2 * n], levels, axis=1)
     return ResponseEnsemble(times=traj.times, levels=tuple(levels), quantiles=qs,
                             stiffness_draws=draws)

@@ -1,13 +1,16 @@
 """Shared fixtures: tiny custom models, matrix-form oracles of the
-second-order system, finite-difference oracles for the analytic partials,
-the per-model GP predictor and the strong-convergence study."""
+second-order system, the L(b) partial of the chain models' reference
+steppers, finite-difference oracles for the analytic partials, the
+per-model GP predictor and the strong-convergence study."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mdoftwin import gpr
 from mdoftwin.linalg import cho_solve
-from mdoftwin.models import KIND_DUFFING_2DOF, StateSpaceModel
+from mdoftwin.models import KIND_DUFFING_2DOF, StateSpaceModel, dispersion_split
 from mdoftwin.sde import BrownianIncrementPair, em_step, taylor15_step
 
 
@@ -61,6 +64,24 @@ def nonlinear_term(system, x):
         g[..., 2] = d
         g[..., 3] = -d
     return g
+
+
+def with_dispersion_jacobian(model):
+    """The chain model with the analytic ``dispersion_jacobian`` of its
+    state-scaled noise entries, for the reference Taylor-1.5 stepper; the
+    window kernel reads those entries from ``scaled_noise`` instead, so
+    ``to_state_space`` gives none. Unchanged for additive noise."""
+    if not model.scaled_noise:
+        return model
+    _, scaled = dispersion_split(model)
+
+    def dispersion_jacobian(y, u):
+        out = np.zeros(u.shape[:-2] + (model.dim_state,))
+        for row, channel, state, gain in scaled:
+            out[..., row] += gain * u[..., channel, state]
+        return out
+
+    return replace(model, dispersion_jacobian=dispersion_jacobian)
 
 
 # ---- finite-difference oracles for the analytic partials (one state) -------

@@ -102,23 +102,41 @@ class TestSimulate:
 
 
 class TestFilterCommand:
-    def test_filter_window_file(self, tmp_path):
+    def run_filter(self, tmp_path, campaign=QUICK_CAMPAIGN):
         system = build_duffing_2dof()
         sched = DegradationSchedule.for_system(system)
         cfg_obj = CampaignConfig(window_duration_s=1.0,
                                  integrator=IntegratorConfig(dt=2e-3))
         window = generate_window(system, sched, cfg_obj, 0.0, seed=4)
         window.save(tmp_path / "w0")
-        cfg = write_config(tmp_path / "cfg.json", campaign=QUICK_CAMPAIGN,
+        cfg = write_config(tmp_path / "cfg.json", campaign=campaign,
                            integrator=QUICK_INTEGRATOR)
         out = tmp_path / "out"
         code = main(["filter", "--config", str(cfg), "--out", str(out),
                      "--window", str(tmp_path / "w0")])
+        return code, out
+
+    def test_filter_window_file(self, tmp_path):
+        code, out = self.run_filter(tmp_path)
         assert code == 0
         summary = json.loads((out / "filter_summary.json").read_text())
         assert abs(summary["parameters"]["k1"]["estimate"] - 1000.0) < 100.0
         lines = (out / "filter_result.csv").read_text().splitlines()
         assert len(lines) == 502
+
+    @pytest.mark.parametrize("observed, expected", [([2], 2), ([1, 2], 0)])
+    def test_config_dofs_must_match_the_sidecar(self, tmp_path, capsys, observed, expected):
+        # the sidecar of the 2-DOF window lists [1, 2]; a config naming other
+        # DOFs contradicts it and is rejected before anything is written
+        code, out = self.run_filter(tmp_path, {**QUICK_CAMPAIGN, "observed_dofs": observed})
+        assert code == expected
+        summary = out / "filter_summary.json"
+        if expected:
+            err = capsys.readouterr().err
+            assert "campaign.observed_dofs [2]" in err and "observed_dofs [1, 2]" in err
+            assert not summary.exists()
+        else:
+            assert json.loads(summary.read_text())["observed_dofs"] == [1, 2]
 
 
 class TestCampaignCommand:
@@ -148,6 +166,19 @@ class TestCampaignCommand:
         snap = TwinSnapshot.load(out / "snapshot.json")
         assert snap.config.observed_dofs == (1,)
         assert snap.windows_processed == 3
+
+    @pytest.mark.parametrize("extra_args, observed, source", [
+        (["--observe", "3"], None, "--observe"),
+        ([], [1, 3], "[1, 3]"),
+    ], ids=["flag", "config"])
+    def test_dofs_checked_before_anything_is_written(self, tmp_path, capsys,
+                                                     extra_args, observed, source):
+        campaign = {**QUICK_CAMPAIGN, "observed_dofs": observed}
+        code, out = self.run_campaign(tmp_path, extra_args, campaign)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert source in err and "observed_dofs must be unique DOF numbers in 1..2" in err
+        assert not (out / "config_echo.json").exists()
 
     def test_cutoff_days(self, tmp_path):
         code, out = self.run_campaign(tmp_path,

@@ -13,7 +13,7 @@ from mdoftwin.models import (DegradationSchedule, MdofSystem,
 
 from conftest import (damping_matrix, fd_drift_hessian_quad,
                       fd_drift_jacobian, fd_dispersion_jacobian, mass_matrix,
-                      nonlinear_term, stiffness_matrix)
+                      nonlinear_term, stiffness_matrix, with_dispersion_jacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +423,10 @@ class TestAnalyticDerivatives:
 
     def test_dispersion_jacobian_matches_finite_differences(self):
         # one direction per channel; the batch of all unit (channel, state)
-        # directions recovers the full derivative tensor
+        # directions recovers the full derivative tensor of the dispersion,
+        # whose state-scaled entries the model declares in scaled_noise
         s = build_dvp_7dof()
-        m = to_state_space(s, range(1, 8))
+        m = with_dispersion_jacobian(to_state_space(s, range(1, 8)))
         rng = np.random.default_rng(29)
         y = random_state(rng, s, augmented=True)
         units = np.eye(m.n_channels * m.dim_state).reshape(

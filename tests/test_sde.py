@@ -1,6 +1,7 @@
 """Integrators, Brownian increments and noise injection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from mdoftwin.sde import (BrownianIncrementPair, IntegratorConfig, Trajectory,
                           sample_brownian_increments, simulate_window,
                           taylor15_step)
 
-from conftest import fd_partials_model, fitted_slope, make_model, scalar_model
+from conftest import (fd_partials_model, fitted_slope, make_model, scalar_model,
+                      with_dispersion_jacobian)
 
 
 class TestIntegratorConfig:
@@ -140,7 +142,7 @@ class TestTaylor15Step:
         rng = np.random.default_rng(8)
         for system, augment in ((build_duffing_2dof(), ()),
                                 (build_dvp_7dof(), range(1, 8))):
-            model = to_state_space(system, augment)
+            model = with_dispersion_jacobian(to_state_space(system, augment))
             oracle = fd_partials_model(model)
             n = system.n_dof
             y = rng.normal(size=model.dim_state) * 0.3
@@ -297,16 +299,35 @@ class TestSimulateWindow:
             assert np.all(np.abs(batch.states[:, p] - alone.states) <= 1e-12 * scale)
 
     def test_diverging_path_index(self):
+        # a diverging path is flagged, without a warning, and leaves the
+        # other paths bit for bit as they are beside a benign one; a single
+        # state that diverges raises
         system = build_duffing_2dof()
         model = to_state_space(system)
+        cfg = IntegratorConfig(dt=1e-3)
         y0 = np.zeros((3, 4))
         y0[2, 0] = 1e3  # the cubic spring at this stretch is far too stiff
+
+        def run(y0):
+            return simulate_window(model, system, y0, 0.2, cfg,
+                                   rng=[np.random.default_rng(s) for s in range(3)])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = run(y0)
+            batch.accelerations
+        assert batch.diverged.tolist() == [False, False, True]
+        assert not np.isfinite(batch.states[:, 2]).all()
+        benign = run(np.zeros((3, 4)))
+        assert not benign.diverged.any()
+        np.testing.assert_array_equal(batch.states[:, :2], benign.states[:, :2])
+        np.testing.assert_array_equal(batch.accelerations[:, :2],
+                                      benign.accelerations[:, :2])
         with pytest.raises(NumericError) as info:
-            simulate_window(model, system, y0, 0.2, IntegratorConfig(dt=1e-3),
-                            rng=[np.random.default_rng(s) for s in range(3)])
-        assert info.value.path == 2
+            simulate_window(model, system, y0[2], 0.2, cfg)
+        assert info.value.path is None
         with pytest.raises(InvalidParameterError):
-            simulate_window(model, system, y0, 0.2, IntegratorConfig(dt=1e-3),
+            simulate_window(model, system, y0, 0.2, cfg,
                             rng=[np.random.default_rng(0)])
 
     def test_model_without_cubic_declaration_rejected(self):
@@ -330,6 +351,7 @@ class TestSimulateWindow:
 def _reference_window(model, y0, forces, n_steps, cfg):
     """States of the reference steppers fed the increments that
     ``simulate_window`` draws, from generators seeded cfg.seed + p."""
+    model = with_dispersion_jacobian(model)
     paths = y0.shape[:-1]
     inc = [sample_brownian_increments(np.random.default_rng(cfg.seed + p), cfg.dt,
                                       model.n_channels, n_steps)

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from mdoftwin import gpr
 from mdoftwin import twin as twin_mod
 from mdoftwin.twin import (CampaignConfig, MeasurementWindow, TwinSnapshot,
                            UkfRunConfig, assimilate_window, campaign_times,
-                           filter_window, generate_campaign, generate_window,
+                           filter_window, generate_window,
                            new_snapshot, predict_parameters, predict_response,
                            predict_response_ensemble,
                            predicted_stiffness_vector, run_campaign,
@@ -38,6 +39,11 @@ def quick_config(**overrides) -> CampaignConfig:
     )
     defaults.update(overrides)
     return CampaignConfig(**defaults)
+
+
+def campaign_visits(cfg):
+    """The ``(t_s, seed, window_index)`` visits ``run_campaign`` makes."""
+    return [(t_s, cfg.master_seed + i, i) for i, t_s in enumerate(campaign_times(cfg))]
 
 
 def fabricate_snapshot(system, cfg, times, estimates, stddevs=None):
@@ -146,7 +152,7 @@ class TestCampaignGeneration:
         system = build_duffing_2dof()
         sched = DegradationSchedule.for_system(system)
         cfg = quick_config()
-        windows = generate_campaign(system, sched, cfg)
+        windows = twin_mod._synthesize(system, sched, cfg, campaign_visits(cfg))
         assert len(windows) == 4
         assert [w.provenance["seed"] for w in windows] == [11, 12, 13, 14]
         assert windows[0].times.shape[0] == 501
@@ -181,8 +187,8 @@ class TestCampaignGeneration:
         system = build_duffing_2dof()
         sched = DegradationSchedule.for_system(system)
         cfg = quick_config()
-        w1 = generate_campaign(system, sched, cfg)
-        w2 = generate_campaign(system, sched, cfg)
+        w1 = twin_mod._synthesize(system, sched, cfg, campaign_visits(cfg))
+        w2 = twin_mod._synthesize(system, sched, cfg, campaign_visits(cfg))
         for a, b in zip(w1, w2):
             np.testing.assert_array_equal(a.accel, b.accel)
             np.testing.assert_array_equal(a.force, b.force)
@@ -195,7 +201,7 @@ class TestCampaignGeneration:
         system = build()
         sched = DegradationSchedule.for_system(system)
         cfg = quick_config()
-        windows = generate_campaign(system, sched, cfg)
+        windows = twin_mod._synthesize(system, sched, cfg, campaign_visits(cfg))
         for i, (t_s, batched) in enumerate(zip(campaign_times(cfg), windows)):
             alone = generate_window(system, sched, cfg, t_s,
                                     cfg.master_seed + i, i)
@@ -205,23 +211,30 @@ class TestCampaignGeneration:
             assert batched.provenance == alone.provenance
             assert batched.t_s == alone.t_s
 
-    def test_diverging_window_named(self):
+    def test_batch_marks_the_windows_that_diverge_alone(self):
         # stiffness growing with service time makes the explicit scheme
-        # unstable from some window on; the batch names the first one, as
-        # generating the windows one by one finds it
+        # unstable from some window on; the batch returns, unraised, the
+        # error of exactly the windows that diverge when generated one by
+        # one, with their text, and keeps the others
         system = build_duffing_2dof()
         sched = DegradationSchedule(k0=[1e6, 500.0], rate_per_day=-0.01)
         cfg = quick_config()
-        first = None
-        for i, t_s in enumerate(campaign_times(cfg)):
+        visits = campaign_visits(cfg)
+        alone = []
+        for t_s, seed, i in visits:
             try:
-                generate_window(system, sched, cfg, t_s, cfg.master_seed + i, i)
-            except NumericError:
-                first = i
-                break
-        assert first is not None and first > 0
-        with pytest.raises(NumericError, match=rf"^window {first} \(t_s="):
-            generate_campaign(system, sched, cfg)
+                generate_window(system, sched, cfg, t_s, seed, i)
+                alone.append(None)
+            except NumericError as exc:
+                alone.append(str(exc))
+        assert alone[0] is None and alone[-1] is not None
+        batch = twin_mod._synthesize(system, sched, cfg, visits)
+        assert [str(w) if isinstance(w, NumericError) else None for w in batch] == alone
+        assert [w.path for w in batch if isinstance(w, NumericError)] == \
+            [p for p, reason in enumerate(alone) if reason is not None]
+        for (t_s, _, _), window in zip(visits, batch):
+            if not isinstance(window, NumericError):
+                assert window.t_s == t_s and np.isfinite(window.accel).all()
 
 
 class TestAssimilation:
@@ -333,9 +346,11 @@ class TestAssimilation:
 class TestRunCampaign:
     @pytest.mark.parametrize("batch", [twin_mod._BATCH_WINDOWS, 4])
     def test_diverging_windows_recorded_in_order(self, monkeypatch, batch):
-        # the schedule of test_diverging_window_named over six windows: the
-        # later ones diverge, and each is recorded with the reason the
-        # per-window loop wrote when it generated every window alone
+        # the diverging schedule of TestCampaignGeneration over six windows:
+        # the later ones diverge, and each is recorded with the reason the
+        # per-window loop wrote when it generated every window alone, while
+        # every chunk is integrated once and no warning escapes from the
+        # diverged paths
         monkeypatch.setattr(twin_mod, "_BATCH_WINDOWS", batch)
         system = build_duffing_2dof()
         sched = DegradationSchedule(k0=[1e6, 500.0], rate_per_day=-0.01)
@@ -351,8 +366,20 @@ class TestRunCampaign:
         first = failed[0]
         assert 0 < first < len(times) - 1
         assert failed == list(range(first, len(times)))
+        integrations = []
+
+        def counted(model, system, y0, *args, **kwargs):
+            integrations.append(y0.shape[0])
+            return simulate_window(model, system, y0, *args, **kwargs)
+
+        monkeypatch.setattr(twin_mod, "simulate_window", counted)
         snap = new_snapshot(system, cfg, sched)
-        assert run_campaign(snap) == len(failed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_campaign(snap) == len(failed)
+        n = len(times)
+        assert len(integrations) == math.ceil(n / batch)
+        assert integrations == [min(batch, n - start) for start in range(0, n, batch)]
         assert snap.windows_processed == first
         assert snap.history_times.tolist() == times[:first].tolist()
         assert snap.rejected_windows == [{"t_s": float(times[i]), "reason": reason}
