@@ -12,8 +12,8 @@ Conventions used throughout:
   j-1 and j), so ``K(k) = B^T diag(s * k) B`` and ``C = B^T diag(c) B``. The
   sign vector ``s`` is 1 except ``s_4 = -1`` for the negative-stiffness k4
   of the DVP element; the cubic acts on one elongation too. One compiled
-  kernel evaluates the restoring acceleration for the drift and the
-  measurement alike.
+  kernel of element forces serves the drift, the measurement and the
+  filter's Euler transition alike.
 * First-order state vectors come in two orderings: ``blocked``
   ``[x1..xN, v1..vN]`` (2-DOF benchmark) and ``interleaved``
   ``[x1, v1, x2, v2, ...]`` (7-DOF benchmark). Augmented states append the
@@ -260,6 +260,11 @@ def degraded_stiffness(schedule: DegradationSchedule, t_s: float) -> np.ndarray:
 class StateSpaceModel:
     """Ito diffusion dy = a(y, f) dt + b(y) dW for simulation and filtering.
 
+    The filter does not call ``drift``: its Euler map is compiled once per
+    window from the system by ``euler_transition``, which equals
+    ``y + drift(y, f) * dt`` to rounding. ``drift`` serves the window
+    kernel of ``simulate_window`` and the reference steppers.
+
     Every callable is batched over leading axes: a state is ``(..., dim)``,
     one per path, and ``drift`` takes the force sample ``(n_dof,)`` or one
     per path ``(..., n_dof)``. The analytic partials feed the strong
@@ -343,18 +348,17 @@ def _augmentation(n_dof: int, augment_params: Iterable[int]) -> np.ndarray:
     return np.array(aug, dtype=int) - 1
 
 
-def _restoring_acceleration(system: MdofSystem, aug0: np.ndarray,
-                            rows=slice(None)) -> tuple:
-    """Compile r(y) = -M^-1 (G(x) + K(k) x + C v) for one state layout.
+def _element_forces(system: MdofSystem, aug0: np.ndarray) -> tuple:
+    """Compile the chain's element forces for one state layout.
 
     Every chain force acts along a spring elongation e = B x or its rate
     B v, so the node forces are B^T applied to the element forces
-    s * k * e + c * B v + g(e), with g the cubic on ``cubic_element``.
-    One product with the state yields e, c * B v and s * k for the
-    stiffness read off the state tail at ``aug0``; a second applies
-    -M^-1 B^T and keeps the DOFs selected by ``rows``. Batched over leading
-    axes of y. Returns r, ``elements`` (the linear map giving those three
-    element values) and ``signed_k``, the signed stiffness not on the tail.
+    w = s * k * e + c * B v + g(e), with g the cubic on ``cubic_element``.
+    One product of a state with ``to_elements`` yields e, c * B v and s * k
+    for the stiffness read off the state tail at ``aug0``; ``forces`` maps
+    that product to w, batched over leading axes. Returns ``to_elements``,
+    ``forces`` and ``signed_k``, the signed stiffness not on the tail, which
+    ``forces`` skips when every stiffness rides in the tail.
     """
     n = system.n_dof
     disp_idx, vel_idx = _index_maps(n, system.state_ordering)
@@ -366,21 +370,32 @@ def _restoring_acceleration(system: MdofSystem, aug0: np.ndarray,
     to_elements[2 * n + np.arange(aug0.shape[0]), 2 * n + aug0] = signs[aug0]
     signed_k = signs * system.stiffnesses
     signed_k[aug0] = 0.0  # taken from the state instead
-    to_acceleration = (-b / system.masses)[:, rows]
+    on_tail = not signed_k.any()
     cubic, coeff = system.cubic_element, system.nonlinear_coeff
 
-    def elements(y: np.ndarray) -> tuple:
-        """Elongations B x, damper forces c * B v and tail stiffnesses s * k."""
-        ev = y @ to_elements
-        return ev[..., :n], ev[..., n:2 * n], ev[..., 2 * n:]
+    def forces(ev: np.ndarray) -> np.ndarray:
+        e = ev[..., :n]
+        k = ev[..., 2 * n:] if on_tail else signed_k + ev[..., 2 * n:]
+        w = k * e + ev[..., n:2 * n]
+        w[..., cubic] += coeff * e[..., cubic] ** 3
+        return w
+
+    return to_elements, forces, signed_k
+
+
+def _restoring_acceleration(system: MdofSystem, aug0: np.ndarray,
+                            rows=slice(None)) -> tuple:
+    """Compile r(y) = -M^-1 (G(x) + K(k) x + C v) for one state layout: the
+    element forces of ``_element_forces`` through -M^-1 B^T, keeping the
+    DOFs selected by ``rows``. Batched over leading axes of y. Returns r and
+    what ``_element_forces`` returns besides ``forces``."""
+    to_elements, forces, signed_k = _element_forces(system, aug0)
+    to_acceleration = (-system.elongation_operator / system.masses)[:, rows]
 
     def acceleration(y: np.ndarray) -> np.ndarray:
-        e, damper, tail_k = elements(y)
-        w = (signed_k + tail_k) * e + damper
-        w[..., cubic] += coeff * e[..., cubic] ** 3
-        return w @ to_acceleration
+        return forces(y @ to_elements) @ to_acceleration
 
-    return acceleration, elements, signed_k
+    return acceleration, to_elements, signed_k
 
 
 def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> StateSpaceModel:
@@ -410,7 +425,7 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
     masses = system.masses
     to_acceleration = -system.elongation_operator / masses
     cubic, coeff = system.cubic_element, system.nonlinear_coeff
-    restoring, elements, signed_k = _restoring_acceleration(system, aug0)
+    restoring, to_elements, signed_k = _restoring_acceleration(system, aug0)
 
     labels = [""] * (2 * n)
     labels[disp_idx] = [f"x{i + 1}" for i in range(n)]
@@ -438,6 +453,11 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
             out[..., row, channel] *= y[..., state]
         return out
 
+    def elements(y: np.ndarray) -> tuple:
+        """Elongations B x, damper forces c * B v and tail stiffnesses s * k."""
+        ev = y @ to_elements
+        return ev[..., :n], ev[..., n:2 * n], ev[..., 2 * n:]
+
     def drift_jacobian(y, f, v) -> np.ndarray:
         """(da/dy) v: the element tangents applied to the elements of v."""
         e, _, tail_k = elements(np.asarray(y, dtype=float))
@@ -452,7 +472,7 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
 
     h = np.zeros(dim)
     h[vel_idx] = to_acceleration[cubic]  # acceleration of a unit cubic element force
-    elongation = elements(np.eye(dim))[0][:, cubic]
+    elongation = to_elements[:, cubic].copy()
 
     return StateSpaceModel(
         dim_state=dim,
@@ -491,6 +511,10 @@ def acceleration_model(
     acceleration; the deterministic force does not enter the measurement.
     ``augment_params`` must match the state layout h will be applied to:
     when nonempty, the stiffness entering K is read off the state tail.
+    h shares the element kernel of the drift and of ``euler_transition``;
+    where every stiffness rides in the tail it skips adding the all-zero
+    fixed stiffness, which leaves its values unchanged, so the filter's
+    measurement and a simulated window's accelerations are one function.
     """
     n = system.n_dof
     obs = check_observed_dofs(observed_dofs, n)
@@ -502,3 +526,41 @@ def acceleration_model(
         return restoring(np.asarray(y, dtype=float))
 
     return h
+
+
+def euler_transition(system: MdofSystem, augment_params: Iterable[int],
+                     dt: float, forces: np.ndarray) -> Callable:
+    """The filter's dynamic map over one window, compiled once.
+
+    Returns ``transition(y, k)``, the Euler image y + a(y, f_k) dt of the
+    states y ``(..., dim)`` of ``to_state_space(system, augment_params)``
+    under the force sample ``forces[k]``. One product of y with
+    ``[Phi | E]`` gives both the linear part Phi (x + v dt, and identity on
+    the velocities and the stiffness tail) and the element values E of
+    ``_element_forces``; the element forces reach the velocity rows through
+    one product with dt (-M^-1 B^T), and dt f_k / m, formed here for every
+    sample of the window, is added last. This equals
+    ``y + model.drift(y, f_k) * dt`` up to rounding: x + v dt is summed
+    inside the product, and the force term is rounded on its own.
+    """
+    n = system.n_dof
+    aug0 = _augmentation(n, augment_params)
+    dim = 2 * n + aug0.shape[0]
+    disp, vel = (np.arange(2 * n)[idx]
+                 for idx in _index_maps(n, system.state_ordering))
+    to_elements, element_forces, _ = _element_forces(system, aug0)
+    linear = np.eye(dim)
+    linear[vel, disp] = dt
+    stacked = np.hstack((linear, to_elements))
+    to_velocity = np.zeros((n, dim))
+    to_velocity[:, vel] = dt * (-system.elongation_operator / system.masses)
+    pushes = np.zeros((forces.shape[0], dim))
+    pushes[:, vel] = dt * (forces / system.masses)
+
+    def transition(y: np.ndarray, k: int) -> np.ndarray:
+        out = y @ stacked
+        image = out[..., :dim] + element_forces(out[..., dim:]) @ to_velocity
+        image += pushes[k]
+        return image
+
+    return transition

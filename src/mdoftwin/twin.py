@@ -59,7 +59,12 @@ _BATCH_WINDOWS = 64  # campaign visits per batched integration
 
 @dataclass
 class MeasurementWindow:
-    """One fast-time record: noisy accelerations and force at slow time t_s."""
+    """One fast-time record: noisy accelerations and force at slow time t_s.
+
+    InvalidParameterError unless ``accel`` and ``force`` have one row per
+    sample of ``times``, every value is finite and the grid is uniform
+    (``sde.uniform_step``).
+    """
 
     t_s: float
     times: np.ndarray
@@ -80,6 +85,10 @@ class MeasurementWindow:
             raise InvalidParameterError("accel must be (n_samples, n_observed)")
         if self.force.ndim != 2 or self.force.shape[0] != n:
             raise InvalidParameterError("force must be (n_samples, n_force) on the window grid")
+        problem = _non_finite(self)
+        if problem is not None:
+            raise InvalidParameterError(problem)
+        uniform_step(self.times)
         if self.accel_noise_std is not None:
             self.accel_noise_std = np.asarray(self.accel_noise_std, dtype=float)
         if self.force_noise_std is not None:
@@ -139,12 +148,24 @@ class MeasurementWindow:
         if sidecar.get("n_samples") != len(rows):
             raise InvalidParameterError(f"{sidecar_path}: n_samples {sidecar.get('n_samples')!r}"
                                         f" does not match the {len(rows)} rows of {csv_path}")
-        if not np.isfinite(data).all():
-            raise InvalidParameterError(f"{csv_path}: samples must be finite")
-        uniform_step(data[:, 0])
-        return cls(t_s=t_s, times=data[:, 0], accel=data[:, 1:1 + n_obs],
-                   force=data[:, 1 + n_obs:], observed_dofs=observed,
-                   provenance=provenance, **noise_stds)
+        try:
+            return cls(t_s=t_s, times=data[:, 0], accel=data[:, 1:1 + n_obs],
+                       force=data[:, 1 + n_obs:], observed_dofs=observed,
+                       provenance=provenance, **noise_stds)
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"{csv_path}: {exc}") from exc
+
+
+def _non_finite(window: MeasurementWindow) -> str | None:
+    """Name the first of ``times``, ``accel`` and ``force`` holding a
+    non-finite value, and its first such sample (0-based); None when every
+    value is finite."""
+    for name in ("times", "accel", "force"):
+        values = getattr(window, name)
+        finite = np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
+        if not finite.all():
+            return f"{name} is not finite at sample {int(np.argmin(finite))}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +409,17 @@ def filter_window(system: MdofSystem, cfg: CampaignConfig,
     All stiffness entries are augmented into the state (frozen ones get the
     tight prior). ``prior_estimate`` warm-starts the stiffness mean;
     otherwise the configured offset from nominal applies. Returns the
-    FilterResult with the full belief trajectory.
+    FilterResult with the full belief trajectory. A window changed after
+    construction is checked again: NumericError naming the array and the
+    sample of a non-finite value, InvalidParameterError for a grid that is
+    not uniform, whose step is the filter's dt.
     """
+    problem = _non_finite(window)
+    if problem is not None:
+        raise NumericError(problem)
+    dt = uniform_step(window.times)
     model = to_state_space(system, augment_params=range(1, system.n_dof + 1))
     init = _initial_belief(system, model, prior_estimate, cfg.ukf)
-    dt = float(window.times[1] - window.times[0])
     noise = NoiseModel(
         q=build_process_noise(model, dt, scale_factors=cfg.ukf.q_scale,
                               extra_diag=cfg.ukf.q_extra_diag),

@@ -9,8 +9,11 @@ in float64 (the symmetric weights get their low mantissa bits cleared until
 2L * Wi is exactly representable, and W0 := 1 - 2L * Wi, which is then also
 exact); the perturbation against the textbook formula is below 1e-14
 relative. Weighted means are accumulated in deviation form, which is
-algebraically identical once the weights sum to one. The weights are
-computed once per state length and parameter set.
+algebraically identical once the weights sum to one. The weights,
+sqrt(L + lambda) and the sigma-point offsets are formed once per state
+length and parameter set and kept on the ``UkfParams``, so a half-step
+neither hashes the parameters nor rebuilds them; the sigma points are then
+one product of the offsets with the belief's factor.
 
 Every ``GaussianBelief`` holds ``factor`` = chol(cov), and a belief is
 frozen, so the factor cannot go stale. The public constructor validates the
@@ -20,7 +23,10 @@ ladder (which also factors the innovation covariance); the beliefs built by
 ``repair_psd``, which is the PSD test's factor or, after an eigenvalue
 repair, the ladder's factor of the repaired matrix. A sample thus costs
 three factorizations (two PSD tests, one innovation factor), and
-``sigma_points`` only scales and shifts the belief's factor.
+``sigma_points`` only scales and shifts the belief's factor. The finiteness
+checks test a sum of squares first (``_all_finite``), which costs less than
+numpy's reduction of ``isfinite`` on these small arrays. The measurement
+update subtracts K C^T, equal to K S K^T, also for a jittered S.
 
 Every factorization and solve goes through the LAPACK pair of ``linalg``
 (``dpotrf``/``dpotrs`` without the wrappers' input scans), called through
@@ -28,8 +34,12 @@ this module's name ``cho_factor``. ``run_filter`` calls ``predict`` and
 ``update`` once per sample through the module namespace, and they call
 ``sigma_points`` and ``cho_factor`` by name, so that the span tracer of
 ``perfbench`` (which replaces those four module attributes) sees every
-sample and every factorization. A fused array loop over the window would
-save a few percent more but would hide them from it.
+sample and every factorization. What a sample computes is compiled per
+window instead: the dynamic map is ``models.euler_transition``, built once
+per window from the chain operators, so that one product gives the Euler
+step's linear part and the spring elements, one more carries the element
+forces into the velocities, and the force term dt f / m, formed for the
+whole window, is added last.
 
 The dynamic model is the first-order Euler map f(y) = y + a(y, f_t) dt and
 the measurement model is the restoring-force acceleration; the process
@@ -52,7 +62,7 @@ from .codec import codec, write_csv
 from .errors import InvalidParameterError, NumericError
 from .linalg import cho_factor, cho_solve
 from .models import (MdofSystem, StateSpaceModel, acceleration_model,
-                     dispersion_split)
+                     dispersion_split, euler_transition)
 from .sde import uniform_step
 
 logger = logging.getLogger(__name__)
@@ -80,6 +90,11 @@ class UkfParams:
         if c <= 0.0:
             raise InvalidParameterError("L + lambda must be positive")
         return c
+
+    @functools.cached_property
+    def _transforms(self) -> dict:
+        """The ``_Transform`` of each state length met so far."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -145,19 +160,51 @@ def _trim_for_exact_multiple(w: float, q: int) -> float:
     return math.ldexp(float(scaled), exp - 53)
 
 
-@functools.lru_cache(maxsize=64)
+class _Transform:
+    """The scaled unscented transform of one state length and parameter set.
+
+    ``w_mean`` and ``w_cov`` are read-only with sum(w_mean) == 1 exactly;
+    the rows of ``offsets`` are 0 and +/- sqrt(L + lambda) times the unit
+    vectors, so that the sigma points are mean + offsets @ chol(P)^T, each
+    offset one exactly rounded product.
+    """
+
+    def __init__(self, length: int, params: UkfParams):
+        c = params.scaling(length)
+        wi = _trim_for_exact_multiple(1.0 / (2.0 * c), 2 * length)
+        w0_mean = 1.0 - (2 * length) * wi
+        w_mean = np.full(2 * length + 1, wi)
+        w_mean[0] = w0_mean
+        w_cov = w_mean.copy()
+        w_cov[0] = w0_mean + (1.0 - params.alpha_f ** 2 + params.beta)
+        w_mean.flags.writeable = False
+        w_cov.flags.writeable = False
+        self.w_mean, self.w_cov = w_mean, w_cov
+        self.w_column = w_cov[:, None]
+        unit = math.sqrt(c) * np.eye(length)
+        self.offsets = np.vstack((np.zeros(length), unit, -unit))
+
+
+def _transform(length: int, params: UkfParams) -> _Transform:
+    """The transform for a state length, built once per parameter set."""
+    known = params._transforms
+    if length not in known:
+        known[length] = _Transform(length, params)
+    return known[length]
+
+
 def ukf_weights(length: int, params: UkfParams) -> tuple:
     """Read-only mean and covariance weights with sum(w_mean) == 1 exactly."""
-    c = params.scaling(length)
-    wi = _trim_for_exact_multiple(1.0 / (2.0 * c), 2 * length)
-    w0_mean = 1.0 - (2 * length) * wi
-    w_mean = np.full(2 * length + 1, wi)
-    w_mean[0] = w0_mean
-    w_cov = w_mean.copy()
-    w_cov[0] = w0_mean + (1.0 - params.alpha_f ** 2 + params.beta)
-    w_mean.flags.writeable = False
-    w_cov.flags.writeable = False
-    return w_mean, w_cov
+    transform = _transform(length, params)
+    return transform.w_mean, transform.w_cov
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite. The sum of squares is finite when
+    they are, and BLAS forms it faster than numpy reduces ``isfinite``; the
+    exact test runs only when it is not, since entries above ~1e154 overflow
+    it."""
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
 def cholesky_with_jitter(p: np.ndarray, context: str = "covariance") -> tuple:
@@ -165,7 +212,7 @@ def cholesky_with_jitter(p: np.ndarray, context: str = "covariance") -> tuple:
     first rung of the jitter ladder that factorizes, scale = trace(p) / n;
     returns the factor and the matrix it factors. The scale is computed only
     when p itself fails."""
-    if not np.isfinite(p).all():
+    if not _all_finite(p):
         raise NumericError(f"{context}: matrix has non-finite entries")
     try:
         return cho_factor(p), p
@@ -188,7 +235,7 @@ def repair_psd(p: np.ndarray, log: PsdRepairLog | None = None) -> tuple:
     magnitude and return the repaired matrix with the jitter ladder's
     factor. A non-finite p raises NumericError."""
     p = 0.5 * (p + p.T)
-    if not np.isfinite(p).all():
+    if not _all_finite(p):
         raise NumericError("sigma-point square root: matrix has non-finite entries")
     try:
         return p, cho_factor(p)
@@ -206,17 +253,12 @@ def repair_psd(p: np.ndarray, log: PsdRepairLog | None = None) -> tuple:
 def sigma_points(belief: GaussianBelief, params: UkfParams) -> np.ndarray:
     """Scaled sigma points mu, mu +/- sqrt(L + lambda) * chol(P) columns, as
     the rows of a (2L + 1, L) array; ``ukf_weights`` gives their weights."""
-    length = belief.mean.shape[0]
-    spread = np.sqrt(params.scaling(length)) * belief.factor
-    points = np.empty((2 * length + 1, length))
-    points[0] = belief.mean
-    points[1:length + 1] = belief.mean + spread.T
-    points[length + 1:] = belief.mean - spread.T
-    return points
+    offsets = _transform(belief.mean.shape[0], params).offsets
+    return belief.mean + offsets @ belief.factor.T
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
-    if np.isfinite(values).all():
+    if _all_finite(values):
         return
     bad = np.nonzero(~np.all(np.isfinite(np.atleast_2d(values)), axis=-1))[0]
     raise NumericError(f"non-finite {what} at sigma index {int(bad[0])}")
@@ -226,16 +268,16 @@ def _unscented(belief: GaussianBelief, fn: Callable, params: UkfParams,
                what: str) -> tuple:
     """The sigma points of ``belief``, the mean of their images under ``fn``
     (a 1-D image is one column), the images' deviations from it and the
-    covariance weights."""
+    covariance weights as a column."""
     points = sigma_points(belief, params)
     image = np.asarray(fn(points), dtype=float)
     if image.ndim == 1:
         image = image[:, None]
     _require_finite(image, what)
-    w_mean, w_cov = ukf_weights(points.shape[1], params)
+    transform = _transform(points.shape[1], params)
     # deviation form; identical to sum_i w_i y_i because the weights sum to 1
-    mean = image[0] + w_mean[1:] @ (image[1:] - image[0])
-    return points, mean, image - mean, w_cov
+    mean = image[0] + transform.w_mean @ (image - image[0])
+    return points, mean, image - mean, transform.w_column
 
 
 def predict(
@@ -249,7 +291,7 @@ def predict(
     predicted mean."""
     _, mean, dev, w_cov = _unscented(belief, dynamic_fn, params,
                                      "propagated sigma point")
-    cov = (dev * w_cov[:, None]).T @ dev
+    cov = (dev * w_cov).T @ dev
     q_eval = q(mean) if callable(q) else q
     cov = cov + q_eval
     return GaussianBelief._from_filter(mean, *repair_psd(cov, repair_log))
@@ -272,15 +314,14 @@ def update(
             f"measurement dimension {z.shape[0]} does not match model output "
             f"{dz.shape[1]}")
 
-    s = (dz * w_cov[:, None]).T @ dz + r
+    s = (dz * w_cov).T @ dz + r
     s = 0.5 * (s + s.T)
-    dy = points - predicted.mean
-    cross = (dy * w_cov[:, None]).T @ dz
+    cross = ((points - predicted.mean) * w_cov).T @ dz
 
-    factor, s_used = cholesky_with_jitter(s, "innovation covariance")
+    factor, _ = cholesky_with_jitter(s, "innovation covariance")
     gain = cho_solve(factor, cross.T).T
     mean = predicted.mean + gain @ (z - z_mean)
-    cov = predicted.cov - gain @ s_used @ gain.T
+    cov = predicted.cov - gain @ cross.T  # K S K^T = K C^T, also under jitter
     return GaussianBelief._from_filter(mean, *repair_psd(cov, repair_log))
 
 
@@ -425,8 +466,10 @@ def run_filter(
     observed channels), ``force`` (samples by DOF, one column per DOF of
     ``system``) and ``observed_dofs``.
     The dynamic map is one Euler step per measurement sample with the
-    left-endpoint force injected; the measurement map is the selected
-    restoring-force accelerations with stiffness read off the state tail.
+    left-endpoint force injected, compiled for the window by
+    ``models.euler_transition`` from ``system`` and the augmentation of
+    ``model``; the measurement map is the selected restoring-force
+    accelerations with stiffness read off the state tail.
     """
     times = np.asarray(window.times, dtype=float)
     dt = uniform_step(times)
@@ -444,6 +487,7 @@ def run_filter(
             f"got {force.shape}")
     h = acceleration_model(system, window.observed_dofs,
                            augment_params=model.augmented_params)
+    transition = euler_transition(system, model.augmented_params, dt, force)
 
     repair_log = PsdRepairLog()
     n_samples = times.shape[0]
@@ -454,10 +498,8 @@ def run_filter(
     variances[0] = belief.cov.diagonal()
 
     for k in range(1, n_samples):
-        f_prev = force[k - 1]
-
-        def dynamic_fn(points, f_prev=f_prev):
-            return points + model.drift(points, f_prev) * dt
+        def dynamic_fn(points, k_prev=k - 1):
+            return transition(points, k_prev)
 
         try:
             belief = predict(belief, dynamic_fn, noise.q, params, repair_log)

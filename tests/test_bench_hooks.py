@@ -55,8 +55,11 @@ def traced_metrics():
                         snapshot, [700.0])
         finally:
             tracer.uninstall()
-        return {name: value for name, (value, _) in
-                layer_metrics(SpanTable(tracer), draws=2).items()}
+        table = SpanTable(tracer)
+        metrics = {name: value for name, (value, _) in
+                   layer_metrics(table, draws=2).items()}
+        metrics["spans"] = {name: table.n(name) for name in table.names}
+        return metrics
 
 
 def test_traced_layers_report_finite_sde_and_model_metrics(traced_metrics):
@@ -85,3 +88,14 @@ def test_traced_filter_reports_finite_ukf_metrics(traced_metrics):
               if name.startswith("ukf.")}
     assert layers and all(np.isfinite(v) for v in layers.values()), layers
     assert layers["ukf.factorizations_per_sample"] == pytest.approx(3.002, rel=1e-12)
+
+
+def test_traced_filter_keeps_one_span_per_sample_and_stage(traced_metrics):
+    # the filter stays a per-sample loop over the traced names: three
+    # 500-sample windows give 1500 predict and 1500 update spans, one
+    # sigma-point set per half-step and one measurement call per sample
+    spans = traced_metrics["spans"]
+    assert spans["ukf.run_filter"] == 3
+    assert spans["ukf.predict"] == spans["ukf.update"] == 1500
+    assert spans["ukf.sigma_points"] == 3000
+    assert traced_metrics["models.measure.calls"] == 1.0

@@ -9,7 +9,7 @@ from mdoftwin.errors import InvalidParameterError
 from mdoftwin.models import (DegradationSchedule, MdofSystem,
                              acceleration_model, build_duffing_2dof,
                              build_dvp_7dof, degraded_stiffness,
-                             to_state_space)
+                             euler_transition, to_state_space)
 
 from conftest import (damping_matrix, fd_drift_hessian_quad,
                       fd_drift_jacobian, fd_dispersion_jacobian, mass_matrix,
@@ -517,6 +517,102 @@ class TestAccelerationModel:
             acceleration_model(s, (3,))
         with pytest.raises(InvalidParameterError):
             acceleration_model(s, (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# The filter's compiled transition and its measurement
+# ---------------------------------------------------------------------------
+
+
+def reference_restoring(system, augment_params, rows):
+    """The element kernel as it was before the filter's transition shared it:
+    (signed_k + tail_k) * e + damper, the cubic, then -M^-1 B^T; the signed
+    stiffness is added even where it is all zero. Generated accelerations
+    must stay bit-identical to it."""
+    n = system.n_dof
+    aug0 = np.array(sorted(augment_params), dtype=int) - 1
+    disp, vel = split_state(system, np.arange(2 * n))
+    b = system.elongation_operator
+    signs = system.stiffness_signs
+    to_elements = np.zeros((2 * n + aug0.shape[0], 3 * n))
+    to_elements[disp, :n] = b.T
+    to_elements[vel, n:2 * n] = b.T * system.dampings
+    to_elements[2 * n + np.arange(aug0.shape[0]), 2 * n + aug0] = signs[aug0]
+    signed_k = signs * system.stiffnesses
+    signed_k[aug0] = 0.0
+    to_acceleration = (-b / system.masses)[:, rows]
+    cubic, coeff = system.cubic_element, system.nonlinear_coeff
+
+    def acceleration(y):
+        ev = y @ to_elements
+        e, damper, tail_k = ev[..., :n], ev[..., n:2 * n], ev[..., 2 * n:]
+        w = (signed_k + tail_k) * e + damper
+        w[..., cubic] += coeff * e[..., cubic] ** 3
+        return w @ to_acceleration
+
+    return acceleration
+
+
+def random_points(rng, system, augment_params, count):
+    """``count`` states with the stiffness tail of ``augment_params``."""
+    tail = np.array(sorted(augment_params), dtype=int) - 1
+    return np.stack([
+        np.concatenate([random_state(rng, system),
+                        system.stiffnesses[tail] * rng.uniform(0.8, 1.2, tail.shape[0])])
+        for _ in range(count)])
+
+
+# blocked and interleaved layouts, both augment orders, partly and not augmented
+LAYOUTS = pytest.mark.parametrize("build, augment", [
+    (build_duffing_2dof, (1, 2)),
+    (build_duffing_2dof, (2, 1)),
+    (build_duffing_2dof, (2,)),
+    (build_duffing_2dof, ()),
+    (build_dvp_7dof, range(1, 8)),
+    (build_dvp_7dof, (1, 3, 5)),
+    (build_dvp_7dof_symmetric, range(1, 8)),
+])
+
+
+class TestEulerTransition:
+    @LAYOUTS
+    def test_equals_euler_step_of_the_drift(self, build, augment):
+        # the transition rounds x + v dt and the force term differently, so
+        # it agrees with the drift's Euler step to rounding of each row's
+        # kinematic scale, and carries the stiffness tail through exactly
+        s = build()
+        model = to_state_space(s, augment)
+        dt = 1e-3
+        rng = np.random.default_rng(17)
+        forces = rng.normal(0.0, 10.0, (6, s.n_dof))
+        transition = euler_transition(s, augment, dt, forces)
+        m = 2 * s.n_dof
+        for k in range(forces.shape[0]):
+            points = random_points(rng, s, augment, 2 * model.dim_state + 1)
+            step = model.drift(points, forces[k]) * dt
+            expected = points + step
+            got = transition(points, k)
+            assert got.shape == points.shape
+            scale = (np.max(np.abs(points[:, :m]), axis=1)
+                     + np.max(np.abs(step), axis=1))[:, None]
+            assert np.all(np.abs(got[:, :m] - expected[:, :m]) <= 1e-13 * scale)
+            np.testing.assert_array_equal(got[:, m:], points[:, m:])
+
+    @LAYOUTS
+    def test_measurement_equals_the_reference_kernel_bit_for_bit(self, build, augment):
+        s = build()
+        rows = np.arange(s.n_dof)
+        h = acceleration_model(s, rows + 1, augment_params=augment)
+        reference = reference_restoring(s, augment, rows)
+        rng = np.random.default_rng(19)
+        points = random_points(rng, s, augment, 43)
+        np.testing.assert_array_equal(h(points), reference(points))
+        np.testing.assert_array_equal(h(points[:3]), reference(points[:3]))
+
+    def test_validation(self):
+        s = build_duffing_2dof()
+        with pytest.raises(InvalidParameterError):
+            euler_transition(s, (3,), 1e-3, np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,23 @@ class TestMeasurementWindow:
                               accel=np.zeros((4, 1)), force=np.zeros((5, 2)),
                               observed_dofs=(1,))
 
+    def test_one_sample_grid_rejected(self):
+        # the filter's dt needs two samples; a one-sample window used to
+        # reach it and fail on times[1]
+        with pytest.raises(InvalidParameterError, match="at least two samples"):
+            MeasurementWindow(t_s=0.0, times=np.zeros(1), accel=np.zeros((1, 2)),
+                              force=np.zeros((1, 2)), observed_dofs=(1, 2))
+
+    @pytest.mark.parametrize("name", ["times", "accel", "force"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_named_by_array_and_sample(self, name, value):
+        fields = {"times": np.arange(6) * 1e-3, "accel": np.zeros((6, 2)),
+                  "force": np.zeros((6, 2))}
+        fields[name][4:] = value
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{name} is not finite at sample 4$"):
+            MeasurementWindow(t_s=0.0, observed_dofs=(1, 2), **fields)
+
     def test_save_load_round_trip(self, tmp_path):
         window = self.make_window()
         window.save(tmp_path / "w0")
@@ -287,12 +304,23 @@ class TestAssimilation:
         assimilate_window(snap, bad)
         assert snap.windows_processed == 1
         assert len(snap.rejected_windows) == 1
-        assert "filter failure" in snap.rejected_windows[0]["reason"]
+        assert (snap.rejected_windows[0]["reason"]
+                == "filter failure: accel is not finite at sample 100")
         good = generate_window(system, sched, cfg, 100.0, seed=42)
         assimilate_window(snap, good)
         assert snap.windows_processed == 2
         times = snap.history_times
         assert np.all(np.diff(times) > 0)
+
+    def test_window_cut_to_one_sample_rejected_by_the_grid_check(self):
+        system, cfg, snap, windows = self.run_snapshot(n_windows=1)
+        window = generate_window(system, DegradationSchedule.for_system(system),
+                                 cfg, 50.0, seed=99)
+        for name in ("times", "accel", "force"):
+            setattr(window, name, getattr(window, name)[:1])
+        with pytest.raises(InvalidParameterError, match="at least two samples"):
+            assimilate_window(snap, window)
+        assert snap.windows_processed == 1
 
     def test_warm_start_improves_on_cold_window(self):
         # estimates improve once windows warm-start from earlier terminals

@@ -9,9 +9,9 @@ import pytest
 from mdoftwin import ukf
 from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.linalg import cho_factor
-from mdoftwin.models import (build_duffing_2dof, build_dvp_7dof,
-                             to_state_space)
-from mdoftwin.sde import IntegratorConfig, simulate_window
+from mdoftwin.models import (acceleration_model, build_duffing_2dof,
+                             build_dvp_7dof, to_state_space)
+from mdoftwin.sde import IntegratorConfig, simulate_window, uniform_step
 from mdoftwin.twin import MeasurementWindow
 from mdoftwin.ukf import (GaussianBelief, NoiseModel, PsdRepairLog,
                           UkfParams, build_process_noise, predict,
@@ -550,6 +550,44 @@ class TestRunFilter:
         noise = NoiseModel(q=build_process_noise(model, 1e-3), r=np.eye(3) * 1e-6)
         result = run_filter(model, system, window, init, noise, BENCH_PARAMS)
         np.testing.assert_array_equal(result.stds, np.array(seen))
+
+    def test_matches_the_drift_closure_loop(self):
+        # the loop run_filter replaced: an Euler closure over model.drift,
+        # built per sample, through ukf.predict and ukf.update. The compiled
+        # transition rounds x + v dt and the force term apart, so the two
+        # agree to the rounding the filter carries through 200 samples. At
+        # accel noise 1e-2 a one-ulp change of dt alone moves the estimates
+        # by ~1e-9; at 1e-3 it moves them by ~2e-8, beyond this tolerance
+        system = build_dvp_7dof()
+        model = to_state_space(system, range(1, 8))
+        window = self.make_window(system, to_state_space(system), duration=0.2,
+                                  observed=(1, 4, 7), accel_noise=1e-2)
+        init_mean = np.zeros(model.dim_state)
+        init_mean[14:] = 0.9 * system.stiffnesses
+        init = GaussianBelief(mean=init_mean,
+                              cov=np.diag([1e-4] * 14 + list((0.1 * system.stiffnesses) ** 2)))
+        noise = NoiseModel(q=build_process_noise(model, 1e-3), r=np.eye(3) * 1e-4)
+        result = run_filter(model, system, window, init, noise, BENCH_PARAMS)
+
+        dt = uniform_step(window.times)
+        h = acceleration_model(system, window.observed_dofs,
+                               augment_params=model.augmented_params)
+        belief, means, stds = init, [init.mean], [init.std]
+        for k in range(1, window.times.shape[0]):
+            f_prev = window.force[k - 1]
+            belief = ukf.predict(belief, lambda pts: pts + model.drift(pts, f_prev) * dt,
+                                 noise.q, BENCH_PARAMS)
+            belief = ukf.update(belief, h, window.accel[k], noise.r, BENCH_PARAMS)
+            means.append(belief.mean)
+            stds.append(belief.std)
+        means, stds = np.array(means), np.array(stds)
+
+        np.testing.assert_allclose(result.param_estimate, belief.mean[14:], rtol=1e-8)
+        np.testing.assert_allclose(result.param_std, belief.std[14:], rtol=1e-8)
+        # kinematic entries pass through zero: relative to each entry's range
+        for got, want in ((result.means, means), (result.stds, stds)):
+            scale = np.max(np.abs(want), axis=0)
+            assert np.all(np.abs(got - want) <= 1e-8 * scale)
 
     def test_augment_order_does_not_matter(self):
         system = build_duffing_2dof()
