@@ -22,7 +22,7 @@ an unknown section, or an unknown key in any section, is an error)::
       "campaign":   {"horizon_days": 2000, "window_interval_days": 50, ...},
       "ukf":        {"params": {"alpha_f": 0.001, ...}, ...},
       "gp":         {"kernel_family": "squared-exponential", ...},
-      "integrator": {"dt": 0.001, "scheme": "taylor15", "seed": 0}
+      "integrator": {"dt": 0.001, "seed": 0}
     }
 """
 
@@ -133,7 +133,7 @@ def cmd_simulate(args) -> int:
     meta = {
         "n_samples": int(traj.times.shape[0]),
         "dt": cfg.integrator.dt,
-        "scheme": cfg.integrator.scheme,
+        "scheme": "taylor15",
         "seed": int(cfg.integrator.seed),
         "state_labels": list(model.labels),
         "columns": columns,

@@ -137,7 +137,6 @@ class GpTrainConfig:
     n_max: int = 500
     eps_tol: float = 1e-6
     seed: int = 0
-    standardize: bool = True
     use_stddev_floor: bool = False
     lengthscale_range: tuple[float, float] = (1e-2, 1e2)
     variance_range: tuple[float, float] = (1e-2, 1e2)
@@ -339,15 +338,13 @@ def train(tau, v, config: GpTrainConfig = GpTrainConfig(),
     if np.any(np.diff(tau) <= 0.0):
         raise InvalidParameterError("training inputs must be strictly increasing")
 
-    input_shift, input_scale, target_shift, target_scale = 0.0, 1.0, 0.0, 1.0
-    if config.standardize:
-        input_shift = float(np.mean(tau))
-        input_scale = float(np.std(tau))
-        if input_scale <= 0.0:
-            raise InvalidParameterError("degenerate training inputs")
-        target_shift = float(np.mean(v))
-        spread = float(np.std(v))
-        target_scale = spread if spread > 0.0 else 1.0
+    input_shift = float(np.mean(tau))
+    input_scale = float(np.std(tau))
+    if input_scale <= 0.0:
+        raise InvalidParameterError("degenerate training inputs")
+    target_shift = float(np.mean(v))
+    spread = float(np.std(v))
+    target_scale = spread if spread > 0.0 else 1.0
     x_std, v_std, floor_std = _standardize(tau, v, noise_floor, input_shift, input_scale,
                                            target_shift, target_scale)
     if floor_std is not None and (floor_std.shape != tau.shape

@@ -383,21 +383,6 @@ def _element_forces(system: MdofSystem, aug0: np.ndarray) -> tuple:
     return to_elements, forces, signed_k
 
 
-def _restoring_acceleration(system: MdofSystem, aug0: np.ndarray,
-                            rows=slice(None)) -> tuple:
-    """Compile r(y) = -M^-1 (G(x) + K(k) x + C v) for one state layout: the
-    element forces of ``_element_forces`` through -M^-1 B^T, keeping the
-    DOFs selected by ``rows``. Batched over leading axes of y. Returns r and
-    what ``_element_forces`` returns besides ``forces``."""
-    to_elements, forces, signed_k = _element_forces(system, aug0)
-    to_acceleration = (-system.elongation_operator / system.masses)[:, rows]
-
-    def acceleration(y: np.ndarray) -> np.ndarray:
-        return forces(y @ to_elements) @ to_acceleration
-
-    return acceleration, to_elements, signed_k
-
-
 def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> StateSpaceModel:
     """Build the drift/dispersion model, optionally augmented with stiffness.
 
@@ -425,7 +410,7 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
     masses = system.masses
     to_acceleration = -system.elongation_operator / masses
     cubic, coeff = system.cubic_element, system.nonlinear_coeff
-    restoring, to_elements, signed_k = _restoring_acceleration(system, aug0)
+    to_elements, element_forces, signed_k = _element_forces(system, aug0)
 
     labels = [""] * (2 * n)
     labels[disp_idx] = [f"x{i + 1}" for i in range(n)]
@@ -442,7 +427,9 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
         y = np.asarray(y, dtype=float)
         out = np.zeros_like(y)
         out[..., disp_idx] = y[..., vel_idx]
-        out[..., vel_idx] = restoring(y) + np.asarray(f, dtype=float) / masses
+        # the restoring acceleration -M^-1 (G(x) + K(k) x + C v)
+        out[..., vel_idx] = (element_forces(y @ to_elements) @ to_acceleration
+                             + np.asarray(f, dtype=float) / masses)
         return out
 
     def dispersion(y) -> np.ndarray:
@@ -519,11 +506,11 @@ def acceleration_model(
     n = system.n_dof
     obs = check_observed_dofs(observed_dofs, n)
     obs0 = np.array([i - 1 for i in obs], dtype=int)
-    restoring, _, _ = _restoring_acceleration(
-        system, _augmentation(n, augment_params), rows=obs0)
+    to_elements, element_forces, _ = _element_forces(system, _augmentation(n, augment_params))
+    to_acceleration = (-system.elongation_operator / system.masses)[:, obs0]
 
     def h(y) -> np.ndarray:
-        return restoring(np.asarray(y, dtype=float))
+        return element_forces(np.asarray(y, dtype=float) @ to_elements) @ to_acceleration
 
     return h
 

@@ -17,23 +17,22 @@ Two schemes are provided for dy = a(y, f) dt + b(y) dW:
 derivatives, for a single state ``(dim,)`` or one per path ``(P, dim)``.
 
 ``simulate_window`` integrates a whole window with the window kernel, the
-same scheme rearranged for the chain models. With the stiffness held, their
-drift is ``a(z) = A z + coeff (l . z)^3 h + a(r, f)`` on the kinematic
-entries z (``StateSpaceModel.cubic_drift``), the noise enters only the
-velocity rows and only the entries of ``scaled_noise`` depend on the state.
-A Taylor-1.5 step is then, exactly in arithmetic,
+Taylor-1.5 scheme rearranged for the chain models. With the stiffness
+held, their drift is ``a(z) = A z + coeff (l . z)^3 h + a(r, f)`` on the
+kinematic entries z (``StateSpaceModel.cubic_drift``), the noise enters
+only the velocity rows and only the entries of ``scaled_noise`` depend on
+the state. A Taylor-1.5 step is then, exactly in arithmetic,
 
       z' = M z + c_k + coeff e^3 N h + 1.5 coeff dt^2 e^2 (l . A z) h
            + (one rank-one term per scaled-noise contribution)
 
 with e = l . z, M = I + A dt + A^2 dt^2 / 2, N = I dt + A dt^2 / 2 and the
-step input c_k = N a(r, f_k) + b dw_k + A b dz_k; for Euler-Maruyama
-M = I + A dt, N = I dt and the Jacobian and L(b) terms drop out. M, N and
-every c_k are formed once per integration and per path, from one
-``drift_jacobian`` call, so a step is one batched product of the state with
-M and the rows that read e and the scaled entries, and one with the rank-one
-terms. The kernel agrees with the reference steppers to rounding (the
-summation order differs).
+step input c_k = N a(r, f_k) + b dw_k + A b dz_k. M, N and every c_k are
+formed once per integration and per path, from one ``drift_jacobian``
+call, so a step is one batched product of the state with M and the rows
+that read e and the scaled entries, and one with the rank-one terms. The
+kernel agrees with the reference steppers to rounding (the summation order
+differs).
 """
 
 from __future__ import annotations
@@ -49,26 +48,21 @@ from .errors import InvalidParameterError, NumericError
 from .models import (MdofSystem, StateSpaceModel, acceleration_model,
                      dispersion_split)
 
-SCHEME_EULER = "euler-maruyama"
-SCHEME_TAYLOR15 = "taylor15"
 DIVERGED = "trajectory diverged to non-finite values"
 
 
 @codec
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Time step, scheme selector and seed; identical config and seed
-    reproduce trajectories bit for bit."""
+    """Time step and seed; identical config and seed reproduce trajectories
+    bit for bit."""
 
     dt: float = 1e-3
-    scheme: str = SCHEME_TAYLOR15
     seed: int = 0
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise InvalidParameterError("dt must be positive")
-        if self.scheme not in (SCHEME_EULER, SCHEME_TAYLOR15):
-            raise InvalidParameterError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -204,8 +198,19 @@ def uniform_step(times) -> float:
     return float(steps[0])
 
 
-def _window_operators(model: StateSpaceModel, rest: np.ndarray, dt: float,
-                      taylor: bool) -> tuple:
+def non_finite(window) -> str | None:
+    """Name the first of a window's ``times``, ``accel`` and ``force``
+    holding a non-finite value, and its first such sample (0-based); None
+    when every value is finite."""
+    for name in ("times", "accel", "force"):
+        values = np.asarray(getattr(window, name), dtype=float)
+        finite = np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
+        if not finite.all():
+            return f"{name} is not finite at sample {int(np.argmin(finite))}"
+    return None
+
+
+def _window_operators(model: StateSpaceModel, rest: np.ndarray, dt: float) -> tuple:
     """Per-path operators of the window kernel on the kinematic entries z.
 
     ``rest`` holds each path's state at rest ``(P, dim)``; A is the drift
@@ -226,27 +231,20 @@ def _window_operators(model: StateSpaceModel, rest: np.ndarray, dt: float,
     elongation, h = elongation[:m], h[:m]
     b_const, scaled = dispersion_split(model)
     eye = np.eye(m)
-    if taylor:
-        half_dt2 = 0.5 * dt * dt
-        step_map = eye + dt * a_lin + half_dt2 * (a_lin @ a_lin)
-        input_map = dt * eye + half_dt2 * a_lin
-    else:
-        step_map = eye + dt * a_lin
-        input_map = np.broadcast_to(dt * eye, a_lin.shape)
+    half_dt2 = 0.5 * dt * dt
+    step_map = eye + dt * a_lin + half_dt2 * (a_lin @ a_lin)
+    input_map = dt * eye + half_dt2 * a_lin
 
-    # (o_j, b_j): coeff e^3 N h, then for Taylor-1.5 the transport of the
-    # cubic's Jacobian along a dt^2 / 2, 1.5 coeff dt^2 e^2 (l . A z) h
-    terms = [(elongation, coeff * (input_map @ h))]
-    if taylor:
-        terms.append((elongation @ a_lin, 1.5 * coeff * dt * dt * h))
+    # (o_j, b_j): coeff e^3 N h, then the transport of the cubic's Jacobian
+    # along a dt^2 / 2, 1.5 coeff dt^2 e^2 (l . A z) h
+    terms = [(elongation, coeff * (input_map @ h)),
+             (elongation @ a_lin, 1.5 * coeff * dt * dt * h)]
     n_cubic = len(terms)
     for row, _, state, _ in scaled:
         at_row, at_state = eye[row], eye[state]
-        if taylor:  # gain y[state] in b dw, in A b dz, and L^0(b) through a[state]
-            terms += [(at_state, a_lin[:, :, row]), (at_state, at_row),
-                      (a_lin[:, state], at_row)]
-        else:
-            terms.append((at_state, at_row))
+        # gain y[state] in b dw, in A b dz, and L^0(b) through a[state]
+        terms += [(at_state, a_lin[:, :, row]), (at_state, at_row),
+                  (a_lin[:, state], at_row)]
     shape = (rest.shape[0], 1, m)
     ops = np.concatenate([step_map] + [np.broadcast_to(o[..., None, :], shape)
                                        for o, _ in terms], axis=1)
@@ -274,8 +272,9 @@ def simulate_window(
     per-sample deterministic force, shared ``(n_steps + 1, n_dof)`` or per
     path ``(n_steps + 1, P, n_dof)``; by default the system's harmonic force
     is used. The left-endpoint force sample drives each step. ``rng`` is a
-    generator, or one per path, each drawing that path's Brownian increments
-    in one block; by default path p uses a generator seeded ``cfg.seed + p``.
+    list of one generator per path, each drawing that path's Brownian
+    increments in one block; by default path p uses a generator seeded
+    ``cfg.seed + p``.
     A path that diverges to non-finite values leaves the others as they
     would be alone; a batch flags it in ``Trajectory.diverged`` ``(P,)``,
     and a single state raises NumericError. The model must declare
@@ -304,35 +303,31 @@ def simulate_window(
             raise InvalidParameterError("forces must be sampled on the window grid")
     if rng is None:
         rng = [np.random.default_rng(cfg.seed + p) for p in range(n_paths)]
-    elif isinstance(rng, np.random.Generator):
-        rng = [rng]
     if len(rng) != n_paths:
         raise InvalidParameterError("rng must give one generator per path")
 
-    taylor = cfg.scheme == SCHEME_TAYLOR15
     y = y0.reshape(n_paths, dim)
     m = dim - len(model.param_indices)  # kinematic entries; the parameters trail
     rest = y.copy()
     rest[:, :m] = 0.0
     ops, basis, n_cubic, a_lin, input_map, b_const, scaled = _window_operators(
-        model, rest, cfg.dt, taylor)
+        model, rest, cfg.dt)
 
     # per path, the step input c_k = N a(r, f_k) + b dw_k + A b dz_k and the
-    # weights of the scaled-noise terms, gain times (dz, dw, dw dt - dz) for
-    # Taylor-1.5 and gain dw for Euler, built in place of the increments
+    # weights of the scaled-noise terms, gain times (dz, dw, dw dt - dz),
+    # built in place of the increments
     inputs = np.empty((n_steps, n_paths, m))
     weights = np.empty((n_steps, n_paths, basis.shape[1]))
     for p, gen in enumerate(rng):
         inc = sample_brownian_increments(gen, cfg.dt, model.n_channels, n_steps)
         f_p = forces[:n_steps, p] if forces.ndim == 3 else forces[:n_steps]
         a_rest = model.drift(np.tile(rest[p], (n_steps, 1)), f_p)[:, :m]
-        inputs[:, p] = a_rest @ input_map[p].T + inc.dw @ b_const.T
-        if taylor:
-            inputs[:, p] += inc.dz @ (a_lin[p] @ b_const).T
+        inputs[:, p] = (a_rest @ input_map[p].T + inc.dw @ b_const.T
+                        + inc.dz @ (a_lin[p] @ b_const).T)
         j = n_cubic
         for _, channel, _, gain in scaled:
             dw, dz = inc.dw[:, channel], inc.dz[:, channel]
-            for d in ((dz, dw, dw * cfg.dt - dz) if taylor else (dw,)):
+            for d in (dz, dw, dw * cfg.dt - dz):
                 weights[:, p, j] = gain * d
                 j += 1
 

@@ -41,13 +41,13 @@ from .errors import InvalidParameterError, NumericError
 from .models import (DegradationSchedule, MdofSystem, check_observed_dofs,
                      degraded_stiffness, to_state_space)
 from .sde import (DIVERGED, IntegratorConfig, Trajectory, corrupt_with_snr,
-                  noise_std_for_snr, simulate_window, uniform_step)
+                  non_finite, noise_std_for_snr, simulate_window, uniform_step)
 from .ukf import (GaussianBelief, NoiseModel, UkfParams, build_process_noise,
                   run_filter)
 
 logger = logging.getLogger(__name__)
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 _BATCH_WINDOWS = 64  # campaign visits per batched integration
 
@@ -85,7 +85,7 @@ class MeasurementWindow:
             raise InvalidParameterError("accel must be (n_samples, n_observed)")
         if self.force.ndim != 2 or self.force.shape[0] != n:
             raise InvalidParameterError("force must be (n_samples, n_force) on the window grid")
-        problem = _non_finite(self)
+        problem = non_finite(self)
         if problem is not None:
             raise InvalidParameterError(problem)
         uniform_step(self.times)
@@ -156,18 +156,6 @@ class MeasurementWindow:
             raise InvalidParameterError(f"{csv_path}: {exc}") from exc
 
 
-def _non_finite(window: MeasurementWindow) -> str | None:
-    """Name the first of ``times``, ``accel`` and ``force`` holding a
-    non-finite value, and its first such sample (0-based); None when every
-    value is finite."""
-    for name in ("times", "accel", "force"):
-        values = getattr(window, name)
-        finite = np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
-        if not finite.all():
-            return f"{name} is not finite at sample {int(np.argmin(finite))}"
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -185,7 +173,6 @@ class UkfRunConfig:
     warm_param_std_factor: float = 0.02
     frozen_param_std_factor: float = 1e-3
     q_scale: float | None = None
-    q_extra_diag: float | None = None
     measurement_noise_std: tuple[float, ...] | None = None
 
 
@@ -232,11 +219,14 @@ class TwinSnapshot:
     config: CampaignConfig
     schedule: DegradationSchedule | None = None
     version: int = SNAPSHOT_VERSION
-    windows_processed: int = 0
     parameter_history: list = field(default_factory=list)
     rejected_windows: list = field(default_factory=list)
     gp_models: dict[str, gpr.GpModel] = field(default_factory=dict)
     gp_trained_upto: float | None = None
+
+    @property
+    def windows_processed(self) -> int:
+        return len(self.parameter_history)
 
     @property
     def param_names(self) -> tuple:
@@ -409,20 +399,16 @@ def filter_window(system: MdofSystem, cfg: CampaignConfig,
     All stiffness entries are augmented into the state (frozen ones get the
     tight prior). ``prior_estimate`` warm-starts the stiffness mean;
     otherwise the configured offset from nominal applies. Returns the
-    FilterResult with the full belief trajectory. A window changed after
-    construction is checked again: NumericError naming the array and the
-    sample of a non-finite value, InvalidParameterError for a grid that is
-    not uniform, whose step is the filter's dt.
+    FilterResult with the full belief trajectory. The window's grid must be
+    uniform (InvalidParameterError otherwise): its step is the filter's dt.
+    ``run_filter`` checks the values again, so a window changed after
+    construction fails with NumericError naming a non-finite sample.
     """
-    problem = _non_finite(window)
-    if problem is not None:
-        raise NumericError(problem)
     dt = uniform_step(window.times)
     model = to_state_space(system, augment_params=range(1, system.n_dof + 1))
     init = _initial_belief(system, model, prior_estimate, cfg.ukf)
     noise = NoiseModel(
-        q=build_process_noise(model, dt, scale_factors=cfg.ukf.q_scale,
-                              extra_diag=cfg.ukf.q_extra_diag),
+        q=build_process_noise(model, dt, scale=cfg.ukf.q_scale),
         r=_measurement_noise(window, cfg.ukf),
     )
     return run_filter(model, system, window, init, noise, cfg.ukf.params)
@@ -460,7 +446,6 @@ def assimilate_window(snapshot: TwinSnapshot,
         "psd_repairs": int(result.psd_repairs.count),
         "n_updates": int(result.n_updates),
     })
-    snapshot.windows_processed += 1
 
     if len(history) >= 3:
         _retrain_gps(snapshot, system, cfg)

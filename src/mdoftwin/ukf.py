@@ -63,7 +63,7 @@ from .errors import InvalidParameterError, NumericError
 from .linalg import cho_factor, cho_solve
 from .models import (MdofSystem, StateSpaceModel, acceleration_model,
                      dispersion_split, euler_transition)
-from .sde import uniform_step
+from .sde import non_finite, uniform_step
 
 logger = logging.getLogger(__name__)
 
@@ -351,19 +351,12 @@ class NoiseModel:
         object.__setattr__(self, "r", r)
 
 
-def build_process_noise(
-    model: StateSpaceModel,
-    dt: float,
-    scale_factors=None,
-    extra_diag=None,
-) -> Callable:
+def build_process_noise(model: StateSpaceModel, dt: float, scale=None) -> Callable:
     """Q(m-) = dt * b(m-) b(m-)^T, optionally rescaled.
 
-    ``scale_factors`` multiplies Q element-wise through outer(sqrt(s),
-    sqrt(s)) (a scalar or per-state vector), which keeps Q PSD and scales
-    the diagonal by s. Structurally zero rows (the parameter entries) stay
-    zero under any scale; ``extra_diag`` adds variance there explicitly
-    when the estimates need artificial process noise.
+    ``scale`` is a non-negative scalar s; Q is multiplied by sqrt(s) sqrt(s),
+    the element of outer(sqrt(s), sqrt(s)), which keeps Q PSD and scales the
+    diagonal by s. Structurally zero rows (the parameter entries) stay zero.
 
     Q is built once. The noise enters on a diagonal (each channel drives
     one row), so a dispersion entry in ``model.scaled_noise`` moves only
@@ -373,30 +366,15 @@ def build_process_noise(
     """
     if dt <= 0.0:
         raise InvalidParameterError("dt must be positive")
-    dim = model.dim_state
-    if scale_factors is None:
-        scale_outer = None
+    if scale is None:
+        factor = 1.0  # exact: x * 1.0 == x
+    elif scale < 0.0:
+        raise InvalidParameterError("scale must be non-negative")
     else:
-        s = np.asarray(scale_factors, dtype=float) * np.ones(dim)
-        if s.shape != (dim,) or np.any(s < 0.0):
-            raise InvalidParameterError(
-                "scale_factors must be non-negative and broadcast to the state")
-        root = np.sqrt(s)
-        scale_outer = np.outer(root, root)
-    if extra_diag is None:
-        extra = None
-    else:
-        extra = np.asarray(extra_diag, dtype=float) * np.ones(dim)
-        if extra.shape != (dim,) or np.any(extra < 0.0):
-            raise InvalidParameterError(
-                "extra_diag must be non-negative and broadcast to the state")
+        factor = math.sqrt(scale) * math.sqrt(scale)
 
     b_const, scaled = dispersion_split(model)
-    q_const = dt * (b_const @ b_const.T)
-    if scale_outer is not None:
-        q_const = q_const * scale_outer
-    if extra is not None:
-        q_const = q_const + np.diag(extra)
+    q_const = dt * (b_const @ b_const.T) * factor
     q_const.flags.writeable = False
 
     def q_of(mean: np.ndarray) -> np.ndarray:
@@ -405,12 +383,7 @@ def build_process_noise(
         q = q_const.copy()
         for row, _, state, gain in scaled:
             b = gain * mean[state]
-            entry = dt * (b * b)
-            if scale_outer is not None:
-                entry = entry * scale_outer[row, row]
-            if extra is not None:
-                entry = entry + extra[row]
-            q[row, row] = entry
+            q[row, row] = dt * (b * b) * factor
         return q
 
     return q_of
@@ -464,7 +437,8 @@ def run_filter(
 
     ``window`` provides ``times`` (uniform grid), ``accel`` (samples by
     observed channels), ``force`` (samples by DOF, one column per DOF of
-    ``system``) and ``observed_dofs``.
+    ``system``) and ``observed_dofs``; NumericError naming the array and
+    the sample of a non-finite value.
     The dynamic map is one Euler step per measurement sample with the
     left-endpoint force injected, compiled for the window by
     ``models.euler_transition`` from ``system`` and the augmentation of
@@ -485,6 +459,9 @@ def run_filter(
         raise InvalidParameterError(
             f"force must be (n_samples, n_dof) = ({times.shape[0]}, {system.n_dof}), "
             f"got {force.shape}")
+    problem = non_finite(window)
+    if problem is not None:
+        raise NumericError(problem)
     h = acceleration_model(system, window.observed_dofs,
                            augment_params=model.augmented_params)
     transition = euler_transition(system, model.augmented_params, dt, force)

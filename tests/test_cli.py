@@ -50,6 +50,7 @@ class TestSimulate:
         assert (out / "config_echo.json").exists()
         meta = json.loads((out / "trajectory_meta.json").read_text())
         assert meta["n_samples"] == 5001
+        assert meta["scheme"] == "taylor15"
 
     def test_7dof_column_count(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", kind="dvp_7dof",
@@ -387,9 +388,19 @@ MALFORMED_INPUTS = [
     pytest.param("horizon_days", _config_argv(
         {"system": {"kind": "duffing_2dof"}, "campaign": {"horizon_days": float("nan")}}),
         id="campaign-scalar-nan"),
+    pytest.param("scheme", _config_argv(
+        {"system": {"kind": "duffing_2dof"}, "integrator": {"scheme": "taylor15"}}),
+        id="integrator-scheme"),
+    pytest.param("standardize", _config_argv(
+        {"system": {"kind": "duffing_2dof"}, "gp": {"standardize": True}}), id="gp-standardize"),
+    pytest.param("q_extra_diag", _config_argv(
+        {"system": {"kind": "duffing_2dof"}, "ukf": {"q_extra_diag": 1e-4}}),
+        id="ukf-q-extra-diag"),
     pytest.param("snapshot", _snapshot_argv("report"), id="report-snapshot"),
     pytest.param("gp_trained_upto", _snapshot_field_argv("gp_trained_upto", float("inf")),
                  id="snapshot-field-inf"),
+    pytest.param("unsupported snapshot version 2", _snapshot_field_argv("version", 2),
+                 id="snapshot-version-2"),
     pytest.param("snapshot", _snapshot_argv("predict", "--times", "100"),
                  id="predict-snapshot"),
     pytest.param("--times", _predict_argv("nan"), id="predict-times-nan"),

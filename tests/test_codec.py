@@ -14,7 +14,7 @@ from mdoftwin.gpr import (FAMILY_MATERN52, FAMILY_SE, GpModel, GpTrainConfig,
                           Kernel, predict, train)
 from mdoftwin.models import (DegradationSchedule, MdofSystem,
                              build_duffing_2dof, build_dvp_7dof)
-from mdoftwin.sde import SCHEME_EULER, SCHEME_TAYLOR15, IntegratorConfig
+from mdoftwin.sde import IntegratorConfig
 from mdoftwin.twin import CampaignConfig, TwinSnapshot, UkfRunConfig
 from mdoftwin.ukf import UkfParams
 
@@ -42,15 +42,13 @@ seeds = st.integers(0, 2 ** 32 - 1)
 families = st.sampled_from([FAMILY_SE, FAMILY_MATERN52])
 mean_specs = st.sampled_from(["zero", "constant"])
 
-integrator_configs = st.builds(
-    IntegratorConfig, dt=floats(1e-6, 1.0),
-    scheme=st.sampled_from([SCHEME_EULER, SCHEME_TAYLOR15]), seed=seeds)
+integrator_configs = st.builds(IntegratorConfig, dt=floats(1e-6, 1.0), seed=seeds)
 ukf_params = st.builds(UkfParams, alpha_f=floats(1e-6, 1.0),
                        beta=floats(-10.0, 10.0), kappa=floats(-3.0, 10.0))
 gp_configs = st.builds(
     GpTrainConfig, kernel_family=families, mean_spec=mean_specs,
     n_restarts=st.integers(1, 50), n_max=st.integers(1, 5000), eps_tol=positive,
-    seed=seeds, standardize=st.booleans(), use_stddev_floor=st.booleans(),
+    seed=seeds, use_stddev_floor=st.booleans(),
     lengthscale_range=st.tuples(positive, positive),
     variance_range=st.tuples(positive, positive),
     noise_range=st.tuples(positive, positive))
@@ -58,7 +56,7 @@ ukf_run_configs = st.builds(
     UkfRunConfig, params=ukf_params, init_offset_factor=positive,
     init_state_variance=positive, init_param_std_factor=positive,
     warm_param_std_factor=positive, frozen_param_std_factor=positive,
-    q_scale=st.none() | positive, q_extra_diag=st.none() | positive,
+    q_scale=st.none() | positive,
     measurement_noise_std=st.none() | st.lists(positive, min_size=1, max_size=7).map(tuple))
 campaign_configs = st.builds(
     CampaignConfig, horizon_days=floats(0.0, 1e4), window_interval_days=positive,
@@ -110,7 +108,7 @@ def trained_gp() -> GpModel:
 # tests this property replaces
 CASES = {
     IntegratorConfig: (integrator_configs, lambda: [
-        IntegratorConfig(dt=5e-4, scheme="euler-maruyama", seed=42)]),
+        IntegratorConfig(dt=5e-4, seed=42)]),
     UkfParams: (ukf_params, list),
     UkfRunConfig: (ukf_run_configs, list),
     GpTrainConfig: (gp_configs, lambda: [GpTrainConfig(
@@ -170,7 +168,7 @@ def test_round_trip(cls):
     (IntegratorConfig, {"dt": "fast"}, "dt"),
     (IntegratorConfig, {"seed": True}, "seed"),
     (GpTrainConfig, {"noise_range": [1e-8, 1.0, 2.0]}, "noise_range"),
-    (TwinSnapshot, {"version": 2, "config": {}}, "system"),
+    (TwinSnapshot, {"version": 3, "config": {}}, "system"),
 ], ids=["unknown", "nested-unknown", "type", "bool-as-int", "length", "missing"])
 def test_strict_documents(cls, doc, key):
     with pytest.raises(InvalidParameterError, match=key):

@@ -22,8 +22,6 @@ class TestIntegratorConfig:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             IntegratorConfig(dt=0.0)
-        with pytest.raises(InvalidParameterError):
-            IntegratorConfig(scheme="rk4")
 
 
 class TestBrownianIncrements:
@@ -249,15 +247,6 @@ class TestSimulateWindow:
         assert np.all(np.isfinite(traj.states))
         assert np.max(np.abs(traj.accelerations)) < 50.0
 
-    def test_em_scheme_selection(self):
-        system = build_duffing_2dof()
-        model = to_state_space(system)
-        cfg_em = IntegratorConfig(dt=1e-3, scheme="euler-maruyama", seed=5)
-        cfg_t15 = IntegratorConfig(dt=1e-3, scheme="taylor15", seed=5)
-        a = simulate_window(model, system, np.zeros(4), 0.5, cfg_em)
-        b = simulate_window(model, system, np.zeros(4), 0.5, cfg_t15)
-        assert not np.array_equal(a.states, b.states)
-
     def test_duration_shorter_than_step_rejected(self):
         system = build_duffing_2dof()
         model = to_state_space(system)
@@ -349,7 +338,7 @@ class TestSimulateWindow:
 
 
 def _reference_window(model, y0, forces, n_steps, cfg):
-    """States of the reference steppers fed the increments that
+    """States of the reference Taylor-1.5 stepper fed the increments that
     ``simulate_window`` draws, from generators seeded cfg.seed + p."""
     model = with_dispersion_jacobian(model)
     paths = y0.shape[:-1]
@@ -361,23 +350,19 @@ def _reference_window(model, y0, forces, n_steps, cfg):
     dz = np.stack([i.dz for i in inc], axis=1).reshape(shape)
     states = [y0]
     for k in range(n_steps):
-        if cfg.scheme == "taylor15":
-            states.append(taylor15_step(model, states[-1], forces[k],
-                                        BrownianIncrementPair(dw=dw[k], dz=dz[k]), cfg.dt))
-        else:
-            states.append(em_step(model, states[-1], forces[k], dw[k], cfg.dt))
+        states.append(taylor15_step(model, states[-1], forces[k],
+                                    BrownianIncrementPair(dw=dw[k], dz=dz[k]), cfg.dt))
     return np.array(states)
 
 
 class TestWindowKernel:
     """The affine window kernel against a hand loop of the reference
-    steppers: the same scheme up to summation order."""
+    Taylor-1.5 stepper: the same scheme up to summation order."""
 
-    @pytest.mark.parametrize("scheme", ["taylor15", "euler-maruyama"])
     @pytest.mark.parametrize("augmented", [False, True])
     @pytest.mark.parametrize("n_paths", [None, 1, 3])
     @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
-    def test_matches_reference_steppers(self, build, n_paths, augmented, scheme):
+    def test_matches_reference_steppers(self, build, n_paths, augmented):
         n = 2 if build is build_duffing_2dof else 7
         # strong cubic and noise, so that every term of the step is visible
         system = build(nonlinear_coeff=1e5, noise_sigmas=(20.0,) * n)
@@ -389,7 +374,7 @@ class TestWindowKernel:
         if augmented:
             y0[..., 2 * n:] = system.stiffnesses * rng.uniform(
                 0.7, 1.0, size=shape[:-1] + (n,))
-        cfg = IntegratorConfig(dt=1e-3, scheme=scheme, seed=11)
+        cfg = IntegratorConfig(dt=1e-3, seed=11)
         n_steps = 300
         for forces in (system.force_at(np.arange(n_steps + 1) * cfg.dt),
                        rng.normal(size=(n_steps + 1,) + shape[:-1] + (n,)) * 5.0):

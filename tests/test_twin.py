@@ -61,7 +61,6 @@ def fabricate_snapshot(system, cfg, times, estimates, stddevs=None):
             "psd_repairs": 0,
             "n_updates": 0,
         })
-    snap.windows_processed = len(snap.parameter_history)
     twin_mod._retrain_gps(snap, system, cfg)
     return snap
 
@@ -468,10 +467,15 @@ class TestSnapshotPersistence:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
 
-    def test_version_check(self, tmp_path):
+    @pytest.mark.parametrize("version", [99, 2])
+    def test_version_check(self, tmp_path, version):
+        # a version 2 file still holds keys the format has dropped; its
+        # version is named, not the first unknown key
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99, "system": {}, "config": {}}))
-        with pytest.raises(InvalidParameterError):
+        path.write_text(json.dumps({"version": version, "windows_processed": 0,
+                                    "system": {}, "config": {}}))
+        with pytest.raises(InvalidParameterError,
+                           match=f"^unsupported snapshot version {version}$"):
             TwinSnapshot.load(path)
 
 

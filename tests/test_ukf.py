@@ -404,20 +404,11 @@ class TestProcessNoise:
         np.testing.assert_array_equal(q[4:], np.zeros((2, 6)))
         np.testing.assert_array_equal(q[:, 4:], np.zeros((6, 2)))
 
-    def test_extra_diag_overrides_parameter_rows(self):
-        system = build_duffing_2dof()
-        model = to_state_space(system, (1, 2))
-        extra = np.zeros(6)
-        extra[4:] = 1e-4
-        q = build_process_noise(model, 1e-3, extra_diag=extra)(np.zeros(6))
-        assert q[4, 4] == pytest.approx(1e-4)
-        assert q[5, 5] == pytest.approx(1e-4)
-
     def test_scale_factors_scale_diagonal(self):
         system = build_duffing_2dof()
         model = to_state_space(system, (1, 2))
         base = build_process_noise(model, 1e-3)(np.zeros(6))
-        scaled = build_process_noise(model, 1e-3, scale_factors=4.0)(np.zeros(6))
+        scaled = build_process_noise(model, 1e-3, scale=4.0)(np.zeros(6))
         np.testing.assert_allclose(scaled, 4.0 * base)
 
     def test_7dof_predicted_mean_factor(self):
@@ -438,30 +429,25 @@ class TestProcessNoise:
         assert qa[1, 1] == pytest.approx(1e-3 * (0.1 / 20.0) ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
-    @pytest.mark.parametrize("scale,extra", [
-        (None, None), (4.0, None), (None, 1e-4), ("vector", "vector")])
-    def test_cached_q_equals_full_product_bitwise(self, build, scale, extra):
+    @pytest.mark.parametrize("scale", [None, 4.0, 3.0])
+    def test_cached_q_equals_full_product_bitwise(self, build, scale):
         # Q built once (one entry recomputed for the DVP) against the
-        # construction dt * b(m) b(m)^T at the mean, rescaled, on every call
+        # construction dt * b(m) b(m)^T at the mean, rescaled through
+        # outer(sqrt(s), sqrt(s)), on every call
         system = build()
         n = system.n_dof
         model = to_state_space(system, range(1, n + 1))
         rng = np.random.default_rng(41)
         dim = model.dim_state
-        if scale == "vector":
-            scale = rng.uniform(0.5, 3.0, dim)
-            extra = rng.uniform(0.0, 1e-3, dim)
         dt = 7e-4
-        q_fn = build_process_noise(model, dt, scale_factors=scale, extra_diag=extra)
+        q_fn = build_process_noise(model, dt, scale=scale)
         for _ in range(5):
             mean = rng.normal(size=dim)
             b = model.dispersion(mean)
             q = dt * (b @ b.T)
             if scale is not None:
-                root = np.sqrt(np.asarray(scale, dtype=float) * np.ones(dim))
+                root = np.sqrt(np.full(dim, scale))
                 q = q * np.outer(root, root)
-            if extra is not None:
-                q = q + np.diag(np.asarray(extra, dtype=float) * np.ones(dim))
             np.testing.assert_array_equal(q_fn(mean), q)
 
     def test_validation(self):
@@ -470,7 +456,7 @@ class TestProcessNoise:
         with pytest.raises(InvalidParameterError):
             build_process_noise(model, 0.0)
         with pytest.raises(InvalidParameterError):
-            build_process_noise(model, 1e-3, scale_factors=-1.0)
+            build_process_noise(model, 1e-3, scale=-1.0)
 
 
 class TestRunFilter:
@@ -628,6 +614,18 @@ class TestRunFilter:
             window.accel = bad
             with pytest.raises(InvalidParameterError, match="n_observed"):
                 run_filter(model, system, window, init, noise, BENCH_PARAMS)
+
+    def test_non_finite_accel_named_before_filtering(self):
+        # a window changed after construction is checked again: the first
+        # non-finite sample is named, not the sigma point it would poison
+        system = build_duffing_2dof()
+        model = to_state_space(system, (1, 2))
+        window = self.make_window(system, to_state_space(system), duration=0.2)
+        window.accel[100, 0] = np.nan
+        init = GaussianBelief(mean=np.zeros(6), cov=np.eye(6))
+        noise = NoiseModel(q=build_process_noise(model, 1e-3), r=np.eye(2) * 1e-6)
+        with pytest.raises(NumericError, match="^accel is not finite at sample 100$"):
+            run_filter(model, system, window, init, noise, BENCH_PARAMS)
 
     def test_result_export(self, tmp_path):
         system = build_duffing_2dof()
