@@ -169,7 +169,14 @@ def test_round_trip(cls):
     (IntegratorConfig, {"seed": True}, "seed"),
     (GpTrainConfig, {"noise_range": [1e-8, 1.0, 2.0]}, "noise_range"),
     (TwinSnapshot, {"version": 3, "config": {}}, "system"),
-], ids=["unknown", "nested-unknown", "type", "bool-as-int", "length", "missing"])
+    # keys the format no longer has are unknown, not ignored
+    (IntegratorConfig, {"dt": 1e-3, "scheme": "taylor15"}, "scheme"),
+    (GpTrainConfig, {"standardize": True}, "standardize"),
+    (UkfRunConfig, {"q_extra_diag": 1e-4}, "q_extra_diag"),
+    (TwinSnapshot, {"version": 3, "windows_processed": 0}, "windows_processed"),
+], ids=["unknown", "nested-unknown", "type", "bool-as-int", "length", "missing",
+        "dropped-scheme", "dropped-standardize", "dropped-q-extra-diag",
+        "dropped-windows-processed"])
 def test_strict_documents(cls, doc, key):
     with pytest.raises(InvalidParameterError, match=key):
         cls.from_dict(doc)

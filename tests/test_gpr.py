@@ -125,6 +125,19 @@ class TestTrain:
         assert m2.kernel.lengthscale * m2.input_scale == pytest.approx(
             m1.kernel.lengthscale * m1.input_scale, rel=1e-6)
 
+    def test_training_data_always_standardized(self):
+        tau, v = decay_samples()
+        model = train(tau, v, GpTrainConfig(seed=3))
+        assert model.input_shift == float(np.mean(tau))
+        assert model.input_scale == float(np.std(tau))
+        assert model.target_shift == float(np.mean(v))
+        assert model.target_scale == float(np.std(v))
+        np.testing.assert_array_equal(model.train_inputs, tau)
+        np.testing.assert_array_equal(model.train_targets, v)
+        # constant targets have no spread to divide by: the scale stays 1
+        flat = train(tau, np.full(tau.shape, 7.0), GpTrainConfig(seed=3))
+        assert (flat.target_shift, flat.target_scale) == (7.0, 1.0)
+
     def test_reproducibility(self):
         tau, v = decay_samples()
         rng = np.random.default_rng(17)

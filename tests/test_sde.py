@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from mdoftwin.models import (acceleration_model, build_duffing_2dof, build_dvp_7
                              to_state_space)
 from mdoftwin.sde import (BrownianIncrementPair, IntegratorConfig, Trajectory,
                           corrupt_with_snr, em_step, noise_std_for_snr,
-                          sample_brownian_increments, simulate_window,
-                          taylor15_step)
+                          non_finite, sample_brownian_increments,
+                          simulate_window, taylor15_step)
 
 from conftest import (fd_partials_model, fitted_slope, make_model, scalar_model,
                       with_dispersion_jacobian)
@@ -319,6 +320,22 @@ class TestSimulateWindow:
             simulate_window(model, system, y0, 0.2, cfg,
                             rng=[np.random.default_rng(0)])
 
+    def test_explicit_generators_reproduce_the_default_seeding(self):
+        # rng is a list of one generator per path; the default list seeds
+        # path p with cfg.seed + p
+        system = build_duffing_2dof()
+        model = to_state_space(system)
+        cfg = IntegratorConfig(dt=1e-3, seed=5)
+        y0 = np.zeros((2, 4))
+        default = simulate_window(model, system, y0, 0.2, cfg)
+        explicit = simulate_window(model, system, y0, 0.2, cfg,
+                                   rng=[np.random.default_rng(5 + p) for p in range(2)])
+        np.testing.assert_array_equal(explicit.states, default.states)
+        swapped = simulate_window(model, system, y0, 0.2, cfg,
+                                  rng=[np.random.default_rng(6), np.random.default_rng(5)])
+        np.testing.assert_array_equal(swapped.states[:, 0], default.states[:, 1])
+        np.testing.assert_array_equal(swapped.states[:, 1], default.states[:, 0])
+
     def test_model_without_cubic_declaration_rejected(self):
         model = scalar_model(0.3, 'ou')
         with pytest.raises(InvalidParameterError, match="cubic_drift"):
@@ -353,6 +370,30 @@ def _reference_window(model, y0, forces, n_steps, cfg):
         states.append(taylor15_step(model, states[-1], forces[k],
                                     BrownianIncrementPair(dw=dw[k], dz=dz[k]), cfg.dt))
     return np.array(states)
+
+
+class TestNonFinite:
+    @staticmethod
+    def window(n=20):
+        return SimpleNamespace(times=np.arange(n) * 1e-3, accel=np.zeros((n, 2)),
+                               force=np.zeros((n, 2)))
+
+    def test_finite_window_passes(self):
+        assert non_finite(self.window()) is None
+
+    def test_first_array_and_its_first_bad_sample_named(self):
+        # arrays are checked in the order times, accel, force; within one,
+        # the first sample holding a bad value in any channel is named
+        window = self.window()
+        window.force[2, 0] = np.nan
+        window.accel[7, 1] = -np.inf
+        window.accel[12, 0] = np.nan
+        assert non_finite(window) == "accel is not finite at sample 7"
+        window.accel[:] = 0.0
+        assert non_finite(window) == "force is not finite at sample 2"
+        window.times = window.times.copy()
+        window.times[19] = np.inf
+        assert non_finite(window) == "times is not finite at sample 19"
 
 
 class TestWindowKernel:

@@ -274,6 +274,17 @@ class TestAssimilation:
         assert snap.gp_models == {}
         assert snap.gp_trained_upto is None
 
+    def test_windows_processed_is_the_history_length(self):
+        # derived from the history, so a rejected window does not count and
+        # the count cannot be set apart from it
+        system, cfg, snap, windows = self.run_snapshot(n_windows=2)
+        assimilate_window(snap, windows[0])
+        assert snap.rejected_windows and snap.windows_processed == 2
+        snap.parameter_history.pop()
+        assert snap.windows_processed == 1
+        with pytest.raises(AttributeError):
+            snap.windows_processed = 5
+
     def test_gp_refresh_after_three_windows(self):
         system, cfg, snap, _ = self.run_snapshot(n_windows=3)
         assert set(snap.gp_models) == {"k1", "k2"}
@@ -466,6 +477,18 @@ class TestSnapshotPersistence:
             snap.save(path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
+
+    def test_saved_file_holds_no_window_count(self, tmp_path):
+        system = build_duffing_2dof()
+        cfg = quick_config()
+        snap = new_snapshot(system, cfg, DegradationSchedule.for_system(system))
+        run_campaign(snap, cutoff_days=50.0)
+        path = tmp_path / "snapshot.json"
+        snap.save(path)
+        doc = json.loads(path.read_text())
+        assert doc["version"] == twin_mod.SNAPSHOT_VERSION == 3
+        assert "windows_processed" not in doc
+        assert TwinSnapshot.load(path).windows_processed == snap.windows_processed == 2
 
     @pytest.mark.parametrize("version", [99, 2])
     def test_version_check(self, tmp_path, version):

@@ -411,6 +411,24 @@ class TestProcessNoise:
         scaled = build_process_noise(model, 1e-3, scale=4.0)(np.zeros(6))
         np.testing.assert_allclose(scaled, 4.0 * base)
 
+    def test_zero_scale_zeroes_every_entry(self):
+        # the state-dependent DOF-4 entry of the DVP included
+        system = build_dvp_7dof()
+        model = to_state_space(system, range(1, 8))
+        mean = np.zeros(21)
+        mean[6] = 1.5
+        q = build_process_noise(model, 1e-3, scale=0.0)(mean)
+        np.testing.assert_array_equal(q, np.zeros((21, 21)))
+
+    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    def test_unit_scale_equals_no_scale_bitwise(self, build):
+        system = build()
+        model = to_state_space(system, range(1, system.n_dof + 1))
+        mean = np.random.default_rng(3).normal(size=model.dim_state)
+        np.testing.assert_array_equal(
+            build_process_noise(model, 1e-3, scale=1.0)(mean),
+            build_process_noise(model, 1e-3)(mean))
+
     def test_7dof_predicted_mean_factor(self):
         # the DOF-4 velocity entry scales with the square of the predicted
         # fourth displacement (seventh state entry)
@@ -625,6 +643,29 @@ class TestRunFilter:
         init = GaussianBelief(mean=np.zeros(6), cov=np.eye(6))
         noise = NoiseModel(q=build_process_noise(model, 1e-3), r=np.eye(2) * 1e-6)
         with pytest.raises(NumericError, match="^accel is not finite at sample 100$"):
+            run_filter(model, system, window, init, noise, BENCH_PARAMS)
+
+    def test_non_finite_force_named_before_filtering(self):
+        system = build_duffing_2dof()
+        model = to_state_space(system, (1, 2))
+        window = self.make_window(system, to_state_space(system), duration=0.2)
+        window.force = window.force.copy()
+        window.force[40, 1] = np.inf
+        init = GaussianBelief(mean=np.zeros(6), cov=np.eye(6))
+        noise = NoiseModel(q=build_process_noise(model, 1e-3), r=np.eye(2) * 1e-6)
+        with pytest.raises(NumericError, match="^force is not finite at sample 40$"):
+            run_filter(model, system, window, init, noise, BENCH_PARAMS)
+
+    def test_non_finite_time_fails_the_grid_check(self):
+        # the grid is checked first, as dt comes from it
+        system = build_duffing_2dof()
+        model = to_state_space(system, (1, 2))
+        window = self.make_window(system, to_state_space(system), duration=0.2)
+        window.times = window.times.copy()
+        window.times[150] = np.nan
+        init = GaussianBelief(mean=np.zeros(6), cov=np.eye(6))
+        noise = NoiseModel(q=build_process_noise(model, 1e-3), r=np.eye(2) * 1e-6)
+        with pytest.raises(InvalidParameterError, match="uniform grid"):
             run_filter(model, system, window, init, noise, BENCH_PARAMS)
 
     def test_result_export(self, tmp_path):
