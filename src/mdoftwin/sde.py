@@ -27,11 +27,14 @@ the state. A Taylor-1.5 step is then, exactly in arithmetic,
            + (one rank-one term per scaled-noise contribution)
 
 with e = l . z, M = I + A dt + A^2 dt^2 / 2, N = I dt + A dt^2 / 2 and the
-step input c_k = N a(r, f_k) + b dw_k + A b dz_k. M, N and every c_k are
-formed once per integration and per path, from one ``drift_jacobian``
-call, so a step is one batched product of the state with M and the rows
-that read e and the scaled entries, and one with the rank-one terms. The
-kernel agrees with the reference steppers to rounding (the summation order
+step input c_k = N a(r, f_k) + b dw_k + A b dz_k. Each rank-one term is a
+weight times one read o_j . z of the state (e itself, l . A z, the scaled
+entries), so the kernel carries the rows x = [z; O z]. A step weighs the
+reads in place into the h_j and is one batched product and one add,
+x' = S [z; h] + d_k with d_k = [c_k; O c_k]; S, N and every d_k are formed
+once per integration and per path, from one ``drift_jacobian`` call. The
+kernel
+agrees with the reference steppers to rounding (the summation order
 differs).
 """
 
@@ -49,6 +52,7 @@ from .models import (MdofSystem, StateSpaceModel, acceleration_model,
                      dispersion_split)
 
 DIVERGED = "trajectory diverged to non-finite values"
+_MEASURE_BLOCK = 256  # samples per call of a trajectory's measurement
 
 
 @codec
@@ -151,7 +155,8 @@ def taylor15_step(
 @dataclass(frozen=True)
 class Trajectory:
     """Uniform-grid sample paths with applied forces; clean accelerations are
-    evaluated from the states by ``measure`` on first access.
+    evaluated from the states by ``measure`` on first access, in blocks of
+    samples.
 
     The time axis leads every array; a batched run keeps its path axis
     second and flags in ``diverged`` each path that went non-finite.
@@ -171,9 +176,13 @@ class Trajectory:
 
     @cached_property
     def accelerations(self) -> np.ndarray:
-        # a diverged path overflows here too; ``diverged`` already names it
+        # in blocks of samples, so that the measurement's temporaries stay
+        # small beside a many-path window; a diverged path overflows here
+        # too, and ``diverged`` already names it
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.measure(self.states)
+            blocks = [self.measure(self.states[i:i + _MEASURE_BLOCK])
+                      for i in range(0, self.states.shape[0], _MEASURE_BLOCK)]
+        return np.concatenate(blocks)
 
     def to_csv(self, path, state_labels: Sequence[str]) -> list:
         """Write one path as CSV; return the header row."""
@@ -215,13 +224,19 @@ def _window_operators(model: StateSpaceModel, rest: np.ndarray, dt: float) -> tu
 
     ``rest`` holds each path's state at rest ``(P, dim)``; A is the drift
     Jacobian there, from one ``drift_jacobian`` call along the unit
-    directions. A step is ``z' = M z + c_k + sum_j g_kj (o_j . z) b_j``: the
-    affine part, then one rank-one term per cubic or state-scaled noise
-    contribution. The cubic terms come first, weighted by e^2 = (l . z)^2;
-    the noise terms are weighted by the step's increments (see
-    ``simulate_window``). Returns ``ops`` ``(P, m + J, m)``, the rows M and
-    o_j, ``basis`` ``(P, J, m)``, the b_j, the cubic term count, A, the map
-    N of the step's constant input, and the dispersion split.
+    directions. A step is ``z' = M z + c_k + sum_j h_j b_j`` with
+    ``h_j = g_kj (o_j . z)``: the affine part, then one rank-one term per
+    cubic or state-scaled noise contribution. The cubic terms come first,
+    weighted by e^2 = (l . z)^2; the noise terms are weighted by the step's
+    increments (see ``simulate_window``). The kernel carries the reads
+    O z beside z, O the rows o_j, so that a step is one product and one add
+    ``[z'; O z'] = S [z; h] + [c_k; O c_k]`` with
+
+        S = [[M, B^T], [O M, O B^T]]
+
+    and B the rows b_j. Returns S ``(P, m + J, m + J)``, O ``(P, J, m)``,
+    the cubic term count, A, the map N of the step's constant input, and
+    the dispersion split.
     """
     dim = model.dim_state
     m = dim - len(model.param_indices)
@@ -245,12 +260,13 @@ def _window_operators(model: StateSpaceModel, rest: np.ndarray, dt: float) -> tu
         # gain y[state] in b dw, in A b dz, and L^0(b) through a[state]
         terms += [(at_state, a_lin[:, :, row]), (at_state, at_row),
                   (a_lin[:, state], at_row)]
-    shape = (rest.shape[0], 1, m)
-    ops = np.concatenate([step_map] + [np.broadcast_to(o[..., None, :], shape)
-                                       for o, _ in terms], axis=1)
-    basis = np.concatenate([np.broadcast_to(b[..., None, :], shape) for _, b in terms],
-                           axis=1)
-    return ops, basis, n_cubic, a_lin, input_map, b_const[:m], scaled
+    n_paths = rest.shape[0]
+    reads = np.concatenate([np.broadcast_to(o[..., None, :], (n_paths, 1, m))
+                            for o, _ in terms], axis=1)
+    top = np.concatenate([step_map] + [np.broadcast_to(b[..., None], (n_paths, m, 1))
+                                       for _, b in terms], axis=2)
+    step = np.concatenate([top, reads @ top], axis=1)
+    return step, reads, n_cubic, a_lin, input_map, b_const[:m], scaled
 
 
 def simulate_window(
@@ -279,6 +295,12 @@ def simulate_window(
     would be alone; a batch flags it in ``Trajectory.diverged`` ``(P,)``,
     and a single state raises NumericError. The model must declare
     ``cubic_drift`` and give ``drift_jacobian``.
+
+    Each step is one batched product of the step operator with [z; h],
+    added onto the step input [c_k; O c_k] (see ``_window_operators``). The
+    step inputs are built in the returned states array, in the entries the
+    rows [z; O z] of each step then take, so no array of them is kept
+    beside it; the parameter tail is written after the loop.
     """
     if not np.isfinite(duration) or duration < cfg.dt:
         raise InvalidParameterError(f"duration must be finite and at least dt, got {duration}")
@@ -310,41 +332,49 @@ def simulate_window(
     m = dim - len(model.param_indices)  # kinematic entries; the parameters trail
     rest = y.copy()
     rest[:, :m] = 0.0
-    ops, basis, n_cubic, a_lin, input_map, b_const, scaled = _window_operators(
+    step, reads, n_cubic, a_lin, input_map, b_const, scaled = _window_operators(
         model, rest, cfg.dt)
+    n_reads = reads.shape[1]
+    width = m + n_reads
 
-    # per path, the step input c_k = N a(r, f_k) + b dw_k + A b dz_k and the
-    # weights of the scaled-noise terms, gain times (dz, dw, dw dt - dz),
-    # built in place of the increments
-    inputs = np.empty((n_steps, n_paths, m))
-    weights = np.empty((n_steps, n_paths, basis.shape[1]))
+    # the rows x_k = [z_k; O z_k] are the first m + J entries of each path's
+    # state at step k (the array is wider than the state where J exceeds
+    # the parameter count). Until step k - 1 adds its product onto them,
+    # they hold its input [c; O c], per path c = N a(r, f) + b dw + A b dz;
+    # the weights of the scaled-noise terms are gain times
+    # (dz, dw, dw dt - dz). The parameter tail is written after the loop.
+    work = np.empty((n_steps + 1, n_paths, max(dim, width)))
+    rows = work[:, :, :width]
+    weights = np.empty((n_steps, n_paths, n_reads))
     for p, gen in enumerate(rng):
         inc = sample_brownian_increments(gen, cfg.dt, model.n_channels, n_steps)
         f_p = forces[:n_steps, p] if forces.ndim == 3 else forces[:n_steps]
         a_rest = model.drift(np.tile(rest[p], (n_steps, 1)), f_p)[:, :m]
-        inputs[:, p] = (a_rest @ input_map[p].T + inc.dw @ b_const.T
-                        + inc.dz @ (a_lin[p] @ b_const).T)
+        c = (a_rest @ input_map[p].T + inc.dw @ b_const.T
+             + inc.dz @ (a_lin[p] @ b_const).T)
+        rows[1:, p, :m] = c
+        rows[1:, p, m:] = c @ reads[p].T
         j = n_cubic
         for _, channel, _, gain in scaled:
             dw, dz = inc.dw[:, channel], inc.dz[:, channel]
             for d in (dz, dw, dw * cfg.dt - dz):
                 weights[:, p, j] = gain * d
                 j += 1
+    rows[0, :, :m] = y[:, :m]
+    rows[0, :, m:] = (reads @ y[:, :m, None])[:, :, 0]
 
-    states = np.empty((n_steps + 1, n_paths, dim))
-    states[:, :, m:] = y[:, m:]
-    states[0, :, :m] = y[:, :m]
-    z = y[:, :m].copy()
+    product = np.empty((n_paths, width, 1))
     # a diverging path only poisons its own row; it is flagged below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            w = (ops @ z[:, :, None])[:, :, 0]
-            o = w[:, m:]
-            g = weights[k]
-            np.multiply(o[:, :1], o[:, :1], out=g[:, :n_cubic])  # e^2
-            g *= o
-            z = w[:, :m] + inputs[k] + (g[:, None, :] @ basis)[:, 0]
-            states[k + 1, :, :m] = z
+        for x, o, e, x_next, g, g_cubic in zip(
+                rows[:, :, :, None], rows[:, :, m:], rows[:, :, m:m + 1],
+                rows[1:, :, :, None], weights, weights[:, :, :n_cubic]):
+            np.multiply(e, e, out=g_cubic)  # e^2 weighs the cubic terms
+            np.multiply(o, g, out=o)  # the reads become the h_j
+            np.matmul(step, x, out=product)
+            np.add(x_next, product, out=x_next)
+    states = work[:, :, :dim]
+    states[:, :, m:] = y[:, m:]
     diverged = ~np.all(np.isfinite(states), axis=(0, -1))
     if not paths and diverged[0]:
         raise NumericError(DIVERGED)

@@ -224,6 +224,9 @@ class TwinSnapshot:
     gp_models: dict[str, gpr.GpModel] = field(default_factory=dict)
     gp_trained_upto: float | None = None
 
+    def __post_init__(self):
+        _check_version(self.version)
+
     @property
     def windows_processed(self) -> int:
         return len(self.parameter_history)
@@ -264,10 +267,14 @@ class TwinSnapshot:
     def load(cls, path) -> "TwinSnapshot":
         with open(path, encoding="utf-8") as fh:
             doc = decode(dict, json.load(fh), f"snapshot {path}")
-        version = doc.get("version")
-        if version != SNAPSHOT_VERSION:
-            raise InvalidParameterError(f"unsupported snapshot version {version!r}")
+        # before the fields: a file of another version may hold other keys
+        _check_version(doc.get("version"))
         return cls.from_dict(doc)
+
+
+def _check_version(version) -> None:
+    if version != SNAPSHOT_VERSION:
+        raise InvalidParameterError(f"unsupported snapshot version {version!r}")
 
 
 def new_snapshot(system: MdofSystem, cfg: CampaignConfig,
@@ -560,10 +567,13 @@ def predict_response_ensemble(
 
     Draw j simulates with seed ``seed + 1 + j``; the parameter draws use
     ``seed`` itself. All draws advance together as the paths of one
-    integration; a diverging draw raises NumericError naming it.
+    integration; a diverging draw raises NumericError naming it. The
+    ``levels`` of the returned quantiles must lie in [0, 1]; they are
+    checked before anything is integrated.
     """
     if n_draws < 2:
         raise InvalidParameterError("n_draws must be at least 2")
+    _check_levels(levels)
     system, cfg = snapshot.system, snapshot.config
     predictions = predict_parameters(snapshot, [float(t_tilde)])
     k_base = system.stiffnesses.copy()
@@ -587,9 +597,44 @@ def predict_response_ensemble(
     if traj.diverged.any():
         j = int(np.argmax(traj.diverged))
         raise NumericError(f"draw {j}: {DIVERGED}", path=j)
-    qs = np.quantile(traj.states[..., :2 * n], levels, axis=1)
+    qs = _path_quantiles(traj.states[..., :2 * n], levels)
     return ResponseEnsemble(times=traj.times, levels=tuple(levels), quantiles=qs,
                             stiffness_draws=draws)
+
+
+def _check_levels(levels) -> None:
+    try:
+        values = np.asarray(levels, dtype=float)
+        valid = (values.ndim == 1 and values.size > 0
+                 and np.all((values >= 0.0) & (values <= 1.0)))  # NaN fails too
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise InvalidParameterError(
+            f"levels must be a non-empty sequence of numbers in [0, 1], got {levels!r}")
+
+
+def _path_quantiles(samples: np.ndarray, levels) -> np.ndarray:
+    """``np.quantile(samples, levels, axis=1)`` by one sort along the path
+    axis, with numpy's default linear rule written out: at virtual index
+    v = (P - 1) q, with i = floor(v) (at most P - 2) and gamma = v - i, the
+    level lies between the sorted values a = s_i and b = s_(i+1), at
+    ``a + (b - a) gamma``, or ``b - (b - a) (1 - gamma)`` when
+    gamma >= 0.5. Equal to ``np.quantile`` on finite samples."""
+    ordered = np.sort(samples, axis=1)
+    last = ordered.shape[1] - 1
+    out = np.empty((len(levels),) + ordered.shape[:1] + ordered.shape[2:])
+    for row, q in zip(out, levels):
+        v = last * float(q)
+        i = min(int(v), last - 1)
+        gamma = v - i
+        a, b = ordered[:, i], ordered[:, i + 1]
+        diff = b - a
+        if gamma >= 0.5:
+            np.subtract(b, diff * (1.0 - gamma), out=row)
+        else:
+            np.add(a, diff * gamma, out=row)
+    return out
 
 
 # ---------------------------------------------------------------------------

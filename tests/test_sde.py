@@ -425,6 +425,25 @@ class TestWindowKernel:
             scale = np.max(np.abs(reference), axis=0)
             assert np.all(np.abs(traj.states - reference) <= 1e-12 * scale)
 
+    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    def test_full_window_matches_reference_stepper(self, build):
+        # a default-length window: the read rows the kernel carries in its
+        # state do not drift away from the states they read
+        n = 2 if build is build_duffing_2dof else 7
+        system = build(nonlinear_coeff=1e5, noise_sigmas=(20.0,) * n)
+        model = to_state_space(system, range(1, n + 1))
+        rng = np.random.default_rng(5000 + n)
+        y0 = np.zeros((3, model.dim_state))
+        y0[:, :2 * n] = rng.normal(size=(3, 2 * n)) * 0.1
+        y0[:, 2 * n:] = system.stiffnesses * rng.uniform(0.7, 1.0, size=(3, n))
+        cfg = IntegratorConfig(dt=1e-3, seed=11)
+        n_steps = 5000
+        forces = system.force_at(np.arange(n_steps + 1) * cfg.dt)
+        traj = simulate_window(model, system, y0, n_steps * cfg.dt, cfg)
+        reference = _reference_window(model, y0, forces, n_steps, cfg)
+        scale = np.max(np.abs(reference), axis=0)
+        assert np.all(np.abs(traj.states - reference) <= 1e-12 * scale)
+
 
 class TestCorruptWithSnr:
     def make_signal(self):
@@ -484,10 +503,14 @@ class TestTrajectoryValidation:
         assert len(calls) == 1
 
     def test_simulated_accelerations_are_the_measurement_of_the_states(self):
+        # bit for bit, over a window of several blocks of samples, for a
+        # batch and for a single state
         system = build_dvp_7dof()
         model = to_state_space(system, range(1, 8))
-        y0 = np.zeros((2, model.dim_state))
-        y0[:, 14:] = system.stiffnesses
-        traj = simulate_window(model, system, y0, 0.2, IntegratorConfig(dt=1e-3))
         h = acceleration_model(system, range(1, 8), augment_params=range(1, 8))
-        np.testing.assert_array_equal(traj.accelerations, h(traj.states))
+        for paths in ((2,), ()):
+            y0 = np.zeros(paths + (model.dim_state,))
+            y0[..., 14:] = system.stiffnesses
+            traj = simulate_window(model, system, y0, 1.0, IntegratorConfig(dt=1e-3))
+            assert traj.accelerations.shape == (1001,) + paths + (7,)
+            np.testing.assert_array_equal(traj.accelerations, h(traj.states))

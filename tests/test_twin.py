@@ -460,6 +460,7 @@ class TestSnapshotPersistence:
         again = TwinSnapshot.load(p1)
         again.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+        assert again.version == snap.version == twin_mod.SNAPSHOT_VERSION
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         system = build_duffing_2dof()
@@ -500,6 +501,20 @@ class TestSnapshotPersistence:
         with pytest.raises(InvalidParameterError,
                            match=f"^unsupported snapshot version {version}$"):
             TwinSnapshot.load(path)
+
+    def test_decoded_version_checked(self):
+        # the codec path passes the same check as load, so no snapshot of
+        # another version exists in memory to be saved
+        doc = new_snapshot(build_duffing_2dof(), quick_config()).to_dict()
+        doc["version"] = 99
+        with pytest.raises(InvalidParameterError,
+                           match="^unsupported snapshot version 99$"):
+            TwinSnapshot.from_dict(doc)
+
+    def test_constructed_version_checked(self):
+        with pytest.raises(InvalidParameterError,
+                           match="^unsupported snapshot version 2$"):
+            TwinSnapshot(system=build_duffing_2dof(), config=quick_config(), version=2)
 
 
 class TestPrediction:
@@ -601,6 +616,32 @@ class TestPrediction:
         assert np.all(np.max(np.abs(ens.quantiles - expected), axis=(0, 1))
                       <= 1e-10 * scale)
         assert np.unique(ens.stiffness_draws[:, 0]).shape[0] == n_draws
+
+    @pytest.mark.parametrize("n_draws", [2, 3, 20, 100])
+    @pytest.mark.parametrize("levels", [(0.05, 0.5, 0.95), (0, 1), (0.0, 1.0),
+                                        (0.9, 0.0, 0.33, 1.0, 0.5, 0.25)])
+    def test_path_quantiles_equal_numpy(self, n_draws, levels):
+        rng = np.random.default_rng(n_draws)
+        samples = rng.normal(size=(40, n_draws, 5))
+        samples[0] = 0.0  # the shared start of every draw
+        samples[1:4, :, 0] = np.round(samples[1:4, :, 0])  # ties
+        np.testing.assert_array_equal(twin_mod._path_quantiles(samples, levels),
+                                      np.quantile(samples, levels, axis=1))
+
+    @pytest.mark.parametrize("levels", [(0.05, 1.2), (-0.1, 0.5), (0.5, float("nan")),
+                                        (float("inf"),), (), ((0.1, 0.9),), ("low",)])
+    def test_bad_levels_rejected_before_integrating(self, monkeypatch, levels):
+        system = build_duffing_2dof()
+        cfg = quick_config()
+        snap = fabricate_snapshot(system, cfg, np.arange(8) * 50.0,
+                                  np.tile(system.stiffnesses, (8, 1)))
+
+        def never(*args, **kwargs):
+            raise AssertionError("integrated before the levels were checked")
+
+        monkeypatch.setattr(twin_mod, "simulate_window", never)
+        with pytest.raises(InvalidParameterError, match="^levels must be"):
+            predict_response_ensemble(snap, 450.0, 0.2, 3, n_draws=4, levels=levels)
 
     def test_diverging_draw_named(self):
         # a band straddling the stability limit of the explicit scheme:
