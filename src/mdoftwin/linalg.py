@@ -21,7 +21,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 def cho_factor(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of ``a`` with a zero upper triangle; raises
     LinAlgError if ``a`` is not positive definite."""
-    factor, info = dpotrf(a, lower=1, clean=1)
+    factor, info = dpotrf(a, 1, 1)  # lower, clean
     if info > 0:
         raise np.linalg.LinAlgError(
             f"leading minor {info} of the matrix is not positive definite")
@@ -33,7 +33,7 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
 def cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for x given the lower Cholesky factor of A; ``b`` is a
     vector or a matrix of right-hand sides."""
-    x, info = dpotrs(factor, b, lower=1)
+    x, info = dpotrs(factor, b, 1)  # lower
     if info != 0:
         raise ValueError(f"dpotrs: illegal value in argument {-info}")
     return x

@@ -13,7 +13,8 @@ Conventions used throughout:
   sign vector ``s`` is 1 except ``s_4 = -1`` for the negative-stiffness k4
   of the DVP element; the cubic acts on one elongation too. One compiled
   kernel of element forces serves the drift, the measurement and the
-  filter's Euler transition alike.
+  filter's Euler transition alike; it works element-major, on contiguous
+  rows, with the bits of the row-wise products.
 * First-order state vectors come in two orderings: ``blocked``
   ``[x1..xN, v1..vN]`` (2-DOF benchmark) and ``interleaved``
   ``[x1, v1, x2, v2, ...]`` (7-DOF benchmark). Augmented states append the
@@ -354,11 +355,17 @@ def _element_forces(system: MdofSystem, aug0: np.ndarray) -> tuple:
     Every chain force acts along a spring elongation e = B x or its rate
     B v, so the node forces are B^T applied to the element forces
     w = s * k * e + c * B v + g(e), with g the cubic on ``cubic_element``.
-    One product of a state with ``to_elements`` yields e, c * B v and s * k
+    One product of S states with ``to_elements`` yields e, c * B v and s * k
     for the stiffness read off the state tail at ``aug0``; ``forces`` maps
-    that product to w, batched over leading axes. Returns ``to_elements``,
-    ``forces`` and ``signed_k``, the signed stiffness not on the tail, which
-    ``forces`` skips when every stiffness rides in the tail.
+    it, element-major ``(3n, S)`` so that each block is contiguous, to w
+    ``(n, S)``, and ``restoring(y, to_out)`` is w^T ``to_out`` for states
+    ``(..., dim)``. Both products keep the bits of the row-wise layout
+    ``y @ to_elements``: states ``(S, dim)`` take the transposed ones, any
+    other shape numpy's own dispatch (one vector product per state of a
+    ``(..., 1, dim)`` block, which the transposed form does not reproduce).
+    Returns ``to_elements``, ``forces``, ``restoring`` and ``signed_k``, the
+    signed stiffness not on the tail, which ``forces`` skips when every
+    stiffness rides in the tail.
     """
     n = system.n_dof
     disp_idx, vel_idx = _index_maps(n, system.state_ordering)
@@ -368,19 +375,26 @@ def _element_forces(system: MdofSystem, aug0: np.ndarray) -> tuple:
     to_elements[disp_idx, :n] = b.T
     to_elements[vel_idx, n:2 * n] = b.T * system.dampings
     to_elements[2 * n + np.arange(aug0.shape[0]), 2 * n + aug0] = signs[aug0]
+    from_states = to_elements.T
     signed_k = signs * system.stiffnesses
     signed_k[aug0] = 0.0  # taken from the state instead
     on_tail = not signed_k.any()
     cubic, coeff = system.cubic_element, system.nonlinear_coeff
 
     def forces(ev: np.ndarray) -> np.ndarray:
-        e = ev[..., :n]
-        k = ev[..., 2 * n:] if on_tail else signed_k + ev[..., 2 * n:]
-        w = k * e + ev[..., n:2 * n]
-        w[..., cubic] += coeff * e[..., cubic] ** 3
+        e = ev[:n]
+        w = ev[2 * n:] * e if on_tail else (signed_k[:, None] + ev[2 * n:]) * e
+        w += ev[n:2 * n]
+        w[cubic] += coeff * e[cubic] ** 3
         return w
 
-    return to_elements, forces, signed_k
+    def restoring(y: np.ndarray, to_out: np.ndarray) -> np.ndarray:
+        if y.ndim == 2:
+            return forces(from_states.dot(y.T)).T.dot(to_out)
+        w = forces((y @ to_elements).reshape(-1, 3 * n).T)
+        return np.ascontiguousarray(w.T).reshape(y.shape[:-1] + (n,)) @ to_out
+
+    return to_elements, forces, restoring, signed_k
 
 
 def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> StateSpaceModel:
@@ -410,7 +424,7 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
     masses = system.masses
     to_acceleration = -system.elongation_operator / masses
     cubic, coeff = system.cubic_element, system.nonlinear_coeff
-    to_elements, element_forces, signed_k = _element_forces(system, aug0)
+    to_elements, _, restoring, signed_k = _element_forces(system, aug0)
 
     labels = [""] * (2 * n)
     labels[disp_idx] = [f"x{i + 1}" for i in range(n)]
@@ -428,7 +442,7 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
         out = np.zeros_like(y)
         out[..., disp_idx] = y[..., vel_idx]
         # the restoring acceleration -M^-1 (G(x) + K(k) x + C v)
-        out[..., vel_idx] = (element_forces(y @ to_elements) @ to_acceleration
+        out[..., vel_idx] = (restoring(y, to_acceleration)
                              + np.asarray(f, dtype=float) / masses)
         return out
 
@@ -506,11 +520,11 @@ def acceleration_model(
     n = system.n_dof
     obs = check_observed_dofs(observed_dofs, n)
     obs0 = np.array([i - 1 for i in obs], dtype=int)
-    to_elements, element_forces, _ = _element_forces(system, _augmentation(n, augment_params))
+    *_, restoring, _ = _element_forces(system, _augmentation(n, augment_params))
     to_acceleration = (-system.elongation_operator / system.masses)[:, obs0]
 
     def h(y) -> np.ndarray:
-        return element_forces(np.asarray(y, dtype=float) @ to_elements) @ to_acceleration
+        return restoring(np.asarray(y, dtype=float), to_acceleration)
 
     return h
 
@@ -520,13 +534,14 @@ def euler_transition(system: MdofSystem, augment_params: Iterable[int],
     """The filter's dynamic map over one window, compiled once.
 
     Returns ``transition(y, k)``, the Euler image y + a(y, f_k) dt of the
-    states y ``(..., dim)`` of ``to_state_space(system, augment_params)``
-    under the force sample ``forces[k]``. One product of y with
-    ``[Phi | E]`` gives both the linear part Phi (x + v dt, and identity on
-    the velocities and the stiffness tail) and the element values E of
+    states y ``(S, dim)`` of ``to_state_space(system, augment_params)``
+    under the force sample ``forces[k]``. One product ``[Phi | E]^T y^T``
+    gives both the linear part Phi (x + v dt, and identity on the
+    velocities and the stiffness tail) and the element values E of
     ``_element_forces``; the element forces reach the velocity rows through
     one product with dt (-M^-1 B^T), and dt f_k / m, formed here for every
-    sample of the window, is added last. This equals
+    sample of the window, is added last, all with the bits of the row-wise
+    products ``y [Phi | E]``. This equals
     ``y + model.drift(y, f_k) * dt`` up to rounding: x + v dt is summed
     inside the product, and the force term is rounded on its own.
     """
@@ -535,18 +550,19 @@ def euler_transition(system: MdofSystem, augment_params: Iterable[int],
     dim = 2 * n + aug0.shape[0]
     disp, vel = (np.arange(2 * n)[idx]
                  for idx in _index_maps(n, system.state_ordering))
-    to_elements, element_forces, _ = _element_forces(system, aug0)
+    to_elements, element_forces, *_ = _element_forces(system, aug0)
     linear = np.eye(dim)
     linear[vel, disp] = dt
-    stacked = np.hstack((linear, to_elements))
+    stacked = np.hstack((linear, to_elements)).T
     to_velocity = np.zeros((n, dim))
     to_velocity[:, vel] = dt * (-system.elongation_operator / system.masses)
     pushes = np.zeros((forces.shape[0], dim))
     pushes[:, vel] = dt * (forces / system.masses)
 
     def transition(y: np.ndarray, k: int) -> np.ndarray:
-        out = y @ stacked
-        image = out[..., :dim] + element_forces(out[..., dim:]) @ to_velocity
+        out = stacked.dot(y.T)
+        image = element_forces(out[dim:]).T.dot(to_velocity)
+        image += out[:dim].T
         image += pushes[k]
         return image
 

@@ -260,7 +260,8 @@ class TwinSnapshot:
         return names, cached[2]
 
     def save(self, path) -> None:
-        """Write the snapshot atomically (see ``codec.write_json``)."""
+        """Write atomically (``codec.write_json``) unless ``version`` changed."""
+        _check_version(self.version)
         write_json(path, self.to_dict())
 
     @classmethod

@@ -1,7 +1,9 @@
 """Shared fixtures: tiny custom models, matrix-form oracles of the
 second-order system, the L(b) partial of the chain models' reference
-steppers, finite-difference oracles for the analytic partials, the
-per-model GP predictor and the strong-convergence study."""
+steppers, the element kernel and the filter sample as first written (the
+bit-for-bit references of the compiled ones), finite-difference oracles for
+the analytic partials, the per-model GP predictor and the
+strong-convergence study."""
 
 from dataclasses import replace
 
@@ -9,9 +11,10 @@ import numpy as np
 import pytest
 
 from mdoftwin import gpr
-from mdoftwin.linalg import cho_solve
+from mdoftwin.linalg import cho_factor, cho_solve
 from mdoftwin.models import KIND_DUFFING_2DOF, StateSpaceModel, dispersion_split
-from mdoftwin.sde import BrownianIncrementPair, em_step, taylor15_step
+from mdoftwin.sde import BrownianIncrementPair, em_step, taylor15_step, uniform_step
+from mdoftwin.ukf import ukf_weights
 
 
 def make_model(dim, n_channels, drift, dispersion, jacobian=None,
@@ -82,6 +85,143 @@ def with_dispersion_jacobian(model):
         return out
 
     return replace(model, dispersion_jacobian=dispersion_jacobian)
+
+
+# ---- the element kernel and the filter sample as first written --------------
+
+
+def state_positions(system):
+    """Displacement and velocity positions in the state, as index arrays."""
+    n = system.n_dof
+    if system.state_ordering == "blocked":
+        return np.arange(n), np.arange(n, 2 * n)
+    return np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
+
+
+def rowwise_elements(system, augment_params):
+    """The element kernel in its first, row-wise layout: ``to_elements`` and
+    ``forces``, which maps the product ``y @ to_elements`` ``(..., 3n)`` to
+    the element forces ``(..., n)``, adding the signed stiffness even where
+    it is all zero. The compiled kernel must equal it bit for bit."""
+    n = system.n_dof
+    aug0 = np.array(sorted(augment_params), dtype=int) - 1
+    disp, vel = state_positions(system)
+    b = system.elongation_operator
+    signs = system.stiffness_signs
+    to_elements = np.zeros((2 * n + aug0.shape[0], 3 * n))
+    to_elements[disp, :n] = b.T
+    to_elements[vel, n:2 * n] = b.T * system.dampings
+    to_elements[2 * n + np.arange(aug0.shape[0]), 2 * n + aug0] = signs[aug0]
+    signed_k = signs * system.stiffnesses
+    signed_k[aug0] = 0.0
+    cubic, coeff = system.cubic_element, system.nonlinear_coeff
+
+    def forces(ev):
+        e, damper, tail_k = ev[..., :n], ev[..., n:2 * n], ev[..., 2 * n:]
+        w = (signed_k + tail_k) * e + damper
+        w[..., cubic] += coeff * e[..., cubic] ** 3
+        return w
+
+    return to_elements, forces
+
+
+def reference_restoring(system, augment_params, rows):
+    """The restoring accelerations of the DOFs ``rows`` (0-based) by the
+    row-wise kernel: element forces, then -M^-1 B^T. Generated accelerations
+    and the filter's measurement must stay bit-identical to it."""
+    to_elements, forces = rowwise_elements(system, augment_params)
+    to_acceleration = (-system.elongation_operator / system.masses)[:, rows]
+    return lambda y: forces(y @ to_elements) @ to_acceleration
+
+
+def reference_drift(system, augment_params):
+    """``to_state_space(system, augment_params).drift`` by the row-wise
+    kernel."""
+    to_elements, forces = rowwise_elements(system, augment_params)
+    to_acceleration = -system.elongation_operator / system.masses
+    disp, vel = state_positions(system)
+
+    def drift(y, f):
+        out = np.zeros_like(y)
+        out[..., disp] = y[..., vel]
+        out[..., vel] = forces(y @ to_elements) @ to_acceleration + f / system.masses
+        return out
+
+    return drift
+
+
+def reference_transition(system, augment_params, dt, force):
+    """``models.euler_transition`` as first written: one row-wise product
+    ``y @ [Phi | E]``, the element forces into the velocities, then the
+    force term."""
+    to_elements, forces = rowwise_elements(system, augment_params)
+    n, dim = system.n_dof, to_elements.shape[0]
+    disp, vel = state_positions(system)
+    linear = np.eye(dim)
+    linear[vel, disp] = dt
+    stacked = np.hstack((linear, to_elements))
+    to_velocity = np.zeros((n, dim))
+    to_velocity[:, vel] = dt * (-system.elongation_operator / system.masses)
+    pushes = np.zeros((force.shape[0], dim))
+    pushes[:, vel] = dt * (force / system.masses)
+
+    def transition(y, k):
+        out = y @ stacked
+        image = out[..., :dim] + forces(out[..., dim:]) @ to_velocity
+        image += pushes[k]
+        return image
+
+    return transition
+
+
+def textbook_filter(model, system, window, init, r, params):
+    """``ukf.run_filter`` over a window, written as the textbook unscented
+    predict/update: ``@`` products, out-of-place moments, Q(m) = dt b(m)
+    b(m)^T from the dispersion, and each image and covariance checked on
+    its own. The maps are the row-wise references above; the weights are
+    the library's, whose sum is exactly one. Expects no covariance repair.
+    Returns the means, stds and final stiffness covariance."""
+    dt = uniform_step(window.times)
+    obs0 = [d - 1 for d in window.observed_dofs]
+    h = reference_restoring(system, model.augmented_params, obs0)
+    transition = reference_transition(system, model.augmented_params, dt, window.force)
+    length = model.dim_state
+    w_mean, w_cov = ukf_weights(length, params)
+    w_col = w_cov[:, None]
+    unit = np.sqrt(params.scaling(length)) * np.eye(length)
+    offsets = np.vstack((np.zeros(length), unit, -unit))
+
+    def moments(fn, mean, factor):
+        points = mean + offsets @ factor.T
+        image = fn(points)
+        assert np.isfinite(image).all()
+        center = image[0] + w_mean @ (image - image[0])
+        return points, center, image - center
+
+    def factored(cov):
+        cov = 0.5 * (cov + cov.T)
+        assert np.isfinite(cov).all()
+        return cov, cho_factor(cov)  # LinAlgError would call for a repair
+
+    mean, cov, factor = init.mean, init.cov, init.factor
+    means, variances = [mean], [cov.diagonal()]
+    for k in range(1, window.times.shape[0]):
+        _, mean, dev = moments(lambda y: transition(y, k - 1), mean, factor)
+        b = model.dispersion(mean)
+        cov, factor = factored((dev * w_col).T @ dev + dt * (b @ b.T))
+        points, z_mean, dz = moments(h, mean, factor)
+        s = (dz * w_col).T @ dz + r
+        s = 0.5 * (s + s.T)
+        assert np.isfinite(s).all()
+        cross = ((points - mean) * w_col).T @ dz
+        gain = cho_solve(cho_factor(s), cross.T).T
+        mean = mean + gain @ (window.accel[k] - z_mean)
+        cov, factor = factored(cov - gain @ cross.T)
+        means.append(mean)
+        variances.append(cov.diagonal())
+    slots = list(model.param_indices)
+    return (np.array(means), np.sqrt(np.clip(np.array(variances), 0.0, None)),
+            cov[np.ix_(slots, slots)])
 
 
 # ---- finite-difference oracles for the analytic partials (one state) -------

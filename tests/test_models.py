@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mdoftwin import sde, twin
 from mdoftwin.errors import InvalidParameterError
 from mdoftwin.models import (DegradationSchedule, MdofSystem,
                              acceleration_model, build_duffing_2dof,
@@ -13,7 +14,9 @@ from mdoftwin.models import (DegradationSchedule, MdofSystem,
 
 from conftest import (damping_matrix, fd_drift_hessian_quad,
                       fd_drift_jacobian, fd_dispersion_jacobian, mass_matrix,
-                      nonlinear_term, stiffness_matrix, with_dispersion_jacobian)
+                      nonlinear_term, reference_drift, reference_restoring,
+                      reference_transition, stiffness_matrix,
+                      with_dispersion_jacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -524,35 +527,6 @@ class TestAccelerationModel:
 # ---------------------------------------------------------------------------
 
 
-def reference_restoring(system, augment_params, rows):
-    """The element kernel as it was before the filter's transition shared it:
-    (signed_k + tail_k) * e + damper, the cubic, then -M^-1 B^T; the signed
-    stiffness is added even where it is all zero. Generated accelerations
-    must stay bit-identical to it."""
-    n = system.n_dof
-    aug0 = np.array(sorted(augment_params), dtype=int) - 1
-    disp, vel = split_state(system, np.arange(2 * n))
-    b = system.elongation_operator
-    signs = system.stiffness_signs
-    to_elements = np.zeros((2 * n + aug0.shape[0], 3 * n))
-    to_elements[disp, :n] = b.T
-    to_elements[vel, n:2 * n] = b.T * system.dampings
-    to_elements[2 * n + np.arange(aug0.shape[0]), 2 * n + aug0] = signs[aug0]
-    signed_k = signs * system.stiffnesses
-    signed_k[aug0] = 0.0
-    to_acceleration = (-b / system.masses)[:, rows]
-    cubic, coeff = system.cubic_element, system.nonlinear_coeff
-
-    def acceleration(y):
-        ev = y @ to_elements
-        e, damper, tail_k = ev[..., :n], ev[..., n:2 * n], ev[..., 2 * n:]
-        w = (signed_k + tail_k) * e + damper
-        w[..., cubic] += coeff * e[..., cubic] ** 3
-        return w @ to_acceleration
-
-    return acceleration
-
-
 def random_points(rng, system, augment_params, count):
     """``count`` states with the stiffness tail of ``augment_params``."""
     tail = np.array(sorted(augment_params), dtype=int) - 1
@@ -613,6 +587,86 @@ class TestEulerTransition:
         s = build_duffing_2dof()
         with pytest.raises(InvalidParameterError):
             euler_transition(s, (3,), 1e-3, np.zeros((2, 2)))
+
+
+class TestElementKernelShapes:
+    """The element-major kernel equals the row-wise one bit for bit on every
+    shape the library hands it. numpy dispatches a product by shape (one
+    vector product per state of a ``(..., 1, dim)`` block, a matrix product
+    otherwise), so each shape is checked, not assumed."""
+
+    @LAYOUTS
+    def test_sigma_points(self, build, augment):
+        # (2L + 1, dim), as the predict half-step passes them (the
+        # measurement is held to the reference above)
+        s = build()
+        rng = np.random.default_rng(23)
+        forces = rng.normal(0.0, 10.0, (3, s.n_dof))
+        points = random_points(rng, s, augment, 2 * (2 * s.n_dof + len(augment)) + 1)
+        np.testing.assert_array_equal(
+            euler_transition(s, augment, 1e-3, forces)(points, 2),
+            reference_transition(s, augment, 1e-3, forces)(points, 2))
+        np.testing.assert_array_equal(to_state_space(s, augment).drift(points, forces[1]),
+                                      reference_drift(s, augment)(points, forces[1]))
+
+    @pytest.mark.parametrize("paths", [1, 41])
+    @pytest.mark.parametrize("build, augment", [
+        (build_duffing_2dof, (1, 2)), (build_dvp_7dof, range(1, 8)),
+        (build_duffing_2dof, ()), (build_dvp_7dof, ())])
+    def test_measurement_blocks(self, build, augment, paths):
+        # Trajectory.accelerations measures (256, P, dim) blocks and a
+        # shorter last one; a model whose kernel rows outnumber its
+        # parameters leaves them as views of a wider array
+        s = build()
+        rows = np.arange(s.n_dof)
+        h = acceleration_model(s, rows + 1, augment_params=augment)
+        reference = reference_restoring(s, augment, rows)
+        rng = np.random.default_rng(29)
+        dim = 2 * s.n_dof + len(augment)
+        states = random_points(rng, s, augment, 393 * paths).reshape(393, paths, dim)
+        wide = np.zeros((393, paths, dim + 4))
+        wide[..., :dim] = states
+        for block in (states[:256], states[256:], wide[:256, :, :dim]):
+            assert block.shape[1:] == (paths, dim)
+            np.testing.assert_array_equal(h(block), reference(block))
+
+    @pytest.mark.parametrize("build, augment", [
+        (build_duffing_2dof, (1, 2)), (build_dvp_7dof, range(1, 8)),
+        (build_dvp_7dof, ())])
+    def test_drift_inputs(self, build, augment):
+        # simulate_window evaluates the drift on (n_steps, dim) rows; the
+        # steppers pass one state or one per path
+        s = build()
+        rng = np.random.default_rng(31)
+        states = random_points(rng, s, augment, 5000)
+        forces = rng.normal(0.0, 10.0, (5000, s.n_dof))
+        drift, reference = to_state_space(s, augment).drift, reference_drift(s, augment)
+        np.testing.assert_array_equal(drift(states, forces), reference(states, forces))
+        for y in (states[0], states[:1], states[:3].reshape(3, 1, -1)):
+            np.testing.assert_array_equal(drift(y, forces[0]), reference(y, forces[0]))
+
+    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    def test_single_states(self, build):
+        s = build()
+        rows = np.arange(s.n_dof)
+        h = acceleration_model(s, rows + 1, augment_params=rows + 1)
+        reference = reference_restoring(s, rows + 1, rows)
+        points = random_points(np.random.default_rng(37), s, rows + 1, 3)
+        for y in (points[0], points[:1], points[:2]):
+            assert h(y).shape == y.shape[:-1] + (s.n_dof,)
+            np.testing.assert_array_equal(h(y), reference(y))
+
+    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    def test_generated_window_keeps_the_row_wise_accelerations(self, build, monkeypatch):
+        # one visit is one path: the window is measured in (256, 1, dim) blocks
+        system = build()
+        cfg = twin.CampaignConfig(master_seed=1, window_duration_s=0.6)
+        schedule = DegradationSchedule.for_system(system)
+        window = twin.generate_window(system, schedule, cfg, 50.0, 2, 1)
+        monkeypatch.setattr(sde, "acceleration_model", lambda s, dofs, augment_params:
+                            reference_restoring(s, augment_params, [d - 1 for d in dofs]))
+        again = twin.generate_window(system, schedule, cfg, 50.0, 2, 1)
+        assert window.accel.tobytes() == again.accel.tobytes()
 
 
 # ---------------------------------------------------------------------------

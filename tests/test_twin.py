@@ -511,6 +511,20 @@ class TestSnapshotPersistence:
                            match="^unsupported snapshot version 99$"):
             TwinSnapshot.from_dict(doc)
 
+    def test_changed_version_not_saved(self, tmp_path):
+        # the snapshot is mutable; save checks the version once more, so no
+        # file is written that load would refuse
+        snap = new_snapshot(build_duffing_2dof(), quick_config())
+        snap.version = 99
+        path = tmp_path / "snapshot.json"
+        with pytest.raises(InvalidParameterError,
+                           match="^unsupported snapshot version 99$"):
+            snap.save(path)
+        assert not path.exists()
+        snap.version = twin_mod.SNAPSHOT_VERSION
+        snap.save(path)
+        assert TwinSnapshot.load(path).version == twin_mod.SNAPSHOT_VERSION
+
     def test_constructed_version_checked(self):
         with pytest.raises(InvalidParameterError,
                            match="^unsupported snapshot version 2$"):

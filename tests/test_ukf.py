@@ -9,14 +9,16 @@ import pytest
 from mdoftwin import ukf
 from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.linalg import cho_factor
-from mdoftwin.models import (acceleration_model, build_duffing_2dof,
-                             build_dvp_7dof, to_state_space)
+from mdoftwin.models import (DegradationSchedule, acceleration_model,
+                             build_duffing_2dof, build_dvp_7dof, to_state_space)
 from mdoftwin.sde import IntegratorConfig, simulate_window, uniform_step
-from mdoftwin.twin import MeasurementWindow
+from mdoftwin.twin import CampaignConfig, MeasurementWindow, generate_window
 from mdoftwin.ukf import (GaussianBelief, NoiseModel, PsdRepairLog,
                           UkfParams, build_process_noise, predict,
                           repair_psd, run_filter, sigma_points, ukf_weights,
                           update)
+
+from conftest import textbook_filter
 
 BENCH_PARAMS = UkfParams(alpha_f=0.001, beta=2.0, kappa=0.0)
 
@@ -229,8 +231,34 @@ class TestPredictUpdate:
             out[3, 0] = np.nan
             return out
 
-        with pytest.raises(NumericError, match="sigma index 3"):
+        with pytest.raises(NumericError,
+                           match="^non-finite propagated sigma point at sigma index 3$"):
             predict(belief, bad_dynamics, np.zeros((2, 2)), BENCH_PARAMS)
+
+    def test_nonfinite_measurement_names_sigma_index(self):
+        belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
+
+        def bad_measurement(pts):
+            out = np.array(pts[:, :1])
+            out[4, 0] = np.inf
+            return out
+
+        with pytest.raises(NumericError,
+                           match="^non-finite measurement sigma point at sigma index 4$"):
+            update(belief, bad_measurement, np.zeros(1), np.eye(1), BENCH_PARAMS)
+
+    def test_overflowing_moments_of_finite_images(self):
+        # finite images whose weighted squares overflow fail in the
+        # covariance checks, not in the image checks
+        belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
+        huge = lambda pts: pts * 1e200  # noqa: E731
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="^sigma-point square root: "
+                               "matrix has non-finite entries$"):
+                predict(belief, huge, np.zeros((2, 2)), BENCH_PARAMS)
+            with pytest.raises(NumericError, match="^innovation covariance: "
+                               "matrix has non-finite entries$"):
+                update(belief, huge, np.zeros(2), np.eye(2), BENCH_PARAMS)
 
     def test_singular_innovation_raises(self):
         belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
@@ -468,6 +496,19 @@ class TestProcessNoise:
                 q = q * np.outer(root, root)
             np.testing.assert_array_equal(q_fn(mean), q)
 
+    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    def test_adds_onto_a_covariance_in_place(self, build):
+        # predict passes its covariance: Q lands on it, bit for bit cov + Q
+        system = build()
+        model = to_state_space(system, range(1, system.n_dof + 1))
+        rng = np.random.default_rng(43)
+        q_fn = build_process_noise(model, 1e-3, scale=3.0)
+        mean = rng.normal(size=model.dim_state)
+        cov = rng.normal(size=(model.dim_state,) * 2)
+        expected = cov + q_fn(mean)
+        assert q_fn(mean, cov) is cov
+        np.testing.assert_array_equal(cov, expected)
+
     def test_validation(self):
         system = build_duffing_2dof()
         model = to_state_space(system)
@@ -592,6 +633,31 @@ class TestRunFilter:
         for got, want in ((result.means, means), (result.stds, stds)):
             scale = np.max(np.abs(want), axis=0)
             assert np.all(np.abs(got - want) <= 1e-8 * scale)
+
+    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    def test_equals_the_textbook_sample_bit_for_bit(self, build):
+        # BLAS-direct products and in-place moments change no bit of the
+        # recursion written with @ and out-of-place moments, over 500 samples
+        # of a generated window
+        system = build()
+        n = system.n_dof
+        cfg = CampaignConfig(master_seed=1, window_duration_s=0.5)
+        window = generate_window(system, DegradationSchedule.for_system(system),
+                                 cfg, 500.0, 1)
+        model = to_state_space(system, range(1, n + 1))
+        init_mean = np.zeros(model.dim_state)
+        init_mean[2 * n:] = 0.8 * system.stiffnesses
+        init = GaussianBelief(mean=init_mean, cov=np.diag(
+            [1e-4] * (2 * n) + list((0.1 * system.stiffnesses) ** 2)))
+        noise = NoiseModel(q=build_process_noise(model, uniform_step(window.times)),
+                           r=np.diag(window.accel_noise_std ** 2))
+        result = run_filter(model, system, window, init, noise, BENCH_PARAMS)
+        means, stds, param_cov = textbook_filter(model, system, window, init,
+                                                 noise.r, BENCH_PARAMS)
+        assert result.n_updates == 500 and result.psd_repairs.count == 0
+        np.testing.assert_array_equal(result.means, means)
+        np.testing.assert_array_equal(result.stds, stds)
+        np.testing.assert_array_equal(result.param_cov, param_cov)
 
     def test_augment_order_does_not_matter(self):
         system = build_duffing_2dof()
