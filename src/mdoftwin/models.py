@@ -263,8 +263,10 @@ class StateSpaceModel:
 
     The filter does not call ``drift``: its Euler map is compiled once per
     window from the system by ``euler_transition``, which equals
-    ``y + drift(y, f) * dt`` to rounding. ``drift`` serves the window
-    kernel of ``simulate_window`` and the reference steppers.
+    ``y + drift(y, f) * dt`` to rounding. The window kernel of
+    ``simulate_window`` does not call it either: at rest every element
+    force vanishes, so it takes the drift there from the forces alone.
+    ``drift`` serves the reference steppers.
 
     Every callable is batched over leading axes: a state is ``(..., dim)``,
     one per path, and ``drift`` takes the force sample ``(n_dof,)`` or one

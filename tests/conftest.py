@@ -2,15 +2,18 @@
 second-order system, the L(b) partial of the chain models' reference
 steppers, the element kernel and the filter sample as first written (the
 bit-for-bit references of the compiled ones), finite-difference oracles for
-the analytic partials, the per-model GP predictor and the
-strong-convergence study."""
+the analytic partials, the per-model GP predictor, GP training as one
+scipy ``minimize`` per restart and the strong-convergence study."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from mdoftwin import gpr
+from mdoftwin.errors import TrainingError
 from mdoftwin.linalg import cho_factor, cho_solve
 from mdoftwin.models import KIND_DUFFING_2DOF, StateSpaceModel, dispersion_split
 from mdoftwin.sde import BrownianIncrementPair, em_step, taylor15_step, uniform_step
@@ -303,7 +306,7 @@ def reference_predict(model, query):
     x, v, floor = gpr._standardize(
         model.train_inputs, model.train_targets, model.noise_floor, model.input_shift,
         model.input_scale, model.target_shift, model.target_scale)
-    factor, beta, alpha, gls_denom = gpr._posterior(
+    factor, beta, alpha, gls_denom = reference_posterior(
         gpr._kernel(kernel.family, kernel.variance, kernel.lengthscale, x, x),
         model.noise_variance, floor, v, model.mean_spec)
     query = np.atleast_1d(np.asarray(query, dtype=float))
@@ -328,6 +331,108 @@ def assert_matches_reference(prediction, model, query):
     np.testing.assert_allclose(
         prediction.variance, oracle.variance, rtol=0.0,
         atol=1e-10 * model.kernel.variance * model.target_scale ** 2)
+
+
+# ---- GP training as first written: one scipy minimize per restart ---------
+
+
+def reference_posterior(gram, noise, floor, v, mean_spec):
+    """Factorize Kt = gram + (noise + jitter) I + diag(floor) of one GP,
+    profile a constant mean by GLS and solve alpha = Kt^-1 (v - beta).
+    Returns (factor, beta, alpha, Phi^T Kt^-1 Phi); LinAlgError if Kt is not
+    positive definite."""
+    n = gram.shape[0]
+    kt = gram.copy()
+    kt[np.diag_indices(n)] += noise + gpr._GRAM_JITTER
+    if floor is not None:
+        kt[np.diag_indices(n)] += floor
+    factor = cho_factor(kt)
+    beta, gls_denom = 0.0, None
+    if mean_spec == "constant":
+        phi = np.ones(n)
+        w = cho_solve(factor, phi)
+        gls_denom = float(phi @ w)
+        beta = float(w @ v) / gls_denom
+    return factor, beta, cho_solve(factor, v - beta), gls_denom
+
+
+def reference_nlml(log_theta, x, v, family, mean_spec, floor=None):
+    """NLML of one GP and its gradient, one trace and one quadratic form
+    per hyperparameter; LinAlgError if Kt is not positive definite."""
+    lengthscale, variance, noise = np.exp(log_theta)
+    n = x.shape[0]
+    k, dk_dlogl = gpr._kernel(family, variance, lengthscale, x, x, with_grad=True)
+    factor, beta, alpha, _ = reference_posterior(k, noise, floor, v, mean_spec)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    value = 0.5 * float((v - beta) @ alpha) + 0.5 * logdet + 0.5 * n * math.log(2.0 * math.pi)
+    kt_inv = cho_solve(factor, np.eye(n))
+    grad = np.empty(3)
+    for i, dk in enumerate((dk_dlogl, k, noise * np.eye(n))):
+        grad[i] = 0.5 * (float(np.sum(kt_inv * dk)) - float(alpha @ dk @ alpha))
+    return value, grad
+
+
+def scipy_minimize(objective, x0, eps_tol, max_iter):
+    """One L-BFGS-B run of ``scipy.optimize.minimize`` in the GP's
+    log-hyperparameter box, halted by a callback at an iterate whose squared
+    step from the last one (from ``x0``, for the first) is at most
+    ``eps_tol``."""
+    state = {"prev": np.asarray(x0, dtype=float)}
+
+    def callback(xk):
+        eps = float(np.sum((xk - state["prev"]) ** 2))
+        state["prev"] = np.array(xk, copy=True)
+        if eps <= eps_tol:
+            raise StopIteration
+
+    # minimize ends at the callback's xk when the callback raises StopIteration
+    bounds = [(-16.0, 16.0), (-16.0, 16.0), (math.log(1e-12), math.log(1e2))]
+    return minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                    callback=callback, options={"maxiter": max_iter})
+
+
+def scipy_train(tau, v, config, noise_floor=None):
+    """``gpr.train`` as a loop of ``scipy.optimize.minimize`` L-BFGS-B runs,
+    one per start, on ``reference_nlml``: the bit-for-bit oracle of the
+    lockstep driver and the batched likelihood."""
+    tau = np.asarray(tau, dtype=float)
+    v = np.asarray(v, dtype=float)
+    input_shift, input_scale = float(np.mean(tau)), float(np.std(tau))
+    target_shift, spread = float(np.mean(v)), float(np.std(v))
+    target_scale = spread if spread > 0.0 else 1.0
+    x_std = (tau - input_shift) / input_scale
+    v_std = (v - target_shift) / target_scale
+    floor_std = (None if noise_floor is None
+                 else np.asarray(noise_floor, dtype=float) / target_scale ** 2)
+    log_ranges = [tuple(math.log(bound) for bound in bounds) for bounds in (
+        config.lengthscale_range, config.variance_range, config.noise_range)]
+    rng = np.random.default_rng(config.seed)
+    starts = [np.array([0.0, 0.0, math.log(1e-2)])]
+    starts.extend(gpr._latin_hypercube(rng, config.n_restarts, log_ranges))
+
+    def objective(log_theta):
+        try:
+            return reference_nlml(log_theta, x_std, v_std, config.kernel_family,
+                                  config.mean_spec, floor_std)
+        except np.linalg.LinAlgError:
+            return 1e25, np.zeros(3)
+
+    best_value, best_log_theta = math.inf, None
+    for x0 in starts:
+        result = scipy_minimize(objective, x0, config.eps_tol, config.n_max)
+        value = float(result.fun)
+        if math.isfinite(value) and value < min(best_value, 1e25):
+            best_value, best_log_theta = value, result.x
+    if best_log_theta is None:
+        raise TrainingError("all hyperparameter restarts failed")
+    lengthscale, variance, noise = np.exp(best_log_theta)
+    return gpr.GpModel(
+        kernel=gpr.Kernel(family=config.kernel_family, variance=float(variance),
+                          lengthscale=float(lengthscale)),
+        mean_spec=config.mean_spec, noise_variance=float(noise), train_inputs=tau,
+        train_targets=v, input_shift=input_shift, input_scale=input_scale,
+        target_shift=target_shift, target_scale=target_scale, noise_floor=noise_floor,
+        nlml=float(best_value))
 
 
 # ---- scalar benchmark SDEs on the path axis ---------------------------------

@@ -1,12 +1,13 @@
 """Kernels, marginal likelihood, training, prediction, tracking."""
 
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import assert_matches_reference
+from conftest import assert_matches_reference, reference_nlml, scipy_minimize, scipy_train
 from mdoftwin.errors import InvalidParameterError, TrainingError
 from mdoftwin import gpr
 from mdoftwin.gpr import (FAMILY_MATERN52, FAMILY_SE, GpModel, GpTrainConfig,
@@ -182,14 +183,164 @@ class TestTrain:
             train([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], noise_floor=[0.0, math.nan, 0.0])
 
     def test_all_restarts_failing_raises_training_error(self, monkeypatch):
-        # a likelihood that never factors scores the penalty at every start
+        # a Kt that never factors scores the penalty at every start
         def exploding(*args, **kwargs):
             raise np.linalg.LinAlgError("synthetic failure")
 
-        monkeypatch.setattr(gpr, "negative_log_marginal_likelihood", exploding)
+        monkeypatch.setattr(gpr, "cho_factor", exploding)
         tau, v = decay_samples()
         with pytest.raises(TrainingError):
             train(tau, v)
+        with pytest.raises(TrainingError, match="parameter column 0"):
+            track_parameters(tau, np.column_stack([v, v]))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lengthscale_range", (0.0, 1.0)), ("variance_range", (-1.0, 2.0)),
+        ("noise_range", (math.nan, 1.0)), ("lengthscale_range", (1e-2, math.inf)),
+        ("variance_range", (1.0, math.nan)), ("noise_range", (1e-8,)),
+        ("eps_tol", -1e-9), ("eps_tol", math.nan), ("eps_tol", math.inf)])
+    def test_invalid_search_settings_rejected(self, field, value):
+        # at construction, not in train after a whole window was filtered
+        with pytest.raises(InvalidParameterError, match=field):
+            GpTrainConfig(**{field: value})
+
+    def test_rejected_when_read_from_a_document(self):
+        with pytest.raises(InvalidParameterError, match="variance_range"):
+            GpTrainConfig.from_dict({"variance_range": [-1.0, 2.0]})
+
+    def test_extreme_valid_settings_accepted(self):
+        cfg = GpTrainConfig(eps_tol=0.0, lengthscale_range=(5e-324, 1e308),
+                            noise_range=(1.0, 1e-8))
+        assert GpTrainConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def same_model(model, oracle):
+    """Every GpModel field, serialized, equal to the oracle's."""
+    return json.dumps(model.to_dict()) == json.dumps(oracle.to_dict())
+
+
+def tracked_history(n_points, n_columns, seed):
+    """A decaying, noisy history of J stiffness columns and their stds."""
+    rng = np.random.default_rng(seed)
+    tau = np.linspace(0.0, 50.0 * (n_points - 1), n_points)
+    scale = rng.uniform(0.5, 1.5, n_columns)
+    values = 1000.0 * np.exp(-DECAY_RATE * tau)[:, None] * scale
+    values = values + rng.normal(0.0, 3.0, values.shape)
+    return tau, values, rng.uniform(0.5, 5.0, values.shape)
+
+
+def assert_trains_as_scipy(tau, values, stddevs, cfg):
+    models = track_parameters(tau, values, stddevs, cfg)
+    floors = stddevs ** 2 if cfg.use_stddev_floor else None
+    for j, model in enumerate(models):
+        oracle = scipy_train(tau, values[:, j], cfg, None if floors is None else floors[:, j])
+        assert same_model(model, oracle), f"column {j}"
+
+
+class TestLockstepTraining:
+    """Every restart of every column in lockstep against one scipy
+    ``minimize`` per restart on the likelihood as first written: the same
+    models, bit for bit. This also guards the private ``setulb`` interface
+    the driver steps."""
+
+    @pytest.mark.parametrize("n_points, n_columns", [
+        (3, 1), (3, 2), (3, 6), (8, 1), (8, 2), (8, 6), (41, 1), (41, 2), (41, 6)])
+    @pytest.mark.parametrize("with_floor", [False, True])
+    @pytest.mark.parametrize("mean_spec", ["zero", "constant"])
+    @pytest.mark.parametrize("family", [FAMILY_SE, FAMILY_MATERN52])
+    def test_equals_scipy_minimize(self, family, mean_spec, with_floor, n_points, n_columns):
+        tau, values, stddevs = tracked_history(n_points, n_columns, seed=n_points + n_columns)
+        cfg = GpTrainConfig(kernel_family=family, mean_spec=mean_spec,
+                            use_stddev_floor=with_floor, seed=n_points)
+        assert_trains_as_scipy(tau, values, stddevs, cfg)
+
+    @pytest.mark.parametrize("family", [FAMILY_SE, FAMILY_MATERN52])
+    def test_restarts_that_hit_the_penalty(self, family, monkeypatch):
+        # long lengthscales, large variances and tiny noise: some steps
+        # land where Kt does not factor and score the penalty
+        scores = []
+        likelihoods = gpr._likelihoods
+
+        def spy(*args):
+            values, grads = likelihoods(*args)
+            scores.extend(values)
+            return values, grads
+
+        monkeypatch.setattr(gpr, "_likelihoods", spy)
+        tau, values, stddevs = tracked_history(41, 3, seed=2)
+        cfg = GpTrainConfig(kernel_family=family, n_restarts=10, seed=3,
+                            lengthscale_range=(1e1, 1e7), variance_range=(1e2, 1e7),
+                            noise_range=(1e-12, 1e-6))
+        assert_trains_as_scipy(tau, values, stddevs, cfg)
+        assert 0 < scores.count(1e25) < len(scores)
+
+    @pytest.mark.parametrize("change", [
+        dict(n_max=1), dict(n_max=3), dict(eps_tol=0.0), dict(eps_tol=10.0),
+        dict(lengthscale_range=(1e-9, 1e9), noise_range=(1e-14, 1e3)), dict(n_restarts=1),
+    ], ids=["one-iteration", "three-iterations", "no-halt", "halt-at-once",
+            "starts-outside-the-box", "one-restart"])
+    def test_stopping_rules(self, change):
+        tau, values, stddevs = tracked_history(20, 2, seed=4)
+        assert_trains_as_scipy(tau, values, stddevs,
+                               GpTrainConfig(use_stddev_floor=True, seed=5, **change))
+
+    @pytest.mark.parametrize("eps_tol, max_iter", [
+        (1e-6, 500), (0.0, 500), (1.0, 500), (1e-6, 1), (1e-6, 3)])
+    def test_each_run_equals_its_minimize(self, eps_tol, max_iter):
+        # one run per start, starts inside, on and outside the box, stepped
+        # by hand as the lockstep driver steps it
+        x = np.linspace(-1.6, 1.6, 15)
+        v = np.cos(2.0 * x) + np.random.default_rng(8).normal(0.0, 0.1, 15)
+
+        def objective(log_theta):
+            return negative_log_marginal_likelihood(log_theta, x, v, FAMILY_SE, "constant")
+
+        for x0 in ([0.0, 0.0, math.log(1e-2)], [1.0, -2.0, -3.0], [16.0, -16.0, -2.0],
+                   [20.0, -18.0, 6.0], [-0.5, 17.0, -40.0]):
+            x0 = np.array(x0)
+            run = gpr._LbfgsbRun(x0, eps_tol, max_iter)
+            while True:
+                run.serve(*objective(run.x.copy()))
+                if not run.advance():
+                    break
+            result = scipy_minimize(objective, x0, eps_tol, max_iter)
+            np.testing.assert_array_equal(run.x, result.x)
+            assert (run.f, run.n_iterations, run.n_evaluations) == (
+                result.fun, result.nit, result.nfev)
+
+    def test_train_is_the_one_column_case(self):
+        tau, values, stddevs = tracked_history(12, 3, seed=6)
+        cfg = GpTrainConfig(seed=2, use_stddev_floor=True)
+        models = track_parameters(tau, values, stddevs, cfg)
+        for j, model in enumerate(models):
+            assert same_model(train(tau, values[:, j], cfg, stddevs[:, j] ** 2), model)
+
+    @pytest.mark.parametrize("with_floor", [False, True])
+    @pytest.mark.parametrize("mean_spec", ["zero", "constant"])
+    @pytest.mark.parametrize("family", [FAMILY_SE, FAMILY_MATERN52])
+    def test_likelihood_equals_the_reference_bit_for_bit(self, family, mean_spec, with_floor):
+        rng = np.random.default_rng(13)
+        x = np.sort(rng.uniform(-2.0, 2.0, 17))
+        v = np.sin(x) + 0.1 * rng.standard_normal(17)
+        floor = np.abs(rng.normal(0.0, 0.01, 17)) if with_floor else None
+        for theta in rng.uniform(-2.0, 2.0, (5, 3)):
+            value, grad = negative_log_marginal_likelihood(theta, x, v, family, mean_spec, floor)
+            expected, expected_grad = reference_nlml(theta, x, v, family, mean_spec, floor)
+            assert value == expected
+            np.testing.assert_array_equal(grad, expected_grad)
+
+    def test_likelihood_of_a_singular_kt_is_the_penalty(self):
+        # noise and jitter far below the rounding of a huge, flat Gram matrix
+        x = np.linspace(-1.0, 1.0, 20)
+        theta = np.array([16.0, 16.0, math.log(1e-12)])
+        with pytest.raises(np.linalg.LinAlgError):
+            reference_nlml(theta, x, np.sin(x), FAMILY_SE, "constant")
+        value, grad = negative_log_marginal_likelihood(theta, x, np.sin(x), FAMILY_SE,
+                                                       "constant")
+        assert value == 1e25
+        np.testing.assert_array_equal(grad, np.zeros(3))
 
 
 class TestPredict:
@@ -382,6 +533,9 @@ class TestTrackParameters:
         models = track_parameters(tau, values, config=GpTrainConfig(seed=1))
         assert len(models) == 2
         assert all(isinstance(m, GpModel) for m in models)
+
+    def test_no_column_trains_no_model(self):
+        assert track_parameters(np.arange(0.0, 500.0, 50.0), np.empty((10, 0))) == []
 
     def test_frozen_constant_series(self):
         tau = np.arange(0.0, 1000.0, 50.0)

@@ -7,9 +7,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mdoftwin import sde, twin
 from mdoftwin.errors import InvalidParameterError, NumericError
-from mdoftwin.models import (acceleration_model, build_duffing_2dof, build_dvp_7dof,
-                             to_state_space)
+from mdoftwin.models import (DegradationSchedule, acceleration_model, build_duffing_2dof,
+                             build_dvp_7dof, to_state_space)
 from mdoftwin.sde import (BrownianIncrementPair, IntegratorConfig, Trajectory,
                           corrupt_with_snr, em_step, noise_std_for_snr,
                           non_finite, sample_brownian_increments,
@@ -443,6 +444,72 @@ class TestWindowKernel:
         reference = _reference_window(model, y0, forces, n_steps, cfg)
         scale = np.max(np.abs(reference), axis=0)
         assert np.all(np.abs(traj.states - reference) <= 1e-12 * scale)
+
+
+def use_model_drift_at_rest(monkeypatch, module):
+    """Make ``module.simulate_window`` take the drift at rest as the window
+    kernel first computed it: the model's drift on every step's rest state,
+    one call per path, in path order."""
+    simulate = sde.simulate_window
+
+    def simulate_with_model_drift(model, system, y0, *args, **kwargs):
+        m = model.dim_state - len(model.param_indices)
+        rest = np.array(y0, dtype=float).reshape(-1, model.dim_state)
+        rest[:, :m] = 0.0
+        rows = iter(rest)
+
+        def drift_at_rest(system, m, forces):
+            return model.drift(np.tile(next(rows), (forces.shape[0], 1)), forces)[:, :m]
+
+        monkeypatch.setattr(sde, "_rest_drift", drift_at_rest)
+        return simulate(model, system, y0, *args, **kwargs)
+
+    monkeypatch.setattr(module, "simulate_window", simulate_with_model_drift)
+
+
+class TestRestDrift:
+    """The kernel's drift at rest, f / m on the velocity rows, keeps the
+    bits of the model's drift evaluated at rest on every step."""
+
+    @pytest.mark.parametrize("n_paths, forces", [
+        (None, "default"), (None, "shared"), (1, "default"), (1, "shared"), (1, "per-path"),
+        (3, "default"), (3, "shared"), (3, "per-path")])
+    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    def test_states_bit_for_bit(self, build, n_paths, forces, monkeypatch):
+        n = 2 if build is build_duffing_2dof else 7
+        system = build()
+        model = to_state_space(system, range(1, n + 1))
+        rng = np.random.default_rng(60 + n + 7 * (n_paths or 0))
+        shape = (model.dim_state,) if n_paths is None else (n_paths, model.dim_state)
+        y0 = np.zeros(shape)
+        y0[..., :2 * n] = rng.normal(size=shape[:-1] + (2 * n,)) * 0.01
+        y0[..., 2 * n:] = system.stiffnesses * rng.uniform(0.7, 1.0, size=shape[:-1] + (n,))
+        cfg = IntegratorConfig(dt=1e-3, seed=3)
+        n_steps = 400
+        force_shape = {"default": None, "shared": (n_steps + 1, n),
+                       "per-path": (n_steps + 1, n_paths, n)}[forces]
+        kwargs = {} if force_shape is None else {"forces": rng.normal(size=force_shape) * 5.0}
+        lean = simulate_window(model, system, y0, n_steps * cfg.dt, cfg, **kwargs)
+        use_model_drift_at_rest(monkeypatch, sde)
+        full = sde.simulate_window(model, system, y0, n_steps * cfg.dt, cfg, **kwargs)
+        np.testing.assert_array_equal(lean.states, full.states)
+        np.testing.assert_array_equal(lean.accelerations, full.accelerations)
+
+    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    def test_seed_1_windows_bit_for_bit(self, build, monkeypatch):
+        system = build()
+        cfg = twin.CampaignConfig(master_seed=1)
+        schedule = DegradationSchedule.for_system(
+            system, rate_per_day=cfg.degradation_rate_per_day)
+
+        def windows():
+            return [twin.generate_window(system, schedule, cfg, t_s, 1 + i, i)
+                    for i, t_s in enumerate((0.0, 50.0))]
+
+        lean = windows()
+        use_model_drift_at_rest(monkeypatch, twin)
+        for one, other in zip(lean, windows()):
+            np.testing.assert_array_equal(one.accel, other.accel)
 
 
 class TestCorruptWithSnr:
