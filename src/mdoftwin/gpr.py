@@ -22,16 +22,17 @@ likelihood only; prediction evaluates K alone), ``_posterior``
 and ``GpModel`` share the first two, training and ``GpModel`` the third, so
 the served model is the posterior the likelihood scored, bit for bit.
 
-Training runs every restart of every tracked stiffness in lockstep: one
-L-BFGS-B run per (GP, start), 36 on the 7-DOF twin, each a
-reverse-communication state of scipy's ``setulb`` driven step for step as
+Training runs every restart of every tracked stiffness in lockstep, in
+one ``train`` call on the target columns: one L-BFGS-B run per (GP,
+start), 36 on the 7-DOF twin, each a reverse-communication state of
+scipy's ``setulb`` driven step for step as
 ``scipy.optimize.minimize(method="L-BFGS-B")`` drives it. Each round, every
-run that asks for f and g at a new x is served by one batched likelihood:
-the kernel, its derivative and the reductions are batched, the
-factorization and the solves run per instance, and every instance's NLML
-and gradient equal the one-instance formula bit for bit. So the trained
-models equal those of one ``minimize`` per restart, bit for bit. On real
-twin histories of 3 to 41 windows (seed 3, one BLAS thread, 2-vCPU host) a
+run that asks for f and g at a new x is served by one batched
+``negative_log_marginal_likelihood`` call: the kernel, its derivative and
+the reductions are batched, the factorization and the solves run per
+instance, and every instance's NLML and gradient equal the one-instance
+formula bit for bit. So the trained models equal those of one
+``minimize`` per restart, bit for bit. On real twin histories of 3 to 41 windows (seed 3, one BLAS thread, 2-vCPU host) a
 7-DOF retrain (6 GPs) takes 39 ms in the median, down from 114 ms.
 
 Kt is factorized and solved through the LAPACK pair of ``linalg``
@@ -333,19 +334,37 @@ _START, _NEW_X, _FG, _STOP = 0, 1, 3, 5
 _ITERATION_LIMIT, _EVALUATION_LIMIT, _HALTED = 504, 502, 505
 
 
-def _likelihoods(log_theta, x, v, floor, family, mean_spec):
-    """NLML and its gradient w.r.t. (log l, log s2, log sn2) for B instances
-    on one standardized grid ``x`` (n,): ``log_theta`` (B, 3), ``v`` and
-    ``floor`` (B, n), the floor None for none.
+def negative_log_marginal_likelihood(
+    log_theta: np.ndarray,
+    x: np.ndarray,
+    v: np.ndarray,
+    family: str,
+    mean_spec: str,
+    floor: np.ndarray | None = None,
+):
+    """NLML and its gradient w.r.t. (log l, log s2, log sn2) on the
+    standardized grid ``x`` (n,), for one instance or B instances at once.
 
-    Returns the values as a list of B floats and the gradients (B, 3). An
-    instance whose Kt is not positive definite scores ``_PENALTY`` with a
-    zero gradient: an infeasible region, not a fatal error, so that a line
-    search backs off. A constant mean is profiled out by GLS; by the
-    envelope theorem the gradient formula with the profiled residual is
-    exact. The kernel, its derivatives and the reductions are batched; the
-    factorization and the solves run per instance.
+    One instance takes ``log_theta`` (3,) with ``v`` and ``floor`` (n,) and
+    returns the value as a float and the gradient (3,); B instances take
+    (B, 3) with (B, n) and return the B values as a list and the gradients
+    (B, 3), each equal to its one-instance result bit for bit. The floor is
+    None for none. An instance whose Kt is not positive definite scores
+    ``_PENALTY`` with a zero gradient: an infeasible region, not a fatal
+    error, so that a line search backs off. A constant mean is profiled out
+    by GLS; by the envelope theorem the gradient formula with the profiled
+    residual is exact. The kernel, its derivatives and the reductions are
+    batched; the factorization and the solves run per instance.
     """
+    log_theta = np.asarray(log_theta, dtype=float)
+    v = np.asarray(v, dtype=float)
+    floor = None if floor is None else np.asarray(floor, dtype=float)
+    if log_theta.ndim == 1:
+        values, grads = negative_log_marginal_likelihood(
+            log_theta[None], x, v[None], family, mean_spec,
+            None if floor is None else floor[None])
+        return values[0], grads[0]
+    x = np.asarray(x, dtype=float)
     lengthscale, variance, noise = np.exp(log_theta).T
     n_instances, n = v.shape
     k, dk_dlogl = _kernel(family, variance[:, None, None], lengthscale[:, None, None],
@@ -374,24 +393,6 @@ def _likelihoods(log_theta, x, v, floor, family, mean_spec):
     values[failed] = _PENALTY
     grads[failed] = 0.0
     return values.tolist(), grads
-
-
-def negative_log_marginal_likelihood(
-    log_theta: np.ndarray,
-    x: np.ndarray,
-    v: np.ndarray,
-    family: str,
-    mean_spec: str,
-    floor: np.ndarray | None = None,
-):
-    """NLML and its gradient w.r.t. (log l, log s2, log sn2): the
-    one-instance case of the batched likelihood that training evaluates.
-    A Kt that is not positive definite scores 1e25 with a zero gradient."""
-    values, grads = _likelihoods(
-        np.asarray(log_theta, dtype=float)[None], np.asarray(x, dtype=float),
-        np.asarray(v, dtype=float)[None],
-        None if floor is None else np.asarray(floor, dtype=float)[None], family, mean_spec)
-    return values[0], grads[0]
 
 
 def _latin_hypercube(rng: np.random.Generator, n_points: int, log_ranges) -> np.ndarray:
@@ -460,17 +461,17 @@ class _LbfgsbRun:
 def _minimize_all(starts, x, v, floor, config):
     """Minimize the NLML of every column of ``v`` (J, n) from every start,
     all runs in lockstep: each round serves every run that asks for f and g
-    at a new x from one batched likelihood. Returns per column the lowest
+    at a new x from one batched likelihood call. Returns per column the lowest
     finite NLML below the penalty and its log theta, the first start's on a
     tie, or None where every start failed."""
     runs = [_LbfgsbRun(x0, config.eps_tol, config.n_max) for _ in v for x0 in starts]
     column = np.repeat(np.arange(v.shape[0]), len(starts))
     waiting = list(range(len(runs)))
     while waiting:
-        values, grads = _likelihoods(
+        values, grads = negative_log_marginal_likelihood(
             np.array([runs[i].x for i in waiting]), x, v[column[waiting]],
-            None if floor is None else floor[column[waiting]],
-            config.kernel_family, config.mean_spec)
+            config.kernel_family, config.mean_spec,
+            None if floor is None else floor[column[waiting]])
         for i, value, grad in zip(waiting, values, grads):
             runs[i].serve(value, grad)
         waiting = [i for i in waiting if runs[i].advance()]
@@ -486,10 +487,29 @@ def _minimize_all(starts, x, v, floor, config):
     return best
 
 
-def _train(tau, values, floors, config: GpTrainConfig, names) -> list:
-    """One GP per column of ``values`` (n, J) on the inputs ``tau``, with the
-    fixed noise variances ``floors`` (n, J) or None, all trained in one
-    lockstep minimization; ``names[j]`` prefixes the errors about column j."""
+def train(tau, v, config: GpTrainConfig = GpTrainConfig(), noise_floor=None):
+    """Fit hyperparameters by multi-start MLE: one GP on the targets ``v``
+    (n,), returned as a ``GpModel``, or one per column of ``v`` (n, J),
+    returned as a list, all trained in one lockstep minimization.
+
+    Requires at least 3 strictly increasing training inputs ``tau``.
+    ``noise_floor``, shaped as ``v``, gives fixed per-point noise variances
+    in raw target units. Raises TrainingError if every restart of a GP
+    fails to produce a usable likelihood; with columns, errors name the
+    column.
+    """
+    tau = np.asarray(tau, dtype=float)
+    v = np.asarray(v, dtype=float)
+    single = v.ndim == 1
+    values = v[:, None] if single else v
+    if tau.ndim != 1 or values.ndim != 2 or values.shape[0] != tau.shape[0]:
+        raise InvalidParameterError(
+            "tau and v must be matching vectors, or v one row per entry of tau")
+    floors = None if noise_floor is None else np.asarray(noise_floor, dtype=float)
+    if floors is not None:
+        if floors.shape != v.shape:
+            raise InvalidParameterError("noise_floor must match the training grid")
+        floors = floors.reshape(values.shape)
     if tau.shape[0] < 3:
         raise InvalidParameterError("need at least 3 training pairs")
     if not np.isfinite(tau).all():
@@ -500,19 +520,18 @@ def _train(tau, values, floors, config: GpTrainConfig, names) -> list:
     input_scale = float(np.std(tau))
     if input_scale <= 0.0:
         raise InvalidParameterError("degenerate training inputs")
-    if not names:
-        return []
+    names = [""] if single else [f"parameter column {j}: " for j in range(values.shape[1])]
 
     transforms, v_std, floor_std = [], [], []
     for j, name in enumerate(names):
-        v = values[:, j]
-        if not np.isfinite(v).all():
+        v_j = values[:, j]
+        if not np.isfinite(v_j).all():
             raise InvalidParameterError(f"{name}training targets must be finite")
-        target_shift = float(np.mean(v))
-        spread = float(np.std(v))
+        target_shift = float(np.mean(v_j))
+        spread = float(np.std(v_j))
         target_scale = spread if spread > 0.0 else 1.0
         x_std, v_j, floor_j = _standardize(
-            tau, v, None if floors is None else floors[:, j], input_shift, input_scale,
+            tau, v_j, None if floors is None else floors[:, j], input_shift, input_scale,
             target_shift, target_scale)
         if floor_j is not None and not np.all((floor_j >= 0.0) & (floor_j < math.inf)):
             raise InvalidParameterError(
@@ -520,6 +539,8 @@ def _train(tau, values, floors, config: GpTrainConfig, names) -> list:
         transforms.append((target_shift, target_scale))
         v_std.append(v_j)
         floor_std.append(floor_j)
+    if not names:
+        return []
 
     log_ranges = [tuple(math.log(bound) for bound in bounds) for bounds in (
         config.lengthscale_range, config.variance_range, config.noise_range)]
@@ -543,26 +564,7 @@ def _train(tau, values, floors, config: GpTrainConfig, names) -> list:
             train_targets=values[:, j], input_shift=input_shift, input_scale=input_scale,
             target_shift=target_shift, target_scale=target_scale,
             noise_floor=None if floors is None else floors[:, j], nlml=nlml))
-    return models
-
-
-def train(tau, v, config: GpTrainConfig = GpTrainConfig(),
-          noise_floor=None) -> GpModel:
-    """Fit hyperparameters by multi-start MLE and return the trained model:
-    the one-column case of ``track_parameters``.
-
-    Requires at least 3 strictly increasing training pairs. ``noise_floor``
-    gives fixed per-point noise variances in raw target units. Raises
-    TrainingError if every restart fails to produce a usable likelihood.
-    """
-    tau = np.asarray(tau, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if tau.ndim != 1 or tau.shape != v.shape:
-        raise InvalidParameterError("tau and v must be matching vectors")
-    floor = None if noise_floor is None else np.asarray(noise_floor, dtype=float)
-    if floor is not None and floor.shape != tau.shape:
-        raise InvalidParameterError("noise_floor must match the training grid")
-    return _train(tau, v[:, None], None if floor is None else floor[:, None], config, [""])[0]
+    return models[0] if single else models
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +607,8 @@ def track_parameters(
     stddevs=None,
     config: GpTrainConfig = GpTrainConfig(),
 ) -> list:
-    """Train one independent GP per parameter column.
+    """Train one independent GP per parameter column, all in one ``train``
+    call.
 
     ``values`` is (n_windows, n_params); ``stddevs`` of the same shape
     optionally provides per-window filter stddevs folded into fixed noise
@@ -624,5 +627,4 @@ def track_parameters(
             raise InvalidParameterError("stddevs must match values")
         floors = stddevs ** 2
 
-    return _train(times, values, floors, config,
-                  [f"parameter column {j}: " for j in range(values.shape[1])])
+    return train(times, values, config, floors)

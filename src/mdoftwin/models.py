@@ -263,14 +263,14 @@ class StateSpaceModel:
 
     The filter does not call ``drift``: its Euler map is compiled once per
     window from the system by ``euler_transition``, which equals
-    ``y + drift(y, f) * dt`` to rounding. The window kernel of
-    ``simulate_window`` does not call it either: at rest every element
-    force vanishes, so it takes the drift there from the forces alone.
-    ``drift`` serves the reference steppers.
+    ``y + drift(y, f) * dt`` to rounding. ``drift`` serves the window
+    kernel of ``simulate_window`` (one rest state against every step's
+    force sample) and the reference steppers.
 
     Every callable is batched over leading axes: a state is ``(..., dim)``,
-    one per path, and ``drift`` takes the force sample ``(n_dof,)`` or one
-    per path ``(..., n_dof)``. The analytic partials feed the strong
+    one per path, and ``drift`` broadcasts the leading axes of the state
+    and of the force sample ``(..., n_dof)``, so that one state takes a
+    run of force samples without being copied. The analytic partials feed the strong
     Taylor-1.5 scheme as directional derivatives, so no ``(dim, dim)``
     matrix is formed per path:
 
@@ -441,11 +441,11 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
 
     def drift(y, f) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
+        f = np.asarray(f, dtype=float)
+        out = np.zeros(np.broadcast_shapes(y.shape[:-1], f.shape[:-1]) + (dim,))
         out[..., disp_idx] = y[..., vel_idx]
         # the restoring acceleration -M^-1 (G(x) + K(k) x + C v)
-        out[..., vel_idx] = (restoring(y, to_acceleration)
-                             + np.asarray(f, dtype=float) / masses)
+        out[..., vel_idx] = restoring(y, to_acceleration) + f / masses
         return out
 
     def dispersion(y) -> np.ndarray:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .codec import codec, write_csv
 from .errors import InvalidParameterError, NumericError
-from .models import (MdofSystem, StateSpaceModel, _index_maps, acceleration_model,
+from .models import (MdofSystem, StateSpaceModel, acceleration_model,
                      dispersion_split)
 
 DIVERGED = "trajectory diverged to non-finite values"
@@ -269,16 +269,6 @@ def _window_operators(model: StateSpaceModel, rest: np.ndarray, dt: float) -> tu
     return step, reads, n_cubic, a_lin, input_map, b_const[:m], scaled
 
 
-def _rest_drift(system: MdofSystem, m: int, forces: np.ndarray) -> np.ndarray:
-    """The drift of the kinematic entries at rest, one row per force sample
-    ``(n_steps, n_dof)``. Every element force vanishes at rest, so the
-    displacement rates are zero and the velocity rates are f / m."""
-    _, velocities = _index_maps(system.n_dof, system.state_ordering)
-    drift = np.zeros((forces.shape[0], m))
-    drift[:, velocities] = forces / system.masses
-    return drift
-
-
 def simulate_window(
     model: StateSpaceModel,
     system: MdofSystem,
@@ -359,7 +349,8 @@ def simulate_window(
     for p, gen in enumerate(rng):
         inc = sample_brownian_increments(gen, cfg.dt, model.n_channels, n_steps)
         f_p = forces[:n_steps, p] if forces.ndim == 3 else forces[:n_steps]
-        c = (_rest_drift(system, m, f_p) @ input_map[p].T + inc.dw @ b_const.T
+        a_rest = model.drift(rest[p], f_p)[:, :m]
+        c = (a_rest @ input_map[p].T + inc.dw @ b_const.T
              + inc.dz @ (a_lin[p] @ b_const).T)
         rows[1:, p, :m] = c
         rows[1:, p, m:] = c @ reads[p].T

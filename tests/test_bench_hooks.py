@@ -2,7 +2,6 @@
 dictionaries (``perfbench/tracer.py``); a refactor that deletes or renames
 one of them breaks the traced run, so installing the hooks is tested here."""
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -63,20 +62,11 @@ def traced_metrics():
         return metrics
 
 
-# layers whose traced names the library no longer calls: the window kernel
-# takes its drift at rest from the forces, not from model.drift, and GP
-# training runs every column's restarts in one batched minimization, not
-# gpr.train per column on gpr.negative_log_marginal_likelihood; their
-# per-call times read NaN and their call counts 0
-UNCALLED = {"models.drift_us": math.nan, "models.drift.calls": 0.0,
-            "gpr.train_s": math.nan, "gpr.train.calls": 0.0, "gpr.nlml_evals": math.nan}
-
-
 def test_traced_layers_report_finite_sde_and_model_metrics(traced_metrics):
     # the traced benchmark is correct only when every per-layer metric is
     # finite; a model partial or layer that is never called reads NaN
     layers = {name: value for name, value in traced_metrics.items()
-              if name.startswith(("sde.", "models.")) and name not in UNCALLED}
+              if name.startswith(("sde.", "models."))}
     assert layers and all(np.isfinite(v) for v in layers.values()), layers
 
 
@@ -84,15 +74,9 @@ def test_traced_read_side_reports_finite_gp_metrics(traced_metrics):
     # a query that stops calling gpr.predict by module name reads NaN in
     # gpr.predict_us
     layers = {name: value for name, value in traced_metrics.items()
-              if (name.startswith("gpr.") or name == "twin.predict_parameters_self_us")
-              and name not in UNCALLED}
+              if name.startswith("gpr.") or name == "twin.predict_parameters_self_us"}
     assert "gpr.predict_us" in layers
     assert all(np.isfinite(v) for v in layers.values()), layers
-
-
-def test_uncalled_layers_stay_uncalled(traced_metrics):
-    for name, value in UNCALLED.items():
-        np.testing.assert_equal(traced_metrics[name], value, err_msg=name)
 
 
 def test_traced_filter_reports_finite_ukf_metrics(traced_metrics):

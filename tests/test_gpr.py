@@ -261,14 +261,14 @@ class TestLockstepTraining:
         # long lengthscales, large variances and tiny noise: some steps
         # land where Kt does not factor and score the penalty
         scores = []
-        likelihoods = gpr._likelihoods
+        likelihoods = gpr.negative_log_marginal_likelihood
 
         def spy(*args):
             values, grads = likelihoods(*args)
             scores.extend(values)
             return values, grads
 
-        monkeypatch.setattr(gpr, "_likelihoods", spy)
+        monkeypatch.setattr(gpr, "negative_log_marginal_likelihood", spy)
         tau, values, stddevs = tracked_history(41, 3, seed=2)
         cfg = GpTrainConfig(kernel_family=family, n_restarts=10, seed=3,
                             lengthscale_range=(1e1, 1e7), variance_range=(1e2, 1e7),

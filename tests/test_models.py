@@ -634,8 +634,10 @@ class TestElementKernelShapes:
         (build_duffing_2dof, (1, 2)), (build_dvp_7dof, range(1, 8)),
         (build_dvp_7dof, ())])
     def test_drift_inputs(self, build, augment):
-        # simulate_window evaluates the drift on (n_steps, dim) rows; the
-        # steppers pass one state or one per path
+        # (n_steps, dim) rows; simulate_window passes one rest state per
+        # path against its (n_steps, n_dof) forces, broadcast rather than
+        # copied, where every element force is zero, so that it keeps the
+        # bits of the copies; the steppers pass one state or one per path
         s = build()
         rng = np.random.default_rng(31)
         states = random_points(rng, s, augment, 5000)
@@ -644,6 +646,15 @@ class TestElementKernelShapes:
         np.testing.assert_array_equal(drift(states, forces), reference(states, forces))
         for y in (states[0], states[:1], states[:3].reshape(3, 1, -1)):
             np.testing.assert_array_equal(drift(y, forces[0]), reference(y, forces[0]))
+        rest = states[:3].copy()
+        rest[:, :2 * s.n_dof] = 0.0
+        per_path = forces.reshape(1000, 5, s.n_dof)[:, :3]
+        for y, f in ((rest[0], forces), (rest, per_path)):
+            copies = np.broadcast_to(y, f.shape[:-1] + y.shape[-1:]).copy()
+            np.testing.assert_array_equal(drift(y, f), reference(copies, f))
+        # away from rest a broadcast state keeps the bits of the one state
+        np.testing.assert_array_equal(drift(states[0], forces[:50]),
+                                      [drift(states[0], f) for f in forces[:50]])
 
     @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
     def test_single_states(self, build):

@@ -2,12 +2,13 @@
 
 import math
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mdoftwin import sde, twin
+from mdoftwin import twin
 from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.models import (DegradationSchedule, acceleration_model, build_duffing_2dof,
                              build_dvp_7dof, to_state_space)
@@ -446,36 +447,30 @@ class TestWindowKernel:
         assert np.all(np.abs(traj.states - reference) <= 1e-12 * scale)
 
 
-def use_model_drift_at_rest(monkeypatch, module):
-    """Make ``module.simulate_window`` take the drift at rest as the window
-    kernel first computed it: the model's drift on every step's rest state,
-    one call per path, in path order."""
-    simulate = sde.simulate_window
+def tiling_drift(model):
+    """``model`` with the drift as the window kernel first called it: the
+    state copied onto the leading axes of the force samples, one row per
+    step, so that the element kernel runs on every copy."""
+    drift = model.drift
 
-    def simulate_with_model_drift(model, system, y0, *args, **kwargs):
-        m = model.dim_state - len(model.param_indices)
-        rest = np.array(y0, dtype=float).reshape(-1, model.dim_state)
-        rest[:, :m] = 0.0
-        rows = iter(rest)
+    def tiled(y, f):
+        y = np.asarray(y, dtype=float)
+        shape = np.broadcast_shapes(y.shape[:-1], np.shape(f)[:-1]) + y.shape[-1:]
+        return drift(np.broadcast_to(y, shape).copy(), f)
 
-        def drift_at_rest(system, m, forces):
-            return model.drift(np.tile(next(rows), (forces.shape[0], 1)), forces)[:, :m]
-
-        monkeypatch.setattr(sde, "_rest_drift", drift_at_rest)
-        return simulate(model, system, y0, *args, **kwargs)
-
-    monkeypatch.setattr(module, "simulate_window", simulate_with_model_drift)
+    return replace(model, drift=tiled)
 
 
 class TestRestDrift:
-    """The kernel's drift at rest, f / m on the velocity rows, keeps the
-    bits of the model's drift evaluated at rest on every step."""
+    """The kernel evaluates the drift on one rest state per path against
+    every step's force sample, with the bits of the drift evaluated on a
+    copy of the rest state per step."""
 
     @pytest.mark.parametrize("n_paths, forces", [
         (None, "default"), (None, "shared"), (1, "default"), (1, "shared"), (1, "per-path"),
         (3, "default"), (3, "shared"), (3, "per-path")])
     @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
-    def test_states_bit_for_bit(self, build, n_paths, forces, monkeypatch):
+    def test_states_bit_for_bit(self, build, n_paths, forces):
         n = 2 if build is build_duffing_2dof else 7
         system = build()
         model = to_state_space(system, range(1, n + 1))
@@ -490,8 +485,8 @@ class TestRestDrift:
                        "per-path": (n_steps + 1, n_paths, n)}[forces]
         kwargs = {} if force_shape is None else {"forces": rng.normal(size=force_shape) * 5.0}
         lean = simulate_window(model, system, y0, n_steps * cfg.dt, cfg, **kwargs)
-        use_model_drift_at_rest(monkeypatch, sde)
-        full = sde.simulate_window(model, system, y0, n_steps * cfg.dt, cfg, **kwargs)
+        full = simulate_window(tiling_drift(model), system, y0, n_steps * cfg.dt, cfg,
+                               **kwargs)
         np.testing.assert_array_equal(lean.states, full.states)
         np.testing.assert_array_equal(lean.accelerations, full.accelerations)
 
@@ -507,7 +502,9 @@ class TestRestDrift:
                     for i, t_s in enumerate((0.0, 50.0))]
 
         lean = windows()
-        use_model_drift_at_rest(monkeypatch, twin)
+        build_model = twin.to_state_space
+        monkeypatch.setattr(twin, "to_state_space",
+                            lambda *args, **kwargs: tiling_drift(build_model(*args, **kwargs)))
         for one, other in zip(lean, windows()):
             np.testing.assert_array_equal(one.accel, other.accel)
 
