@@ -32,8 +32,9 @@ run that asks for f and g at a new x is served by one batched
 the reductions are batched, the factorization and the solves run per
 instance, and every instance's NLML and gradient equal the one-instance
 formula bit for bit. So the trained models equal those of one
-``minimize`` per restart, bit for bit. On real twin histories of 3 to 41 windows (seed 3, one BLAS thread, 2-vCPU host) a
-7-DOF retrain (6 GPs) takes 39 ms in the median, down from 114 ms.
+``minimize`` per restart, bit for bit. On real twin histories of 3 to 41
+windows (seed 3, one BLAS thread, 2-vCPU host) a 7-DOF retrain (6 GPs)
+takes 40 ms in the median, down from 114 ms.
 
 Kt is factorized and solved through the LAPACK pair of ``linalg``
 (``dpotrf``/``dpotrs``), which returns what scipy's ``cho_factor`` and
@@ -359,11 +360,10 @@ def negative_log_marginal_likelihood(
     log_theta = np.asarray(log_theta, dtype=float)
     v = np.asarray(v, dtype=float)
     floor = None if floor is None else np.asarray(floor, dtype=float)
-    if log_theta.ndim == 1:
-        values, grads = negative_log_marginal_likelihood(
-            log_theta[None], x, v[None], family, mean_spec,
-            None if floor is None else floor[None])
-        return values[0], grads[0]
+    single = log_theta.ndim == 1
+    if single:
+        log_theta, v = log_theta[None], v[None]
+        floor = None if floor is None else floor[None]
     x = np.asarray(x, dtype=float)
     lengthscale, variance, noise = np.exp(log_theta).T
     n_instances, n = v.shape
@@ -392,7 +392,8 @@ def negative_log_marginal_likelihood(
     values = 0.5 * fit + 0.5 * logdet + 0.5 * n * math.log(2.0 * math.pi)
     values[failed] = _PENALTY
     grads[failed] = 0.0
-    return values.tolist(), grads
+    values = values.tolist()
+    return (values[0], grads[0]) if single else (values, grads)
 
 
 def _latin_hypercube(rng: np.random.Generator, n_points: int, log_ranges) -> np.ndarray:

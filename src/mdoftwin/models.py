@@ -270,9 +270,9 @@ class StateSpaceModel:
     Every callable is batched over leading axes: a state is ``(..., dim)``,
     one per path, and ``drift`` broadcasts the leading axes of the state
     and of the force sample ``(..., n_dof)``, so that one state takes a
-    run of force samples without being copied. The analytic partials feed the strong
-    Taylor-1.5 scheme as directional derivatives, so no ``(dim, dim)``
-    matrix is formed per path:
+    run of force samples without being copied. The analytic partials feed
+    the strong Taylor-1.5 scheme as directional derivatives, so no
+    ``(dim, dim)`` matrix is formed per path:
 
     * ``drift_jacobian(y, f, v)`` is ``(da/dy) v`` for a direction ``v``;
       the scheme requires it, Euler-Maruyama does not;
