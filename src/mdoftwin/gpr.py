@@ -25,7 +25,7 @@ the served model is the posterior the likelihood scored, bit for bit.
 Training runs every restart of every tracked stiffness in lockstep, in
 one ``train`` call on the target columns: one L-BFGS-B run per (GP,
 start), 36 on the 7-DOF twin, each a reverse-communication state of
-scipy's ``setulb`` driven step for step as
+scipy's ``setulb`` (from ``linalg.scipy_extension``) driven step for step as
 ``scipy.optimize.minimize(method="L-BFGS-B")`` drives it. Each round, every
 run that asks for f and g at a new x is served by one batched
 ``negative_log_marginal_likelihood`` call: the kernel, its derivative and
@@ -67,11 +67,12 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import _lbfgsb
 
 from .codec import codec
 from .errors import InvalidParameterError, TrainingError
-from .linalg import cho_factor, cho_solve, tri_inverse
+from .linalg import cho_factor, cho_solve, scipy_extension, tri_inverse
+
+_lbfgsb = scipy_extension("optimize", "_lbfgsb")
 
 logger = logging.getLogger(__name__)
 

@@ -63,7 +63,9 @@ class MeasurementWindow:
 
     InvalidParameterError unless ``accel`` and ``force`` have one row per
     sample of ``times``, every value is finite and the grid is uniform
-    (``sde.uniform_step``).
+    (``sde.uniform_step``), and unless each noise level given is finite and
+    non-negative, ``accel_noise_std`` one per observed DOF and
+    ``force_noise_std`` one per force column.
     """
 
     t_s: float
@@ -89,10 +91,19 @@ class MeasurementWindow:
         if problem is not None:
             raise InvalidParameterError(problem)
         uniform_step(self.times)
-        if self.accel_noise_std is not None:
-            self.accel_noise_std = np.asarray(self.accel_noise_std, dtype=float)
-        if self.force_noise_std is not None:
-            self.force_noise_std = np.asarray(self.force_noise_std, dtype=float)
+        for name, n_columns in (("accel_noise_std", len(self.observed_dofs)),
+                                ("force_noise_std", self.force.shape[1])):
+            std = getattr(self, name)
+            if std is None:
+                continue
+            std = np.asarray(std, dtype=float)
+            if std.shape != (n_columns,):
+                raise InvalidParameterError(
+                    f"{name} must hold {n_columns} entries, got shape {std.shape}")
+            if not (np.isfinite(std) & (std >= 0.0)).all():
+                raise InvalidParameterError(
+                    f"{name} must be finite and non-negative, got {std.tolist()}")
+            setattr(self, name, std)
 
     def save(self, base_path) -> tuple:
         """Write <base>.csv (series) and <base>.json (sidecar); return paths."""
@@ -569,13 +580,17 @@ def predict_response_ensemble(
     Draw j simulates with seed ``seed + 1 + j``; the parameter draws use
     ``seed`` itself. All draws advance together as the paths of one
     integration; a diverging draw raises NumericError naming it. The
-    ``levels`` of the returned quantiles must lie in [0, 1]; they are
-    checked before anything is integrated.
+    ``levels`` of the returned quantiles must lie in [0, 1], and ``y0``, the
+    start of every draw, must have shape (2 n_dof,); both are checked before
+    anything is drawn.
     """
     if n_draws < 2:
         raise InvalidParameterError("n_draws must be at least 2")
     _check_levels(levels)
     system, cfg = snapshot.system, snapshot.config
+    n = system.n_dof
+    if y0 is not None and np.shape(y0) != (2 * n,):
+        raise InvalidParameterError(f"y0 must have shape ({2 * n},), got {np.shape(y0)}")
     predictions = predict_parameters(snapshot, [float(t_tilde)])
     k_base = system.stiffnesses.copy()
     rng = np.random.default_rng(seed)
@@ -587,7 +602,6 @@ def predict_response_ensemble(
         draws[:, idx] = np.clip(samples, 1e-6 * k_base[idx], None)
 
     # one path per draw, its stiffness in the state tail of the augmented model
-    n = system.n_dof
     model = to_state_space(system, augment_params=range(1, n + 1))
     start = np.zeros((n_draws, model.dim_state))
     if y0 is not None:

@@ -345,15 +345,28 @@ def update(
 @dataclass(frozen=True)
 class NoiseModel:
     """Process covariance (a matrix, or a function of the predicted mean as
-    ``build_process_noise`` returns it) plus measurement covariance."""
+    ``build_process_noise`` returns it) plus measurement covariance.
+
+    InvalidParameterError unless R is a finite, symmetric, positive
+    semi-definite square matrix and a matrix Q is finite and square.
+    """
 
     q: object
     r: np.ndarray
 
     def __post_init__(self):
+        if not callable(self.q):
+            q = np.asarray(self.q, dtype=float)
+            if q.ndim != 2 or q.shape[0] != q.shape[1]:
+                raise InvalidParameterError("Q must be a square matrix")
+            if not np.isfinite(q).all():
+                raise InvalidParameterError("Q must be finite")
+            object.__setattr__(self, "q", q)
         r = np.asarray(self.r, dtype=float)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise InvalidParameterError("R must be a square matrix")
+        if not np.isfinite(r).all():  # NaN would pass every test below
+            raise InvalidParameterError("R must be finite")
         if np.max(np.abs(r - r.T)) > 1e-10 * max(1.0, float(np.max(np.abs(r)))):
             raise InvalidParameterError("R must be symmetric")
         r = 0.5 * (r + r.T)

@@ -1,10 +1,18 @@
 """The LAPACK Cholesky pair against scipy's wrappers of the same routines,
-and the inverse of a Cholesky factor."""
+the inverse of a Cholesky factor, and the compiled scipy modules loaded
+without their packages."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import mdoftwin
 from mdoftwin.linalg import cho_factor, cho_solve, tri_inverse
 
 
@@ -48,3 +56,81 @@ def test_tri_inverse_inverts_the_factor(n):
 def test_tri_inverse_of_singular_factor_raises():
     with pytest.raises(np.linalg.LinAlgError):
         tri_inverse(np.diag([1.0, 0.0, 2.0]))
+
+
+# ---- the compiled modules, loaded without scipy.linalg / scipy.optimize ----
+# Each check runs in a fresh interpreter: conftest has imported scipy.optimize
+# into this one.
+
+SAME_ROUTINES = """
+import scipy.linalg.lapack, scipy.optimize._lbfgsb
+from mdoftwin import gpr, linalg
+for name in ("dpotrf", "dpotrs", "dtrtri"):
+    assert getattr(linalg, name) is getattr(scipy.linalg.lapack, name), name
+assert gpr._lbfgsb.setulb is scipy.optimize._lbfgsb.setulb
+assert scipy.linalg._flapack.dpotrf is linalg.dpotrf  # the package attribute is set
+"""
+
+SHORT_RUN = """
+import numpy as np
+from mdoftwin import gpr
+from mdoftwin.models import DegradationSchedule, build_duffing_2dof
+from mdoftwin.sde import IntegratorConfig
+from mdoftwin.twin import CampaignConfig, filter_window, generate_window
+system = build_duffing_2dof()
+cfg = CampaignConfig(window_duration_s=0.2, integrator=IntegratorConfig(dt=2e-3))
+window = generate_window(system, DegradationSchedule.for_system(system), cfg, 0.0, 1)
+assert np.isfinite(filter_window(system, cfg, window).means).all()
+gpr.train(np.arange(6.0), np.array([1.0, 0.97, 0.95, 0.92, 0.91, 0.87]))
+"""
+
+
+def run_fresh(script):
+    """Run ``script`` in a new interpreter that imports this mdoftwin."""
+    env = dict(os.environ)
+    src = str(Path(mdoftwin.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def test_twin_runs_without_the_scipy_packages():
+    run_fresh("import sys\nimport mdoftwin\n" + SHORT_RUN + """
+loaded = [name for name in ("scipy.linalg", "scipy.optimize") if name in sys.modules]
+assert not loaded, loaded
+""" + SAME_ROUTINES)
+
+
+def test_same_routines_when_scipy_is_imported_first():
+    run_fresh("""
+import scipy.linalg.lapack, scipy.optimize._lbfgsb
+import mdoftwin
+from mdoftwin import gpr
+assert gpr._lbfgsb is scipy.optimize._lbfgsb
+""" + SAME_ROUTINES + SHORT_RUN)
+
+
+@pytest.mark.parametrize("found", ["nothing", "a source file"])
+def test_ordinary_import_when_no_extension_file(found):
+    # an editable scipy build, say: the package directory holds no
+    # extension file for the name, so the helper imports it as usual
+    run_fresh(f"""
+import importlib.machinery, importlib.util, sys
+names = {{"scipy.linalg._flapack", "scipy.optimize._lbfgsb"}}
+asked = set()
+real = importlib.machinery.PathFinder.find_spec
+
+def find_spec(name, path=None, target=None):
+    if name in names and name not in asked:  # the helper's own look-up
+        asked.add(name)
+        if {found!r} == "nothing":
+            return None
+        return importlib.util.spec_from_file_location(name, importlib.__file__)
+    return real(name, path, target)
+
+importlib.machinery.PathFinder.find_spec = staticmethod(find_spec)
+import mdoftwin
+assert asked == names, asked
+assert "scipy.linalg" in sys.modules and "scipy.optimize" in sys.modules
+""" + SAME_ROUTINES + SHORT_RUN)

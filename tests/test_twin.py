@@ -100,6 +100,43 @@ class TestMeasurementWindow:
                            match=f"^{name} is not finite at sample 4$"):
             MeasurementWindow(t_s=0.0, observed_dofs=(1, 2), **fields)
 
+    BAD_NOISE_LEVELS = [
+        ("accel_noise_std", [np.nan, 1.0], "must be finite and non-negative"),
+        ("accel_noise_std", [-1.0, 1.0], "must be finite and non-negative"),
+        ("force_noise_std", [1.0, np.inf], "must be finite and non-negative"),
+        ("force_noise_std", [1.0, -0.5], "must be finite and non-negative"),
+        ("accel_noise_std", [0.1], "must hold 2 entries"),
+        ("force_noise_std", [[1.0, 1.0]], "must hold 2 entries"),
+    ]
+
+    @pytest.mark.parametrize("name, value, message", BAD_NOISE_LEVELS)
+    def test_bad_noise_level_rejected(self, name, value, message):
+        # a NaN level used to fail later as a filter failure, a negative
+        # one was squared into a valid variance
+        window = self.make_window()
+        fields = {k: getattr(window, k) for k in (
+            "t_s", "times", "accel", "force", "observed_dofs",
+            "accel_noise_std", "force_noise_std")}
+        fields[name] = value
+        with pytest.raises(InvalidParameterError, match=f"^{name} {message}"):
+            MeasurementWindow(**fields)
+
+    @pytest.mark.parametrize("name, value, message", BAD_NOISE_LEVELS)
+    def test_bad_noise_level_rejected_on_load(self, tmp_path, name, value, message):
+        # the sidecar decoder stops a non-finite level, the constructor the rest
+        _, sidecar_path = self.make_window().save(tmp_path / "w")
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar[name] = value
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(InvalidParameterError, match=f"w.(csv|json): {name} must"):
+            MeasurementWindow.load(tmp_path / "w")
+
+    def test_zero_noise_level_accepted(self):
+        window = self.make_window()
+        window = replace(window, accel_noise_std=[0.0, 0.0], force_noise_std=(0.0, 0.0))
+        np.testing.assert_array_equal(window.accel_noise_std, np.zeros(2))
+        assert window.force_noise_std.dtype == float
+
     def test_save_load_round_trip(self, tmp_path):
         window = self.make_window()
         window.save(tmp_path / "w0")
@@ -122,8 +159,8 @@ class TestMeasurementWindow:
         assert sidecar["observed_dofs"] == [1, 2]
 
     # each case corrupts the rows (header first) or the sidecar of a good
-    # window; "one-force-column" loads, but its single force column does not
-    # match the 2-DOF system
+    # window; "one-force-column" stops at load, since the sidecar gives a
+    # noise level per force column for two columns
     @pytest.mark.parametrize("corrupt", [
         lambda rows, side: [],
         lambda rows, side: rows[:1],
@@ -656,6 +693,24 @@ class TestPrediction:
         monkeypatch.setattr(twin_mod, "simulate_window", never)
         with pytest.raises(InvalidParameterError, match="^levels must be"):
             predict_response_ensemble(snap, 450.0, 0.2, 3, n_draws=4, levels=levels)
+
+    @pytest.mark.parametrize("y0", [np.zeros(3), np.zeros(6), np.zeros((4, 1)),
+                                    np.zeros((2, 4)), 0.0])
+    def test_bad_start_rejected_before_drawing(self, monkeypatch, y0):
+        # numpy's broadcast ValueError used to escape; predict_response
+        # raises InvalidParameterError for the same start
+        system = build_duffing_2dof()
+        cfg = quick_config()
+        snap = fabricate_snapshot(system, cfg, np.arange(8) * 50.0,
+                                  np.tile(system.stiffnesses, (8, 1)))
+
+        def never(*args, **kwargs):
+            raise AssertionError("drew before the start was checked")
+
+        monkeypatch.setattr(twin_mod, "predict_parameters", never)
+        monkeypatch.setattr(twin_mod, "simulate_window", never)
+        with pytest.raises(InvalidParameterError, match=r"^y0 must have shape \(4,\), got "):
+            predict_response_ensemble(snap, 450.0, 0.2, 3, n_draws=4, y0=y0)
 
     def test_diverging_draw_named(self):
         # a band straddling the stability limit of the explicit scheme:

@@ -414,6 +414,37 @@ class TestBeliefFactor:
         self.assert_same_factor(belief)
 
 
+class TestNoiseModel:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_r_rejected(self, value):
+        # NaN fails every comparison, so only a finiteness test catches it
+        with pytest.raises(InvalidParameterError, match="^R must be finite$"):
+            NoiseModel(q=np.eye(2), r=[[value]])
+        with pytest.raises(InvalidParameterError, match="^R must be finite$"):
+            NoiseModel(q=np.eye(2), r=np.diag([1.0, value]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_q_matrix_rejected(self, value):
+        q = np.eye(3)
+        q[1, 2] = value
+        with pytest.raises(InvalidParameterError, match="^Q must be finite$"):
+            NoiseModel(q=q, r=np.eye(1))
+
+    @pytest.mark.parametrize("q", [np.ones(3), np.ones((2, 3)), np.ones((1, 2, 2))],
+                             ids=["vector", "rectangular", "stacked"])
+    def test_q_matrix_must_be_square(self, q):
+        with pytest.raises(InvalidParameterError, match="^Q must be a square matrix$"):
+            NoiseModel(q=q, r=np.eye(1))
+
+    def test_valid_inputs_kept(self):
+        q_fn = build_process_noise(to_state_space(build_duffing_2dof(), (1, 2)), 1e-3)
+        assert NoiseModel(q=q_fn, r=np.eye(2)).q is q_fn
+        noise = NoiseModel(q=[[1.0, 0.0], [0.0, 2.0]], r=[[0.0]])
+        np.testing.assert_array_equal(noise.q, np.diag([1.0, 2.0]))
+        assert noise.q.dtype == float
+        np.testing.assert_array_equal(noise.r, np.zeros((1, 1)))
+
+
 class TestProcessNoise:
     def test_2dof_hand_value(self):
         system = build_duffing_2dof()
