@@ -186,6 +186,14 @@ class UkfRunConfig:
     q_scale: float | None = None
     measurement_noise_std: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        # the override takes the place of a window's accel_noise_std, so it
+        # is held to the same rule
+        std = self.measurement_noise_std
+        if std is not None and not (np.isfinite(std) & (np.asarray(std) >= 0.0)).all():
+            raise InvalidParameterError(
+                f"measurement_noise_std must be finite and non-negative, got {list(std)}")
+
 
 @codec
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ import scipy.linalg.lapack, scipy.optimize._lbfgsb
 import mdoftwin
 from mdoftwin import gpr
 assert gpr._lbfgsb is scipy.optimize._lbfgsb
-""" + SAME_ROUTINES + SHORT_RUN)
+""" + SAME_ROUTINES)
 
 
 @pytest.mark.parametrize("found", ["nothing", "a source file"])
@@ -133,4 +133,4 @@ importlib.machinery.PathFinder.find_spec = staticmethod(find_spec)
 import mdoftwin
 assert asked == names, asked
 assert "scipy.linalg" in sys.modules and "scipy.optimize" in sys.modules
-""" + SAME_ROUTINES + SHORT_RUN)
+""" + SAME_ROUTINES)

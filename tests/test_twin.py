@@ -159,8 +159,8 @@ class TestMeasurementWindow:
         assert sidecar["observed_dofs"] == [1, 2]
 
     # each case corrupts the rows (header first) or the sidecar of a good
-    # window; "one-force-column" stops at load, since the sidecar gives a
-    # noise level per force column for two columns
+    # window; "one-force-column" loads, but its single force column does not
+    # match the 2-DOF system
     @pytest.mark.parametrize("corrupt", [
         lambda rows, side: [],
         lambda rows, side: rows[:1],
@@ -169,7 +169,8 @@ class TestMeasurementWindow:
         lambda rows, side: rows[:3] + [rows[3][:1] + ["nan"] + rows[3][2:]] + rows[4:],
         lambda rows, side: side.update(n_samples=5) or rows,
         lambda rows, side: rows[:3] + [["0.0025"] + rows[3][1:]] + rows[4:],
-        lambda rows, side: [row[:-1] for row in rows],
+        lambda rows, side: side.update(force_noise_std=side["force_noise_std"][:1])
+        or [row[:-1] for row in rows],
         lambda rows, side: side.update(t_s=float("nan")) or rows,
         lambda rows, side: side.update(force_noise_std=[0.1, float("inf")]) or rows,
     ], ids=["empty", "header-only", "ragged", "non-numeric", "non-finite",
@@ -416,6 +417,22 @@ class TestAssimilation:
             ukf=UkfRunConfig(measurement_noise_std=(0.05, 0.05)))
         result = filter_window(system, cfg_override, window)
         assert np.all(np.isfinite(result.param_estimate))
+
+    @pytest.mark.parametrize("std", [(0.05, -0.05), (np.nan, 0.05), (0.05, np.inf)])
+    def test_bad_measurement_noise_override_rejected(self, tmp_path, capsys, std):
+        # a negative level used to be squared into a valid variance
+        message = "measurement_noise_std must be finite and non-negative"
+        with pytest.raises(InvalidParameterError, match=f"^{message}"):
+            UkfRunConfig(measurement_noise_std=std)
+        if np.isfinite(std).all():
+            _, _, _, windows = self.run_snapshot(n_windows=1)
+            windows[0].save(tmp_path / "w")
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"system": {"kind": "duffing_2dof"},
+                                          "ukf": {"measurement_noise_std": list(std)}}))
+            assert main(["filter", "--config", str(config), "--out",
+                         str(tmp_path / "out"), "--window", str(tmp_path / "w")]) == 2
+            assert message in capsys.readouterr().err
 
 
 class TestRunCampaign:
