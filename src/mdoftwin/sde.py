@@ -33,9 +33,18 @@ entries), so the kernel carries the rows x = [z; O z]. A step weighs the
 reads in place into the h_j and is one batched product and one add,
 x' = S [z; h] + d_k with d_k = [c_k; O c_k]; S, N and every d_k are formed
 once per integration and per path, from one ``drift_jacobian`` call. The
-kernel
-agrees with the reference steppers to rounding (the summation order
+kernel agrees with the reference steppers to rounding (the summation order
 differs).
+
+The steps run in place on the returned states array, whose row at one step
+is contiguous over every path and as wide as the state or as [z; O z],
+whichever is wider. Each step weighs that whole row by a weight row of the
+same shape and adds a product as wide as the row, so that the weighing and
+the add are each one contiguous loop over all paths, whatever the read
+count J; the weight rows of one block of ``_MEASURE_BLOCK`` steps at a time
+live in one reused buffer. The step operator stays ``(m + J) x (m + J)``:
+a wider one would change the summation of the batched product, and so the
+bits.
 """
 
 from __future__ import annotations
@@ -298,9 +307,14 @@ def simulate_window(
 
     Each step is one batched product of the step operator with [z; h],
     added onto the step input [c_k; O c_k] (see ``_window_operators``). The
-    step inputs are built in the returned states array, in the entries the
-    rows [z; O z] of each step then take, so no array of them is kept
-    beside it; the parameter tail is written after the loop.
+    step inputs are built per path in the returned states array, in the
+    entries the rows [z; O z] of each step then take, so no array of them
+    is kept beside it; the parameter tail is written after the loop. The
+    loop runs in place on that array, a whole contiguous row per step: the
+    weight buffer holds one block of ``_MEASURE_BLOCK`` steps' weight rows
+    (one on z and past the reads, e^2 on the cubic reads, the noise
+    weights of the block on the rest), so that only the e^2 write and the
+    batched product act on strided views.
     """
     if not np.isfinite(duration) or duration < cfg.dt:
         raise InvalidParameterError(f"duration must be finite and at least dt, got {duration}")
@@ -334,18 +348,19 @@ def simulate_window(
     rest[:, :m] = 0.0
     step, reads, n_cubic, a_lin, input_map, b_const, scaled = _window_operators(
         model, rest, cfg.dt)
-    n_reads = reads.shape[1]
-    width = m + n_reads
+    width = m + reads.shape[1]
+    n_noise = reads.shape[1] - n_cubic  # the scaled-noise terms' weights
 
     # the rows x_k = [z_k; O z_k] are the first m + J entries of each path's
     # state at step k (the array is wider than the state where J exceeds
     # the parameter count). Until step k - 1 adds its product onto them,
     # they hold its input [c; O c], per path c = N a(r, f) + b dw + A b dz;
     # the weights of the scaled-noise terms are gain times
-    # (dz, dw, dw dt - dz). The parameter tail is written after the loop.
-    work = np.empty((n_steps + 1, n_paths, max(dim, width)))
+    # (dz, dw, dw dt - dz). The entries past the rows, which every step
+    # weighs and adds to, stay zero until the parameter tail is written.
+    work = np.zeros((n_steps + 1, n_paths, max(dim, width)))
     rows = work[:, :, :width]
-    weights = np.empty((n_steps, n_paths, n_reads))
+    noise = np.empty((n_steps, n_paths, n_noise))
     for p, gen in enumerate(rng):
         inc = sample_brownian_increments(gen, cfg.dt, model.n_channels, n_steps)
         f_p = forces[:n_steps, p] if forces.ndim == 3 else forces[:n_steps]
@@ -354,28 +369,40 @@ def simulate_window(
              + inc.dz @ (a_lin[p] @ b_const).T)
         rows[1:, p, :m] = c
         rows[1:, p, m:] = c @ reads[p].T
-        j = n_cubic
+        j = 0
         for _, channel, _, gain in scaled:
             dw, dz = inc.dw[:, channel], inc.dz[:, channel]
             for d in (dz, dw, dw * cfg.dt - dz):
-                weights[:, p, j] = gain * d
+                noise[:, p, j] = gain * d
                 j += 1
     rows[0, :, :m] = y[:, :m]
     rows[0, :, m:] = (reads @ y[:, :m, None])[:, :, 0]
 
-    product = np.empty((n_paths, width, 1))
-    # a diverging path only poisons its own row; it is flagged below
+    # a step weighs its whole row: one on z and past the reads, e^2 on the
+    # cubic reads and the block's noise weights on the rest
+    block = min(_MEASURE_BLOCK, n_steps)
+    weights = np.ones((block, n_paths, work.shape[2]))
+    product = np.zeros((n_paths, work.shape[2], 1))
+    product_read, product_row = product[:, :width], product[:, :, 0]
+    # a diverging path only poisons its own row; the states of each block
+    # are tested as they are made (the start and the parameters are finite)
+    finite = np.ones(n_paths, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for x, o, e, x_next, g, g_cubic in zip(
-                rows[:, :, :, None], rows[:, :, m:], rows[:, :, m:m + 1],
-                rows[1:, :, :, None], weights, weights[:, :, :n_cubic]):
-            np.multiply(e, e, out=g_cubic)  # e^2 weighs the cubic terms
-            np.multiply(o, g, out=o)  # the reads become the h_j
-            np.matmul(step, x, out=product)
-            np.add(x_next, product, out=x_next)
+        for start in range(0, n_steps, block):
+            stop = min(start + block, n_steps)
+            weights[:stop - start, :, width - n_noise:width] = noise[start:stop]
+            for x, x_read, e, x_next, g, g_cubic in zip(
+                    work[start:stop], work[start:stop, :, :width, None],
+                    work[start:stop, :, m:m + 1], work[start + 1:stop + 1],
+                    weights, weights[:, :, m:m + n_cubic]):
+                np.multiply(e, e, out=g_cubic)  # e^2 weighs the cubic terms
+                np.multiply(x, g, out=x)  # the reads become the h_j
+                np.matmul(step, x_read, out=product_read)
+                np.add(x_next, product_row, out=x_next)
+            finite &= np.isfinite(work[start + 1:stop + 1, :, :m]).all(axis=(0, 2))
     states = work[:, :, :dim]
     states[:, :, m:] = y[:, m:]
-    diverged = ~np.all(np.isfinite(states), axis=(0, -1))
+    diverged = ~finite
     if not paths and diverged[0]:
         raise NumericError(DIVERGED)
 

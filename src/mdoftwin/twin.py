@@ -40,8 +40,9 @@ from .codec import codec, decode, write_csv, write_json
 from .errors import InvalidParameterError, NumericError
 from .models import (DegradationSchedule, MdofSystem, check_observed_dofs,
                      degraded_stiffness, to_state_space)
-from .sde import (DIVERGED, IntegratorConfig, Trajectory, corrupt_with_snr,
-                  non_finite, noise_std_for_snr, simulate_window, uniform_step)
+from .sde import (_MEASURE_BLOCK, DIVERGED, IntegratorConfig, Trajectory,
+                  corrupt_with_snr, non_finite, noise_std_for_snr, simulate_window,
+                  uniform_step)
 from .ukf import (GaussianBelief, NoiseModel, UkfParams, build_process_noise,
                   run_filter)
 
@@ -575,8 +576,11 @@ class ResponseEnsemble:
 
     @property
     def spread(self) -> np.ndarray:
-        """Quantile envelope width per time sample and state entry."""
-        return self.quantiles[-1] - self.quantiles[0]
+        """Quantile envelope width per time sample and state entry: the
+        quantile of the highest level less that of the lowest, in whatever
+        order the levels were given."""
+        return (self.quantiles[int(np.argmax(self.levels))]
+                - self.quantiles[int(np.argmin(self.levels))])
 
 
 def predict_response_ensemble(
@@ -643,20 +647,26 @@ def _path_quantiles(samples: np.ndarray, levels) -> np.ndarray:
     v = (P - 1) q, with i = floor(v) (at most P - 2) and gamma = v - i, the
     level lies between the sorted values a = s_i and b = s_(i+1), at
     ``a + (b - a) gamma``, or ``b - (b - a) (1 - gamma)`` when
-    gamma >= 0.5. Equal to ``np.quantile`` on finite samples."""
-    ordered = np.sort(samples, axis=1)
-    last = ordered.shape[1] - 1
-    out = np.empty((len(levels),) + ordered.shape[:1] + ordered.shape[2:])
-    for row, q in zip(out, levels):
-        v = last * float(q)
-        i = min(int(v), last - 1)
-        gamma = v - i
-        a, b = ordered[:, i], ordered[:, i + 1]
-        diff = b - a
-        if gamma >= 0.5:
-            np.subtract(b, diff * (1.0 - gamma), out=row)
-        else:
-            np.add(a, diff * gamma, out=row)
+    gamma >= 0.5. Equal to ``np.quantile`` on finite samples.
+
+    The sort runs on a contiguous copy of one block of time samples at a
+    time, with the path axis last, so that no sorted copy of the whole
+    array is made."""
+    last = samples.shape[1] - 1
+    out = np.empty((len(levels),) + samples.shape[:1] + samples.shape[2:])
+    for start in range(0, samples.shape[0], _MEASURE_BLOCK):
+        ordered = np.moveaxis(samples[start:start + _MEASURE_BLOCK], 1, -1).copy()
+        ordered.sort(axis=-1)
+        for row, q in zip(out[:, start:start + _MEASURE_BLOCK], levels):
+            v = last * float(q)
+            i = min(int(v), last - 1)
+            gamma = v - i
+            a, b = ordered[..., i], ordered[..., i + 1]
+            diff = b - a
+            if gamma >= 0.5:
+                np.subtract(b, diff * (1.0 - gamma), out=row)
+            else:
+                np.add(a, diff * gamma, out=row)
     return out
 
 

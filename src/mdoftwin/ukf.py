@@ -483,6 +483,11 @@ def run_filter(
         raise InvalidParameterError(
             f"force must be (n_samples, n_dof) = ({times.shape[0]}, {system.n_dof}), "
             f"got {force.shape}")
+    for name, matrix, dims, size in (("Q", noise.q, "dim_state", model.dim_state),
+                                     ("R", noise.r, "n_observed", accel.shape[1])):
+        if not callable(matrix) and matrix.shape != (size, size):
+            raise InvalidParameterError(
+                f"{name} must be ({dims}, {dims}) = ({size}, {size}), got {matrix.shape}")
     problem = non_finite(window)
     if problem is not None:
         raise NumericError(problem)
@@ -510,12 +515,14 @@ def run_filter(
         means[k] = belief.mean
         variances[k] = belief.cov.diagonal()
 
+    # GaussianBelief.std per sample, formed in place on the variances
+    stds = np.sqrt(np.clip(variances, 0.0, None, out=variances), out=variances)
     slots = list(model.param_indices)
     param_cov = belief.cov[np.ix_(slots, slots)] if slots else np.zeros((0, 0))
     return FilterResult(
         times=times,
         means=means,
-        stds=np.sqrt(np.clip(variances, 0.0, None)),  # GaussianBelief.std per sample
+        stds=stds,
         labels=model.labels,
         param_names=tuple(model.labels[i] for i in slots),
         param_estimate=belief.mean[slots].copy(),

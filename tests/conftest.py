@@ -3,20 +3,29 @@ second-order system, the L(b) partial of the chain models' reference
 steppers, the element kernel and the filter sample as first written (the
 bit-for-bit references of the compiled ones), finite-difference oracles for
 the analytic partials, the per-model GP predictor, GP training as one
-scipy ``minimize`` per restart and the strong-convergence study."""
+scipy ``minimize`` per restart, the window kernel's step loop on strided
+views (the bit-for-bit reference of the one on contiguous rows), the
+strong-convergence study and a runner of scripts in a fresh interpreter."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import mdoftwin
 from mdoftwin import gpr
 from mdoftwin.errors import TrainingError
 from mdoftwin.linalg import cho_factor, cho_solve
 from mdoftwin.models import KIND_DUFFING_2DOF, StateSpaceModel, dispersion_split
-from mdoftwin.sde import BrownianIncrementPair, em_step, taylor15_step, uniform_step
+from mdoftwin.sde import (BrownianIncrementPair, _window_operators, em_step,
+                          sample_brownian_increments, taylor15_step, uniform_step)
 from mdoftwin.ukf import ukf_weights
 
 
@@ -225,6 +234,68 @@ def textbook_filter(model, system, window, init, r, params):
     slots = list(model.param_indices)
     return (np.array(means), np.sqrt(np.clip(np.array(variances), 0.0, None)),
             cov[np.ix_(slots, slots)])
+
+
+def strided_window_states(model, system, y0, duration, cfg):
+    """The states of ``sde.simulate_window`` for a batch ``y0`` ``(P, dim)``,
+    the system's force and the default generators, from its step loop as
+    first written: the same operators and step inputs, with each step acting
+    on strided ``(P, m + J)`` views of the states array and the weights of
+    every step held in one array beside it. Non-finite rows are left as they
+    come."""
+    n_paths, dim = y0.shape
+    n_steps = int(round(duration / cfg.dt))
+    forces = system.force_at(np.arange(n_steps + 1) * cfg.dt)
+    m = dim - len(model.param_indices)
+    rest = y0.copy()
+    rest[:, :m] = 0.0
+    step, reads, n_cubic, a_lin, input_map, b_const, scaled = _window_operators(
+        model, rest, cfg.dt)
+    n_reads = reads.shape[1]
+    width = m + n_reads
+    work = np.empty((n_steps + 1, n_paths, max(dim, width)))
+    rows = work[:, :, :width]
+    weights = np.empty((n_steps, n_paths, n_reads))
+    for p in range(n_paths):
+        inc = sample_brownian_increments(np.random.default_rng(cfg.seed + p), cfg.dt,
+                                         model.n_channels, n_steps)
+        a_rest = model.drift(rest[p], forces[:n_steps])[:, :m]
+        c = (a_rest @ input_map[p].T + inc.dw @ b_const.T
+             + inc.dz @ (a_lin[p] @ b_const).T)
+        rows[1:, p, :m] = c
+        rows[1:, p, m:] = c @ reads[p].T
+        j = n_cubic
+        for _, channel, _, gain in scaled:
+            dw, dz = inc.dw[:, channel], inc.dz[:, channel]
+            for d in (dz, dw, dw * cfg.dt - dz):
+                weights[:, p, j] = gain * d
+                j += 1
+    rows[0, :, :m] = y0[:, :m]
+    rows[0, :, m:] = (reads @ y0[:, :m, None])[:, :, 0]
+    product = np.empty((n_paths, width, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, o, e, x_next, g, g_cubic in zip(
+                rows[:, :, :, None], rows[:, :, m:], rows[:, :, m:m + 1],
+                rows[1:, :, :, None], weights, weights[:, :, :n_cubic]):
+            np.multiply(e, e, out=g_cubic)
+            np.multiply(o, g, out=o)
+            np.matmul(step, x, out=product)
+            np.add(x_next, product, out=x_next)
+    states = work[:, :, :dim]
+    states[:, :, m:] = y0[:, m:]
+    return states
+
+
+def run_fresh(script) -> str:
+    """Run ``script`` in a new interpreter that imports this mdoftwin;
+    return its standard output."""
+    env = dict(os.environ)
+    src = str(Path(mdoftwin.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 # ---- finite-difference oracles for the analytic partials (one state) -------

@@ -2,17 +2,11 @@
 the inverse of a Cholesky factor, and the compiled scipy modules loaded
 without their packages."""
 
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.linalg
 
-import mdoftwin
+from conftest import run_fresh
 from mdoftwin.linalg import cho_factor, cho_solve, tri_inverse
 
 
@@ -83,16 +77,6 @@ window = generate_window(system, DegradationSchedule.for_system(system), cfg, 0.
 assert np.isfinite(filter_window(system, cfg, window).means).all()
 gpr.train(np.arange(6.0), np.array([1.0, 0.97, 0.95, 0.92, 0.91, 0.87]))
 """
-
-
-def run_fresh(script):
-    """Run ``script`` in a new interpreter that imports this mdoftwin."""
-    env = dict(os.environ)
-    src = str(Path(mdoftwin.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
 
 
 def test_twin_runs_without_the_scipy_packages():

@@ -18,7 +18,7 @@ from mdoftwin.sde import (BrownianIncrementPair, IntegratorConfig, Trajectory,
                           simulate_window, taylor15_step)
 
 from conftest import (fd_partials_model, fitted_slope, make_model, scalar_model,
-                      with_dispersion_jacobian)
+                      strided_window_states, with_dispersion_jacobian)
 
 
 class TestIntegratorConfig:
@@ -507,6 +507,35 @@ class TestRestDrift:
                             lambda *args, **kwargs: tiling_drift(build_model(*args, **kwargs)))
         for one, other in zip(lean, windows()):
             np.testing.assert_array_equal(one.accel, other.accel)
+
+
+class TestContiguousRows:
+    """The kernel's step loop, run in place on whole contiguous rows with
+    one weight buffer per block of steps, against the loop on strided views
+    of the rows it replaced: the same states bit for bit."""
+
+    @pytest.mark.parametrize("case", ["short", "partial-block", "diverging"])
+    @pytest.mark.parametrize("n_paths", [1, 2, 64])
+    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    def test_states_bit_for_bit(self, build, n_paths, case):
+        n = 2 if build is build_duffing_2dof else 7
+        system = build()
+        model = to_state_space(system, range(1, n + 1))
+        rng = np.random.default_rng(70 + n + n_paths)
+        y0 = np.zeros((n_paths, model.dim_state))
+        y0[:, :2 * n] = rng.normal(size=(n_paths, 2 * n)) * 0.01
+        y0[:, 2 * n:] = system.stiffnesses * rng.uniform(0.7, 1.0, size=(n_paths, n))
+        # shorter than one block of steps; 5 s = 19 blocks and 136 steps
+        duration = {"short": 0.1, "partial-block": 5.0, "diverging": 0.6}[case]
+        if case == "diverging":
+            y0[n_paths // 2, :n] = 1e3 * np.arange(1, n + 1)  # far too stiff a cubic
+        cfg = IntegratorConfig(dt=1e-3, seed=8)
+        traj = simulate_window(model, system, y0, duration, cfg)
+        expected = strided_window_states(model, system, y0, duration, cfg)
+        assert traj.diverged.tolist() == [case == "diverging" and p == n_paths // 2
+                                          for p in range(n_paths)]
+        np.testing.assert_array_equal(traj.states, expected)
+        assert traj.states.tobytes() == expected.tobytes()
 
 
 class TestCorruptWithSnr:

@@ -10,13 +10,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import assert_matches_reference
+from conftest import assert_matches_reference, run_fresh
 from mdoftwin.cli import main
 from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.models import (DegradationSchedule, build_duffing_2dof,
                              build_dvp_7dof, to_state_space,
                              degraded_stiffness)
-from mdoftwin.sde import IntegratorConfig, simulate_window
+from mdoftwin.sde import _MEASURE_BLOCK, IntegratorConfig, simulate_window
 from mdoftwin import gpr
 from mdoftwin import twin as twin_mod
 from mdoftwin.twin import (CampaignConfig, MeasurementWindow, TwinSnapshot,
@@ -658,6 +658,22 @@ class TestPrediction:
         spread_w = ens_wide.spread[-200:, :2].mean()
         assert spread_w > spread_n
 
+    def test_spread_spans_the_lowest_to_the_highest_level(self):
+        # levels in any order: the spread is the highest level's quantile
+        # less the lowest's, and sorted levels keep their old values
+        system = build_duffing_2dof()
+        snap = fabricate_snapshot(system, quick_config(), np.arange(8) * 50.0,
+                                  np.tile(system.stiffnesses, (8, 1)))
+        kwargs = dict(duration=0.2, seed=17, n_draws=6)
+        ordered = predict_response_ensemble(snap, 450.0, levels=(0.05, 0.5, 0.95), **kwargs)
+        shuffled = predict_response_ensemble(snap, 450.0, levels=(0.5, 0.95, 0.05), **kwargs)
+        np.testing.assert_array_equal(ordered.spread,
+                                      ordered.quantiles[-1] - ordered.quantiles[0])
+        np.testing.assert_array_equal(shuffled.spread, ordered.spread)
+        reversed_ = predict_response_ensemble(snap, 450.0, levels=(0.95, 0.05), **kwargs)
+        np.testing.assert_array_equal(reversed_.spread, ordered.spread)
+        assert np.all(reversed_.spread >= 0.0) and np.any(reversed_.spread > 0.0)
+
     @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
     def test_ensemble_matches_serial_draws(self, build):
         # all draws in one integration against one plain simulation per
@@ -689,12 +705,14 @@ class TestPrediction:
     @pytest.mark.parametrize("levels", [(0.05, 0.5, 0.95), (0, 1), (0.0, 1.0),
                                         (0.9, 0.0, 0.33, 1.0, 0.5, 0.25)])
     def test_path_quantiles_equal_numpy(self, n_draws, levels):
-        rng = np.random.default_rng(n_draws)
-        samples = rng.normal(size=(40, n_draws, 5))
-        samples[0] = 0.0  # the shared start of every draw
-        samples[1:4, :, 0] = np.round(samples[1:4, :, 0])  # ties
-        np.testing.assert_array_equal(twin_mod._path_quantiles(samples, levels),
-                                      np.quantile(samples, levels, axis=1))
+        # within one block of time samples, and over two and a partial one
+        for n_samples in (40, 2 * _MEASURE_BLOCK + 37):
+            rng = np.random.default_rng(n_draws)
+            samples = rng.normal(size=(n_samples, n_draws, 5))
+            samples[0] = 0.0  # the shared start of every draw
+            samples[1:4, :, 0] = np.round(samples[1:4, :, 0])  # ties
+            np.testing.assert_array_equal(twin_mod._path_quantiles(samples, levels),
+                                          np.quantile(samples, levels, axis=1))
 
     @pytest.mark.parametrize("levels", [(0.05, 1.2), (-0.1, 0.5), (0.5, float("nan")),
                                         (float("inf"),), (), ((0.1, 0.9),), ("low",)])
@@ -857,3 +875,31 @@ class TestExports:
         header = track_path.read_text().splitlines()[0]
         assert header == ("t_s,k1_mean,k1_sd,k1_lo95,k1_hi95,"
                           "k2_mean,k2_sd,k2_lo95,k2_hi95")
+
+
+ENSEMBLE_PEAK = """
+import tracemalloc
+import numpy as np
+from mdoftwin import twin
+from mdoftwin.models import DegradationSchedule, build_dvp_7dof
+system = build_dvp_7dof()
+cfg = twin.CampaignConfig()
+snap = twin.new_snapshot(system, cfg, DegradationSchedule.for_system(system))
+for t_s in np.arange(8) * 50.0:
+    snap.parameter_history.append({
+        "t_s": float(t_s), "estimate": system.stiffnesses.tolist(), "stddev": [1.0] * 7,
+        "psd_repairs": 0, "n_updates": 0})
+twin._retrain_gps(snap, system, cfg)
+tracemalloc.start()
+twin.predict_response_ensemble(snap, 450.0, 5.0, seed=1, n_draws=100)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_ensemble_peak_memory_bounded():
+    # the default 100-draw ensemble of 5 s 7-DOF draws at dt = 1e-3 peaks
+    # at 99.3 MiB traced, mostly the states array (80.1 MiB) and the noise
+    # weights (11.4 MiB); one more full-length array of two columns beside
+    # them (7.6 MiB) would cross the bound
+    peak = int(run_fresh(ENSEMBLE_PEAK).split()[-1]) / 2 ** 20
+    assert peak < 105.0, f"traced peak {peak:.1f} MiB"

@@ -730,6 +730,21 @@ class TestRunFilter:
             with pytest.raises(InvalidParameterError, match="n_observed"):
                 run_filter(model, system, window, init, noise, BENCH_PARAMS)
 
+    @pytest.mark.parametrize("q, r, message", [
+        (np.eye(3), np.eye(2),
+         r"^Q must be \(dim_state, dim_state\) = \(6, 6\), got \(3, 3\)$"),
+        (np.zeros((6, 6)), np.eye(3),
+         r"^R must be \(n_observed, n_observed\) = \(2, 2\), got \(3, 3\)$"),
+    ])
+    def test_noise_shapes_checked(self, q, r, message):
+        # a matrix Q or R of the wrong size is named before the first sample
+        system = build_duffing_2dof()
+        model = to_state_space(system, (1, 2))
+        window = self.make_window(system, to_state_space(system), duration=0.1)
+        init = GaussianBelief(mean=np.zeros(6), cov=np.eye(6))
+        with pytest.raises(InvalidParameterError, match=message):
+            run_filter(model, system, window, init, NoiseModel(q=q, r=r), BENCH_PARAMS)
+
     def test_non_finite_accel_named_before_filtering(self):
         # a window changed after construction is checked again: the first
         # non-finite sample is named, not the sigma point it would poison
