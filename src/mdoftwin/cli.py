@@ -113,7 +113,11 @@ def _echo_config(out_dir: Path, system: MdofSystem, cfg: CampaignConfig,
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidParameterError(
+            f"cannot use --out {str(out)!r} as the output directory: {exc.strerror}") from None
     return out
 
 

@@ -9,7 +9,8 @@ itself. The results equal scipy's ``cho_factor(a, lower=True)`` (its lower trian
 
 No function scans its input for non-finite entries, and ``dpotrf``
 returns a NaN factor for a NaN matrix without reporting an error. Callers
-check finiteness where an input can carry a NaN or an infinity.
+check finiteness where an input can carry a NaN or an infinity, with
+``all_finite``.
 
 The three routines, and ``setulb`` for ``gpr.py``, come from scipy's
 compiled modules loaded by ``scipy_extension``, which skips the package
@@ -24,6 +25,7 @@ from __future__ import annotations
 import importlib
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from types import ModuleType
@@ -60,6 +62,14 @@ def scipy_extension(package: str, name: str) -> ModuleType:
 
 _flapack = scipy_extension("linalg", "_flapack")
 dpotrf, dpotrs, dtrtri = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtri
+
+
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite. The sum of squares is finite when
+    they are, and BLAS forms it faster than numpy reduces ``isfinite``; the
+    exact test runs only when it is not, since entries above ~1e154 overflow
+    it."""
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
 def cho_factor(a: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -271,13 +272,15 @@ class TwinSnapshot:
         """The sorted GP names and their ``gpr.GpStack``. The stack is built on
         the first query and reused while ``gp_models`` holds the same model
         objects under the same names; it is never serialized."""
-        names = sorted(self.gp_models)
-        models = [self.gp_models[name] for name in names]
+        gp_models = self.gp_models
         cached = getattr(self, "_gp_stack", None)
-        if (cached is None or cached[0] != names
-                or any(old is not new for old, new in zip(cached[1], models))):
+        if (cached is None or len(cached[1]) != len(gp_models)
+                or any(gp_models.get(name) is not model
+                       for name, model in zip(cached[0], cached[1]))):
+            names = sorted(gp_models)
+            models = [gp_models[name] for name in names]
             cached = self._gp_stack = (names, models, gpr.stack(models))
-        return names, cached[2]
+        return cached[0], cached[2]
 
     def save(self, path) -> None:
         """Write atomically (``codec.write_json``) unless ``version`` changed."""
@@ -537,14 +540,25 @@ def predict_parameters(snapshot: TwinSnapshot, future_ts) -> dict:
         raise InvalidParameterError("snapshot has no trained GP models yet")
     names, stack = snapshot.gp_stack()
     stacked = gpr.predict(stack, future_ts)
-    return {name: gpr.GpPrediction(stacked.inputs, stacked.mean[j], stacked.variance[j])
-            for j, name in enumerate(names)}
+    inputs, prediction = stacked.inputs, gpr.GpPrediction
+    return {name: prediction(inputs, mean, variance)
+            for name, mean, variance in zip(names, stacked.mean, stacked.variance)}
+
+
+def _slow_time(t_tilde) -> float:
+    """The query time of a response prediction as a float;
+    InvalidParameterError for anything that is not a real number."""
+    try:
+        return float(t_tilde)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"t_tilde must be a real number, got {t_tilde!r}") from None
 
 
 def predicted_stiffness_vector(snapshot: TwinSnapshot, t_tilde: float) -> np.ndarray:
     """Full stiffness vector at t_tilde: GP means plus nominal frozen entries."""
     k = snapshot.system.stiffnesses.copy()
-    predictions = predict_parameters(snapshot, [float(t_tilde)])
+    predictions = predict_parameters(snapshot, [_slow_time(t_tilde)])
     for name, pred in predictions.items():
         idx = int(name[1:]) - 1
         k[idx] = pred.mean[0]
@@ -594,16 +608,23 @@ def predict_response_ensemble(
     integration; a diverging draw raises NumericError naming it. The
     ``levels`` of the returned quantiles must lie in [0, 1], and ``y0``, the
     start of every draw, must have shape (2 n_dof,); both are checked before
-    anything is drawn.
+    anything is drawn, as are ``n_draws``, an integer of at least 2, and
+    ``t_tilde``, a real number.
     """
-    if n_draws < 2:
-        raise InvalidParameterError("n_draws must be at least 2")
+    try:
+        count = operator.index(n_draws)
+    except TypeError:
+        count = 0
+    if count < 2:
+        raise InvalidParameterError(f"n_draws must be an integer of at least 2, got {n_draws!r}")
+    n_draws = count
+    t_tilde = _slow_time(t_tilde)
     _check_levels(levels)
     system, cfg = snapshot.system, snapshot.config
     n = system.n_dof
     if y0 is not None and np.shape(y0) != (2 * n,):
         raise InvalidParameterError(f"y0 must have shape ({2 * n},), got {np.shape(y0)}")
-    predictions = predict_parameters(snapshot, [float(t_tilde)])
+    predictions = predict_parameters(snapshot, [t_tilde])
     k_base = system.stiffnesses.copy()
     rng = np.random.default_rng(seed)
 

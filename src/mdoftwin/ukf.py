@@ -24,9 +24,9 @@ ladder (which also factors the innovation covariance); the beliefs built by
 repair, the ladder's factor of the repaired matrix. A sample thus costs
 three factorizations (two PSD tests, one innovation factor), and
 ``sigma_points`` only scales and shifts the belief's factor. The finiteness
-checks test a sum of squares first (``_all_finite``), which costs less than
-numpy's reduction of ``isfinite`` on these small arrays. The measurement
-update subtracts K C^T, equal to K S K^T, also for a jittered S.
+checks test a sum of squares first (``linalg.all_finite``), which costs
+less than numpy's reduction of ``isfinite`` on these small arrays. The
+measurement update subtracts K C^T, equal to K S K^T, also for a jittered S.
 
 Every factorization and solve goes through the LAPACK pair of ``linalg``
 (``dpotrf``/``dpotrs`` without the wrappers' input scans), called through
@@ -69,7 +69,7 @@ import numpy as np
 
 from .codec import codec, write_csv
 from .errors import InvalidParameterError, NumericError
-from .linalg import cho_factor, cho_solve
+from .linalg import all_finite, cho_factor, cho_solve
 from .models import (MdofSystem, StateSpaceModel, acceleration_model,
                      dispersion_split, euler_transition)
 from .sde import non_finite, uniform_step
@@ -208,20 +208,12 @@ def ukf_weights(length: int, params: UkfParams) -> tuple:
     return transform.w_mean, transform.w_cov
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    """Whether every entry of x is finite. The sum of squares is finite when
-    they are, and BLAS forms it faster than numpy reduces ``isfinite``; the
-    exact test runs only when it is not, since entries above ~1e154 overflow
-    it."""
-    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
-
-
 def cholesky_with_jitter(p: np.ndarray, context: str = "covariance") -> tuple:
     """Lower Cholesky factor of p, or else of p + rung * scale * I at the
     first rung of the jitter ladder that factorizes, scale = trace(p) / n;
     returns the factor and the matrix it factors. The scale is computed only
     when p itself fails."""
-    if not _all_finite(p):
+    if not all_finite(p):
         raise NumericError(f"{context}: matrix has non-finite entries")
     try:
         return cho_factor(p), p
@@ -244,7 +236,7 @@ def repair_psd(p: np.ndarray, log: PsdRepairLog | None = None) -> tuple:
     magnitude and return the repaired matrix with the jitter ladder's
     factor. A non-finite p raises NumericError."""
     p = 0.5 * (p + p.T)  # an in-place p += p.T makes numpy buffer p.T
-    if not _all_finite(p):
+    if not all_finite(p):
         raise NumericError("sigma-point square root: matrix has non-finite entries")
     try:
         return p, cho_factor(p)
@@ -267,7 +259,7 @@ def sigma_points(belief: GaussianBelief, params: UkfParams) -> np.ndarray:
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
-    if _all_finite(values):
+    if all_finite(values):
         return
     bad = np.nonzero(~np.all(np.isfinite(np.atleast_2d(values)), axis=-1))[0]
     raise NumericError(f"non-finite {what} at sigma index {int(bad[0])}")

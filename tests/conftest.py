@@ -2,10 +2,12 @@
 second-order system, the L(b) partial of the chain models' reference
 steppers, the element kernel and the filter sample as first written (the
 bit-for-bit references of the compiled ones), finite-difference oracles for
-the analytic partials, the per-model GP predictor, GP training as one
-scipy ``minimize`` per restart, the window kernel's step loop on strided
-views (the bit-for-bit reference of the one on contiguous rows), the
-strong-convergence study and a runner of scripts in a fresh interpreter."""
+the analytic partials, the per-model GP predictor, the GP kernel and the
+stacked GP query as first written (the byte-for-byte references of the
+in-place ones), GP training as one scipy ``minimize`` per restart, the
+window kernel's step loop on strided views (the bit-for-bit reference of the
+one on contiguous rows), the strong-convergence study and a runner of
+scripts in a fresh interpreter."""
 
 import math
 import os
@@ -14,6 +16,7 @@ import sys
 import textwrap
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from scipy.optimize import minimize
 import mdoftwin
 from mdoftwin import gpr
 from mdoftwin.errors import TrainingError
-from mdoftwin.linalg import cho_factor, cho_solve
+from mdoftwin.linalg import cho_factor, cho_solve, tri_inverse
 from mdoftwin.models import KIND_DUFFING_2DOF, StateSpaceModel, dispersion_split
 from mdoftwin.sde import (BrownianIncrementPair, _window_operators, em_step,
                           sample_brownian_increments, taylor15_step, uniform_step)
@@ -369,6 +372,21 @@ def fd_partials_model(model):
 # ---- per-model GP prediction (GPML Alg. 2.1 plus the GLS term) -------------
 
 
+def reference_kernel(family, variance, lengthscale, a, b, with_grad=False):
+    """K(a, b), and with ``with_grad`` dK/dlog(lengthscale), over the last
+    axes of (..., n) and (..., m) inputs, on |a - b| as first written: the
+    bit-for-bit reference of ``gpr._kernel``."""
+    r = np.abs(a[..., :, None] - b[..., None, :])
+    if family == gpr.FAMILY_SE:
+        s = (r / lengthscale) ** 2
+        k = variance * np.exp(-0.5 * s)
+        return (k, k * s) if with_grad else k
+    u = math.sqrt(5.0) * r / lengthscale
+    e = np.exp(-u)
+    k = variance * (1.0 + u + u * u / 3.0) * e
+    return (k, variance * (u * u / 3.0) * (1.0 + u) * e) if with_grad else k
+
+
 def reference_predict(model, query):
     """Predictive mean and variance of one GP by Cholesky solves, the
     posterior recomputed from the model's fields; the oracle of the stacked
@@ -378,11 +396,11 @@ def reference_predict(model, query):
         model.train_inputs, model.train_targets, model.noise_floor, model.input_shift,
         model.input_scale, model.target_shift, model.target_scale)
     factor, beta, alpha, gls_denom = reference_posterior(
-        gpr._kernel(kernel.family, kernel.variance, kernel.lengthscale, x, x),
+        reference_kernel(kernel.family, kernel.variance, kernel.lengthscale, x, x),
         model.noise_variance, floor, v, model.mean_spec)
     query = np.atleast_1d(np.asarray(query, dtype=float))
     xq = (query - model.input_shift) / model.input_scale
-    k_star = gpr._kernel(kernel.family, kernel.variance, kernel.lengthscale, x, xq)
+    k_star = reference_kernel(kernel.family, kernel.variance, kernel.lengthscale, x, xq)
     mean_std = beta + k_star.T @ alpha
     w = cho_solve(factor, k_star)
     var_std = kernel.variance - np.einsum("nm,nm->m", k_star, w)
@@ -402,6 +420,76 @@ def assert_matches_reference(prediction, model, query):
     np.testing.assert_allclose(
         prediction.variance, oracle.variance, rtol=0.0,
         atol=1e-10 * model.kernel.variance * model.target_scale ** 2)
+
+
+# ---- the stacked GP query as first written: its byte-for-byte oracle ------
+
+
+def first_stack(models):
+    """The stacked arrays of GP models as the first stacked query laid them
+    out, (J, n) inputs and (J, 1) transforms, each posterior recomputed from
+    the model's fields."""
+    parts = []
+    for model in models:
+        kernel = model.kernel
+        x, v, floor = gpr._standardize(
+            model.train_inputs, model.train_targets, model.noise_floor, model.input_shift,
+            model.input_scale, model.target_shift, model.target_scale)
+        factor, beta, alpha, gls_denom = reference_posterior(
+            reference_kernel(kernel.family, kernel.variance, kernel.lengthscale, x, x),
+            model.noise_variance, floor, v, model.mean_spec)
+        l_inv = tri_inverse(factor)
+        parts.append(dict(
+            x_std=x[None], variance=np.full((1, 1, 1), kernel.variance),
+            lengthscale=np.full((1, 1, 1), kernel.lengthscale),
+            input_shift=np.full((1, 1), model.input_shift),
+            input_scale=np.full((1, 1), model.input_scale),
+            target_shift=np.full((1, 1), model.target_shift),
+            target_scale=np.full((1, 1), model.target_scale),
+            beta=np.full((1, 1), beta), alpha=alpha[None, None],
+            l_inv=l_inv[None], l_inv_ones=l_inv.sum(axis=1)[None, None],
+            gls_denom=np.full((1, 1), math.inf if gls_denom is None else gls_denom)))
+    return SimpleNamespace(family=models[0].kernel.family, **{
+        name: np.concatenate([part[name] for part in parts]) for name in parts[0]})
+
+
+def first_predict(model, query):
+    """``gpr.predict`` as first written for a stack, for one GP model, a
+    list of them or their ``first_stack``: the byte-for-byte oracle of the
+    query path."""
+    single = isinstance(model, gpr.GpModel)
+    s = model if isinstance(model, SimpleNamespace) else first_stack(
+        [model] if single else model)
+    query = np.atleast_1d(np.asarray(query, dtype=float))
+    xq = (query - s.input_shift) / s.input_scale  # (J, m)
+    k_star = reference_kernel(s.family, s.variance, s.lengthscale, s.x_std, xq)
+    mean_std = s.beta + (s.alpha @ k_star)[:, 0]
+    v = s.l_inv @ k_star
+    u = 1.0 - (s.l_inv_ones @ v)[:, 0]
+    var_std = s.variance[:, 0] - np.einsum("jnm,jnm->jm", v, v) + u * u / s.gls_denom
+    if (var_std < 0.0).any():
+        var_std = np.clip(var_std, 0.0, None)
+    mean = mean_std * s.target_scale + s.target_shift
+    variance = var_std * s.target_scale ** 2
+    if single:
+        return gpr.GpPrediction(inputs=query, mean=mean[0], variance=variance[0])
+    return gpr.GpPrediction(inputs=query, mean=mean, variance=variance)
+
+
+def first_predict_parameters(snapshot, future_ts):
+    """``twin.predict_parameters`` as first written, on ``first_predict``."""
+    names = sorted(snapshot.gp_models)
+    stacked = first_predict([snapshot.gp_models[name] for name in names], future_ts)
+    return {name: gpr.GpPrediction(stacked.inputs, stacked.mean[j], stacked.variance[j])
+            for j, name in enumerate(names)}
+
+
+def assert_same_bytes(prediction, oracle):
+    """Inputs, means and variances equal to the oracle's, byte for byte."""
+    for name in ("inputs", "mean", "variance"):
+        got, want = getattr(prediction, name), getattr(oracle, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 # ---- GP training as first written: one scipy minimize per restart ---------
@@ -432,7 +520,7 @@ def reference_nlml(log_theta, x, v, family, mean_spec, floor=None):
     per hyperparameter; LinAlgError if Kt is not positive definite."""
     lengthscale, variance, noise = np.exp(log_theta)
     n = x.shape[0]
-    k, dk_dlogl = gpr._kernel(family, variance, lengthscale, x, x, with_grad=True)
+    k, dk_dlogl = reference_kernel(family, variance, lengthscale, x, x, with_grad=True)
     factor, beta, alpha, _ = reference_posterior(k, noise, floor, v, mean_spec)
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
     value = 0.5 * float((v - beta) @ alpha) + 0.5 * logdet + 0.5 * n * math.log(2.0 * math.pi)

@@ -199,7 +199,8 @@ def test_criterion_7_gp_invariants():
     for size in (2, 7, 30, 120, 200):
         x = np.sort(rng.uniform(-100.0, 100.0, size))
         for family in ("squared-exponential", "matern-5/2"):
-            gram = _kernel(family, rng.uniform(0.5, 5.0), rng.uniform(0.5, 50.0), x, x)
+            gram = _kernel(family, rng.uniform(0.5, 5.0), rng.uniform(0.5, 50.0),
+                            x[:, None], x)
             gram[np.diag_indices(size)] += 1e-10
             psd_ok &= bool(np.linalg.eigvalsh(gram).min() > -1e-12)
 

@@ -79,6 +79,15 @@ def test_traced_read_side_reports_finite_gp_metrics(traced_metrics):
     assert all(np.isfinite(v) for v in layers.values()), layers
 
 
+def test_each_parameter_query_is_one_gp_prediction(traced_metrics):
+    # the ensemble's query and the direct one (the only query traced as a
+    # twin.predict_parameters span): a query path that skips the module
+    # name reads fewer here, and one that predicts twice reads more
+    spans = traced_metrics["spans"]
+    assert spans["twin.predict_parameters"] == 1
+    assert spans["gpr.predict"] == 2
+
+
 def test_traced_filter_reports_finite_ukf_metrics(traced_metrics):
     # predict, update, sigma_points and cho_factor are called by module name,
     # so every ukf metric is finite; a sample costs three factorizations (two

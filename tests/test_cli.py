@@ -101,6 +101,17 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--frobnicate"]) == 2
 
+    @pytest.mark.parametrize("where", ["a file", "under a file"])
+    def test_out_that_cannot_be_a_directory_exit_2(self, tmp_path, capsys, where):
+        cfg = write_config(tmp_path / "cfg.json")
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile if where == "a file" else afile / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(str(out)) in err, err
+        assert afile.read_text() == "kept\n"
+
 
 class TestFilterCommand:
     def run_filter(self, tmp_path, campaign=QUICK_CAMPAIGN):

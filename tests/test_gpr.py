@@ -1,13 +1,15 @@
 """Kernels, marginal likelihood, training, prediction, tracking."""
 
 import json
+import logging
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import assert_matches_reference, reference_nlml, scipy_minimize, scipy_train
+from conftest import (assert_matches_reference, assert_same_bytes, first_predict,
+                      first_stack, reference_kernel, reference_nlml, scipy_minimize, scipy_train)
 from mdoftwin.errors import InvalidParameterError, TrainingError
 from mdoftwin import gpr
 from mdoftwin.gpr import (FAMILY_MATERN52, FAMILY_SE, GpModel, GpTrainConfig,
@@ -28,18 +30,19 @@ class TestKernel:
         rng = np.random.default_rng(3)
         for size in (2, 5, 20, 80, 200):
             x = np.sort(rng.uniform(-50.0, 50.0, size))
-            gram = _kernel(family, rng.uniform(0.1, 10.0), rng.uniform(0.1, 30.0), x, x)
+            gram = _kernel(family, rng.uniform(0.1, 10.0), rng.uniform(0.1, 30.0),
+                           x[:, None], x)
             gram[np.diag_indices(size)] += 1e-10
             eigs = np.linalg.eigvalsh(gram)
             assert eigs.min() > -1e-12
 
     def test_se_values(self):
-        k = _kernel(FAMILY_SE, 4.0, 2.0, np.array([0.0]), np.array([0.0, 2.0]))
+        k = _kernel(FAMILY_SE, 4.0, 2.0, np.array([[0.0]]), np.array([0.0, 2.0]))
         assert k[0, 0] == pytest.approx(4.0)
         assert k[0, 1] == pytest.approx(4.0 * math.exp(-0.5))
 
     def test_matern_values(self):
-        k = _kernel(FAMILY_MATERN52, 1.0, 1.0, np.array([0.0]), np.array([0.0, 1.0]))
+        k = _kernel(FAMILY_MATERN52, 1.0, 1.0, np.array([[0.0]]), np.array([0.0, 1.0]))
         assert k[0, 0] == pytest.approx(1.0)
         u = math.sqrt(5.0)
         expected = (1.0 + u + u * u / 3.0) * math.exp(-u)
@@ -51,11 +54,33 @@ class TestKernel:
         rng = np.random.default_rng(5)
         a, b = rng.uniform(-3.0, 3.0, (3, 7)), rng.uniform(-3.0, 3.0, (3, 4))
         variance, lengthscale = rng.uniform(0.1, 10.0, 3), rng.uniform(0.1, 5.0, 3)
-        stacked = _kernel(family, variance[:, None, None], lengthscale[:, None, None], a, b)
+        stacked = _kernel(family, variance[:, None, None], lengthscale[:, None, None],
+                          a[:, :, None], b[:, None, :])
         assert stacked.shape == (3, 7, 4)
         for j in range(3):
             np.testing.assert_array_equal(
-                stacked[j], _kernel(family, variance[j], lengthscale[j], a[j], b[j]))
+                stacked[j], _kernel(family, variance[j], lengthscale[j], a[j][:, None], b[j]))
+
+    @pytest.mark.parametrize("with_grad", [False, True])
+    @pytest.mark.parametrize("family", [FAMILY_SE, FAMILY_MATERN52])
+    def test_equals_the_formula_on_the_absolute_distance_bit_for_bit(self, family, with_grad):
+        # the in-place kernel, on a stack and on one model, against the
+        # formula as first written; the SE kernel squares the signed distance
+        rng = np.random.default_rng(13)
+        a, b = rng.uniform(-3.0, 3.0, (4, 9)), rng.uniform(-3.0, 3.0, (4, 5))
+        variance, lengthscale = rng.uniform(0.1, 10.0, 4), rng.uniform(0.1, 5.0, 4)
+        for args, reference_args in (
+                ((variance[:, None, None], lengthscale[:, None, None], a[:, :, None],
+                  b[:, None, :]), (variance[:, None, None], lengthscale[:, None, None], a, b)),
+                ((variance[0], lengthscale[0], a[0][:, None], a[0]),
+                 (variance[0], lengthscale[0], a[0], a[0])),
+                ((variance[:, None, None], lengthscale[:, None, None], a[0][:, None], a[0]),
+                 (variance[:, None, None], lengthscale[:, None, None], a[0], a[0]))):
+            got = _kernel(family, *args, with_grad=with_grad)
+            want = reference_kernel(family, *reference_args, with_grad=with_grad)
+            for got_part, want_part in zip(*(
+                    (x,) if not with_grad else x for x in (got, want))):
+                assert got_part.tobytes() == want_part.tobytes()
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -523,6 +548,94 @@ class TestStackedPrediction:
         model = TestPredict().fixed_model(noise=1e-3)
         with pytest.raises(InvalidParameterError, match=field):
             stack([model, replace(model, **other)])
+
+
+def drawn_models(family, mean_spec, with_floor, n_points, n_models=6, seed=0):
+    """GP models on one history, as a twin stacks them, with hyperparameters
+    drawn instead of trained: noise variances down to e^-23 in standardized
+    units, where training on short histories puts them. A draw whose Kt is
+    not positive definite is drawn again."""
+    rng = np.random.default_rng(seed)
+    tau = np.cumsum(rng.uniform(20.0, 80.0, n_points))
+    models = []
+    while len(models) < n_models:
+        targets = (rng.uniform(0.5, 1.5) * 1e6 * np.exp(-DECAY_RATE * tau)
+                   + rng.normal(0.0, 300.0, n_points))
+        try:
+            models.append(GpModel(
+                kernel=Kernel(family=family, variance=math.exp(rng.uniform(-2.0, 2.0)),
+                              lengthscale=math.exp(rng.uniform(-2.0, 1.0))),
+                mean_spec=mean_spec, noise_variance=math.exp(rng.uniform(-23.0, -1.0)),
+                train_inputs=tau, train_targets=targets, input_shift=float(tau.mean()),
+                input_scale=float(tau.std()), target_shift=float(targets.mean()),
+                target_scale=float(targets.std()),
+                noise_floor=rng.uniform(0.0, 1e4, n_points) if with_floor else None))
+        except InvalidParameterError:
+            continue
+    return models
+
+
+class TestQueryOracle:
+    """The query path against the stacked query as first written
+    (``conftest.first_predict``), byte for byte."""
+
+    @pytest.mark.parametrize("n_points", [3, 14, 41])
+    @pytest.mark.parametrize("with_floor", [False, True])
+    @pytest.mark.parametrize("mean_spec", ["zero", "constant"])
+    @pytest.mark.parametrize("family", [FAMILY_SE, FAMILY_MATERN52])
+    def test_equals_the_first_query(self, family, mean_spec, with_floor, n_points):
+        models = drawn_models(family, mean_spec, with_floor, n_points, seed=n_points)
+        tau = models[0].train_inputs
+        rng = np.random.default_rng(7)
+        queries = [np.empty(0), rng.uniform(tau[-1], tau[-1] + 1000.0, 1),
+                   np.array([tau[0], rng.uniform(tau[0] - 500.0, tau[-1] + 1500.0),
+                             tau[-1], tau[-1] + 2000.0])]
+        for query in queries:
+            for n_models in (1, 2, 6):
+                assert_same_bytes(predict(stack(models[:n_models]), query),
+                                  first_predict(models[:n_models], query))
+            assert_same_bytes(predict(models[0], query), first_predict(models[0], query))
+
+    @pytest.mark.parametrize("query", [
+        700.0, 700, True, np.float32(700.3), np.array([1.5, 700.25], dtype=np.float32),
+        np.array(700.0), [700.0, 800.0], (900,)],
+        ids=["float", "int", "bool", "float32", "float32-vector", "0-d", "list", "tuple"])
+    def test_query_forms(self, query):
+        models = drawn_models(FAMILY_SE, "constant", False, 14)
+        assert_same_bytes(predict(stack(models), query), first_predict(models, query))
+        assert_same_bytes(predict(models[0], query), first_predict(models[0], query))
+
+    def test_empty_query(self):
+        models = drawn_models(FAMILY_SE, "constant", True, 14)
+        prediction = predict(stack(models), [])
+        assert prediction.inputs.shape == (0,)
+        assert prediction.mean.shape == prediction.variance.shape == (6, 0)
+        one = predict(models[0], [])
+        assert one.mean.shape == one.variance.shape == (0,)
+
+    def test_clipped_variance_is_logged(self, caplog):
+        # L^-1 inflated by 1% in both layouts: v^T v grows by 2%, so at the
+        # training inputs the variance falls ~2% of sigma^2 below zero
+        models = drawn_models(FAMILY_SE, "constant", False, 14)
+        stacked, oracle = stack(models), first_stack(models)
+        inflated = replace(stacked, l_inv=1.01 * stacked.l_inv)
+        oracle.l_inv = 1.01 * oracle.l_inv
+        query = models[0].train_inputs
+        with caplog.at_level(logging.WARNING, logger="mdoftwin.gpr"):
+            prediction = predict(inflated, query)
+        # one warning per model whose variance was clipped
+        clipped = int((prediction.variance == 0.0).any(axis=1).sum())
+        assert caplog.text.count("clipped negative predictive variance") == clipped >= 1
+        assert (prediction.variance >= 0.0).all()
+        assert_same_bytes(prediction, first_predict(oracle, query))
+
+    @pytest.mark.parametrize("query", [["a"], [object()], [1 + 2j], "x"],
+                             ids=["string", "object", "complex", "bare-string"])
+    def test_query_that_is_not_numbers_rejected(self, query):
+        model = drawn_models(FAMILY_SE, "constant", False, 3, n_models=1)[0]
+        for target in (model, stack([model])):
+            with pytest.raises(InvalidParameterError, match="real numbers"):
+                predict(target, query)
 
 
 class TestTrackParameters:

@@ -10,7 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import assert_matches_reference, run_fresh
+from conftest import (assert_matches_reference, assert_same_bytes,
+                      first_predict_parameters, run_fresh)
 from mdoftwin.cli import main
 from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.models import (DegradationSchedule, build_duffing_2dof,
@@ -747,6 +748,55 @@ class TestPrediction:
         with pytest.raises(InvalidParameterError, match=r"^y0 must have shape \(4,\), got "):
             predict_response_ensemble(snap, 450.0, 0.2, 3, n_draws=4, y0=y0)
 
+    @staticmethod
+    def nominal_snapshot():
+        """A 2-DOF twin with GPs trained on 8 windows at the nominal stiffness."""
+        system = build_duffing_2dof()
+        return fabricate_snapshot(system, quick_config(), np.arange(8) * 50.0,
+                                  np.tile(system.stiffnesses, (8, 1)))
+
+    @pytest.mark.parametrize("n_draws", [2.5, 3.0, "3", None, 1, True, np.float64(3.0)])
+    def test_bad_draw_count_rejected_before_drawing(self, monkeypatch, n_draws):
+        snap = self.nominal_snapshot()
+
+        def never(*args, **kwargs):
+            raise AssertionError("drew before the draw count was checked")
+
+        monkeypatch.setattr(twin_mod, "predict_parameters", never)
+        monkeypatch.setattr(twin_mod, "simulate_window", never)
+        with pytest.raises(InvalidParameterError,
+                           match="^n_draws must be an integer of at least 2, got "):
+            predict_response_ensemble(snap, 450.0, 0.2, 3, n_draws=n_draws)
+
+    def test_numpy_integer_draw_count(self):
+        snap = self.nominal_snapshot()
+        ens = predict_response_ensemble(snap, 450.0, 0.05, 3, n_draws=np.int64(3))
+        assert ens.stiffness_draws.shape == (3, 2)
+
+    @pytest.mark.parametrize("t_tilde", ["x", None, 1 + 2j, [450.0, 500.0]])
+    def test_query_time_that_is_not_a_number_rejected(self, monkeypatch, t_tilde):
+        # float(t_tilde) used to raise ValueError or TypeError
+        snap = self.nominal_snapshot()
+
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before the query time was checked")
+
+        monkeypatch.setattr(twin_mod, "simulate_window", never)
+        match = "^t_tilde must be a real number, got "
+        with pytest.raises(InvalidParameterError, match=match):
+            predicted_stiffness_vector(snap, t_tilde)
+        with pytest.raises(InvalidParameterError, match=match):
+            predict_response(snap, t_tilde, 0.2, 3)
+        with pytest.raises(InvalidParameterError, match=match):
+            predict_response_ensemble(snap, t_tilde, 0.2, 3, n_draws=4)
+
+    @pytest.mark.parametrize("query", [["a"], [object()], [1 + 2j]],
+                             ids=["string", "object", "complex"])
+    def test_parameter_query_that_is_not_numbers_rejected(self, query):
+        snap = self.nominal_snapshot()
+        with pytest.raises(InvalidParameterError, match="real numbers"):
+            predict_parameters(snap, query)
+
     def test_diverging_draw_named(self):
         # a band straddling the stability limit of the explicit scheme:
         # the batch names the first draw that diverges on its own
@@ -855,6 +905,52 @@ class TestGpStackCache:
         for name in before:
             np.testing.assert_array_equal(before[name].mean, after[name].mean)
             np.testing.assert_array_equal(before[name].variance, after[name].variance)
+
+
+@pytest.fixture(scope="module")
+def forecast_snapshot():
+    """A 3-window 7-DOF campaign on 2 s windows, the twin that the
+    ``forecast`` benchmark sets up and queries."""
+    system = build_dvp_7dof()
+    cfg = CampaignConfig(window_duration_s=2.0, master_seed=19)
+    schedule = DegradationSchedule.for_system(
+        system, rate_per_day=cfg.degradation_rate_per_day)
+    snap = new_snapshot(system, cfg, schedule)
+    for i, t_s in enumerate(campaign_times(cfg)[:3]):
+        assimilate_window(snap, generate_window(system, schedule, cfg, t_s,
+                                                cfg.master_seed + i, i))
+    assert len(snap.gp_models) == 6
+    return snap
+
+
+class TestQueryOracle:
+    """``predict_parameters`` against the query as first written
+    (``conftest.first_predict_parameters``), byte for byte."""
+
+    @staticmethod
+    def assert_same(snap, query):
+        got, want = predict_parameters(snap, query), first_predict_parameters(snap, query)
+        assert list(got) == list(want)
+        for name in want:
+            assert_same_bytes(got[name], want[name])
+
+    def test_random_stream_on_a_real_snapshot(self, forecast_snapshot, tmp_path):
+        forecast_snapshot.save(tmp_path / "snap.json")
+        snap = TwinSnapshot.load(tmp_path / "snap.json")
+        t_last = float(snap.history_times[-1])
+        rng = np.random.default_rng(2024)
+        for t_q in t_last + rng.uniform(0.0, 1000.0, 2000):
+            self.assert_same(snap, [float(t_q)])
+        self.assert_same(snap, [t_last + d for d in (0.0, 250.0, 500.0, 1000.0)])
+        self.assert_same(snap, snap.history_times)
+
+    def test_empty_query(self, forecast_snapshot):
+        predictions = predict_parameters(forecast_snapshot, [])
+        assert sorted(predictions) == sorted(forecast_snapshot.gp_models)
+        for prediction in predictions.values():
+            assert prediction.inputs.shape == (0,)
+            assert prediction.mean.shape == prediction.variance.shape == (0,)
+        self.assert_same(forecast_snapshot, [])
 
 
 class TestExports:
