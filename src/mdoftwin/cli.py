@@ -89,8 +89,8 @@ def _load_config(path: str, args) -> tuple:
             campaign_doc[section] = doc[section]
     cfg = CampaignConfig.from_dict(campaign_doc)
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, master_seed=int(args.seed),
-                      integrator=replace(cfg.integrator, seed=int(args.seed)))
+        cfg = replace(cfg, master_seed=args.seed,
+                      integrator=replace(cfg.integrator, seed=args.seed))
     if getattr(args, "observe", None):
         try:  # a token that is not an integer, or not a DOF of the system
             dofs = check_observed_dofs([int(tok) for tok in args.observe.split(",")],
@@ -319,6 +319,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer, as numpy's
+    generators take."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdoftwin",
@@ -331,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         if config_required:
             p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the configured seed")
 
     p_sim = sub.add_parser("simulate", help="one high-fidelity trajectory")
@@ -363,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also simulate the response at this slow time")
     p_pre.add_argument("--duration", type=_finite_float, default=5.0,
                        help="response simulation length (s)")
-    p_pre.add_argument("--seed", type=int, default=None)
+    p_pre.add_argument("--seed", type=_seed, default=None)
     p_pre.set_defaults(func=cmd_predict)
 
     p_rep = sub.add_parser("report", help="summarize a snapshot")

@@ -96,6 +96,7 @@ _CONFIDENCE_FACTOR = 1.959963984540054  # two-sided 95% normal quantile
 # constants of the query path as 0-d arrays: a ufunc takes one of them with
 # less overhead than a Python float, for the same result
 _ONE, _MINUS_HALF = np.array(1.0), np.array(-0.5)
+_REAL = np.dtype(float)  # taken for a query that has no dtype
 
 
 @dataclass(frozen=True)
@@ -278,6 +279,9 @@ class GpModel:
             self.noise_floor = np.asarray(self.noise_floor, dtype=float)
             if self.noise_floor.shape != self.train_inputs.shape:
                 raise InvalidParameterError("noise_floor must match the training grid")
+            if (self.noise_floor < 0.0).any():  # as train requires
+                raise InvalidParameterError(
+                    f"noise_floor must be non-negative per point, got {self.noise_floor.tolist()}")
         values = (self.train_inputs, self.train_targets, self.noise_variance,
                   self.input_shift, self.input_scale, self.target_shift,
                   self.target_scale, () if self.noise_floor is None else self.noise_floor)
@@ -624,6 +628,8 @@ def predict(model: GpModel | GpStack, query) -> GpPrediction:
     InvalidParameterError for a query that is not a finite vector."""
     s = model._stack if isinstance(model, GpModel) else model
     try:
+        if getattr(query, "dtype", _REAL).kind == "c":  # the cast would drop the imaginary part
+            raise TypeError
         query = np.asarray(query, dtype=float)
     except (TypeError, ValueError):
         raise InvalidParameterError("GP query times must be real numbers") from None

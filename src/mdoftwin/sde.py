@@ -31,27 +31,30 @@ step input c_k = N a(r, f_k) + b dw_k + A b dz_k. Each rank-one term is a
 weight times one read o_j . z of the state (e itself, l . A z, the scaled
 entries), so the kernel carries the rows x = [z; O z]. A step weighs the
 reads in place into the h_j and is one batched product and one add,
-x' = S [z; h] + d_k with d_k = [c_k; O c_k]; S, N and every d_k are formed
-once per integration and per path, from one ``drift_jacobian`` call. The
-kernel agrees with the reference steppers to rounding (the summation order
-differs).
+x' = S [z; h] + d_k with d_k = [c_k; O c_k]; S and N are formed once per
+integration and per path, from one ``drift_jacobian`` call, and the d_k
+per path and block of steps. The kernel agrees with the reference steppers
+to rounding (the summation order differs).
 
-The steps run in place on the returned states array, whose row at one step
-is contiguous over every path and as wide as the state or as [z; O z],
-whichever is wider. Each step weighs that whole row by a weight row of the
-same shape and adds a product as wide as the row, so that the weighing and
-the add are each one contiguous loop over all paths, whatever the read
-count J; the weight rows of one block of ``_MEASURE_BLOCK`` steps at a time
-live in one reused buffer. The step operator stays ``(m + J) x (m + J)``:
-a wider one would change the summation of the batched product, and so the
-bits.
+The steps run in place on a buffer of one block of steps' rows (256
+steps, or 512 and 1024 for two paths and one), each row contiguous over
+every path and as wide as the state or as [z; O z], whichever is wider.
+Each step weighs that whole row by a weight row of the same shape and adds
+a product as wide as the row, so that the weighing and the add are each
+one contiguous loop over all paths, whatever the read count J. The step
+operator stays ``(m + J) x (m + J)``: a wider one would change the
+summation of the batched product, and so the bits. The finished states of
+each block go to what the caller keeps (every state, a window's observed
+accelerations, an ensemble's quantiles), so no array of a whole window's
+states, inputs or weights is made.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,7 +64,7 @@ from .models import (MdofSystem, StateSpaceModel, acceleration_model,
                      dispersion_split)
 
 DIVERGED = "trajectory diverged to non-finite values"
-_MEASURE_BLOCK = 256  # samples per call of a trajectory's measurement
+_MEASURE_BLOCK = 256  # samples per measurement call; steps per kernel block
 
 
 @codec
@@ -76,6 +79,20 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.dt <= 0.0:
             raise InvalidParameterError("dt must be positive")
+        check_seed(self.seed, "seed")
+
+
+def check_seed(seed, name: str) -> int:
+    """``seed`` as an int; InvalidParameterError naming it unless it is a
+    non-negative integer (a numpy integer too, a bool not), the seeds numpy's
+    generators take."""
+    try:
+        value = -1 if isinstance(seed, bool) else operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise InvalidParameterError(f"{name} must be a non-negative integer, got {seed!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -96,10 +113,14 @@ def sample_brownian_increments(
     """Draw increment pairs via dw = sqrt(dt) u1, dz = dt^1.5 (u1 + u2/sqrt(3))/2."""
     shape = (n_channels,) if n_steps is None else (n_steps, n_channels)
     u1 = rng.standard_normal(shape)
-    u2 = rng.standard_normal(shape)
-    dw = np.sqrt(dt) * u1
-    dz = 0.5 * dt ** 1.5 * (u1 + u2 / np.sqrt(3.0))
-    return BrownianIncrementPair(dw=dw, dz=dz)
+    return _increment_pair(u1, rng.standard_normal(shape), dt)
+
+
+def _increment_pair(u1: np.ndarray, u2: np.ndarray, dt: float) -> BrownianIncrementPair:
+    """The increment pairs of the unit normals u1 and u2, element by element,
+    so that the pairs of some steps are those of the whole draw."""
+    return BrownianIncrementPair(dw=np.sqrt(dt) * u1,
+                                 dz=0.5 * dt ** 1.5 * (u1 + u2 / np.sqrt(3.0)))
 
 
 def _check_state(y: np.ndarray) -> np.ndarray:
@@ -278,6 +299,22 @@ def _window_operators(model: StateSpaceModel, rest: np.ndarray, dt: float) -> tu
     return step, reads, n_cubic, a_lin, input_map, b_const[:m], scaled
 
 
+class WindowRun(NamedTuple):
+    """What ``simulate_window`` returns when a ``keep`` takes the states: the
+    sample times and the per-path divergence flags."""
+
+    times: np.ndarray
+    diverged: np.ndarray
+
+
+def window_times(duration: float, dt: float) -> np.ndarray:
+    """The n + 1 sample times of a window, n = round(duration / dt);
+    InvalidParameterError unless the duration is finite and at least dt."""
+    if not np.isfinite(duration) or duration < dt:
+        raise InvalidParameterError(f"duration must be finite and at least dt, got {duration}")
+    return np.arange(int(round(duration / dt)) + 1) * dt
+
+
 def simulate_window(
     model: StateSpaceModel,
     system: MdofSystem,
@@ -287,7 +324,8 @@ def simulate_window(
     *,
     forces: np.ndarray | None = None,
     rng=None,
-) -> Trajectory:
+    keep: Callable | None = None,
+) -> Trajectory | WindowRun:
     """Integrate the model over [0, duration] with the window kernel.
 
     ``y0`` is one initial state ``(dim,)`` or one per independent path
@@ -297,27 +335,43 @@ def simulate_window(
     per-sample deterministic force, shared ``(n_steps + 1, n_dof)`` or per
     path ``(n_steps + 1, P, n_dof)``; by default the system's harmonic force
     is used. The left-endpoint force sample drives each step. ``rng`` is a
-    list of one generator per path, each drawing that path's Brownian
-    increments in one block; by default path p uses a generator seeded
+    list of one distinct generator per path, each drawing that path's
+    Brownian increments; by default path p uses a generator seeded
     ``cfg.seed + p``.
     A path that diverges to non-finite values leaves the others as they
-    would be alone; a batch flags it in ``Trajectory.diverged`` ``(P,)``,
-    and a single state raises NumericError. The model must declare
-    ``cubic_drift`` and give ``drift_jacobian``.
+    would be alone; a batch flags it in ``diverged`` ``(P,)``, and a single
+    state raises NumericError. The model must declare ``cubic_drift`` and
+    give ``drift_jacobian``.
+
+    ``keep``, when given, takes the states in place of the returned
+    Trajectory: it is called as ``keep(row, states)`` with the states of
+    samples ``row, row + 1, ...`` as ``(rows, P, dim)``, P = 1 for a
+    single state, in order and in the sample groups of
+    ``Trajectory.accelerations``. ``states`` is a view of the kernel's
+    buffer, valid during the call only, and non-finite values in it raise
+    no warning. The call then returns a WindowRun.
 
     Each step is one batched product of the step operator with [z; h],
     added onto the step input [c_k; O c_k] (see ``_window_operators``). The
-    step inputs are built per path in the returned states array, in the
-    entries the rows [z; O z] of each step then take, so no array of them
-    is kept beside it; the parameter tail is written after the loop. The
-    loop runs in place on that array, a whole contiguous row per step: the
-    weight buffer holds one block of ``_MEASURE_BLOCK`` steps' weight rows
-    (one on z and past the reads, e^2 on the cubic reads, the noise
-    weights of the block on the rest), so that only the e^2 write and the
-    batched product act on strided views.
+    kernel works on one block of steps at a time, in a buffer of the block's
+    rows: the rows [z; O z] of step k hold its input until step k - 1 adds
+    its product onto them, and the weight buffer holds the block's weight
+    rows (one on z and past the reads, e^2 on the cubic reads, the noise
+    weights on the rest), so that each step weighs and adds whole contiguous
+    rows and only the e^2 write and the batched product act on strided
+    views. The inputs are formed per path and block, the increments and
+    noise weights of a block for every path at once: each path's first
+    normals are drawn whole up front, as its generator yields them before
+    the second, and the second per block. Every set-up product runs on at
+    least two steps (a one-row product rounds differently), so every state
+    has the bits of a whole-window set-up. Then the finished rows go to
+    ``keep``, and the last row carries over. Beside what ``keep`` holds, a
+    run of P paths and n steps holds the first normals (n P n_channels
+    doubles) and a few arrays of one block: for 100 paths of a 5 s 7-DOF
+    window 28 MB and about 18 MB at the traced peak, where the states of
+    the whole window take 84 MB.
     """
-    if not np.isfinite(duration) or duration < cfg.dt:
-        raise InvalidParameterError(f"duration must be finite and at least dt, got {duration}")
+    times = window_times(duration, cfg.dt)
     y0 = _check_state(y0)
     dim = model.dim_state
     if y0.ndim not in (1, 2) or y0.shape[-1] != dim:
@@ -328,8 +382,7 @@ def simulate_window(
             "the window kernel needs the drift_jacobian partial and the cubic_drift declaration")
     paths = y0.shape[:-1]
     n_paths = paths[0] if paths else 1
-    n_steps = int(round(duration / cfg.dt))
-    times = np.arange(n_steps + 1) * cfg.dt
+    n_steps = times.shape[0] - 1
     if forces is None:
         forces = system.force_at(times)
     else:
@@ -349,40 +402,35 @@ def simulate_window(
     step, reads, n_cubic, a_lin, input_map, b_const, scaled = _window_operators(
         model, rest, cfg.dt)
     width = m + reads.shape[1]
-    n_noise = reads.shape[1] - n_cubic  # the scaled-noise terms' weights
+    noise_at = width - (reads.shape[1] - n_cubic)  # the scaled-noise terms' weights
+    dz_maps = [(a @ b_const).T for a in a_lin]
+    first = np.empty((n_paths, n_steps, model.n_channels))
+    for gen, normals in zip(rng, first):
+        gen.standard_normal(out=normals)
+    collect = keep is None
+    if collect:
+        states = np.empty((n_steps + 1, n_paths, dim))
 
-    # the rows x_k = [z_k; O z_k] are the first m + J entries of each path's
-    # state at step k (the array is wider than the state where J exceeds
-    # the parameter count). Until step k - 1 adds its product onto them,
-    # they hold its input [c; O c], per path c = N a(r, f) + b dw + A b dz;
-    # the weights of the scaled-noise terms are gain times
-    # (dz, dw, dw dt - dz). The entries past the rows, which every step
-    # weighs and adds to, stay zero until the parameter tail is written.
-    work = np.zeros((n_steps + 1, n_paths, max(dim, width)))
-    rows = work[:, :, :width]
-    noise = np.empty((n_steps, n_paths, n_noise))
-    for p, gen in enumerate(rng):
-        inc = sample_brownian_increments(gen, cfg.dt, model.n_channels, n_steps)
-        f_p = forces[:n_steps, p] if forces.ndim == 3 else forces[:n_steps]
-        a_rest = model.drift(rest[p], f_p)[:, :m]
-        c = (a_rest @ input_map[p].T + inc.dw @ b_const.T
-             + inc.dz @ (a_lin[p] @ b_const).T)
-        rows[1:, p, :m] = c
-        rows[1:, p, m:] = c @ reads[p].T
-        j = 0
-        for _, channel, _, gain in scaled:
-            dw, dz = inc.dw[:, channel], inc.dz[:, channel]
-            for d in (dz, dw, dw * cfg.dt - dz):
-                noise[:, p, j] = gain * d
-                j += 1
+        def keep(row, block):
+            states[row:row + block.shape[0]] = block
+
+    # a block's set-up costs a few numpy calls per path, which one or two
+    # paths spread over blocks of 1024 or 512 steps; more paths take 256,
+    # so that the block's arrays stay small beside the first normals. A
+    # block is whole measurement groups, so ``keep`` gets those groups.
+    block = min(_MEASURE_BLOCK * max(1, 4 // n_paths), n_steps)
+    # rows[i] holds the kinematic rows x = [z; O z] of sample start + i in
+    # its first m + J entries, and the parameter tail once it is finished;
+    # what lies past both is weighed by one and added zero, so it stays
+    # finite. Until step k - 1 adds its product, rows[k] holds the input
+    # [c; O c], per path c = N a(r, f) + b dw + A b dz, and the weights of
+    # the scaled-noise terms are gain times (dz, dw, dw dt - dz).
+    rows = np.zeros((block + 1, n_paths, max(dim, width)))
     rows[0, :, :m] = y[:, :m]
-    rows[0, :, m:] = (reads @ y[:, :m, None])[:, :, 0]
-
-    # a step weighs its whole row: one on z and past the reads, e^2 on the
-    # cubic reads and the block's noise weights on the rest
-    block = min(_MEASURE_BLOCK, n_steps)
-    weights = np.ones((block, n_paths, work.shape[2]))
-    product = np.zeros((n_paths, work.shape[2], 1))
+    rows[0, :, m:width] = (reads @ y[:, :m, None])[:, :, 0]
+    weights = np.ones((block, n_paths, rows.shape[2]))
+    second = np.zeros((n_paths, block + 1, model.n_channels))
+    product = np.zeros((n_paths, rows.shape[2], 1))
     product_read, product_row = product[:, :width], product[:, :, 0]
     # a diverging path only poisons its own row; the states of each block
     # are tested as they are made (the start and the parameters are finite)
@@ -390,21 +438,45 @@ def simulate_window(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, block):
             stop = min(start + block, n_steps)
-            weights[:stop - start, :, width - n_noise:width] = noise[start:stop]
+            count = stop - start
+            # a block of one step reaches one step back, so that its set-up
+            # products run on two rows, and drops that row; the second
+            # normals left in that row of the buffer serve, as any would
+            lead = int(count == 1 < n_steps)
+            span = slice(start - lead, stop)
+            for gen, normals in zip(rng, second[:, lead:lead + count]):
+                gen.standard_normal(out=normals)
+            inc = _increment_pair(first[:, span], second[:, :lead + count], cfg.dt)
+            for p in range(n_paths):
+                f_p = forces[span, p] if forces.ndim == 3 else forces[span]
+                c = (model.drift(rest[p], f_p)[:, :m] @ input_map[p].T
+                     + inc.dw[p] @ b_const.T + inc.dz[p] @ dz_maps[p])
+                rows[1:count + 1, p, :m] = c[lead:]
+                rows[1:count + 1, p, m:width] = (c @ reads[p].T)[lead:]
+            j = noise_at
+            for _, channel, _, gain in scaled:
+                dw, dz = inc.dw[:, lead:, channel].T, inc.dz[:, lead:, channel].T
+                for d in (dz, dw, dw * cfg.dt - dz):
+                    weights[:count, :, j] = gain * d
+                    j += 1
             for x, x_read, e, x_next, g, g_cubic in zip(
-                    work[start:stop], work[start:stop, :, :width, None],
-                    work[start:stop, :, m:m + 1], work[start + 1:stop + 1],
+                    rows, rows[:, :, :width, None], rows[:, :, m:m + 1], rows[1:count + 1],
                     weights, weights[:, :, m:m + n_cubic]):
                 np.multiply(e, e, out=g_cubic)  # e^2 weighs the cubic terms
                 np.multiply(x, g, out=x)  # the reads become the h_j
                 np.matmul(step, x_read, out=product_read)
                 np.add(x_next, product_row, out=x_next)
-            finite &= np.isfinite(work[start + 1:stop + 1, :, :m]).all(axis=(0, 2))
-    states = work[:, :, :dim]
-    states[:, :, m:] = y[:, m:]
+            finite &= np.isfinite(rows[1:count + 1, :, :m]).all(axis=(0, 2))
+            done = count + (stop == n_steps)  # the last row carries over
+            rows[:done, :, m:dim] = y[:, m:]
+            for i in range(0, done, _MEASURE_BLOCK):
+                keep(start + i, rows[i:min(i + _MEASURE_BLOCK, done), :, :dim])
+            rows[0] = rows[count]
     diverged = ~finite
     if not paths and diverged[0]:
         raise NumericError(DIVERGED)
+    if not collect:
+        return WindowRun(times, diverged.reshape(paths))
 
     measure = acceleration_model(
         system, range(1, system.n_dof + 1), augment_params=model.augmented_params)

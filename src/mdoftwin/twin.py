@@ -20,9 +20,10 @@ ensemble, and the windows of a campaign in chunks of up to 64
 window kernel (``sde.simulate_window``), each path carrying its own
 stiffness in the state tail of the augmented model, and so its own step
 operators, and its own generator. A diverging path leaves the others as
-they would be alone, so each chunk is integrated once. Clean accelerations
-are evaluated only where they are used, for the measurement of a window; a
-response ensemble never evaluates them.
+they would be alone, so each chunk is integrated once. No caller holds the
+states of a whole integration: the kernel hands over each finished block of
+steps, of which a chunk keeps the observed clean accelerations and an
+ensemble its quantiles.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ import numpy as np
 from . import gpr
 from .codec import codec, decode, write_csv, write_json
 from .errors import InvalidParameterError, NumericError
-from .models import (DegradationSchedule, MdofSystem, check_observed_dofs,
-                     degraded_stiffness, to_state_space)
-from .sde import (_MEASURE_BLOCK, DIVERGED, IntegratorConfig, Trajectory,
-                  corrupt_with_snr, non_finite, noise_std_for_snr, simulate_window,
-                  uniform_step)
+from .models import (DegradationSchedule, MdofSystem, acceleration_model,
+                     check_observed_dofs, degraded_stiffness, to_state_space)
+from .sde import (DIVERGED, IntegratorConfig, Trajectory, check_seed, corrupt_with_snr,
+                  non_finite, noise_std_for_snr, simulate_window, uniform_step,
+                  window_times)
 from .ukf import (GaussianBelief, NoiseModel, UkfParams, build_process_noise,
                   run_filter)
 
@@ -219,6 +220,7 @@ class CampaignConfig:
             raise InvalidParameterError("interval and duration must be positive")
         if self.horizon_days < 0.0:
             raise InvalidParameterError("horizon must be non-negative")
+        check_seed(self.master_seed, "master_seed")
         if self.observed_dofs is not None:
             object.__setattr__(self, "observed_dofs",
                                tuple(int(d) for d in self.observed_dofs))
@@ -327,6 +329,13 @@ def _synthesize(system: MdofSystem, schedule: DegradationSchedule,
     Returns one entry per visit, in order: its MeasurementWindow, or for a
     diverged path the NumericError naming the visit's window index, with
     its position in ``visits`` in ``path``, unraised.
+
+    Of the integration only the observed clean accelerations are kept,
+    measured block by block in the sample groups of
+    ``Trajectory.accelerations`` (7-DOF products round by batch shape). The
+    default 41-visit 7-DOF chunk then peaks at 41.9 MiB traced, from 67.4
+    MiB with the whole state path (34 MB) kept, and one 7-DOF window at 2.2
+    MiB, from 4.0 MiB.
     """
     n = system.n_dof
     observed = check_observed_dofs(cfg.observed_dofs or range(1, n + 1), n)
@@ -334,9 +343,7 @@ def _synthesize(system: MdofSystem, schedule: DegradationSchedule,
     rngs = [np.random.default_rng(seed) for _, seed, _ in visits]
     model = to_state_space(system, augment_params=range(1, n + 1))
 
-    dt = cfg.integrator.dt
-    n_steps = int(round(cfg.window_duration_s / dt))
-    times = np.arange(n_steps + 1) * dt
+    times = window_times(cfg.window_duration_s, cfg.integrator.dt)
     force_clean = system.force_at(times)
     force_noise_std = noise_std_for_snr(force_clean, cfg.snr_force)
     forces = np.stack([corrupt_with_snr(force_clean, cfg.snr_force, rng)
@@ -344,15 +351,25 @@ def _synthesize(system: MdofSystem, schedule: DegradationSchedule,
 
     y0 = np.zeros((len(visits), model.dim_state))  # at rest at every visit
     y0[:, 2 * n:] = [degraded_stiffness(schedule, t_s) for t_s, _, _ in visits]
-    traj = simulate_window(model, system, y0, cfg.window_duration_s,
-                           cfg.integrator, forces=forces, rng=rngs)
+    measure = acceleration_model(system, range(1, n + 1),
+                                 augment_params=model.augmented_params)
+    # (visit, DOF, sample): a window's clean accelerations are a column-major
+    # view, as indexing one path of the whole batch by a DOF list made them,
+    # so that the noise levels sum each column in the same order
+    accel = np.empty((len(visits), len(obs0), times.shape[0]))
+
+    def keep(row, states):
+        accel[:, :, row:row + states.shape[0]] = measure(states)[..., obs0].transpose(1, 2, 0)
+
+    run = simulate_window(model, system, y0, cfg.window_duration_s,
+                          cfg.integrator, forces=forces, rng=rngs, keep=keep)
 
     windows = []
     for p, (t_s, seed, index) in enumerate(visits):
-        if traj.diverged[p]:
+        if run.diverged[p]:
             windows.append(NumericError(f"window {index} (t_s={t_s}): {DIVERGED}", path=p))
             continue
-        accel_clean = traj.accelerations[:, p, obs0]
+        accel_clean = accel[p].T
         windows.append(MeasurementWindow(
             t_s=float(t_s),
             times=times,
@@ -574,7 +591,7 @@ def predict_response(snapshot: TwinSnapshot, t_tilde: float, duration: float,
     k_pred = predicted_stiffness_vector(snapshot, t_tilde)
     system_pred = replace(system, stiffnesses=k_pred)
     model = to_state_space(system_pred)
-    integrator = replace(cfg.integrator, seed=int(seed))
+    integrator = replace(cfg.integrator, seed=check_seed(seed, "seed"))
     start = np.zeros(model.dim_state) if y0 is None else np.asarray(y0, dtype=float)
     return simulate_window(model, system_pred, start, duration, integrator)
 
@@ -605,11 +622,13 @@ def predict_response_ensemble(
 
     Draw j simulates with seed ``seed + 1 + j``; the parameter draws use
     ``seed`` itself. All draws advance together as the paths of one
-    integration; a diverging draw raises NumericError naming it. The
-    ``levels`` of the returned quantiles must lie in [0, 1], and ``y0``, the
-    start of every draw, must have shape (2 n_dof,); both are checked before
-    anything is drawn, as are ``n_draws``, an integer of at least 2, and
-    ``t_tilde``, a real number.
+    integration, and each finished block of their states is reduced to its
+    quantiles, so the states of the whole window are never held; a
+    diverging draw raises NumericError naming it. The ``levels`` of the
+    returned quantiles must lie in [0, 1], and ``y0``, the start of every
+    draw, must have shape (2 n_dof,); both are checked before anything is
+    drawn, as are ``n_draws``, an integer of at least 2, ``seed``, a
+    non-negative integer, ``t_tilde``, a real number, and ``duration``.
     """
     try:
         count = operator.index(n_draws)
@@ -618,12 +637,14 @@ def predict_response_ensemble(
     if count < 2:
         raise InvalidParameterError(f"n_draws must be an integer of at least 2, got {n_draws!r}")
     n_draws = count
+    seed = check_seed(seed, "seed")
     t_tilde = _slow_time(t_tilde)
     _check_levels(levels)
     system, cfg = snapshot.system, snapshot.config
     n = system.n_dof
     if y0 is not None and np.shape(y0) != (2 * n,):
         raise InvalidParameterError(f"y0 must have shape ({2 * n},), got {np.shape(y0)}")
+    times = window_times(duration, cfg.integrator.dt)
     predictions = predict_parameters(snapshot, [t_tilde])
     k_base = system.stiffnesses.copy()
     rng = np.random.default_rng(seed)
@@ -640,13 +661,17 @@ def predict_response_ensemble(
     if y0 is not None:
         start[:, :2 * n] = np.asarray(y0, dtype=float)
     start[:, 2 * n:] = draws
-    rngs = [np.random.default_rng(int(seed) + 1 + j) for j in range(n_draws)]
-    traj = simulate_window(model, system, start, duration, cfg.integrator, rng=rngs)
-    if traj.diverged.any():
-        j = int(np.argmax(traj.diverged))
+    rngs = [np.random.default_rng(seed + 1 + j) for j in range(n_draws)]
+    qs = np.empty((len(levels), times.shape[0], 2 * n))
+
+    def keep(row, states):
+        qs[:, row:row + states.shape[0]] = _path_quantiles(states[..., :2 * n], levels)
+
+    run = simulate_window(model, system, start, duration, cfg.integrator, rng=rngs, keep=keep)
+    if run.diverged.any():
+        j = int(np.argmax(run.diverged))
         raise NumericError(f"draw {j}: {DIVERGED}", path=j)
-    qs = _path_quantiles(traj.states[..., :2 * n], levels)
-    return ResponseEnsemble(times=traj.times, levels=tuple(levels), quantiles=qs,
+    return ResponseEnsemble(times=run.times, levels=tuple(levels), quantiles=qs,
                             stiffness_draws=draws)
 
 
@@ -670,24 +695,22 @@ def _path_quantiles(samples: np.ndarray, levels) -> np.ndarray:
     ``a + (b - a) gamma``, or ``b - (b - a) (1 - gamma)`` when
     gamma >= 0.5. Equal to ``np.quantile`` on finite samples.
 
-    The sort runs on a contiguous copy of one block of time samples at a
-    time, with the path axis last, so that no sorted copy of the whole
-    array is made."""
+    The sort runs on a contiguous copy with the path axis last; the
+    ensemble passes one block of time samples at a time."""
     last = samples.shape[1] - 1
     out = np.empty((len(levels),) + samples.shape[:1] + samples.shape[2:])
-    for start in range(0, samples.shape[0], _MEASURE_BLOCK):
-        ordered = np.moveaxis(samples[start:start + _MEASURE_BLOCK], 1, -1).copy()
-        ordered.sort(axis=-1)
-        for row, q in zip(out[:, start:start + _MEASURE_BLOCK], levels):
-            v = last * float(q)
-            i = min(int(v), last - 1)
-            gamma = v - i
-            a, b = ordered[..., i], ordered[..., i + 1]
-            diff = b - a
-            if gamma >= 0.5:
-                np.subtract(b, diff * (1.0 - gamma), out=row)
-            else:
-                np.add(a, diff * gamma, out=row)
+    ordered = np.moveaxis(samples, 1, -1).copy()
+    ordered.sort(axis=-1)
+    for row, q in zip(out, levels):
+        v = last * float(q)
+        i = min(int(v), last - 1)
+        gamma = v - i
+        a, b = ordered[..., i], ordered[..., i + 1]
+        diff = b - a
+        if gamma >= 0.5:
+            np.subtract(b, diff * (1.0 - gamma), out=row)
+        else:
+            np.add(a, diff * gamma, out=row)
     return out
 
 

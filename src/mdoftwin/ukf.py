@@ -117,6 +117,8 @@ class GaussianBelief:
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
+        if not np.isfinite(mean).all():
+            raise InvalidParameterError(f"belief mean must be finite, got {mean.tolist()}")
         cov = np.asarray(self.cov, dtype=float)
         n = mean.shape[0]
         if cov.shape != (n, n):

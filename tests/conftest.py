@@ -6,8 +6,9 @@ the analytic partials, the per-model GP predictor, the GP kernel and the
 stacked GP query as first written (the byte-for-byte references of the
 in-place ones), GP training as one scipy ``minimize`` per restart, the
 window kernel's step loop on strided views (the bit-for-bit reference of the
-one on contiguous rows), the strong-convergence study and a runner of
-scripts in a fresh interpreter."""
+one on contiguous rows), synthetic windows from the whole batch's states
+(the byte-for-byte reference of the ones measured block by block), the
+strong-convergence study and a runner of scripts in a fresh interpreter."""
 
 import math
 import os
@@ -26,9 +27,11 @@ import mdoftwin
 from mdoftwin import gpr
 from mdoftwin.errors import TrainingError
 from mdoftwin.linalg import cho_factor, cho_solve, tri_inverse
-from mdoftwin.models import KIND_DUFFING_2DOF, StateSpaceModel, dispersion_split
-from mdoftwin.sde import (BrownianIncrementPair, _window_operators, em_step,
-                          sample_brownian_increments, taylor15_step, uniform_step)
+from mdoftwin.models import (KIND_DUFFING_2DOF, StateSpaceModel, degraded_stiffness,
+                             dispersion_split, to_state_space)
+from mdoftwin.sde import (BrownianIncrementPair, _window_operators, corrupt_with_snr,
+                          em_step, noise_std_for_snr, sample_brownian_increments,
+                          simulate_window, taylor15_step, uniform_step)
 from mdoftwin.ukf import ukf_weights
 
 
@@ -287,6 +290,35 @@ def strided_window_states(model, system, y0, duration, cfg):
     states = work[:, :, :dim]
     states[:, :, m:] = y0[:, m:]
     return states
+
+
+def full_state_windows(system, schedule, cfg, visits) -> list:
+    """The clean and noisy accelerations and the noise levels of
+    ``twin._synthesize``'s windows as first made, from the states of the
+    whole batch: ``Trajectory.accelerations`` indexed by path and observed
+    DOF. None for a diverged visit."""
+    n = system.n_dof
+    obs0 = [d - 1 for d in (cfg.observed_dofs or range(1, n + 1))]
+    rngs = [np.random.default_rng(seed) for _, seed, _ in visits]
+    model = to_state_space(system, augment_params=range(1, n + 1))
+    times = np.arange(int(round(cfg.window_duration_s / cfg.integrator.dt)) + 1) \
+        * cfg.integrator.dt
+    force_clean = system.force_at(times)
+    forces = np.stack([corrupt_with_snr(force_clean, cfg.snr_force, rng) for rng in rngs],
+                      axis=1)
+    y0 = np.zeros((len(visits), model.dim_state))
+    y0[:, 2 * n:] = [degraded_stiffness(schedule, t_s) for t_s, _, _ in visits]
+    traj = simulate_window(model, system, y0, cfg.window_duration_s, cfg.integrator,
+                           forces=forces, rng=rngs)
+    windows = []
+    for p, rng in enumerate(rngs):
+        if traj.diverged[p]:
+            windows.append(None)
+            continue
+        clean = traj.accelerations[:, p, obs0]
+        windows.append((corrupt_with_snr(clean, cfg.snr_accel, rng),
+                        noise_std_for_snr(clean, cfg.snr_accel)))
+    return windows
 
 
 def run_fresh(script) -> str:

@@ -438,6 +438,15 @@ MALFORMED_INPUTS = [
                  id="campaign-observe-range"),
     pytest.param("observed_dofs", _campaign_argv(observed_dofs=[3]),
                  id="campaign-config-dofs"),
+    pytest.param("master_seed", _campaign_argv(master_seed=-3), id="campaign-master-seed"),
+    pytest.param("seed must be a non-negative integer", _config_argv(
+        {"system": {"kind": "duffing_2dof"}, "integrator": {"seed": -4}}),
+        id="integrator-seed"),
+    pytest.param("argument --seed", _campaign_argv("--seed", "-1"), id="campaign-seed-flag"),
+    pytest.param("argument --seed: must be a non-negative integer, got '1.5'",
+                 _campaign_argv("--seed", "1.5"), id="campaign-seed-flag-fraction"),
+    pytest.param("argument --seed", _predict_argv("100", "--seed", "-1"),
+                 id="predict-seed-flag"),
     pytest.param("t_s", _sidecar_argv("t_s", "abc"), id="sidecar-time"),
     pytest.param("t_s", _sidecar_argv("t_s", float("nan")), id="sidecar-time-nan"),
     pytest.param("provenance", _sidecar_argv("provenance", [1]), id="sidecar-provenance"),

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,8 @@ from mdoftwin import gpr
 from mdoftwin.gpr import (FAMILY_MATERN52, FAMILY_SE, GpModel, GpTrainConfig,
                           Kernel, _kernel, negative_log_marginal_likelihood,
                           predict, stack, track_parameters, train)
+from mdoftwin.models import build_duffing_2dof
+from mdoftwin.twin import CampaignConfig, TwinSnapshot, new_snapshot
 
 DECAY_RATE = 0.5e-4
 
@@ -393,6 +396,24 @@ class TestPredict:
         with pytest.raises(InvalidParameterError, match="finite"):
             replace(model, **{field: bad[field]})
 
+    def test_negative_noise_floor_rejected(self, tmp_path):
+        # gpr.train rejects a negative floor; a model built or loaded with
+        # one had a predictive variance below zero at its own inputs
+        fields = dict(kernel=Kernel(), mean_spec="zero", noise_variance=0.0,
+                      train_inputs=[0.0, 5.0, 10.0], train_targets=[1.0, 2.0, 0.5], nlml=0.0)
+        message = r"^noise_floor must be non-negative per point, got \[-0.4, -0.4, -0.4\]$"
+        with pytest.raises(InvalidParameterError, match=message):
+            GpModel(**fields, noise_floor=[-0.4] * 3)
+        snap = new_snapshot(build_duffing_2dof(), CampaignConfig())
+        snap.gp_models = {"k1": GpModel(**fields, noise_floor=[0.4] * 3)}
+        path = tmp_path / "snap.json"
+        snap.save(path)
+        doc = json.loads(path.read_text())
+        doc["gp_models"]["k1"]["noise_floor"] = [-0.4] * 3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidParameterError, match=message):
+            TwinSnapshot.load(path)
+
     @pytest.mark.parametrize("family", [FAMILY_SE, FAMILY_MATERN52])
     def test_prediction_path_skips_the_gradient_bit_for_bit(self, family, monkeypatch):
         # the stacked query path evaluates K alone; the likelihood's
@@ -629,13 +650,18 @@ class TestQueryOracle:
         assert (prediction.variance >= 0.0).all()
         assert_same_bytes(prediction, first_predict(oracle, query))
 
-    @pytest.mark.parametrize("query", [["a"], [object()], [1 + 2j], "x"],
-                             ids=["string", "object", "complex", "bare-string"])
+    @pytest.mark.parametrize(
+        "query", [["a"], [object()], [1 + 2j], "x", np.array([1 + 2j]), np.array(1 + 2j)],
+        ids=["string", "object", "complex", "bare-string", "complex-array", "complex-0d"])
     def test_query_that_is_not_numbers_rejected(self, query):
+        # a complex array used to lose its imaginary part behind numpy's
+        # ComplexWarning, which fails here as an error
         model = drawn_models(FAMILY_SE, "constant", False, 3, n_models=1)[0]
-        for target in (model, stack([model])):
-            with pytest.raises(InvalidParameterError, match="real numbers"):
-                predict(target, query)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for target in (model, stack([model])):
+                with pytest.raises(InvalidParameterError, match="real numbers"):
+                    predict(target, query)
 
 
 class TestTrackParameters:

@@ -13,7 +13,7 @@ from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.models import (DegradationSchedule, acceleration_model, build_duffing_2dof,
                              build_dvp_7dof, to_state_space)
 from mdoftwin.sde import (BrownianIncrementPair, IntegratorConfig, Trajectory,
-                          corrupt_with_snr, em_step, noise_std_for_snr,
+                          _increment_pair, corrupt_with_snr, em_step, noise_std_for_snr,
                           non_finite, sample_brownian_increments,
                           simulate_window, taylor15_step)
 
@@ -25,6 +25,15 @@ class TestIntegratorConfig:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             IntegratorConfig(dt=0.0)
+
+    @pytest.mark.parametrize("seed", [-4, 1.5, True, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # numpy's generators raised ValueError or TypeError for these at the
+        # first simulation
+        with pytest.raises(InvalidParameterError,
+                           match=r"^seed must be a non-negative integer, got "):
+            IntegratorConfig(seed=seed)
+        assert IntegratorConfig(seed=np.int64(4)).seed == 4
 
 
 class TestBrownianIncrements:
@@ -45,6 +54,20 @@ class TestBrownianIncrements:
         inc = sample_brownian_increments(rng, 1e-3, n_channels=7)
         assert inc.dw.shape == (7,)
         assert inc.dz.shape == (7,)
+
+    def test_second_normals_drawn_per_block_give_the_whole_draw(self):
+        # the window kernel draws a path's first normals whole and its
+        # second per block of steps, into buffers
+        whole = sample_brownian_increments(np.random.default_rng(5), 1e-3, 7, 600)
+        gen = np.random.default_rng(5)
+        first, second = np.empty((600, 7)), np.empty((600, 7))
+        gen.standard_normal(out=first)
+        for start in range(0, 600, 256):
+            gen.standard_normal(out=second[start:start + 256])
+        blocks = [_increment_pair(first[i:i + 256], second[i:i + 256], 1e-3)
+                  for i in range(0, 600, 256)]
+        assert np.concatenate([b.dw for b in blocks]).tobytes() == whole.dw.tobytes()
+        assert np.concatenate([b.dz for b in blocks]).tobytes() == whole.dz.tobytes()
 
 
 class TestEmStep:
@@ -510,12 +533,18 @@ class TestRestDrift:
 
 
 class TestContiguousRows:
-    """The kernel's step loop, run in place on whole contiguous rows with
-    one weight buffer per block of steps, against the loop on strided views
-    of the rows it replaced: the same states bit for bit."""
+    """The kernel's step loop, run in place on whole contiguous rows of one
+    block of steps at a time, with the block's inputs and weights formed per
+    path, against the loop on strided views of whole-window arrays that it
+    replaced: the same states bit for bit. The block edges are covered: a
+    window shorter than one block, of exactly one, and one step past one or
+    more blocks, where a set-up product of one row would round otherwise;
+    one path takes blocks of 1024 steps, two of 512 and more of 256."""
 
-    @pytest.mark.parametrize("case", ["short", "partial-block", "diverging"])
-    @pytest.mark.parametrize("n_paths", [1, 2, 64])
+    @pytest.mark.parametrize("case", ["short", "one-block", "one-past-a-block",
+                                      "one-past-two-blocks", "four-blocks",
+                                      "one-past-four-blocks", "partial-block", "diverging"])
+    @pytest.mark.parametrize("n_paths", [1, 2, 41, 64])
     @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
     def test_states_bit_for_bit(self, build, n_paths, case):
         n = 2 if build is build_duffing_2dof else 7
@@ -525,8 +554,12 @@ class TestContiguousRows:
         y0 = np.zeros((n_paths, model.dim_state))
         y0[:, :2 * n] = rng.normal(size=(n_paths, 2 * n)) * 0.01
         y0[:, 2 * n:] = system.stiffnesses * rng.uniform(0.7, 1.0, size=(n_paths, n))
-        # shorter than one block of steps; 5 s = 19 blocks and 136 steps
-        duration = {"short": 0.1, "partial-block": 5.0, "diverging": 0.6}[case]
+        # 100, 256, 257, 513, 1024 and 1025 steps in blocks of 256; 5 s =
+        # 19 blocks and 136 steps
+        duration = {"short": 0.1, "one-block": 0.256, "one-past-a-block": 0.257,
+                    "one-past-two-blocks": 0.513, "four-blocks": 1.024,
+                    "one-past-four-blocks": 1.025, "partial-block": 5.0,
+                    "diverging": 0.6}[case]
         if case == "diverging":
             y0[n_paths // 2, :n] = 1e3 * np.arange(1, n + 1)  # far too stiff a cubic
         cfg = IntegratorConfig(dt=1e-3, seed=8)

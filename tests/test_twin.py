@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (assert_matches_reference, assert_same_bytes,
-                      first_predict_parameters, run_fresh)
+                      first_predict_parameters, full_state_windows, run_fresh)
 from mdoftwin.cli import main
 from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.models import (DegradationSchedule, build_duffing_2dof,
@@ -196,6 +196,13 @@ class TestMeasurementWindow:
 
 
 class TestCampaignGeneration:
+    @pytest.mark.parametrize("seed", [-3, 1.5, True, None])
+    def test_master_seed_must_be_a_non_negative_integer(self, seed):
+        # a negative one used to end the campaign in numpy's ValueError
+        with pytest.raises(InvalidParameterError,
+                           match="^master_seed must be a non-negative integer, got "):
+            CampaignConfig(master_seed=seed)
+
     def test_grid_arithmetic(self):
         cfg = CampaignConfig(horizon_days=2000.0, window_interval_days=50.0)
         times = campaign_times(cfg)
@@ -706,7 +713,7 @@ class TestPrediction:
     @pytest.mark.parametrize("levels", [(0.05, 0.5, 0.95), (0, 1), (0.0, 1.0),
                                         (0.9, 0.0, 0.33, 1.0, 0.5, 0.25)])
     def test_path_quantiles_equal_numpy(self, n_draws, levels):
-        # within one block of time samples, and over two and a partial one
+        # a series shorter than a block of the kernel's steps, and one longer
         for n_samples in (40, 2 * _MEASURE_BLOCK + 37):
             rng = np.random.default_rng(n_draws)
             samples = rng.normal(size=(n_samples, n_draws, 5))
@@ -767,6 +774,20 @@ class TestPrediction:
         with pytest.raises(InvalidParameterError,
                            match="^n_draws must be an integer of at least 2, got "):
             predict_response_ensemble(snap, 450.0, 0.2, 3, n_draws=n_draws)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "3", None, True])
+    def test_bad_seed_rejected_before_drawing(self, monkeypatch, seed):
+        # 1.5 used to raise numpy's TypeError after the GP query
+        snap = self.nominal_snapshot()
+
+        def never(*args, **kwargs):
+            raise AssertionError("drew before the seed was checked")
+
+        monkeypatch.setattr(twin_mod, "predict_parameters", never)
+        monkeypatch.setattr(twin_mod, "simulate_window", never)
+        with pytest.raises(InvalidParameterError,
+                           match="^seed must be a non-negative integer, got "):
+            predict_response_ensemble(snap, 450.0, 0.2, seed, n_draws=4)
 
     def test_numpy_integer_draw_count(self):
         snap = self.nominal_snapshot()
@@ -973,6 +994,52 @@ class TestExports:
                           "k2_mean,k2_sd,k2_lo95,k2_hi95")
 
 
+class TestBlockwiseOutputs:
+    """What a campaign chunk and an ensemble keep of each finished block of
+    steps equals, byte for byte, what the states of the whole window give:
+    below one block, at exactly one, and one step past one or more (blocks
+    of 1024 steps for one path, 512 for two, 256 for more)."""
+
+    STEPS = [100, _MEASURE_BLOCK, _MEASURE_BLOCK + 1, 2 * _MEASURE_BLOCK + 1,
+             4 * _MEASURE_BLOCK + 1]
+
+    @pytest.mark.parametrize("n_steps", STEPS)
+    @pytest.mark.parametrize("n_visits", [1, 2, 41])
+    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    def test_windows(self, build, n_visits, n_steps):
+        system = build()
+        n = system.n_dof
+        cfg = CampaignConfig(window_duration_s=n_steps * 1e-3, observed_dofs=(1, n))
+        schedule = DegradationSchedule.for_system(system)
+        visits = [(50.0 * i, 5 + i, i) for i in range(n_visits)]
+        windows = twin_mod._synthesize(system, schedule, cfg, visits)
+        for window, (accel, std) in zip(windows,
+                                         full_state_windows(system, schedule, cfg, visits)):
+            assert window.times.shape == (n_steps + 1,)
+            assert window.accel.tobytes() == accel.tobytes()
+            assert window.accel_noise_std.tobytes() == std.tobytes()
+
+    @pytest.mark.parametrize("n_steps", STEPS)
+    @pytest.mark.parametrize("n_draws", [2, 41])
+    @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
+    def test_quantiles(self, build, n_draws, n_steps):
+        system = build()
+        n = system.n_dof
+        cfg = quick_config()
+        snap = fabricate_snapshot(system, cfg, np.arange(8) * 50.0,
+                                  np.tile(system.stiffnesses, (8, 1)))
+        duration = n_steps * cfg.integrator.dt
+        ens = predict_response_ensemble(snap, 450.0, duration, 3, n_draws=n_draws)
+        model = to_state_space(system, range(1, n + 1))
+        start = np.zeros((n_draws, model.dim_state))
+        start[:, 2 * n:] = ens.stiffness_draws
+        full = simulate_window(model, system, start, duration, cfg.integrator,
+                               rng=[np.random.default_rng(4 + j) for j in range(n_draws)])
+        expected = twin_mod._path_quantiles(full.states[..., :2 * n], ens.levels)
+        assert ens.quantiles.shape == (3, n_steps + 1, 2 * n)
+        assert ens.quantiles.tobytes() == expected.tobytes()
+
+
 ENSEMBLE_PEAK = """
 import tracemalloc
 import numpy as np
@@ -993,9 +1060,32 @@ print(tracemalloc.get_traced_memory()[1])
 
 
 def test_ensemble_peak_memory_bounded():
-    # the default 100-draw ensemble of 5 s 7-DOF draws at dt = 1e-3 peaks
-    # at 99.3 MiB traced, mostly the states array (80.1 MiB) and the noise
-    # weights (11.4 MiB); one more full-length array of two columns beside
-    # them (7.6 MiB) would cross the bound
+    # the default 100-draw ensemble of 5 s 7-DOF draws at dt = 1e-3 peaked
+    # at 99.3 MiB traced with the whole states array (80.1 MiB) and noise
+    # weights (11.4 MiB) held; taking its quantiles block by block, it peaks
+    # at 45.2 MiB, most of it the draws' first Brownian normals (26.7 MiB)
     peak = int(run_fresh(ENSEMBLE_PEAK).split()[-1]) / 2 ** 20
     assert peak < 105.0, f"traced peak {peak:.1f} MiB"
+
+
+CHUNK_PEAK = """
+import tracemalloc
+from mdoftwin import twin
+from mdoftwin.models import DegradationSchedule, build_dvp_7dof
+system = build_dvp_7dof()
+cfg = twin.CampaignConfig()
+visits = [(t_s, i, i) for i, t_s in enumerate(twin.campaign_times(cfg))]
+tracemalloc.start()
+twin._synthesize(system, DegradationSchedule.for_system(system), cfg, visits)
+print(len(visits), tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_campaign_chunk_peak_memory_bounded():
+    # the default 41-window 7-DOF chunk peaks at 41.9 MiB traced: the noisy
+    # forces, the first Brownian normals and the clean accelerations (11 MiB
+    # each) and the windows; it peaked at 67.4 MiB with the whole state path
+    # (33 MiB) kept, and keeping that path again would cross the bound
+    n_visits, peak = map(int, run_fresh(CHUNK_PEAK).split()[-2:])
+    assert n_visits == 41
+    assert peak / 2 ** 20 < 50.0, f"traced peak {peak / 2 ** 20:.1f} MiB"

@@ -140,6 +140,13 @@ class TestSigmaPoints:
         with pytest.raises(NumericError, match=message):
             repair_psd(nan_cov)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        # such a belief used to build, and run_filter started from it failed
+        # only at "sample 1: non-finite propagated sigma point"
+        with pytest.raises(InvalidParameterError, match="^belief mean must be finite, got "):
+            GaussianBelief(mean=[bad, 0.0], cov=np.eye(2))
+
 
 class TestUnscentedTransformAffine:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
