@@ -12,9 +12,7 @@ from .errors import (InvalidParameterError, MdofTwinError, NumericError,
 from .models import (DegradationSchedule, MdofSystem, StateSpaceModel,
                      acceleration_model, build_duffing_2dof, build_dvp_7dof,
                      degraded_stiffness, to_state_space)
-from .sde import (BrownianIncrementPair, IntegratorConfig, Trajectory,
-                  corrupt_with_snr, em_step, sample_brownian_increments,
-                  simulate_window, taylor15_step)
+from .sde import IntegratorConfig, Trajectory, corrupt_with_snr, simulate_window
 from .ukf import (FilterResult, GaussianBelief, NoiseModel, UkfParams,
                   build_process_noise, predict, run_filter, sigma_points,
                   ukf_weights, update)

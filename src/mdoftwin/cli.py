@@ -216,10 +216,8 @@ def _report_doc(snapshot: TwinSnapshot) -> dict:
         "windows_rejected": len(snapshot.rejected_windows),
         "gp_trained_upto": snapshot.gp_trained_upto,
         "workload": {
-            "filter_updates": sum(r.get("n_updates", 0)
-                                  for r in snapshot.parameter_history),
-            "psd_repairs": sum(r.get("psd_repairs", 0)
-                               for r in snapshot.parameter_history),
+            "filter_updates": sum(r["n_updates"] for r in snapshot.parameter_history),
+            "psd_repairs": sum(r["psd_repairs"] for r in snapshot.parameter_history),
         },
     }
     if snapshot.windows_processed == 0:

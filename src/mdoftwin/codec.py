@@ -1,4 +1,5 @@
-"""One dict codec derived from dataclass fields, and the JSON and CSV writers.
+"""One dict codec derived from dataclass fields, the JSON and CSV writers,
+and the one rule for the seeds of numpy's generators (``check_seed``).
 
 ``to_dict`` writes every field under its name: nested dataclasses as dicts,
 tuples and arrays as lists, numpy scalars as Python numbers. ``from_dict``
@@ -18,6 +19,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import os
 import types
 import typing
@@ -117,6 +119,19 @@ def _decode_fields(cls, doc: dict, where: str):
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise InvalidParameterError(f"{where} is missing {f.name!r}")
     return cls(**kwargs)
+
+
+def check_seed(seed, name: str) -> int:
+    """``seed`` as an int; InvalidParameterError naming it unless it is a
+    non-negative integer (a numpy integer too, a bool not), the seeds numpy's
+    generators take."""
+    try:
+        value = -1 if isinstance(seed, bool) else operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise InvalidParameterError(f"{name} must be a non-negative integer, got {seed!r}")
+    return value
 
 
 def write_json(path, doc) -> None:

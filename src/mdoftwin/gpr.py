@@ -30,11 +30,9 @@ scipy's ``setulb`` (from ``linalg.scipy_extension``) driven step for step as
 run that asks for f and g at a new x is served by one batched
 ``negative_log_marginal_likelihood`` call: the kernel, its derivative and
 the reductions are batched, the factorization and the solves run per
-instance, and every instance's NLML and gradient equal the one-instance
-formula bit for bit. So the trained models equal those of one
-``minimize`` per restart, bit for bit. On real twin histories of 3 to 41
-windows (seed 3, one BLAS thread, 2-vCPU host) a 7-DOF retrain (6 GPs)
-takes 40 ms in the median, down from 114 ms.
+instance, and every instance's NLML and gradient equal those of a batch of
+that instance alone, bit for bit. So the trained models equal those of one
+``minimize`` per restart, bit for bit.
 
 Kt is factorized and solved through the LAPACK pair of ``linalg``
 (``dpotrf``/``dpotrs``), which returns what scipy's ``cho_factor`` and
@@ -65,10 +63,7 @@ and cuts the calls and objects around it: the kernel runs in place on one
 buffer of K*'s shape, the stack holds every array in the shape the query
 meets it, the query's finiteness is a sum of squares
 (``linalg.all_finite``), the clip test is one reduction and a prediction is
-a slots dataclass. A single-time ``twin.predict_parameters`` takes 0.77x
-the time of that form at J = 2 and 6 and n = 3 to 41: ~24 against ~31 us
-on the 6-GP, 3-point twin (medians of 200 alternating rounds of 100
-queries in one process, one BLAS thread, 2-vCPU host).
+a slots dataclass.
 """
 
 from __future__ import annotations
@@ -79,7 +74,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .codec import codec
+from .codec import check_seed, codec
 from .errors import InvalidParameterError, TrainingError
 from .linalg import all_finite, cho_factor, cho_solve, scipy_extension, tri_inverse
 
@@ -219,6 +214,7 @@ class GpTrainConfig:
         if not 0.0 <= self.eps_tol < math.inf:
             raise InvalidParameterError(
                 f"eps_tol must be finite and non-negative, got {self.eps_tol!r}")
+        check_seed(self.seed, "seed")
 
 
 @dataclass(slots=True)
@@ -393,13 +389,12 @@ def negative_log_marginal_likelihood(
     floor: np.ndarray | None = None,
 ):
     """NLML and its gradient w.r.t. (log l, log s2, log sn2) on the
-    standardized grid ``x`` (n,), for one instance or B instances at once.
+    standardized grid ``x`` (n,) for B instances at once.
 
-    One instance takes ``log_theta`` (3,) with ``v`` and ``floor`` (n,) and
-    returns the value as a float and the gradient (3,); B instances take
-    (B, 3) with (B, n) and return the B values as a list and the gradients
-    (B, 3), each equal to its one-instance result bit for bit. The floor is
-    None for none. An instance whose Kt is not positive definite scores
+    ``log_theta`` is (B, 3), ``v`` and ``floor`` (B, n), the floor None for
+    none. Returns the B values as a list and the gradients (B, 3), each
+    equal to that of a batch of its instance alone, bit for bit. An
+    instance whose Kt is not positive definite scores
     ``_PENALTY`` with a zero gradient: an infeasible region, not a fatal
     error, so that a line search backs off. A constant mean is profiled out
     by GLS; by the envelope theorem the gradient formula with the profiled
@@ -409,10 +404,6 @@ def negative_log_marginal_likelihood(
     log_theta = np.asarray(log_theta, dtype=float)
     v = np.asarray(v, dtype=float)
     floor = None if floor is None else np.asarray(floor, dtype=float)
-    single = log_theta.ndim == 1
-    if single:
-        log_theta, v = log_theta[None], v[None]
-        floor = None if floor is None else floor[None]
     x = np.asarray(x, dtype=float)
     lengthscale, variance, noise = np.exp(log_theta).T
     n_instances, n = v.shape
@@ -441,8 +432,7 @@ def negative_log_marginal_likelihood(
     values = 0.5 * fit + 0.5 * logdet + 0.5 * n * math.log(2.0 * math.pi)
     values[failed] = _PENALTY
     grads[failed] = 0.0
-    values = values.tolist()
-    return (values[0], grads[0]) if single else (values, grads)
+    return values.tolist(), grads
 
 
 def _latin_hypercube(rng: np.random.Generator, n_points: int, log_ranges) -> np.ndarray:

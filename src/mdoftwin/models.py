@@ -265,26 +265,25 @@ class StateSpaceModel:
     window from the system by ``euler_transition``, which equals
     ``y + drift(y, f) * dt`` to rounding. ``drift`` serves the window
     kernel of ``simulate_window`` (one rest state against every step's
-    force sample) and the reference steppers.
+    force sample).
 
     Every callable is batched over leading axes: a state is ``(..., dim)``,
     one per path, and ``drift`` broadcasts the leading axes of the state
     and of the force sample ``(..., n_dof)``, so that one state takes a
-    run of force samples without being copied. The analytic partials feed
-    the strong Taylor-1.5 scheme as directional derivatives, so no
-    ``(dim, dim)`` matrix is formed per path:
+    run of force samples without being copied. The partials of the strong
+    Taylor-1.5 scheme are directional derivatives, so no ``(dim, dim)``
+    matrix is formed per path:
 
     * ``drift_jacobian(y, f, v)`` is ``(da/dy) v`` for a direction ``v``;
-      the scheme requires it, Euler-Maruyama does not;
+      the window kernel takes the drift Jacobian at rest from it;
     * ``drift_hessian_quad(y, f, b)`` is
       ``0.5 sum_ij (b b^T)_ij d2a/dy_i dy_j`` for the dispersion ``b``
-      ``(..., dim, n_channels)``; None where it vanishes identically, that
-      is where the drift is affine along every row the noise enters;
+      ``(..., dim, n_channels)``; None where it vanishes identically, as
+      for the chain models, whose drift is affine along every noise row;
     * ``dispersion_jacobian(y, u)`` is ``sum_j sum_i u_ji db_.j/dy_i`` for
       one direction per channel, ``u`` ``(..., n_channels, dim)``; None
-      skips the L(b) correction terms, which vanish for additive noise.
-      The chain models leave it None: the window kernel takes their
-      state-scaled noise from ``scaled_noise`` instead.
+      for the chain models, whose state-scaled noise the window kernel
+      reads from ``scaled_noise``.
 
     ``scaled_noise`` lists ``(row, channel, state)`` for every dispersion
     entry that is a constant times the state entry ``y[state]``; all other

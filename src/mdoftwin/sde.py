@@ -1,20 +1,15 @@
 """Strong SDE integration and synthetic-signal utilities.
 
-Two schemes are provided for dy = a(y, f) dt + b(y) dW:
-
-* Euler-Maruyama, ``y + a dt + b dw`` (the filter's low-fidelity model),
-* the strong Taylor-1.5 scheme used for data generation and prediction,
+Data generation and response prediction integrate dy = a(y, f) dt + b(y) dW
+with the strong Taylor-1.5 scheme (Kloeden & Platen 1992, section 10.4),
 
       y + a dt + b dw + 0.5 L^j(b_j) (dw_j^2 - dt) + L^j(a) dz_j
         + L^0(b_j) (dw_j dt - dz_j) + 0.5 L^0(a) dt^2
 
-  with L^0 = sum_i a_i d_i + 0.5 sum_ij (b b^T)_ij d_i d_j and
-  L^j = sum_i b_ij d_i. The force sample is held constant across a step.
-  For additive noise the L(b) terms are identically zero and are skipped.
-
-``em_step`` and ``taylor15_step`` are the reference scheme: one step of any
-``StateSpaceModel`` from its analytic partials, taken as directional
-derivatives, for a single state ``(dim,)`` or one per path ``(P, dim)``.
+with L^0 = sum_i a_i d_i + 0.5 sum_ij (b b^T)_ij d_i d_j and
+L^j = sum_i b_ij d_i, the force sample held constant across a step. The
+L(b) terms vanish for additive noise. The filter's low-fidelity model, the
+Euler map, is ``models.euler_transition``.
 
 ``simulate_window`` integrates a whole window with the window kernel, the
 Taylor-1.5 scheme rearranged for the chain models. With the stiffness
@@ -33,8 +28,8 @@ entries), so the kernel carries the rows x = [z; O z]. A step weighs the
 reads in place into the h_j and is one batched product and one add,
 x' = S [z; h] + d_k with d_k = [c_k; O c_k]; S and N are formed once per
 integration and per path, from one ``drift_jacobian`` call, and the d_k
-per path and block of steps. The kernel agrees with the reference steppers
-to rounding (the summation order differs).
+per path and block of steps. The kernel agrees with the scheme evaluated
+term by term to rounding (the summation order differs).
 
 The steps run in place on a buffer of one block of steps' rows (256
 steps, or 512 and 1024 for two paths and one), each row contiguous over
@@ -51,14 +46,13 @@ states, inputs or weights is made.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import codec, write_csv
+from .codec import check_seed, codec, write_csv
 from .errors import InvalidParameterError, NumericError
 from .models import (MdofSystem, StateSpaceModel, acceleration_model,
                      dispersion_split)
@@ -82,45 +76,13 @@ class IntegratorConfig:
         check_seed(self.seed, "seed")
 
 
-def check_seed(seed, name: str) -> int:
-    """``seed`` as an int; InvalidParameterError naming it unless it is a
-    non-negative integer (a numpy integer too, a bool not), the seeds numpy's
-    generators take."""
-    try:
-        value = -1 if isinstance(seed, bool) else operator.index(seed)
-    except TypeError:
-        value = -1
-    if value < 0:
-        raise InvalidParameterError(f"{name} must be a non-negative integer, got {seed!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class BrownianIncrementPair:
-    """Correlated increments dw = int dW and dz = int int dW ds per channel.
-
-    Joint moments: E[dw^2] = dt, E[dz^2] = dt^3/3, E[dw dz] = dt^2/2.
-    Arrays are (n_channels,) for one step or (n_steps, n_channels).
-    """
-
-    dw: np.ndarray
-    dz: np.ndarray
-
-
-def sample_brownian_increments(
-    rng: np.random.Generator, dt: float, n_channels: int, n_steps: int | None = None
-) -> BrownianIncrementPair:
-    """Draw increment pairs via dw = sqrt(dt) u1, dz = dt^1.5 (u1 + u2/sqrt(3))/2."""
-    shape = (n_channels,) if n_steps is None else (n_steps, n_channels)
-    u1 = rng.standard_normal(shape)
-    return _increment_pair(u1, rng.standard_normal(shape), dt)
-
-
-def _increment_pair(u1: np.ndarray, u2: np.ndarray, dt: float) -> BrownianIncrementPair:
-    """The increment pairs of the unit normals u1 and u2, element by element,
-    so that the pairs of some steps are those of the whole draw."""
-    return BrownianIncrementPair(dw=np.sqrt(dt) * u1,
-                                 dz=0.5 * dt ** 1.5 * (u1 + u2 / np.sqrt(3.0)))
+def _increment_pair(u1: np.ndarray, u2: np.ndarray, dt: float) -> tuple:
+    """The increments ``(dw, dz)``, dw = int dW and dz = int int dW ds, of the
+    unit normals u1 and u2, element by element, so that the pairs of some
+    steps are those of the whole draw: dw = sqrt(dt) u1 and
+    dz = dt^1.5 (u1 + u2/sqrt(3))/2, with E[dw^2] = dt, E[dz^2] = dt^3/3 and
+    E[dw dz] = dt^2/2."""
+    return np.sqrt(dt) * u1, 0.5 * dt ** 1.5 * (u1 + u2 / np.sqrt(3.0))
 
 
 def _check_state(y: np.ndarray) -> np.ndarray:
@@ -128,55 +90,6 @@ def _check_state(y: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise NumericError("non-finite input state")
     return y
-
-
-def _em(model: StateSpaceModel, y, f_t, dw, dz, dt: float) -> np.ndarray:
-    b = model.dispersion(y)
-    return y + model.drift(y, f_t) * dt + (b @ dw[..., None])[..., 0]
-
-
-def _taylor15(model: StateSpaceModel, y, f_t, dw, dz, dt: float) -> np.ndarray:
-    a = model.drift(y, f_t)
-    b = model.dispersion(y)
-    noise = b @ np.stack((dw, dz), axis=-1)  # b dw and b dz side by side
-    half_dt2 = 0.5 * dt * dt
-    out = y + a * dt + noise[..., 0]
-    # L^j(a) dz_j + 0.5 L^0(a) dt^2 as one derivative along b dz + a dt^2/2
-    out += model.drift_jacobian(y, f_t, noise[..., 1] + half_dt2 * a)
-    if model.drift_hessian_quad is not None:
-        out += half_dt2 * model.drift_hessian_quad(y, f_t, b)
-    if model.dispersion_jacobian is not None:
-        # 0.5 L^j(b_j) (dw_j^2 - dt) + L^0(b_j) (dw_j dt - dz_j), with L^0(b)
-        # the first-order transport only (exact for state-affine b): both are
-        # the derivative of column j along one direction u_j per channel
-        u = ((0.5 * (dw * dw - dt))[..., None] * np.swapaxes(b, -1, -2)
-             + (dw * dt - dz)[..., None] * a[..., None, :])
-        out += model.dispersion_jacobian(y, u)
-    return out
-
-
-def em_step(model: StateSpaceModel, y, f_t, dw, dt: float) -> np.ndarray:
-    """One Euler-Maruyama step y + a dt + b dw.
-
-    ``y`` is ``(dim,)`` or one state per path ``(P, dim)``, with ``dw``
-    ``(n_channels,)`` or ``(P, n_channels)`` to match.
-    """
-    y = _check_state(y)
-    return _em(model, y, f_t, np.asarray(dw, dtype=float), None, dt)
-
-
-def taylor15_step(
-    model: StateSpaceModel, y, f_t, inc: BrownianIncrementPair, dt: float
-) -> np.ndarray:
-    """One strong Taylor-1.5 step; shapes as for ``em_step``.
-
-    Requires the model's analytic ``drift_jacobian``.
-    """
-    y = _check_state(y)
-    if model.drift_jacobian is None:
-        raise InvalidParameterError("the Taylor-1.5 scheme needs the drift_jacobian partial")
-    return _taylor15(model, y, f_t, np.asarray(inc.dw, dtype=float),
-                     np.asarray(inc.dz, dtype=float), dt)
 
 
 # ---- trajectory simulation --------------------------------------------------
@@ -367,9 +280,7 @@ def simulate_window(
     has the bits of a whole-window set-up. Then the finished rows go to
     ``keep``, and the last row carries over. Beside what ``keep`` holds, a
     run of P paths and n steps holds the first normals (n P n_channels
-    doubles) and a few arrays of one block: for 100 paths of a 5 s 7-DOF
-    window 28 MB and about 18 MB at the traced peak, where the states of
-    the whole window take 84 MB.
+    doubles) and a few arrays of one block.
     """
     times = window_times(duration, cfg.dt)
     y0 = _check_state(y0)
@@ -446,16 +357,16 @@ def simulate_window(
             span = slice(start - lead, stop)
             for gen, normals in zip(rng, second[:, lead:lead + count]):
                 gen.standard_normal(out=normals)
-            inc = _increment_pair(first[:, span], second[:, :lead + count], cfg.dt)
+            dws, dzs = _increment_pair(first[:, span], second[:, :lead + count], cfg.dt)
             for p in range(n_paths):
                 f_p = forces[span, p] if forces.ndim == 3 else forces[span]
                 c = (model.drift(rest[p], f_p)[:, :m] @ input_map[p].T
-                     + inc.dw[p] @ b_const.T + inc.dz[p] @ dz_maps[p])
+                     + dws[p] @ b_const.T + dzs[p] @ dz_maps[p])
                 rows[1:count + 1, p, :m] = c[lead:]
                 rows[1:count + 1, p, m:width] = (c @ reads[p].T)[lead:]
             j = noise_at
             for _, channel, _, gain in scaled:
-                dw, dz = inc.dw[:, lead:, channel].T, inc.dz[:, lead:, channel].T
+                dw, dz = dws[:, lead:, channel].T, dzs[:, lead:, channel].T
                 for d in (dz, dw, dw * cfg.dt - dz):
                     weights[:count, :, j] = gain * d
                     j += 1
@@ -501,11 +412,12 @@ def noise_std_for_snr(signal: np.ndarray, snr: float) -> np.ndarray:
 def corrupt_with_snr(signal: np.ndarray, snr: float, rng) -> np.ndarray:
     """Add white Gaussian noise at the requested signal-to-noise ratio.
 
-    ``rng`` is a Generator or an integer seed. Channels are the trailing
-    axis of a 2-D series; 1-D input is treated as a single channel.
+    ``rng`` is a Generator or a seed (``codec.check_seed``). Channels are
+    the trailing axis of a 2-D series; 1-D input is treated as a single
+    channel.
     """
     signal = np.asarray(signal, dtype=float)
     sigma_noise = noise_std_for_snr(signal, snr)
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+        rng = np.random.default_rng(check_seed(rng, "rng"))
     return signal + rng.standard_normal(signal.shape) * sigma_noise

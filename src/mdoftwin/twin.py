@@ -38,11 +38,11 @@ from pathlib import Path
 import numpy as np
 
 from . import gpr
-from .codec import codec, decode, write_csv, write_json
+from .codec import check_seed, codec, decode, write_csv, write_json
 from .errors import InvalidParameterError, NumericError
 from .models import (DegradationSchedule, MdofSystem, acceleration_model,
                      check_observed_dofs, degraded_stiffness, to_state_space)
-from .sde import (DIVERGED, IntegratorConfig, Trajectory, check_seed, corrupt_with_snr,
+from .sde import (DIVERGED, IntegratorConfig, Trajectory, corrupt_with_snr,
                   non_finite, noise_std_for_snr, simulate_window, uniform_step,
                   window_times)
 from .ukf import (GaussianBelief, NoiseModel, UkfParams, build_process_noise,
@@ -236,7 +236,14 @@ class CampaignConfig:
 class TwinSnapshot:
     """Twin state carried from window to window, live between save and load:
     the nominal system, the config, the true schedule when known, the
-    estimate history and one trained GP per tracked stiffness."""
+    estimate history and one trained GP per tracked stiffness.
+
+    Construction and load check the history: an accepted entry holds
+    exactly ``t_s``, finite and above the entry before, ``estimate`` and
+    ``stddev``, n_dof finite numbers each and the stddevs non-negative, and
+    the non-negative integers ``psd_repairs`` and ``n_updates``; a rejected
+    entry holds exactly a finite ``t_s`` and a ``reason`` string.
+    InvalidParameterError names the first entry that is not so."""
 
     system: MdofSystem
     config: CampaignConfig
@@ -249,6 +256,7 @@ class TwinSnapshot:
 
     def __post_init__(self):
         _check_version(self.version)
+        _check_history(self.parameter_history, self.rejected_windows, self.system.n_dof)
 
     @property
     def windows_processed(self) -> int:
@@ -303,6 +311,44 @@ def _check_version(version) -> None:
         raise InvalidParameterError(f"unsupported snapshot version {version!r}")
 
 
+def _check_history(history: list, rejected: list, n_dof: int) -> None:
+    for name, entries in (("parameter_history", history), ("rejected_windows", rejected)):
+        if not isinstance(entries, list):
+            raise InvalidParameterError(f"{name} must be a list, got {entries!r}")
+    last = -np.inf
+    for i, rec in enumerate(history):
+        where = f"parameter_history[{i}]"
+        _check_keys(rec, ("t_s", "estimate", "stddev", "psd_repairs", "n_updates"), where)
+        t_s = decode(float, rec["t_s"], f"{where}.t_s")
+        if t_s <= last:
+            raise InvalidParameterError(
+                f"{where}.t_s must exceed the previous entry's {last!r}, got {t_s!r}")
+        last = t_s
+        estimate = decode(np.ndarray, rec["estimate"], f"{where}.estimate")
+        stddev = decode(np.ndarray, rec["stddev"], f"{where}.stddev")
+        if estimate.shape != (n_dof,) or stddev.shape != (n_dof,):
+            raise InvalidParameterError(f"{where}: estimate and stddev must hold "
+                                        f"{n_dof} numbers each")
+        if (stddev < 0.0).any():
+            raise InvalidParameterError(
+                f"{where}.stddev must be non-negative, got {rec['stddev']!r}")
+        for name in ("psd_repairs", "n_updates"):
+            if decode(int, rec[name], f"{where}.{name}") < 0:
+                raise InvalidParameterError(
+                    f"{where}.{name} must be non-negative, got {rec[name]!r}")
+    for i, rec in enumerate(rejected):
+        where = f"rejected_windows[{i}]"
+        _check_keys(rec, ("t_s", "reason"), where)
+        decode(float, rec["t_s"], f"{where}.t_s")
+        decode(str, rec["reason"], f"{where}.reason")
+
+
+def _check_keys(rec, keys: tuple, where: str) -> None:
+    if not isinstance(rec, dict) or set(rec) != set(keys):
+        raise InvalidParameterError(
+            f"{where} must be an object with exactly the keys {', '.join(keys)}, got {rec!r}")
+
+
 def new_snapshot(system: MdofSystem, cfg: CampaignConfig,
                  schedule: DegradationSchedule | None = None) -> TwinSnapshot:
     return TwinSnapshot(system=system, config=cfg, schedule=schedule)
@@ -332,10 +378,8 @@ def _synthesize(system: MdofSystem, schedule: DegradationSchedule,
 
     Of the integration only the observed clean accelerations are kept,
     measured block by block in the sample groups of
-    ``Trajectory.accelerations`` (7-DOF products round by batch shape). The
-    default 41-visit 7-DOF chunk then peaks at 41.9 MiB traced, from 67.4
-    MiB with the whole state path (34 MB) kept, and one 7-DOF window at 2.2
-    MiB, from 4.0 MiB.
+    ``Trajectory.accelerations`` (7-DOF products round by batch shape), so
+    the states of the whole batch are never held.
     """
     n = system.n_dof
     observed = check_observed_dofs(cfg.observed_dofs or range(1, n + 1), n)

@@ -45,10 +45,8 @@ A half-step forms the sigma points, their images (two products around the
 element kernel), the weighted mean and the moment; the update adds the
 cross-covariance, the innovation factor and solve and the gain products.
 These are tiny, so numpy's per-call overhead is the cost: every product is
-``ndarray.dot`` (BLAS called directly, 0.4-1 us less than ``@`` here, same
-bits) and Q is added onto the moment in place. A sample takes about 94 us
-on 2-DOF and 88 us on 7-DOF, 0.85x and 0.84x the ``@`` form (CPU time, 25
-alternating pairs on 1 s windows in one process, 2-vCPU host).
+``ndarray.dot`` (BLAS called directly, with less overhead than ``@`` and
+the same bits) and Q is added onto the moment in place.
 
 The dynamic model is the first-order Euler map f(y) = y + a(y, f_t) dt and
 the measurement model is the restoring-force acceleration; the process

@@ -1,21 +1,23 @@
 """Shared fixtures: tiny custom models, matrix-form oracles of the
-second-order system, the L(b) partial of the chain models' reference
-steppers, the element kernel and the filter sample as first written (the
-bit-for-bit references of the compiled ones), finite-difference oracles for
-the analytic partials, the per-model GP predictor, the GP kernel and the
-stacked GP query as first written (the byte-for-byte references of the
-in-place ones), GP training as one scipy ``minimize`` per restart, the
-window kernel's step loop on strided views (the bit-for-bit reference of the
-one on contiguous rows), synthetic windows from the whole batch's states
-(the byte-for-byte reference of the ones measured block by block), the
-strong-convergence study and a runner of scripts in a fresh interpreter."""
+second-order system, the reference Euler-Maruyama and Taylor-1.5 steppers of
+any model and the L(b) partial they take for the chain models, the element
+kernel and the filter sample as first written (the bit-for-bit references of
+the compiled ones), finite-difference oracles for the analytic partials, the
+per-model GP predictor, the GP kernel and the stacked GP query as first
+written (the byte-for-byte references of the in-place ones), GP training as
+one scipy ``minimize`` per restart and the likelihood of one GP as a batch
+of one, the window kernel's step loop on strided views (the bit-for-bit
+reference of the one on contiguous rows), synthetic windows from the whole
+batch's states (the byte-for-byte reference of the ones measured block by
+block), a runner of scripts in a fresh interpreter, malformed snapshot
+histories and the strong-convergence study."""
 
 import math
 import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,13 +27,12 @@ from scipy.optimize import minimize
 
 import mdoftwin
 from mdoftwin import gpr
-from mdoftwin.errors import TrainingError
+from mdoftwin.errors import InvalidParameterError, TrainingError
 from mdoftwin.linalg import cho_factor, cho_solve, tri_inverse
 from mdoftwin.models import (KIND_DUFFING_2DOF, StateSpaceModel, degraded_stiffness,
                              dispersion_split, to_state_space)
-from mdoftwin.sde import (BrownianIncrementPair, _window_operators, corrupt_with_snr,
-                          em_step, noise_std_for_snr, sample_brownian_increments,
-                          simulate_window, taylor15_step, uniform_step)
+from mdoftwin.sde import (_check_state, _increment_pair, _window_operators, corrupt_with_snr,
+                          noise_std_for_snr, simulate_window, uniform_step)
 from mdoftwin.ukf import ukf_weights
 
 
@@ -333,6 +334,48 @@ def run_fresh(script) -> str:
     return done.stdout
 
 
+# ---- malformed histories of a 2-DOF snapshot ---------------------------------
+
+
+_ENTRY = {"t_s": 0.0, "estimate": [1000.0, 500.0], "stddev": [1.0, 1.0],
+          "psd_repairs": 0, "n_updates": 10}
+
+# (snapshot field, its malformed value, the start of the error message)
+MALFORMED_HISTORIES = [
+    pytest.param("parameter_history", 5, "parameter_history must be a list", id="not-a-list"),
+    pytest.param("parameter_history", ["junk"], "parameter_history[0] must be an object",
+                 id="entry-not-an-object"),
+    pytest.param("parameter_history", [{"t_s": "x"}], "parameter_history[0] must be an object",
+                 id="entry-keys-missing"),
+    pytest.param("parameter_history", [{"t_s": 0.0}], "parameter_history[0] must be an object",
+                 id="entry-time-only"),
+    pytest.param("parameter_history", [{**_ENTRY, "note": ""}],
+                 "parameter_history[0] must be an object", id="entry-extra-key"),
+    pytest.param("parameter_history", [{**_ENTRY, "t_s": "x"}],
+                 "parameter_history[0].t_s must be of type float", id="time-text"),
+    pytest.param("parameter_history", [_ENTRY, {**_ENTRY, "t_s": 0.0}],
+                 "parameter_history[1].t_s must exceed", id="time-repeated"),
+    pytest.param("parameter_history", [{**_ENTRY, "estimate": [math.nan, 500.0]}],
+                 "parameter_history[0].estimate must be finite", id="estimate-nan"),
+    pytest.param("parameter_history", [{**_ENTRY, "estimate": ["junk", 500.0]}],
+                 "parameter_history[0].estimate must hold numbers", id="estimate-text"),
+    pytest.param("parameter_history", [{**_ENTRY, "stddev": [1.0]}],
+                 "parameter_history[0]: estimate and stddev must hold 2", id="stddev-short"),
+    pytest.param("parameter_history", [{**_ENTRY, "stddev": [-1.0, 1.0]}],
+                 "parameter_history[0].stddev must be non-negative", id="stddev-negative"),
+    pytest.param("parameter_history", [{**_ENTRY, "n_updates": -1}],
+                 "parameter_history[0].n_updates must be non-negative", id="count-negative"),
+    pytest.param("parameter_history", [{**_ENTRY, "psd_repairs": 1.5}],
+                 "parameter_history[0].psd_repairs must be of type int", id="count-fraction"),
+    pytest.param("rejected_windows", {}, "rejected_windows must be a list",
+                 id="rejected-not-a-list"),
+    pytest.param("rejected_windows", ["junk"], "rejected_windows[0] must be an object",
+                 id="rejected-not-an-object"),
+    pytest.param("rejected_windows", [{"t_s": 0.0, "reason": 3}],
+                 "rejected_windows[0].reason must be of type str", id="rejected-reason"),
+]
+
+
 # ---- finite-difference oracles for the analytic partials (one state) -------
 
 
@@ -563,6 +606,15 @@ def reference_nlml(log_theta, x, v, family, mean_spec, floor=None):
     return value, grad
 
 
+def nlml_of_one(log_theta, x, v, family, mean_spec, floor=None):
+    """``gpr.negative_log_marginal_likelihood`` on a batch of one instance:
+    its value as a float and its gradient (3,)."""
+    values, grads = gpr.negative_log_marginal_likelihood(
+        np.asarray(log_theta, dtype=float)[None], x, np.asarray(v, dtype=float)[None],
+        family, mean_spec, None if floor is None else np.asarray(floor, dtype=float)[None])
+    return values[0], grads[0]
+
+
 def scipy_minimize(objective, x0, eps_tol, max_iter):
     """One L-BFGS-B run of ``scipy.optimize.minimize`` in the GP's
     log-hyperparameter box, halted by a callback at an iterate whose squared
@@ -626,6 +678,79 @@ def scipy_train(tau, v, config, noise_floor=None):
         nlml=float(best_value))
 
 
+# ---- the reference Euler-Maruyama and Taylor-1.5 steppers -------------------
+
+
+@dataclass(frozen=True)
+class BrownianIncrementPair:
+    """Correlated increments dw = int dW and dz = int int dW ds per channel.
+
+    Joint moments: E[dw^2] = dt, E[dz^2] = dt^3/3, E[dw dz] = dt^2/2.
+    Arrays are (n_channels,) for one step or (n_steps, n_channels).
+    """
+
+    dw: np.ndarray
+    dz: np.ndarray
+
+
+def sample_brownian_increments(
+    rng: np.random.Generator, dt: float, n_channels: int, n_steps: int | None = None
+) -> BrownianIncrementPair:
+    """Draw increment pairs via dw = sqrt(dt) u1, dz = dt^1.5 (u1 + u2/sqrt(3))/2."""
+    shape = (n_channels,) if n_steps is None else (n_steps, n_channels)
+    u1 = rng.standard_normal(shape)
+    return BrownianIncrementPair(*_increment_pair(u1, rng.standard_normal(shape), dt))
+
+
+def _em(model: StateSpaceModel, y, f_t, dw, dz, dt: float) -> np.ndarray:
+    b = model.dispersion(y)
+    return y + model.drift(y, f_t) * dt + (b @ dw[..., None])[..., 0]
+
+
+def _taylor15(model: StateSpaceModel, y, f_t, dw, dz, dt: float) -> np.ndarray:
+    a = model.drift(y, f_t)
+    b = model.dispersion(y)
+    noise = b @ np.stack((dw, dz), axis=-1)  # b dw and b dz side by side
+    half_dt2 = 0.5 * dt * dt
+    out = y + a * dt + noise[..., 0]
+    # L^j(a) dz_j + 0.5 L^0(a) dt^2 as one derivative along b dz + a dt^2/2
+    out += model.drift_jacobian(y, f_t, noise[..., 1] + half_dt2 * a)
+    if model.drift_hessian_quad is not None:
+        out += half_dt2 * model.drift_hessian_quad(y, f_t, b)
+    if model.dispersion_jacobian is not None:
+        # 0.5 L^j(b_j) (dw_j^2 - dt) + L^0(b_j) (dw_j dt - dz_j), with L^0(b)
+        # the first-order transport only (exact for state-affine b): both are
+        # the derivative of column j along one direction u_j per channel
+        u = ((0.5 * (dw * dw - dt))[..., None] * np.swapaxes(b, -1, -2)
+             + (dw * dt - dz)[..., None] * a[..., None, :])
+        out += model.dispersion_jacobian(y, u)
+    return out
+
+
+def em_step(model: StateSpaceModel, y, f_t, dw, dt: float) -> np.ndarray:
+    """One Euler-Maruyama step y + a dt + b dw.
+
+    ``y`` is ``(dim,)`` or one state per path ``(P, dim)``, with ``dw``
+    ``(n_channels,)`` or ``(P, n_channels)`` to match.
+    """
+    y = _check_state(y)
+    return _em(model, y, f_t, np.asarray(dw, dtype=float), None, dt)
+
+
+def taylor15_step(
+    model: StateSpaceModel, y, f_t, inc: BrownianIncrementPair, dt: float
+) -> np.ndarray:
+    """One strong Taylor-1.5 step; shapes as for ``em_step``.
+
+    Requires the model's analytic ``drift_jacobian``.
+    """
+    y = _check_state(y)
+    if model.drift_jacobian is None:
+        raise InvalidParameterError("the Taylor-1.5 scheme needs the drift_jacobian partial")
+    return _taylor15(model, y, f_t, np.asarray(inc.dw, dtype=float),
+                     np.asarray(inc.dz, dtype=float), dt)
+
+
 # ---- scalar benchmark SDEs on the path axis ---------------------------------
 
 
@@ -634,7 +759,7 @@ def scalar_model(sigma, benchmark):
 
     Benchmarks: ``ou`` dy = -y dt + s dW; ``multiplicative``
     dy = -y dt + s y dW; ``cubic`` dy = -y^3 dt + s dW. States are
-    ``(n_paths, 1)``, so the library steppers advance all paths in one call.
+    ``(n_paths, 1)``, so the reference steppers advance all paths in one call.
     """
     if benchmark == "cubic":
         def drift(y, f):
@@ -699,7 +824,7 @@ def strong_error_study(benchmark, n_paths=100, t_end=1.0, fine_dt=1e-5,
     generated once, aggregated exactly onto every coarse grid
     (dz over a block adds the running dw transported by the fine step), and
     the reference is advanced with a hand-written scalar Taylor-1.5 rule so
-    it is independent of the library steppers under test.
+    it is independent of the reference steppers under test.
     """
     rng = np.random.default_rng(seed)
     n_fine = int(round(t_end / fine_dt))

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from mdoftwin.cli import main as cli_main
-from mdoftwin.gpr import (GpModel, Kernel, _kernel,
-                          negative_log_marginal_likelihood, predict)
+from mdoftwin.gpr import GpModel, Kernel, _kernel, predict
 from mdoftwin.models import (DegradationSchedule, build_duffing_2dof,
                              build_dvp_7dof, degraded_stiffness)
 from mdoftwin.sde import IntegratorConfig
@@ -24,7 +23,7 @@ from mdoftwin.twin import (CampaignConfig, campaign_times, filter_window,
 from mdoftwin.ukf import (GaussianBelief, UkfParams, predict as ukf_predict,
                           ukf_weights, update as ukf_update)
 
-from conftest import fitted_slope
+from conftest import fitted_slope, nlml_of_one
 
 
 def check(criterion, passed, detail):
@@ -224,14 +223,14 @@ def test_criterion_7_gp_invariants():
     worst_rel = 0.0
     for _ in range(4):
         theta = rng.uniform(-1.0, 1.0, 3)
-        _, grad = negative_log_marginal_likelihood(
+        _, grad = nlml_of_one(
             theta, xg, vg, "squared-exponential", "constant", None)
         for i in range(3):
             step = np.zeros(3)
             step[i] = 1e-6
-            up, _ = negative_log_marginal_likelihood(
+            up, _ = nlml_of_one(
                 theta + step, xg, vg, "squared-exponential", "constant", None)
-            dn, _ = negative_log_marginal_likelihood(
+            dn, _ = nlml_of_one(
                 theta - step, xg, vg, "squared-exponential", "constant", None)
             fd = (up - dn) / 2e-6
             rel = abs(grad[i] - fd) / max(abs(fd), 1e-8)

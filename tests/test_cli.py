@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import MALFORMED_HISTORIES
 from mdoftwin.cli import main
 from mdoftwin.gpr import GpModel, Kernel
 from mdoftwin.models import DegradationSchedule, build_duffing_2dof
@@ -412,6 +413,8 @@ MALFORMED_INPUTS = [
                  id="snapshot-field-inf"),
     pytest.param("unsupported snapshot version 2", _snapshot_field_argv("version", 2),
                  id="snapshot-version-2"),
+    *[pytest.param(param.values[2], _snapshot_field_argv(*param.values[:2]),
+                   id=f"snapshot-history-{param.id}") for param in MALFORMED_HISTORIES],
     pytest.param("snapshot", _snapshot_argv("predict", "--times", "100"),
                  id="predict-snapshot"),
     pytest.param("--times", _predict_argv("nan"), id="predict-times-nan"),

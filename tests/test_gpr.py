@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import (assert_matches_reference, assert_same_bytes, first_predict,
-                      first_stack, reference_kernel, reference_nlml, scipy_minimize, scipy_train)
+                      first_stack, nlml_of_one, reference_kernel, reference_nlml,
+                      scipy_minimize, scipy_train)
 from mdoftwin.errors import InvalidParameterError, TrainingError
 from mdoftwin import gpr
 from mdoftwin.gpr import (FAMILY_MATERN52, FAMILY_SE, GpModel, GpTrainConfig,
-                          Kernel, _kernel, negative_log_marginal_likelihood,
-                          predict, stack, track_parameters, train)
+                          Kernel, _kernel, predict, stack, track_parameters, train)
 from mdoftwin.models import build_duffing_2dof
 from mdoftwin.twin import CampaignConfig, TwinSnapshot, new_snapshot
 
@@ -104,15 +104,15 @@ class TestLikelihoodGradient:
         floor = np.abs(rng.normal(0.0, 0.01, 25))
         for _ in range(5):
             theta = rng.uniform(-1.5, 1.5, 3)
-            _, grad = negative_log_marginal_likelihood(
+            _, grad = nlml_of_one(
                 theta, x, v, family, mean_spec, floor)
             h = 1e-6
             for i in range(3):
                 step = np.zeros(3)
                 step[i] = h
-                up, _ = negative_log_marginal_likelihood(
+                up, _ = nlml_of_one(
                     theta + step, x, v, family, mean_spec, floor)
-                dn, _ = negative_log_marginal_likelihood(
+                dn, _ = nlml_of_one(
                     theta - step, x, v, family, mean_spec, floor)
                 fd = (up - dn) / (2.0 * h)
                 assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
@@ -190,7 +190,7 @@ class TestTrain:
         model = train(tau, v, cfg, noise_floor=floor)
         log_theta = np.log([model.kernel.lengthscale, model.kernel.variance,
                             model.noise_variance])
-        value, _ = negative_log_marginal_likelihood(
+        value, _ = nlml_of_one(
             log_theta, (tau - model.input_shift) / model.input_scale,
             (v - model.target_shift) / model.target_scale, family, mean_spec,
             None if floor is None else floor / model.target_scale ** 2)
@@ -233,6 +233,14 @@ class TestTrainConfig:
         # at construction, not in train after a whole window was filtered
         with pytest.raises(InvalidParameterError, match=field):
             GpTrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # train raised numpy's ValueError for a negative seed
+        with pytest.raises(InvalidParameterError,
+                           match=r"^seed must be a non-negative integer, got "):
+            GpTrainConfig(seed=seed)
+        assert GpTrainConfig(seed=np.int64(4)).seed == 4
 
     def test_rejected_when_read_from_a_document(self):
         with pytest.raises(InvalidParameterError, match="variance_range"):
@@ -323,7 +331,7 @@ class TestLockstepTraining:
         v = np.cos(2.0 * x) + np.random.default_rng(8).normal(0.0, 0.1, 15)
 
         def objective(log_theta):
-            return negative_log_marginal_likelihood(log_theta, x, v, FAMILY_SE, "constant")
+            return nlml_of_one(log_theta, x, v, FAMILY_SE, "constant")
 
         for x0 in ([0.0, 0.0, math.log(1e-2)], [1.0, -2.0, -3.0], [16.0, -16.0, -2.0],
                    [20.0, -18.0, 6.0], [-0.5, 17.0, -40.0]):
@@ -354,7 +362,7 @@ class TestLockstepTraining:
         v = np.sin(x) + 0.1 * rng.standard_normal(17)
         floor = np.abs(rng.normal(0.0, 0.01, 17)) if with_floor else None
         for theta in rng.uniform(-2.0, 2.0, (5, 3)):
-            value, grad = negative_log_marginal_likelihood(theta, x, v, family, mean_spec, floor)
+            value, grad = nlml_of_one(theta, x, v, family, mean_spec, floor)
             expected, expected_grad = reference_nlml(theta, x, v, family, mean_spec, floor)
             assert value == expected
             np.testing.assert_array_equal(grad, expected_grad)
@@ -365,8 +373,7 @@ class TestLockstepTraining:
         theta = np.array([16.0, 16.0, math.log(1e-12)])
         with pytest.raises(np.linalg.LinAlgError):
             reference_nlml(theta, x, np.sin(x), FAMILY_SE, "constant")
-        value, grad = negative_log_marginal_likelihood(theta, x, np.sin(x), FAMILY_SE,
-                                                       "constant")
+        value, grad = nlml_of_one(theta, x, np.sin(x), FAMILY_SE, "constant")
         assert value == 1e25
         np.testing.assert_array_equal(grad, np.zeros(3))
 

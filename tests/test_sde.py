@@ -12,13 +12,12 @@ from mdoftwin import twin
 from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.models import (DegradationSchedule, acceleration_model, build_duffing_2dof,
                              build_dvp_7dof, to_state_space)
-from mdoftwin.sde import (BrownianIncrementPair, IntegratorConfig, Trajectory,
-                          _increment_pair, corrupt_with_snr, em_step, noise_std_for_snr,
-                          non_finite, sample_brownian_increments,
-                          simulate_window, taylor15_step)
+from mdoftwin.sde import (IntegratorConfig, Trajectory, _increment_pair, corrupt_with_snr,
+                          noise_std_for_snr, non_finite, simulate_window)
 
-from conftest import (fd_partials_model, fitted_slope, make_model, scalar_model,
-                      strided_window_states, with_dispersion_jacobian)
+from conftest import (BrownianIncrementPair, em_step, fd_partials_model, fitted_slope,
+                      make_model, sample_brownian_increments, scalar_model,
+                      strided_window_states, taylor15_step, with_dispersion_jacobian)
 
 
 class TestIntegratorConfig:
@@ -66,8 +65,8 @@ class TestBrownianIncrements:
             gen.standard_normal(out=second[start:start + 256])
         blocks = [_increment_pair(first[i:i + 256], second[i:i + 256], 1e-3)
                   for i in range(0, 600, 256)]
-        assert np.concatenate([b.dw for b in blocks]).tobytes() == whole.dw.tobytes()
-        assert np.concatenate([b.dz for b in blocks]).tobytes() == whole.dz.tobytes()
+        assert np.concatenate([dw for dw, _ in blocks]).tobytes() == whole.dw.tobytes()
+        assert np.concatenate([dz for _, dz in blocks]).tobytes() == whole.dz.tobytes()
 
 
 class TestEmStep:
@@ -600,6 +599,15 @@ class TestCorruptWithSnr:
     def test_invalid_snr_rejected(self):
         with pytest.raises(InvalidParameterError):
             corrupt_with_snr(np.arange(10.0), 0.0, 0)
+
+    @pytest.mark.parametrize("seed", [-4, 1.5, True, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        signal = self.make_signal()
+        with pytest.raises(InvalidParameterError,
+                           match=r"^rng must be a non-negative integer, got "):
+            corrupt_with_snr(signal, 50.0, seed)
+        np.testing.assert_array_equal(corrupt_with_snr(signal, 50.0, np.int64(4)),
+                                      corrupt_with_snr(signal, 50.0, 4))
 
     def test_seed_determinism(self):
         signal = self.make_signal()

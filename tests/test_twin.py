@@ -4,13 +4,14 @@ import copy
 import csv
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import (assert_matches_reference, assert_same_bytes,
+from conftest import (MALFORMED_HISTORIES, assert_matches_reference, assert_same_bytes,
                       first_predict_parameters, full_state_windows, run_fresh)
 from mdoftwin.cli import main
 from mdoftwin.errors import InvalidParameterError, NumericError
@@ -591,6 +592,20 @@ class TestSnapshotPersistence:
         with pytest.raises(InvalidParameterError,
                            match="^unsupported snapshot version 2$"):
             TwinSnapshot(system=build_duffing_2dof(), config=quick_config(), version=2)
+
+    @pytest.mark.parametrize("key, value, message", MALFORMED_HISTORIES)
+    def test_malformed_history_not_loaded(self, tmp_path, key, value, message):
+        # each of these failed only later, in report, assimilation or a
+        # belief check, or not at all
+        path = tmp_path / "snapshot.json"
+        new_snapshot(build_duffing_2dof(), quick_config()).save(path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidParameterError, match="^" + re.escape(message)):
+            TwinSnapshot.load(path)
+        with pytest.raises(InvalidParameterError, match="^" + re.escape(message)):
+            TwinSnapshot(system=build_duffing_2dof(), config=quick_config(), **{key: value})
 
 
 class TestPrediction:
