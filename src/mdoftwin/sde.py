@@ -32,14 +32,15 @@ per path and block of steps. The kernel agrees with the scheme evaluated
 term by term to rounding (the summation order differs).
 
 The steps run in place on a buffer of one block of steps' rows (256
-steps, or 512 and 1024 for two paths and one), each row contiguous over
-every path and as wide as the state or as [z; O z], whichever is wider.
-Each step weighs that whole row by a weight row of the same shape and adds
-a product as wide as the row, so that the weighing and the add are each
-one contiguous loop over all paths, whatever the read count J. The step
-operator stays ``(m + J) x (m + J)``: a wider one would change the
-summation of the batched product, and so the bits. The finished states of
-each block go to what the caller keeps (every state, a window's observed
+steps, whatever the path count), each row contiguous over every path and
+as wide as the state or as [z; O z], whichever is wider. Each step weighs
+that whole row by a weight row of the same shape and adds a product as
+wide as the row, so that the weighing and the add are each one
+contiguous loop over all paths, whatever the read count J; the views a
+step acts on are made once per integration. The step operator stays
+``(m + J) x (m + J)``: a wider one would change the summation of the
+batched product, and so the bits. The finished states of each block go
+to what the caller keeps (every state, a window's observed
 accelerations, an ensemble's quantiles), so no array of a whole window's
 states, inputs or weights is made.
 """
@@ -266,21 +267,23 @@ def simulate_window(
 
     Each step is one batched product of the step operator with [z; h],
     added onto the step input [c_k; O c_k] (see ``_window_operators``). The
-    kernel works on one block of steps at a time, in a buffer of the block's
-    rows: the rows [z; O z] of step k hold its input until step k - 1 adds
-    its product onto them, and the weight buffer holds the block's weight
-    rows (one on z and past the reads, e^2 on the cubic reads, the noise
-    weights on the rest), so that each step weighs and adds whole contiguous
-    rows and only the e^2 write and the batched product act on strided
-    views. The inputs are formed per path and block, the increments and
-    noise weights of a block for every path at once: each path's first
-    normals are drawn whole up front, as its generator yields them before
-    the second, and the second per block. Every set-up product runs on at
-    least two steps (a one-row product rounds differently), so every state
-    has the bits of a whole-window set-up. Then the finished rows go to
-    ``keep``, and the last row carries over. Beside what ``keep`` holds, a
-    run of P paths and n steps holds the first normals (n P n_channels
-    doubles) and a few arrays of one block.
+    kernel works on one block of ``_MEASURE_BLOCK`` steps at a time, in a
+    buffer of the block's rows: the rows [z; O z] of step k hold its input
+    until step k - 1 adds its product onto them, and the weight buffer
+    holds the block's weight rows (one on z and past the reads, e^2 on the
+    cubic reads, the noise weights on the rest), so that each step weighs
+    and adds whole contiguous rows and only the e^2 write and the batched
+    product act on strided views. Both buffers serve every block, so the
+    views of each step are made once per integration. The inputs are
+    formed per path and block, the increments and noise weights of a block
+    for every path at once: each path's first normals are drawn whole up
+    front, as its generator yields them before the second, and the second
+    per block. Every set-up product runs on at least two steps (a one-row
+    product rounds differently), so every state has the bits of a
+    whole-window set-up. Then the finished rows go to ``keep``, and the
+    last row carries over. Beside what ``keep`` holds, a run of P paths and
+    n steps holds the first normals (n P n_channels doubles) and a few
+    arrays of one block.
     """
     times = window_times(duration, cfg.dt)
     y0 = _check_state(y0)
@@ -325,11 +328,10 @@ def simulate_window(
         def keep(row, block):
             states[row:row + block.shape[0]] = block
 
-    # a block's set-up costs a few numpy calls per path, which one or two
-    # paths spread over blocks of 1024 or 512 steps; more paths take 256,
-    # so that the block's arrays stay small beside the first normals. A
-    # block is whole measurement groups, so ``keep`` gets those groups.
-    block = min(_MEASURE_BLOCK * max(1, 4 // n_paths), n_steps)
+    # one measurement group per block, so that ``keep`` gets those groups
+    # and the block's arrays and step views stay small beside the first
+    # normals
+    block = min(_MEASURE_BLOCK, n_steps)
     # rows[i] holds the kinematic rows x = [z; O z] of sample start + i in
     # its first m + J entries, and the parameter tail once it is finished;
     # what lies past both is weighed by one and added zero, so it stays
@@ -343,6 +345,10 @@ def simulate_window(
     second = np.zeros((n_paths, block + 1, model.n_channels))
     product = np.zeros((n_paths, rows.shape[2], 1))
     product_read, product_row = product[:, :width], product[:, :, 0]
+    # the views each step acts on, made once: every block reuses both buffers
+    steps = list(zip(rows, rows[:, :, :width, None], rows[:, :, m:m + 1], rows[1:],
+                     weights, weights[:, :, m:m + n_cubic]))
+    square, multiply, matmul, add = np.square, np.multiply, np.matmul, np.add
     # a diverging path only poisons its own row; the states of each block
     # are tested as they are made (the start and the parameters are finite)
     finite = np.ones(n_paths, dtype=bool)
@@ -370,13 +376,11 @@ def simulate_window(
                 for d in (dz, dw, dw * cfg.dt - dz):
                     weights[:count, :, j] = gain * d
                     j += 1
-            for x, x_read, e, x_next, g, g_cubic in zip(
-                    rows, rows[:, :, :width, None], rows[:, :, m:m + 1], rows[1:count + 1],
-                    weights, weights[:, :, m:m + n_cubic]):
-                np.multiply(e, e, out=g_cubic)  # e^2 weighs the cubic terms
-                np.multiply(x, g, out=x)  # the reads become the h_j
-                np.matmul(step, x_read, out=product_read)
-                np.add(x_next, product_row, out=x_next)
+            for x, x_read, e, x_next, g, g_cubic in steps[:count]:
+                square(e, g_cubic)  # e^2 weighs the cubic terms
+                multiply(x, g, x)  # the reads become the h_j
+                matmul(step, x_read, product_read)
+                add(x_next, product_row, x_next)
             finite &= np.isfinite(rows[1:count + 1, :, :m]).all(axis=(0, 2))
             done = count + (stop == n_steps)  # the last row carries over
             rows[:done, :, m:dim] = y[:, m:]

@@ -64,11 +64,12 @@ _BATCH_WINDOWS = 64  # campaign visits per batched integration
 class MeasurementWindow:
     """One fast-time record: noisy accelerations and force at slow time t_s.
 
-    InvalidParameterError unless ``accel`` and ``force`` have one row per
-    sample of ``times``, every value is finite and the grid is uniform
-    (``sde.uniform_step``), and unless each noise level given is finite and
-    non-negative, ``accel_noise_std`` one per observed DOF and
-    ``force_noise_std`` one per force column.
+    InvalidParameterError unless ``t_s`` is a finite number (not a bool),
+    ``accel`` and ``force`` have one row per sample of ``times``, every
+    value is finite and the grid is uniform (``sde.uniform_step``), and
+    unless each noise level given is finite and non-negative,
+    ``accel_noise_std`` one per observed DOF and ``force_noise_std`` one
+    per force column.
     """
 
     t_s: float
@@ -81,6 +82,7 @@ class MeasurementWindow:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        decode(float, self.t_s, "t_s")
         self.times = np.asarray(self.times, dtype=float)
         self.accel = np.asarray(self.accel, dtype=float)
         self.force = np.asarray(self.force, dtype=float)

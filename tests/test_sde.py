@@ -12,8 +12,8 @@ from mdoftwin import twin
 from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.models import (DegradationSchedule, acceleration_model, build_duffing_2dof,
                              build_dvp_7dof, to_state_space)
-from mdoftwin.sde import (IntegratorConfig, Trajectory, _increment_pair, corrupt_with_snr,
-                          noise_std_for_snr, non_finite, simulate_window)
+from mdoftwin.sde import (_MEASURE_BLOCK, IntegratorConfig, Trajectory, _increment_pair,
+                          corrupt_with_snr, noise_std_for_snr, non_finite, simulate_window)
 
 from conftest import (BrownianIncrementPair, em_step, fd_partials_model, fitted_slope,
                       make_model, sample_brownian_increments, scalar_model,
@@ -538,7 +538,7 @@ class TestContiguousRows:
     replaced: the same states bit for bit. The block edges are covered: a
     window shorter than one block, of exactly one, and one step past one or
     more blocks, where a set-up product of one row would round otherwise;
-    one path takes blocks of 1024 steps, two of 512 and more of 256."""
+    every path count takes blocks of 256 steps."""
 
     @pytest.mark.parametrize("case", ["short", "one-block", "one-past-a-block",
                                       "one-past-two-blocks", "four-blocks",
@@ -568,6 +568,34 @@ class TestContiguousRows:
                                           for p in range(n_paths)]
         np.testing.assert_array_equal(traj.states, expected)
         assert traj.states.tobytes() == expected.tobytes()
+
+
+class TestKeepGroups:
+    """``keep`` takes the states in consecutive groups of ``_MEASURE_BLOCK``
+    samples from row 0, the final sample in the last group: the groups in
+    which ``Trajectory.accelerations`` measures, whose bits a window's
+    accelerations have."""
+
+    @pytest.mark.parametrize("n_steps", [255, 256, 257, 512, 513])
+    @pytest.mark.parametrize("n_paths", [1, 2, 3])
+    def test_consecutive_measurement_groups(self, n_paths, n_steps):
+        system = build_dvp_7dof()
+        model = to_state_space(system, range(1, 8))
+        rng = np.random.default_rng(90 + n_paths)
+        y0 = np.zeros((n_paths, model.dim_state))
+        y0[:, :14] = rng.normal(size=(n_paths, 14)) * 0.01
+        y0[:, 14:] = system.stiffnesses
+        cfg = IntegratorConfig(dt=1e-3, seed=4)
+        groups = []
+        run = simulate_window(model, system, y0, n_steps * cfg.dt, cfg,
+                              keep=lambda row, states: groups.append((row, states.copy())))
+        assert [(row, states.shape) for row, states in groups] == [
+            (row, (min(_MEASURE_BLOCK, n_steps + 1 - row), n_paths, model.dim_state))
+            for row in range(0, n_steps + 1, _MEASURE_BLOCK)]
+        assert run.times.shape == (n_steps + 1,)
+        expected = strided_window_states(model, system, y0, n_steps * cfg.dt, cfg)
+        kept = np.concatenate([states for _, states in groups])
+        assert kept.tobytes() == expected.tobytes()
 
 
 class TestCorruptWithSnr:

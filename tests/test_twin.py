@@ -102,6 +102,15 @@ class TestMeasurementWindow:
                            match=f"^{name} is not finite at sample 4$"):
             MeasurementWindow(t_s=0.0, observed_dofs=(1, 2), **fields)
 
+    @pytest.mark.parametrize("t_s, message", [
+        (np.nan, "must be finite"), (np.inf, "must be finite"), (-np.inf, "must be finite"),
+        (True, "must be of type float")])
+    def test_bad_t_s_rejected(self, t_s, message):
+        # a NaN t_s passed the out-of-order test of assimilate_window, entered
+        # the parameter history and made the snapshot's save fail
+        with pytest.raises(InvalidParameterError, match=f"^t_s {message}"):
+            replace(self.make_window(), t_s=t_s)
+
     BAD_NOISE_LEVELS = [
         ("accel_noise_std", [np.nan, 1.0], "must be finite and non-negative"),
         ("accel_noise_std", [-1.0, 1.0], "must be finite and non-negative"),
@@ -1013,7 +1022,7 @@ class TestBlockwiseOutputs:
     """What a campaign chunk and an ensemble keep of each finished block of
     steps equals, byte for byte, what the states of the whole window give:
     below one block, at exactly one, and one step past one or more (blocks
-    of 1024 steps for one path, 512 for two, 256 for more)."""
+    of 256 steps, whatever the path count)."""
 
     STEPS = [100, _MEASURE_BLOCK, _MEASURE_BLOCK + 1, 2 * _MEASURE_BLOCK + 1,
              4 * _MEASURE_BLOCK + 1]
