@@ -662,23 +662,13 @@ def track_parameters(
     config: GpTrainConfig = GpTrainConfig(),
 ) -> list:
     """Train one independent GP per parameter column, all in one ``train``
-    call.
+    call, which checks the inputs.
 
     ``values`` is (n_windows, n_params); ``stddevs`` of the same shape
     optionally provides per-window filter stddevs folded into fixed noise
-    floors when ``config.use_stddev_floor`` is set.
+    floors (their squares) when ``config.use_stddev_floor`` is set.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    if times.ndim != 1 or values.ndim != 2 or values.shape[0] != times.shape[0]:
-        raise InvalidParameterError("values must have one row per window")
-    if times.shape[0] < 3:
-        raise InvalidParameterError("need at least 3 windows to train")
     floors = None
     if stddevs is not None and config.use_stddev_floor:
-        stddevs = np.atleast_2d(np.asarray(stddevs, dtype=float))
-        if stddevs.shape != values.shape:
-            raise InvalidParameterError("stddevs must match values")
-        floors = stddevs ** 2
-
+        floors = np.asarray(stddevs, dtype=float) ** 2
     return train(times, values, config, floors)

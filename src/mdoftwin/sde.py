@@ -40,20 +40,19 @@ contiguous loop over all paths, whatever the read count J; the views a
 step acts on are made once per integration. The step operator stays
 ``(m + J) x (m + J)``: a wider one would change the summation of the
 batched product, and so the bits. The finished states of each block go
-to what the caller keeps (every state, a window's observed
-accelerations, an ensemble's quantiles), so no array of a whole window's
-states, inputs or weights is made.
+to what the caller keeps (every state and its clean accelerations, a
+window's observed accelerations, an ensemble's quantiles), so no array of
+a whole window's states, inputs or weights is made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import check_seed, codec, write_csv
+from .codec import check_seed, codec, decode, write_csv
 from .errors import InvalidParameterError, NumericError
 from .models import (MdofSystem, StateSpaceModel, acceleration_model,
                      dispersion_split)
@@ -72,7 +71,7 @@ class IntegratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if decode(float, self.dt, "dt") <= 0.0:
             raise InvalidParameterError("dt must be positive")
         check_seed(self.seed, "seed")
 
@@ -98,9 +97,8 @@ def _check_state(y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid sample paths with applied forces; clean accelerations are
-    evaluated from the states by ``measure`` on first access, in blocks of
-    samples.
+    """Uniform-grid sample paths with their clean accelerations and applied
+    forces.
 
     The time axis leads every array; a batched run keeps its path axis
     second and flags in ``diverged`` each path that went non-finite.
@@ -109,24 +107,9 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
+    accelerations: np.ndarray
     forces: np.ndarray
-    measure: Callable = field(repr=False, compare=False)
     diverged: np.ndarray = np.False_
-
-    def __post_init__(self):
-        if not (self.states.shape[0] == self.forces.shape[0] == self.times.shape[0]):
-            raise InvalidParameterError("trajectory arrays must share the grid length")
-        uniform_step(self.times)
-
-    @cached_property
-    def accelerations(self) -> np.ndarray:
-        # in blocks of samples, so that the measurement's temporaries stay
-        # small beside a many-path window; a diverged path overflows here
-        # too, and ``diverged`` already names it
-        with np.errstate(over="ignore", invalid="ignore"):
-            blocks = [self.measure(self.states[i:i + _MEASURE_BLOCK])
-                      for i in range(0, self.states.shape[0], _MEASURE_BLOCK)]
-        return np.concatenate(blocks)
 
     def to_csv(self, path, state_labels: Sequence[str]) -> list:
         """Write one path as CSV; return the header row."""
@@ -258,12 +241,13 @@ def simulate_window(
     give ``drift_jacobian``.
 
     ``keep``, when given, takes the states in place of the returned
-    Trajectory: it is called as ``keep(row, states)`` with the states of
-    samples ``row, row + 1, ...`` as ``(rows, P, dim)``, P = 1 for a
-    single state, in order and in the sample groups of
-    ``Trajectory.accelerations``. ``states`` is a view of the kernel's
-    buffer, valid during the call only, and non-finite values in it raise
-    no warning. The call then returns a WindowRun.
+    Trajectory, whose accelerations are measured group by group as the
+    states are stored: it is called as ``keep(row, states)`` with the
+    states of samples ``row, row + 1, ...`` as ``(rows, P, dim)``, P = 1
+    for a single state, in order and in groups of ``_MEASURE_BLOCK``.
+    ``states`` is a view of the kernel's buffer, valid during the call
+    only, and non-finite values in it raise no warning. The call then
+    returns a WindowRun.
 
     Each step is one batched product of the step operator with [z; h],
     added onto the step input [c_k; O c_k] (see ``_window_operators``). The
@@ -323,10 +307,15 @@ def simulate_window(
         gen.standard_normal(out=normals)
     collect = keep is None
     if collect:
-        states = np.empty((n_steps + 1, n_paths, dim))
+        measure = acceleration_model(
+            system, range(1, system.n_dof + 1), augment_params=model.augmented_params)
+        states = np.empty((n_steps + 1,) + y0.shape)
+        accelerations = np.empty((n_steps + 1,) + paths + (system.n_dof,))
 
         def keep(row, block):
-            states[row:row + block.shape[0]] = block
+            kept = states[row:row + block.shape[0]]  # (rows, dim) for a single state
+            kept[...] = block.reshape(kept.shape)
+            accelerations[row:row + block.shape[0]] = measure(kept)
 
     # one measurement group per block, so that ``keep`` gets those groups
     # and the block's arrays and step views stay small beside the first
@@ -392,11 +381,8 @@ def simulate_window(
         raise NumericError(DIVERGED)
     if not collect:
         return WindowRun(times, diverged.reshape(paths))
-
-    measure = acceleration_model(
-        system, range(1, system.n_dof + 1), augment_params=model.augmented_params)
-    return Trajectory(times=times, states=states.reshape((n_steps + 1,) + y0.shape),
-                      forces=forces, measure=measure, diverged=diverged.reshape(paths))
+    return Trajectory(times=times, states=states, accelerations=accelerations,
+                      forces=forces, diverged=diverged.reshape(paths))
 
 
 # ---- measurement-noise injection --------------------------------------------

@@ -218,6 +218,8 @@ class CampaignConfig:
     gp: gpr.GpTrainConfig = gpr.GpTrainConfig()
 
     def __post_init__(self):
+        for name in ("horizon_days", "window_interval_days", "window_duration_s"):
+            decode(float, getattr(self, name), name)
         if self.window_interval_days <= 0.0 or self.window_duration_s <= 0.0:
             raise InvalidParameterError("interval and duration must be positive")
         if self.horizon_days < 0.0:
@@ -244,8 +246,10 @@ class TwinSnapshot:
     exactly ``t_s``, finite and above the entry before, ``estimate`` and
     ``stddev``, n_dof finite numbers each and the stddevs non-negative, and
     the non-negative integers ``psd_repairs`` and ``n_updates``; a rejected
-    entry holds exactly a finite ``t_s`` and a ``reason`` string.
-    InvalidParameterError names the first entry that is not so."""
+    entry holds exactly a finite ``t_s`` and a ``reason`` string. They also
+    check that each ``gp_models`` key is ``k<i>`` for a tracked stiffness i
+    (``_tracked_stiffnesses``). InvalidParameterError names the first entry
+    or key that is not so."""
 
     system: MdofSystem
     config: CampaignConfig
@@ -259,6 +263,11 @@ class TwinSnapshot:
     def __post_init__(self):
         _check_version(self.version)
         _check_history(self.parameter_history, self.rejected_windows, self.system.n_dof)
+        names = [f"k{i}" for i in _tracked_stiffnesses(self.system)]
+        for key in self.gp_models:
+            if key not in names:
+                raise InvalidParameterError(f"gp_models key {key!r} names no tracked "
+                                            f"stiffness; expected one of {', '.join(names)}")
 
     @property
     def windows_processed(self) -> int:
@@ -349,6 +358,13 @@ def _check_keys(rec, keys: tuple, where: str) -> None:
     if not isinstance(rec, dict) or set(rec) != set(keys):
         raise InvalidParameterError(
             f"{where} must be an object with exactly the keys {', '.join(keys)}, got {rec!r}")
+
+
+def _tracked_stiffnesses(system: MdofSystem) -> list:
+    """The 1-based indices of the stiffnesses a twin tracks with one GP
+    each: every one that is not frozen."""
+    frozen = set(system.frozen_indices)
+    return [i for i in range(1, system.n_dof + 1) if i not in frozen]
 
 
 def new_snapshot(system: MdofSystem, cfg: CampaignConfig,
@@ -551,8 +567,7 @@ def _retrain_gps(snapshot: TwinSnapshot, system: MdofSystem,
     times = snapshot.history_times
     estimates = snapshot.history_estimates
     stddevs = snapshot.history_stddevs
-    frozen = set(system.frozen_indices)
-    tracked = [i for i in range(1, system.n_dof + 1) if i not in frozen]
+    tracked = _tracked_stiffnesses(system)
     columns = [i - 1 for i in tracked]
     models = gpr.track_parameters(
         times, estimates[:, columns], stddevs[:, columns], cfg.gp)
@@ -662,19 +677,19 @@ class ResponseEnsemble:
 
 def predict_response_ensemble(
     snapshot: TwinSnapshot, t_tilde: float, duration: float, seed: int,
-    n_draws: int = 100, levels: tuple = (0.05, 0.5, 0.95), y0=None,
+    n_draws: int = 100, levels: tuple = (0.05, 0.5, 0.95),
 ) -> ResponseEnsemble:
     """Propagate GP parameter uncertainty through the high-fidelity model.
 
-    Draw j simulates with seed ``seed + 1 + j``; the parameter draws use
-    ``seed`` itself. All draws advance together as the paths of one
-    integration, and each finished block of their states is reduced to its
-    quantiles, so the states of the whole window are never held; a
-    diverging draw raises NumericError naming it. The ``levels`` of the
-    returned quantiles must lie in [0, 1], and ``y0``, the start of every
-    draw, must have shape (2 n_dof,); both are checked before anything is
-    drawn, as are ``n_draws``, an integer of at least 2, ``seed``, a
-    non-negative integer, ``t_tilde``, a real number, and ``duration``.
+    Every draw starts at rest; draw j simulates with seed ``seed + 1 + j``,
+    and the parameter draws use ``seed`` itself. All draws advance together
+    as the paths of one integration, and each finished block of their
+    states is reduced to its quantiles, so the states of the whole window
+    are never held; a diverging draw raises NumericError naming it. Before
+    anything is drawn, the ``levels`` of the returned quantiles are checked
+    to lie in [0, 1], ``n_draws`` to be an integer of at least 2, ``seed``
+    a non-negative integer and ``t_tilde`` a real number, and ``duration``
+    is checked.
     """
     try:
         count = operator.index(n_draws)
@@ -688,8 +703,6 @@ def predict_response_ensemble(
     _check_levels(levels)
     system, cfg = snapshot.system, snapshot.config
     n = system.n_dof
-    if y0 is not None and np.shape(y0) != (2 * n,):
-        raise InvalidParameterError(f"y0 must have shape ({2 * n},), got {np.shape(y0)}")
     times = window_times(duration, cfg.integrator.dt)
     predictions = predict_parameters(snapshot, [t_tilde])
     k_base = system.stiffnesses.copy()
@@ -704,8 +717,6 @@ def predict_response_ensemble(
     # one path per draw, its stiffness in the state tail of the augmented model
     model = to_state_space(system, augment_params=range(1, n + 1))
     start = np.zeros((n_draws, model.dim_state))
-    if y0 is not None:
-        start[:, :2 * n] = np.asarray(y0, dtype=float)
     start[:, 2 * n:] = draws
     rngs = [np.random.default_rng(seed + 1 + j) for j in range(n_draws)]
     qs = np.empty((len(levels), times.shape[0], 2 * n))

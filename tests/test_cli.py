@@ -12,7 +12,7 @@ from mdoftwin.gpr import GpModel, Kernel
 from mdoftwin.models import DegradationSchedule, build_duffing_2dof
 from mdoftwin.sde import IntegratorConfig
 from mdoftwin.twin import (CampaignConfig, MeasurementWindow, TwinSnapshot,
-                          generate_window, new_snapshot)
+                          campaign_times, generate_window, new_snapshot)
 
 
 def write_config(path, *, kind="duffing_2dof", campaign=None, integrator=None,
@@ -301,6 +301,42 @@ class TestPredictAndReport:
         doc = json.loads((rep_out / "report.json").read_text())
         assert doc["status"] == "no windows processed"
 
+    def test_report_gp_extrapolation(self, tmp_path):
+        # GPs trained up to a cutoff below the horizon are scored against
+        # the schedule at the grid points past it
+        campaign = {**QUICK_CAMPAIGN, "horizon_days": 200.0}
+        cfg = write_config(tmp_path / "cfg.json", campaign=campaign, integrator=QUICK_INTEGRATOR)
+        out, rep_out = tmp_path / "out", tmp_path / "rep"
+        assert main(["campaign", "--config", str(cfg), "--out", str(out),
+                     "--cutoff-days", "100"]) == 0
+        assert main(["report", "--snapshot", str(out / "snapshot.json"),
+                     "--out", str(rep_out)]) == 0
+        doc = json.loads((rep_out / "report.json").read_text())
+        grid = campaign_times(CampaignConfig.from_dict(campaign))
+        n_held_out = int((grid > 100.0).sum())
+        assert doc["gp_trained_upto"] == 100.0 and n_held_out == 2
+        assert sorted(doc["gp_extrapolation"]) == ["k1", "k2"]
+        for err in doc["gp_extrapolation"].values():
+            assert err["n_held_out"] == n_held_out
+            assert 0.0 <= err["mean_relative_error"] <= err["max_relative_error"]
+        lines = (rep_out / "report.txt").read_text().splitlines()
+        heading = lines.index("GP extrapolation at held-out slow times (relative error):")
+        section = lines[heading + 1:]
+        assert [line.split(":")[0].strip() for line in section] == ["k1", "k2"]
+        assert all(line.endswith(f"over {n_held_out} points") for line in section)
+
+    def test_non_positive_predicted_stiffness_exits_3(self, tmp_path, capsys):
+        # the NumericError is raised inside the subcommand, once the
+        # parameter prediction is written, and main reports it
+        negative = replace(GP_MODEL, train_targets=[-1.0, -1.5, -0.7, -2.0])
+        argv = _gp_snapshot_argv({"k1": negative}, "--response-at", "100",
+                                 "--duration", "0.2")(tmp_path)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric failure: predicted stiffness not positive at t_s=100.0\n"
+        assert (tmp_path / "out" / "parameters_prediction.csv").exists()
+        assert not (tmp_path / "out" / "response.csv").exists()
+
     def test_missing_snapshot_exit_2(self, tmp_path):
         assert main(["report", "--snapshot", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "rep")]) == 2
@@ -342,17 +378,24 @@ def _predict_argv(times, *extra):
     return argv
 
 
-def _unstackable_gp_argv(**other):
+GP_MODEL = GpModel(kernel=Kernel(variance=2.0, lengthscale=1.2), mean_spec="constant",
+                   noise_variance=1e-3, train_inputs=[0.0, 1.0, 2.5, 4.0],
+                   train_targets=[1.0, -0.5, 0.3, 2.0], nlml=0.0)
+
+
+def _gp_snapshot_argv(gp_models, *extra):
+    """``predict`` on a 2-DOF snapshot holding ``gp_models``."""
     def argv(tmp_path):
-        model = GpModel(kernel=Kernel(variance=2.0, lengthscale=1.2), mean_spec="constant",
-                        noise_variance=1e-3, train_inputs=[0.0, 1.0, 2.5, 4.0],
-                        train_targets=[1.0, -0.5, 0.3, 2.0], nlml=0.0)
         snap = new_snapshot(build_duffing_2dof(), CampaignConfig())
-        snap.gp_models = {"k1": model, "k2": replace(model, **other)}
+        snap.gp_models = gp_models
         snap.save(tmp_path / "snap.json")
         return ["predict", "--snapshot", str(tmp_path / "snap.json"),
-                "--out", str(tmp_path / "out"), "--times", "100"]
+                "--out", str(tmp_path / "out"), "--times", "100", *extra]
     return argv
+
+
+def _unstackable_gp_argv(**other):
+    return _gp_snapshot_argv({"k1": GP_MODEL, "k2": replace(GP_MODEL, **other)})
 
 
 def _campaign_argv(*extra, **campaign):
@@ -432,6 +475,9 @@ MALFORMED_INPUTS = [
     pytest.param("kernel.family", _unstackable_gp_argv(
         kernel=Kernel(family="matern-5/2", variance=2.0, lengthscale=1.2)),
         id="predict-gp-families"),
+    *[pytest.param(f"gp_models key {key!r} names no tracked stiffness", _gp_snapshot_argv(
+        {key: GP_MODEL}, "--response-at", "100", "--duration", "0.2"),
+        id=f"predict-gp-name-{key}") for key in ("kx", "k9")],
     pytest.param("--cutoff-days", _campaign_argv("--cutoff-days", "nan"),
                  id="campaign-cutoff-nan"),
     pytest.param("--track-extension-days", _campaign_argv("--track-extension-days", "inf"),

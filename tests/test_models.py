@@ -614,9 +614,9 @@ class TestElementKernelShapes:
         (build_duffing_2dof, (1, 2)), (build_dvp_7dof, range(1, 8)),
         (build_duffing_2dof, ()), (build_dvp_7dof, ())])
     def test_measurement_blocks(self, build, augment, paths):
-        # Trajectory.accelerations measures (256, P, dim) blocks and a
-        # shorter last one; a model whose kernel rows outnumber its
-        # parameters leaves them as views of a wider array
+        # a Trajectory's accelerations are measured in (256, P, dim)
+        # blocks and a shorter last one; a model whose kernel rows
+        # outnumber its parameters leaves them as views of a wider array
         s = build()
         rows = np.arange(s.n_dof)
         h = acceleration_model(s, rows + 1, augment_params=augment)

@@ -213,6 +213,15 @@ class TestCampaignGeneration:
                            match="^master_seed must be a non-negative integer, got "):
             CampaignConfig(master_seed=seed)
 
+    @pytest.mark.parametrize("name", ["horizon_days", "window_interval_days",
+                                      "window_duration_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_plan_must_be_finite(self, name, value):
+        # NaN used to fail in numpy's conversion to a window count, and an
+        # infinite horizon in an OverflowError
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be finite"):
+            CampaignConfig(**{name: value})
+
     def test_grid_arithmetic(self):
         cfg = CampaignConfig(horizon_days=2000.0, window_interval_days=50.0)
         times = campaign_times(cfg)
@@ -602,6 +611,26 @@ class TestSnapshotPersistence:
                            match="^unsupported snapshot version 2$"):
             TwinSnapshot(system=build_duffing_2dof(), config=quick_config(), version=2)
 
+    @pytest.mark.parametrize("build, key", [
+        (build_duffing_2dof, "kx"), (build_duffing_2dof, "k9"), (build_duffing_2dof, "k0"),
+        (build_dvp_7dof, "k4")], ids=["text", "past-n_dof", "zero", "frozen"])
+    def test_gp_names_must_be_tracked_stiffnesses(self, tmp_path, build, key):
+        # these loaded; a response prediction then failed in int() or with
+        # an IndexError, or applied the GP to a frozen stiffness
+        system = build()
+        model = gpr.GpModel(kernel=gpr.Kernel(variance=2.0, lengthscale=1.2),
+                            mean_spec="constant", noise_variance=1e-3,
+                            train_inputs=[0.0, 1.0, 2.5], train_targets=[1.0, -0.5, 0.3],
+                            nlml=0.0)
+        message = f"^gp_models key '{key}' names no tracked stiffness; expected one of k1, "
+        with pytest.raises(InvalidParameterError, match=message):
+            TwinSnapshot(system=system, config=quick_config(), gp_models={key: model})
+        snap = new_snapshot(system, quick_config())
+        snap.gp_models = {key: model}
+        snap.save(tmp_path / "snapshot.json")
+        with pytest.raises(InvalidParameterError, match=message):
+            TwinSnapshot.load(tmp_path / "snapshot.json")
+
     @pytest.mark.parametrize("key, value, message", MALFORMED_HISTORIES)
     def test_malformed_history_not_loaded(self, tmp_path, key, value, message):
         # each of these failed only later, in report, assimilation or a
@@ -760,24 +789,6 @@ class TestPrediction:
         monkeypatch.setattr(twin_mod, "simulate_window", never)
         with pytest.raises(InvalidParameterError, match="^levels must be"):
             predict_response_ensemble(snap, 450.0, 0.2, 3, n_draws=4, levels=levels)
-
-    @pytest.mark.parametrize("y0", [np.zeros(3), np.zeros(6), np.zeros((4, 1)),
-                                    np.zeros((2, 4)), 0.0])
-    def test_bad_start_rejected_before_drawing(self, monkeypatch, y0):
-        # numpy's broadcast ValueError used to escape; predict_response
-        # raises InvalidParameterError for the same start
-        system = build_duffing_2dof()
-        cfg = quick_config()
-        snap = fabricate_snapshot(system, cfg, np.arange(8) * 50.0,
-                                  np.tile(system.stiffnesses, (8, 1)))
-
-        def never(*args, **kwargs):
-            raise AssertionError("drew before the start was checked")
-
-        monkeypatch.setattr(twin_mod, "predict_parameters", never)
-        monkeypatch.setattr(twin_mod, "simulate_window", never)
-        with pytest.raises(InvalidParameterError, match=r"^y0 must have shape \(4,\), got "):
-            predict_response_ensemble(snap, 450.0, 0.2, 3, n_draws=4, y0=y0)
 
     @staticmethod
     def nominal_snapshot():

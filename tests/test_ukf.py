@@ -443,6 +443,15 @@ class TestNoiseModel:
         with pytest.raises(InvalidParameterError, match="^Q must be a square matrix$"):
             NoiseModel(q=q, r=np.eye(1))
 
+    @pytest.mark.parametrize("r, message", [
+        (np.ones((1, 2)), "^R must be a square matrix$"),
+        ([[1.0, 0.5], [0.0, 1.0]], "^R must be symmetric$"),
+        ([[1.0, 2.0], [2.0, 1.0]], "^R must be positive semi-definite$"),
+    ], ids=["rectangular", "asymmetric", "indefinite"])
+    def test_r_must_be_a_covariance(self, r, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            NoiseModel(q=np.eye(2), r=r)
+
     def test_valid_inputs_kept(self):
         q_fn = build_process_noise(to_state_space(build_duffing_2dof(), (1, 2)), 1e-3)
         assert NoiseModel(q=q_fn, r=np.eye(2)).q is q_fn
