@@ -24,6 +24,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -357,16 +358,20 @@ def _element_forces(system: MdofSystem, aug0: np.ndarray) -> tuple:
     B v, so the node forces are B^T applied to the element forces
     w = s * k * e + c * B v + g(e), with g the cubic on ``cubic_element``.
     One product of S states with ``to_elements`` yields e, c * B v and s * k
-    for the stiffness read off the state tail at ``aug0``; ``forces`` maps
-    it, element-major ``(3n, S)`` so that each block is contiguous, to w
-    ``(n, S)``, and ``restoring(y, to_out)`` is w^T ``to_out`` for states
-    ``(..., dim)``. Both products keep the bits of the row-wise layout
-    ``y @ to_elements``: states ``(S, dim)`` take the transposed ones, any
-    other shape numpy's own dispatch (one vector product per state of a
-    ``(..., 1, dim)`` block, which the transposed form does not reproduce).
-    Returns ``to_elements``, ``forces``, ``restoring`` and ``signed_k``, the
-    signed stiffness not on the tail, which ``forces`` skips when every
-    stiffness rides in the tail.
+    for the stiffness read off the state tail at ``aug0``. ``kernel(ev)``
+    binds the one formula of w to a buffer ``ev`` of these element values,
+    element-major ``(3n, S)`` and C-contiguous so that each block is
+    contiguous: it makes the block and cubic-row views and a buffer for w
+    ``(n, S)`` once, and returns ``forces()``, which fills w from what
+    ``ev`` holds and returns that buffer. ``restoring(y, to_out)`` is
+    w^T ``to_out`` for states ``(..., dim)``, a fresh array; it keeps one
+    element buffer per state count. Both products keep the bits of the
+    row-wise layout ``y @ to_elements``: states ``(S, dim)`` take the
+    transposed ones, any other shape numpy's own dispatch (one vector
+    product per state of a ``(..., 1, dim)`` block, which the transposed
+    form does not reproduce). Returns ``to_elements``, ``kernel``,
+    ``restoring`` and ``signed_k``, the signed stiffness not on the tail,
+    which ``forces`` skips when every stiffness rides in the tail.
     """
     n = system.n_dof
     disp_idx, vel_idx = _index_maps(n, system.state_ordering)
@@ -379,23 +384,42 @@ def _element_forces(system: MdofSystem, aug0: np.ndarray) -> tuple:
     from_states = to_elements.T
     signed_k = signs * system.stiffnesses
     signed_k[aug0] = 0.0  # taken from the state instead
-    on_tail = not signed_k.any()
+    fixed_k = None if not signed_k.any() else signed_k[:, None]
     cubic, coeff = system.cubic_element, system.nonlinear_coeff
+    multiply, add, power = np.multiply, np.add, np.power
 
-    def forces(ev: np.ndarray) -> np.ndarray:
-        e = ev[:n]
-        w = ev[2 * n:] * e if on_tail else (signed_k[:, None] + ev[2 * n:]) * e
-        w += ev[n:2 * n]
-        w[cubic] += coeff * e[cubic] ** 3
-        return w
+    def kernel(ev: np.ndarray) -> Callable:
+        e, damper, tail_k, e_cubic = ev[:n], ev[n:2 * n], ev[2 * n:], ev[cubic]
+        w = np.empty((n, ev.shape[1]))
+        w_cubic, cube = w[cubic], np.empty(ev.shape[1])
+
+        def forces() -> np.ndarray:
+            if fixed_k is None:
+                multiply(tail_k, e, w)
+            else:
+                multiply(add(fixed_k, tail_k, w), e, w)
+            add(w, damper, w)
+            multiply(coeff, power(e_cubic, 3, cube), cube)
+            add(w_cubic, cube, w_cubic)
+            return w
+
+        return forces
+
+    @functools.cache
+    def buffered(count: int) -> tuple:
+        ev = np.empty((3 * n, count))
+        return ev, kernel(ev)
 
     def restoring(y: np.ndarray, to_out: np.ndarray) -> np.ndarray:
         if y.ndim == 2:
-            return forces(from_states.dot(y.T)).T.dot(to_out)
-        w = forces((y @ to_elements).reshape(-1, 3 * n).T)
-        return np.ascontiguousarray(w.T).reshape(y.shape[:-1] + (n,)) @ to_out
+            ev, forces = buffered(y.shape[0])
+            from_states.dot(y.T, out=ev)
+            return forces().T.dot(to_out)
+        ev, forces = buffered(math.prod(y.shape[:-1]))
+        ev[...] = (y @ to_elements).reshape(-1, 3 * n).T
+        return np.ascontiguousarray(forces().T).reshape(y.shape[:-1] + (n,)) @ to_out
 
-    return to_elements, forces, restoring, signed_k
+    return to_elements, kernel, restoring, signed_k
 
 
 def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> StateSpaceModel:
@@ -415,6 +439,9 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
     channel 4, scaled by the DOF-4 displacement. The drift is linear in the
     kinematic entries for a given stiffness apart from the cubic element,
     which ``cubic_drift`` declares from the same compiled operators.
+    ``drift`` shares the element kernel of ``acceleration_model``, with its
+    element buffers kept per state count, so one model's ``drift`` is not
+    for concurrent use from two threads either.
     """
     n = system.n_dof
     aug0 = _augmentation(n, augment_params)
@@ -517,6 +544,12 @@ def acceleration_model(
     where every stiffness rides in the tail it skips adding the all-zero
     fixed stiffness, which leaves its values unchanged, so the filter's
     measurement and a simulated window's accelerations are one function.
+
+    h writes the element values into a buffer it keeps per state count
+    (per sigma-point count in the filter) and reuses on every later call
+    with that count; what it returns is a fresh array. Since the buffers
+    are shared by every call, one h is not for concurrent use from two
+    threads.
     """
     n = system.n_dof
     obs = check_observed_dofs(observed_dofs, n)
@@ -545,13 +578,20 @@ def euler_transition(system: MdofSystem, augment_params: Iterable[int],
     products ``y [Phi | E]``. This equals
     ``y + model.drift(y, f_k) * dt`` up to rounding: x + v dt is summed
     inside the product, and the force term is rounded on its own.
+
+    The product ``[Phi | E]^T y^T`` is written into a buffer kept per
+    sigma-point count, with the views of its linear block (transposed) and
+    of its element values made once, and reused on every later call with
+    that count; the image returned is a fresh array. Since the buffers are
+    shared by every call, one transition is not for concurrent use from two
+    threads.
     """
     n = system.n_dof
     aug0 = _augmentation(n, augment_params)
     dim = 2 * n + aug0.shape[0]
     disp, vel = (np.arange(2 * n)[idx]
                  for idx in _index_maps(n, system.state_ordering))
-    to_elements, element_forces, *_ = _element_forces(system, aug0)
+    to_elements, kernel, *_ = _element_forces(system, aug0)
     linear = np.eye(dim)
     linear[vel, disp] = dt
     stacked = np.hstack((linear, to_elements)).T
@@ -559,12 +599,19 @@ def euler_transition(system: MdofSystem, augment_params: Iterable[int],
     to_velocity[:, vel] = dt * (-system.elongation_operator / system.masses)
     pushes = np.zeros((forces.shape[0], dim))
     pushes[:, vel] = dt * (forces / system.masses)
+    add = np.add
+
+    @functools.cache
+    def buffered(count: int) -> tuple:
+        out = np.empty((dim + 3 * n, count))
+        return out, out[:dim].T, kernel(out[dim:])
 
     def transition(y: np.ndarray, k: int) -> np.ndarray:
-        out = stacked.dot(y.T)
-        image = element_forces(out[dim:]).T.dot(to_velocity)
-        image += out[:dim].T
-        image += pushes[k]
+        out, moved, element_forces = buffered(y.shape[0])
+        stacked.dot(y.T, out=out)
+        image = element_forces().T.dot(to_velocity)
+        add(image, moved, image)
+        add(image, pushes[k], image)
         return image
 
     return transition

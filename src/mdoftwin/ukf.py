@@ -46,7 +46,16 @@ element kernel), the weighted mean and the moment; the update adds the
 cross-covariance, the innovation factor and solve and the gain products.
 These are tiny, so numpy's per-call overhead is the cost: every product is
 ``ndarray.dot`` (BLAS called directly, with less overhead than ``@`` and
-the same bits) and Q is added onto the moment in place.
+the same bits) and Q is added onto the moment in place. A sample reuses
+what is made once per window or transform: both maps write the element
+values into buffers kept per sigma-point count, with their views made
+once; the deviations are weighed by the transform's read-only weight
+matrices of their own shape, one per image width, in place of a broadcast
+column; each half-step takes its weights from one lookup of the transform
+(``sigma_points``, which the tracer wraps, keeps its own); and the sigma
+points take the mean, and S and the repaired covariances their symmetric
+part ``p = p + p.T; p *= 0.5``, in place, with the bits of the
+out-of-place forms. Every returned array is fresh.
 
 The dynamic model is the first-order Euler map f(y) = y + a(y, f_t) dt and
 the measurement model is the restoring-force acceleration; the process
@@ -65,7 +74,7 @@ from typing import Callable
 
 import numpy as np
 
-from .codec import codec, write_csv
+from .codec import codec, decode, write_csv
 from .errors import InvalidParameterError, NumericError
 from .linalg import all_finite, cho_factor, cho_solve
 from .models import (MdofSystem, StateSpaceModel, acceleration_model,
@@ -88,6 +97,8 @@ class UkfParams:
     kappa: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha_f", "beta", "kappa"):
+            decode(float, getattr(self, name), name)
         if not 0.0 < self.alpha_f <= 1.0:
             raise InvalidParameterError("alpha_f must lie in (0, 1]")
 
@@ -175,7 +186,10 @@ class _Transform:
     ``w_mean`` and ``w_cov`` are read-only with sum(w_mean) == 1 exactly;
     the rows of ``offsets`` are 0 and +/- sqrt(L + lambda) times the unit
     vectors, so that the sigma points are mean + offsets @ chol(P)^T, each
-    offset one exactly rounded product.
+    offset one exactly rounded product. ``weights(width)`` is w_cov in every
+    column of a read-only ``(2L + 1, width)`` matrix, made once per image
+    width: weighing deviations by it is a same-shape product, which costs
+    less than the broadcast column and has its bits.
     """
 
     def __init__(self, length: int, params: UkfParams):
@@ -189,9 +203,17 @@ class _Transform:
         w_mean.flags.writeable = False
         w_cov.flags.writeable = False
         self.w_mean, self.w_cov = w_mean, w_cov
-        self.w_column = w_cov[:, None]
         unit = math.sqrt(c) * np.eye(length)
         self.offsets = np.vstack((np.zeros(length), unit, -unit))
+        self._by_width = {}
+
+    def weights(self, width: int) -> np.ndarray:
+        matrix = self._by_width.get(width)
+        if matrix is None:
+            matrix = np.repeat(self.w_cov[:, None], width, axis=1)
+            matrix.flags.writeable = False
+            self._by_width[width] = matrix
+        return matrix
 
 
 def _transform(length: int, params: UkfParams) -> _Transform:
@@ -235,7 +257,8 @@ def repair_psd(p: np.ndarray, log: PsdRepairLog | None = None) -> tuple:
     positive definite, clip negative eigenvalues to zero, record the repair
     magnitude and return the repaired matrix with the jitter ladder's
     factor. A non-finite p raises NumericError."""
-    p = 0.5 * (p + p.T)  # an in-place p += p.T makes numpy buffer p.T
+    p = p + p.T  # an in-place p += p.T makes numpy buffer p.T
+    p *= 0.5
     if not all_finite(p):
         raise NumericError("sigma-point square root: matrix has non-finite entries")
     try:
@@ -255,7 +278,9 @@ def sigma_points(belief: GaussianBelief, params: UkfParams) -> np.ndarray:
     """Scaled sigma points mu, mu +/- sqrt(L + lambda) * chol(P) columns, as
     the rows of a (2L + 1, L) array; ``ukf_weights`` gives their weights."""
     offsets = _transform(belief.mean.shape[0], params).offsets
-    return belief.mean + offsets.dot(belief.factor.T)
+    points = offsets.dot(belief.factor.T)
+    points += belief.mean
+    return points
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -269,18 +294,18 @@ def _unscented(belief: GaussianBelief, fn: Callable, params: UkfParams,
                what: str) -> tuple:
     """The sigma points of ``belief``, the mean of their images under ``fn``
     (a 1-D image is one column), the images' deviations from it and the
-    covariance weights as a column."""
+    transform, looked up once."""
+    transform = _transform(belief.mean.shape[0], params)
     points = sigma_points(belief, params)
     image = np.asarray(fn(points), dtype=float)
     if image.ndim == 1:
         image = image[:, None]
     _require_finite(image, what)
-    transform = _transform(points.shape[1], params)
     # deviation form; identical to sum_i w_i y_i because the weights sum to 1
     first = image[0]
     dev = image - first
     mean = first + transform.w_mean.dot(dev)
-    return points, mean, np.subtract(image, mean, out=dev), transform.w_column
+    return points, mean, np.subtract(image, mean, out=dev), transform
 
 
 def predict(
@@ -293,9 +318,9 @@ def predict(
     """Unscented time update; ``q`` is a matrix or, as from
     ``build_process_noise``, a function adding Q(predicted mean) onto a
     covariance."""
-    _, mean, dev, w_cov = _unscented(belief, dynamic_fn, params,
-                                     "propagated sigma point")
-    cov = (dev * w_cov).T.dot(dev)
+    _, mean, dev, transform = _unscented(belief, dynamic_fn, params,
+                                         "propagated sigma point")
+    cov = (dev * transform.weights(dev.shape[1])).T.dot(dev)
     cov = q(mean, cov) if callable(q) else cov + q
     return GaussianBelief._from_filter(mean, *repair_psd(cov, repair_log))
 
@@ -310,17 +335,21 @@ def update(
 ) -> GaussianBelief:
     """Unscented measurement update with gain K = C S^-1."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    points, z_mean, dz, w_cov = _unscented(predicted, measurement_fn, params,
-                                           "measurement sigma point")
+    points, z_mean, dz, transform = _unscented(predicted, measurement_fn, params,
+                                               "measurement sigma point")
     if dz.shape[1] != z.shape[0]:
         raise InvalidParameterError(
             f"measurement dimension {z.shape[0]} does not match model output "
             f"{dz.shape[1]}")
 
-    s = (dz * w_cov).T.dot(dz)
+    s = (dz * transform.weights(dz.shape[1])).T.dot(dz)
     s += r
-    s = 0.5 * (s + s.T)
-    cross = ((points - predicted.mean) * w_cov).T.dot(dz)
+    s = s + s.T
+    s *= 0.5
+    # the points' deviations, weighed in place: the points are not read again
+    deviations = np.subtract(points, predicted.mean, out=points)
+    cross = np.multiply(deviations, transform.weights(points.shape[1]),
+                        out=deviations).T.dot(dz)
 
     factor, _ = cholesky_with_jitter(s, "innovation covariance")
     gain = cho_solve(factor, cross.T).T

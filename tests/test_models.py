@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mdoftwin import sde, twin
+from mdoftwin import twin
 from mdoftwin.errors import InvalidParameterError
 from mdoftwin.models import (DegradationSchedule, MdofSystem,
                              acceleration_model, build_duffing_2dof,
@@ -579,9 +579,14 @@ class TestEulerTransition:
         h = acceleration_model(s, rows + 1, augment_params=augment)
         reference = reference_restoring(s, augment, rows)
         rng = np.random.default_rng(19)
-        points = random_points(rng, s, augment, 43)
-        np.testing.assert_array_equal(h(points), reference(points))
-        np.testing.assert_array_equal(h(points[:3]), reference(points[:3]))
+        points, other = (random_points(rng, s, augment, 43) for _ in range(2))
+        first = h(points)
+        kept = first.copy()
+        # the state count alternates 43 -> 3 -> 43 over the kept buffers, and
+        # each call returns a fresh array, which a later call leaves alone
+        for y in (points, points[:3], other):
+            np.testing.assert_array_equal(h(y), reference(y))
+        np.testing.assert_array_equal(first, kept)
 
     def test_validation(self):
         s = build_duffing_2dof()
@@ -602,10 +607,18 @@ class TestElementKernelShapes:
         s = build()
         rng = np.random.default_rng(23)
         forces = rng.normal(0.0, 10.0, (3, s.n_dof))
-        points = random_points(rng, s, augment, 2 * (2 * s.n_dof + len(augment)) + 1)
-        np.testing.assert_array_equal(
-            euler_transition(s, augment, 1e-3, forces)(points, 2),
-            reference_transition(s, augment, 1e-3, forces)(points, 2))
+        count = 2 * (2 * s.n_dof + len(augment)) + 1
+        points, other = (random_points(rng, s, augment, count) for _ in range(2))
+        transition = euler_transition(s, augment, 1e-3, forces)
+        reference = reference_transition(s, augment, 1e-3, forces)
+        first = transition(points, 2)
+        kept = first.copy()
+        # the sigma count alternates 2L + 1 -> 3 -> 2L + 1 over the kept
+        # buffers, and each image is a fresh array, which a later call
+        # leaves alone
+        for y, k in ((points, 2), (points[:3], 0), (other, 1)):
+            np.testing.assert_array_equal(transition(y, k), reference(y, k))
+        np.testing.assert_array_equal(first, kept)
         np.testing.assert_array_equal(to_state_space(s, augment).drift(points, forces[1]),
                                       reference_drift(s, augment)(points, forces[1]))
 
@@ -674,7 +687,7 @@ class TestElementKernelShapes:
         cfg = twin.CampaignConfig(master_seed=1, window_duration_s=0.6)
         schedule = DegradationSchedule.for_system(system)
         window = twin.generate_window(system, schedule, cfg, 50.0, 2, 1)
-        monkeypatch.setattr(sde, "acceleration_model", lambda s, dofs, augment_params:
+        monkeypatch.setattr(twin, "acceleration_model", lambda s, dofs, augment_params:
                             reference_restoring(s, augment_params, [d - 1 for d in dofs]))
         again = twin.generate_window(system, schedule, cfg, 50.0, 2, 1)
         assert window.accel.tobytes() == again.accel.tobytes()

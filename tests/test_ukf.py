@@ -83,10 +83,12 @@ class TestWeights:
         assert w_cov[0] == pytest.approx(w_mean[0] + 2.0)
 
     def test_alpha_validation(self):
-        with pytest.raises(InvalidParameterError):
-            UkfParams(alpha_f=0.0)
-        with pytest.raises(InvalidParameterError):
-            UkfParams(alpha_f=1.5)
+        # a non-finite beta or kappa would give non-finite weights
+        for bad in ({"alpha_f": 0.0}, {"alpha_f": 1.5}, {"alpha_f": math.nan},
+                    {"beta": math.nan}, {"beta": math.inf}, {"beta": -math.inf},
+                    {"kappa": math.nan}, {"kappa": math.inf}):
+            with pytest.raises(InvalidParameterError):
+                UkfParams(**bad)
 
 
 class TestSigmaPoints:
