@@ -74,7 +74,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .codec import check_seed, codec
+from .codec import check_seed, codec, decode
 from .errors import InvalidParameterError, TrainingError
 from .linalg import all_finite, cho_factor, cho_solve, scipy_extension, tri_inverse
 
@@ -204,8 +204,10 @@ class GpTrainConfig:
             raise InvalidParameterError(f"unknown kernel family {self.kernel_family!r}")
         if self.mean_spec not in ("zero", "constant"):
             raise InvalidParameterError("mean_spec must be 'zero' or 'constant'")
-        if self.n_restarts < 1 or self.n_max < 1:
-            raise InvalidParameterError("n_restarts and n_max must be positive")
+        for name in ("n_restarts", "n_max"):
+            if decode(int, getattr(self, name), name) < 1:
+                raise InvalidParameterError(
+                    f"{name} must be a positive integer, got {getattr(self, name)!r}")
         for name in ("lengthscale_range", "variance_range", "noise_range"):
             bounds = getattr(self, name)
             if len(bounds) != 2 or not all(0.0 < bound < math.inf for bound in bounds):

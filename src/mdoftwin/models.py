@@ -223,7 +223,8 @@ class DegradationSchedule:
         if k0.ndim != 1 or np.any(k0 <= 0.0):
             raise InvalidParameterError("k0 must be a positive vector")
         object.__setattr__(self, "k0", k0)
-        object.__setattr__(self, "rate_per_day", float(self.rate_per_day))
+        object.__setattr__(self, "rate_per_day",
+                           float(decode(float, self.rate_per_day, "rate_per_day")))
         frozen = tuple(sorted(int(i) for i in self.frozen_indices))
         if any(i < 1 or i > k0.shape[0] for i in frozen):
             raise InvalidParameterError("frozen_indices must lie in 1..len(k0)")

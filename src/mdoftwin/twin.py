@@ -192,6 +192,14 @@ class UkfRunConfig:
     measurement_noise_std: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("init_offset_factor", "init_state_variance", "init_param_std_factor",
+                     "warm_param_std_factor", "frozen_param_std_factor"):
+            if not decode(float, getattr(self, name), name) > 0.0:
+                raise InvalidParameterError(
+                    f"{name} must be finite and positive, got {getattr(self, name)!r}")
+        if decode(float | None, self.q_scale, "q_scale") is not None and self.q_scale < 0.0:
+            raise InvalidParameterError(
+                f"q_scale must be finite and non-negative, got {self.q_scale!r}")
         # the override takes the place of a window's accel_noise_std, so it
         # is held to the same rule
         std = self.measurement_noise_std
@@ -224,6 +232,11 @@ class CampaignConfig:
             raise InvalidParameterError("interval and duration must be positive")
         if self.horizon_days < 0.0:
             raise InvalidParameterError("horizon must be non-negative")
+        for name in ("snr_accel", "snr_force"):
+            if not decode(float, getattr(self, name), name) > 0.0:
+                raise InvalidParameterError(
+                    f"{name} must be finite and positive, got {getattr(self, name)!r}")
+        decode(float, self.degradation_rate_per_day, "degradation_rate_per_day")
         check_seed(self.master_seed, "master_seed")
         if self.observed_dofs is not None:
             object.__setattr__(self, "observed_dofs",

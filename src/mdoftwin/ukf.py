@@ -18,47 +18,35 @@ one product of the offsets with the belief's factor.
 Every ``GaussianBelief`` holds ``factor`` = chol(cov), and a belief is
 frozen, so the factor cannot go stale. The public constructor validates the
 covariance and factors it through ``cholesky_with_jitter``, the one jitter
-ladder (which also factors the innovation covariance); the beliefs built by
-``predict``/``update`` are symmetric by construction and take the factor of
-``repair_psd``, which is the PSD test's factor or, after an eigenvalue
-repair, the ladder's factor of the repaired matrix. A sample thus costs
-three factorizations (two PSD tests, one innovation factor), and
-``sigma_points`` only scales and shifts the belief's factor. The finiteness
-checks test a sum of squares first (``linalg.all_finite``), which costs
-less than numpy's reduction of ``isfinite`` on these small arrays. The
-measurement update subtracts K C^T, equal to K S K^T, also for a jittered S.
+ladder; the beliefs of ``predict``/``update`` are symmetric by construction
+and built without re-validation. A sample costs three factorizations (two
+PSD tests, one innovation factor), and ``sigma_points`` only scales and
+shifts the belief's factor. The measurement update subtracts K C^T, equal
+to K S K^T, also for a jittered S. Every factorization and solve is the
+LAPACK pair of ``linalg``, called through this module's name
+``cho_factor``; ``run_filter`` calls ``predict`` and ``update`` once per
+sample through the module namespace, and they call ``sigma_points`` by
+name, so that the span tracer of ``perfbench`` (which replaces those four
+module attributes) sees every sample and every factorization.
 
-Every factorization and solve goes through the LAPACK pair of ``linalg``
-(``dpotrf``/``dpotrs`` without the wrappers' input scans), called through
-this module's name ``cho_factor``. ``run_filter`` calls ``predict`` and
-``update`` once per sample through the module namespace, and they call
-``sigma_points`` and ``cho_factor`` by name, so that the span tracer of
-``perfbench`` (which replaces those four module attributes) sees every
-sample and every factorization. What a sample computes is compiled per
-window instead: the dynamic map is ``models.euler_transition``, built once
-per window from the chain operators, so that one product gives the Euler
-step's linear part and the spring elements, one more carries the element
-forces into the velocities, and the force term dt f / m, formed for the
-whole window, is added last.
+A half-step costs mostly numpy's per-call overhead, so its common path calls
+no helper of this module beyond the traced names: it looks up its transform
+once, takes an image that is already a 2-D float array as it is, tests
+finiteness by a sum of squares (BLAS forms it faster than numpy reduces
+``isfinite``), weighs the deviations by the transform's read-only weight
+matrix of their shape (a same-shape product, with the bits of the broadcast
+column), symmetrizes in place and tries the PSD test's ``cho_factor``, as
+``repair_psd`` and ``cholesky_with_jitter`` do. Every other case enters its
+slow path once: ``_as_image`` for other images, ``_require_finite`` when the
+sum of squares is not finite (it names the sigma index, and a finite image
+above ~1e154 passes), ``_clip_eigenvalues`` after a failed PSD test and
+``_jitter_ladder`` after a failed innovation factor. Every product is
+``ndarray.dot`` (less overhead than ``@``, the same bits), and every
+returned array is fresh.
 
-A half-step forms the sigma points, their images (two products around the
-element kernel), the weighted mean and the moment; the update adds the
-cross-covariance, the innovation factor and solve and the gain products.
-These are tiny, so numpy's per-call overhead is the cost: every product is
-``ndarray.dot`` (BLAS called directly, with less overhead than ``@`` and
-the same bits) and Q is added onto the moment in place. A sample reuses
-what is made once per window or transform: both maps write the element
-values into buffers kept per sigma-point count, with their views made
-once; the deviations are weighed by the transform's read-only weight
-matrices of their own shape, one per image width, in place of a broadcast
-column; each half-step takes its weights from one lookup of the transform
-(``sigma_points``, which the tracer wraps, keeps its own); and the sigma
-points take the mean, and S and the repaired covariances their symmetric
-part ``p = p + p.T; p *= 0.5``, in place, with the bits of the
-out-of-place forms. Every returned array is fresh.
-
-The dynamic model is the first-order Euler map f(y) = y + a(y, f_t) dt and
-the measurement model is the restoring-force acceleration; the process
+The dynamic model is the first-order Euler map f(y) = y + a(y, f_t) dt,
+compiled once per window by ``models.euler_transition``, and the
+measurement model is the restoring-force acceleration; the process
 noise Q(m-) = dt * b(m-) b(m-)^T reproduces the benchmark recipes,
 including the predicted-mean factor of the 7-DOF multiplicative channel.
 """
@@ -85,6 +73,7 @@ logger = logging.getLogger(__name__)
 
 _JITTER_LADDER = (1e-12, 1e-10, 1e-8, 1e-6)  # tried after p itself fails
 _REPAIR_BOUND_FACTOR = 1e-6
+_FLOAT = np.dtype(float)
 
 
 @codec
@@ -140,14 +129,6 @@ class GaussianBelief:
         factor = cholesky_with_jitter(cov, "sigma-point square root")[0]
         self.__dict__.update(mean=mean, cov=cov, factor=factor)  # frozen
 
-    @classmethod
-    def _from_filter(cls, mean, cov, factor) -> "GaussianBelief":
-        """Belief with a covariance symmetric by construction and its factor;
-        not re-validated."""
-        belief = cls.__new__(cls)
-        belief.__dict__.update(mean=mean, cov=cov, factor=factor)
-        return belief
-
     @property
     def std(self) -> np.ndarray:
         return np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
@@ -186,7 +167,7 @@ class _Transform:
     ``w_mean`` and ``w_cov`` are read-only with sum(w_mean) == 1 exactly;
     the rows of ``offsets`` are 0 and +/- sqrt(L + lambda) times the unit
     vectors, so that the sigma points are mean + offsets @ chol(P)^T, each
-    offset one exactly rounded product. ``weights(width)`` is w_cov in every
+    offset one exactly rounded product. ``weights[width]`` is w_cov in every
     column of a read-only ``(2L + 1, width)`` matrix, made once per image
     width: weighing deviations by it is a same-shape product, which costs
     less than the broadcast column and has its bits.
@@ -205,14 +186,17 @@ class _Transform:
         self.w_mean, self.w_cov = w_mean, w_cov
         unit = math.sqrt(c) * np.eye(length)
         self.offsets = np.vstack((np.zeros(length), unit, -unit))
-        self._by_width = {}
+        self.weights = _WeightMatrices({1: w_cov[:, None]})
 
-    def weights(self, width: int) -> np.ndarray:
-        matrix = self._by_width.get(width)
-        if matrix is None:
-            matrix = np.repeat(self.w_cov[:, None], width, axis=1)
-            matrix.flags.writeable = False
-            self._by_width[width] = matrix
+
+class _WeightMatrices(dict):
+    """w_cov in every column of a read-only ``(2L + 1, width)`` matrix, keyed
+    by the width: the column itself at width 1, the others made on their
+    first lookup."""
+
+    def __missing__(self, width: int) -> np.ndarray:
+        matrix = self[width] = np.repeat(self[1], width, axis=1)
+        matrix.flags.writeable = False
         return matrix
 
 
@@ -241,6 +225,11 @@ def cholesky_with_jitter(p: np.ndarray, context: str = "covariance") -> tuple:
         return cho_factor(p), p
     except np.linalg.LinAlgError:
         pass
+    return _jitter_ladder(p, context)
+
+
+def _jitter_ladder(p: np.ndarray, context: str) -> tuple:
+    """``cholesky_with_jitter`` of a finite p that failed to factor."""
     n = p.shape[0]
     scale = max(float(np.trace(p)) / n, 0.0)
     for jit in _JITTER_LADDER:
@@ -265,6 +254,11 @@ def repair_psd(p: np.ndarray, log: PsdRepairLog | None = None) -> tuple:
         return p, cho_factor(p)
     except np.linalg.LinAlgError:
         pass
+    return _clip_eigenvalues(p, log)
+
+
+def _clip_eigenvalues(p: np.ndarray, log: PsdRepairLog | None) -> tuple:
+    """``repair_psd`` of a symmetric, finite p that failed to factor."""
     w, v = np.linalg.eigh(p)
     magnitude = float(max(0.0, -w.min()))
     fixed = (v * np.clip(w, 0.0, None)) @ v.T
@@ -277,35 +271,26 @@ def repair_psd(p: np.ndarray, log: PsdRepairLog | None = None) -> tuple:
 def sigma_points(belief: GaussianBelief, params: UkfParams) -> np.ndarray:
     """Scaled sigma points mu, mu +/- sqrt(L + lambda) * chol(P) columns, as
     the rows of a (2L + 1, L) array; ``ukf_weights`` gives their weights."""
-    offsets = _transform(belief.mean.shape[0], params).offsets
-    points = offsets.dot(belief.factor.T)
+    length = belief.mean.shape[0]
+    transform = params._transforms.get(length) or _transform(length, params)
+    points = transform.offsets.dot(belief.factor.T)
     points += belief.mean
     return points
 
 
-def _require_finite(values: np.ndarray, what: str) -> None:
-    if all_finite(values):
-        return
-    bad = np.nonzero(~np.all(np.isfinite(np.atleast_2d(values)), axis=-1))[0]
-    raise NumericError(f"non-finite {what} at sigma index {int(bad[0])}")
+def _as_image(values) -> np.ndarray:
+    """The images of the sigma points as a float array, a 1-D one as one
+    column."""
+    image = np.asarray(values, dtype=float)
+    return image[:, None] if image.ndim == 1 else image
 
 
-def _unscented(belief: GaussianBelief, fn: Callable, params: UkfParams,
-               what: str) -> tuple:
-    """The sigma points of ``belief``, the mean of their images under ``fn``
-    (a 1-D image is one column), the images' deviations from it and the
-    transform, looked up once."""
-    transform = _transform(belief.mean.shape[0], params)
-    points = sigma_points(belief, params)
-    image = np.asarray(fn(points), dtype=float)
-    if image.ndim == 1:
-        image = image[:, None]
-    _require_finite(image, what)
-    # deviation form; identical to sum_i w_i y_i because the weights sum to 1
-    first = image[0]
-    dev = image - first
-    mean = first + transform.w_mean.dot(dev)
-    return points, mean, np.subtract(image, mean, out=dev), transform
+def _require_finite(image: np.ndarray, what: str) -> None:
+    """Name the first sigma point with a non-finite image, if any; for the
+    images whose sum of squares is not finite."""
+    bad = np.nonzero(~np.all(np.isfinite(np.atleast_2d(image)), axis=-1))[0]
+    if bad.size:
+        raise NumericError(f"non-finite {what} at sigma index {int(bad[0])}")
 
 
 def predict(
@@ -318,11 +303,31 @@ def predict(
     """Unscented time update; ``q`` is a matrix or, as from
     ``build_process_noise``, a function adding Q(predicted mean) onto a
     covariance."""
-    _, mean, dev, transform = _unscented(belief, dynamic_fn, params,
-                                         "propagated sigma point")
-    cov = (dev * transform.weights(dev.shape[1])).T.dot(dev)
+    length = belief.mean.shape[0]
+    transform = params._transforms.get(length) or _transform(length, params)
+    image = dynamic_fn(sigma_points(belief, params))
+    if not (type(image) is np.ndarray and image.ndim == 2 and image.dtype is _FLOAT):
+        image = _as_image(image)
+    if not math.isfinite(np.vdot(image, image)):
+        _require_finite(image, "propagated sigma point")
+    # deviation form; identical to sum_i w_i y_i because the weights sum to 1
+    first = image[0]
+    dev = image - first
+    mean = first + transform.w_mean.dot(dev)
+    np.subtract(image, mean, out=dev)
+    cov = (dev * transform.weights[dev.shape[1]]).T.dot(dev)
     cov = q(mean, cov) if callable(q) else cov + q
-    return GaussianBelief._from_filter(mean, *repair_psd(cov, repair_log))
+    cov = cov + cov.T  # repair_psd from here on
+    cov *= 0.5
+    if not (math.isfinite(np.vdot(cov, cov)) or np.isfinite(cov).all()):
+        raise NumericError("sigma-point square root: matrix has non-finite entries")
+    try:
+        factor = cho_factor(cov)
+    except np.linalg.LinAlgError:
+        cov, factor = _clip_eigenvalues(cov, repair_log)
+    predicted = GaussianBelief.__new__(GaussianBelief)  # symmetric: not re-validated
+    predicted.__dict__.update(mean=mean, cov=cov, factor=factor)
+    return predicted
 
 
 def update(
@@ -334,28 +339,54 @@ def update(
     repair_log: PsdRepairLog | None = None,
 ) -> GaussianBelief:
     """Unscented measurement update with gain K = C S^-1."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    points, z_mean, dz, transform = _unscented(predicted, measurement_fn, params,
-                                               "measurement sigma point")
+    if not (type(z) is np.ndarray and z.ndim == 1 and z.dtype is _FLOAT):
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+    length = predicted.mean.shape[0]
+    transform = params._transforms.get(length) or _transform(length, params)
+    points = sigma_points(predicted, params)
+    image = measurement_fn(points)
+    if not (type(image) is np.ndarray and image.ndim == 2 and image.dtype is _FLOAT):
+        image = _as_image(image)
+    if not math.isfinite(np.vdot(image, image)):
+        _require_finite(image, "measurement sigma point")
+    first = image[0]
+    dz = image - first
+    z_mean = first + transform.w_mean.dot(dz)
+    np.subtract(image, z_mean, out=dz)
     if dz.shape[1] != z.shape[0]:
         raise InvalidParameterError(
             f"measurement dimension {z.shape[0]} does not match model output "
             f"{dz.shape[1]}")
 
-    s = (dz * transform.weights(dz.shape[1])).T.dot(dz)
+    weights = transform.weights
+    s = (dz * weights[dz.shape[1]]).T.dot(dz)
     s += r
     s = s + s.T
     s *= 0.5
     # the points' deviations, weighed in place: the points are not read again
     deviations = np.subtract(points, predicted.mean, out=points)
-    cross = np.multiply(deviations, transform.weights(points.shape[1]),
-                        out=deviations).T.dot(dz)
+    cross = np.multiply(deviations, weights[length], out=deviations).T.dot(dz)
 
-    factor, _ = cholesky_with_jitter(s, "innovation covariance")
+    if not (math.isfinite(np.vdot(s, s)) or np.isfinite(s).all()):
+        raise NumericError("innovation covariance: matrix has non-finite entries")
+    try:
+        factor = cho_factor(s)
+    except np.linalg.LinAlgError:
+        factor = _jitter_ladder(s, "innovation covariance")[0]
     gain = cho_solve(factor, cross.T).T
     mean = predicted.mean + gain.dot(z - z_mean)
     cov = predicted.cov - gain.dot(cross.T)  # K S K^T = K C^T, also under jitter
-    return GaussianBelief._from_filter(mean, *repair_psd(cov, repair_log))
+    cov = cov + cov.T  # repair_psd from here on
+    cov *= 0.5
+    if not (math.isfinite(np.vdot(cov, cov)) or np.isfinite(cov).all()):
+        raise NumericError("sigma-point square root: matrix has non-finite entries")
+    try:
+        factor = cho_factor(cov)
+    except np.linalg.LinAlgError:
+        cov, factor = _clip_eigenvalues(cov, repair_log)
+    updated = GaussianBelief.__new__(GaussianBelief)
+    updated.__dict__.update(mean=mean, cov=cov, factor=factor)
+    return updated
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +458,7 @@ def build_process_noise(model: StateSpaceModel, dt: float, scale=None) -> Callab
     def q_of(mean: np.ndarray, cov: np.ndarray | None = None) -> np.ndarray:
         cov = q_const.copy() if cov is None else np.add(cov, q_const, out=cov)
         for row, _, state, gain in scaled:
-            b = gain * mean[state]
+            b = gain * mean.item(state)
             cov[row, row] += dt * (b * b) * factor
         return cov
 
@@ -525,11 +556,9 @@ def run_filter(
     variances[0] = belief.cov.diagonal()
 
     for k in range(1, n_samples):
-        def dynamic_fn(points, k_prev=k - 1):
-            return transition(points, k_prev)
-
         try:
-            belief = predict(belief, dynamic_fn, noise.q, params, repair_log)
+            belief = predict(belief, functools.partial(transition, k=k - 1),
+                             noise.q, params, repair_log)
             belief = update(belief, h, accel[k], noise.r, params, repair_log)
         except NumericError as exc:
             raise NumericError(f"sample {k}: {exc}") from exc

@@ -2,7 +2,8 @@
 second-order system, the reference Euler-Maruyama and Taylor-1.5 steppers of
 any model and the L(b) partial they take for the chain models, the element
 kernel and the filter sample as first written (the bit-for-bit references of
-the compiled ones), finite-difference oracles for the analytic partials, the
+the compiled ones), the filter half-steps composed of the library's public
+steps (the bit-for-bit references of the inline ones), finite-difference oracles for the analytic partials, the
 per-model GP predictor, the GP kernel and the stacked GP query as first
 written (the byte-for-byte references of the in-place ones), GP training as
 one scipy ``minimize`` per restart and the likelihood of one GP as a batch
@@ -26,8 +27,8 @@ import pytest
 from scipy.optimize import minimize
 
 import mdoftwin
-from mdoftwin import gpr
-from mdoftwin.errors import InvalidParameterError, TrainingError
+from mdoftwin import gpr, ukf
+from mdoftwin.errors import InvalidParameterError, NumericError, TrainingError
 from mdoftwin.linalg import cho_factor, cho_solve, tri_inverse
 from mdoftwin.models import (KIND_DUFFING_2DOF, StateSpaceModel, degraded_stiffness,
                              dispersion_split, to_state_space)
@@ -241,6 +242,46 @@ def textbook_filter(model, system, window, init, r, params):
     slots = list(model.param_indices)
     return (np.array(means), np.sqrt(np.clip(np.array(variances), 0.0, None)),
             cov[np.ix_(slots, slots)])
+
+
+def _composed_moments(image, w_mean, what):
+    image = np.asarray(image, dtype=float)
+    if image.ndim == 1:
+        image = image[:, None]
+    bad = np.flatnonzero(~np.isfinite(image).all(axis=1))
+    if bad.size:
+        raise NumericError(f"non-finite {what} at sigma index {bad[0]}")
+    center = image[0] + w_mean @ (image - image[0])
+    return center, image - center
+
+
+def composed_predict(belief, dynamic_fn, q, params, repair_log=None):
+    """``ukf.predict`` composed of the library's public steps
+    (``sigma_points``, ``ukf_weights`` and ``repair_psd``) and written with
+    ``@`` and out-of-place moments; returns the mean, covariance and factor.
+    A 1-D image is one column."""
+    w_mean, w_cov = ukf_weights(belief.mean.shape[0], params)
+    mean, dev = _composed_moments(dynamic_fn(ukf.sigma_points(belief, params)), w_mean,
+                                  "propagated sigma point")
+    cov = (dev * w_cov[:, None]).T @ dev
+    cov = q(mean, cov) if callable(q) else cov + q
+    return (mean, *ukf.repair_psd(cov, repair_log))
+
+
+def composed_update(predicted, measurement_fn, z, r, params, repair_log=None):
+    """``ukf.update`` composed as ``composed_predict`` is, with the
+    innovation covariance factored by ``cholesky_with_jitter``."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    w_mean, w_cov = ukf_weights(predicted.mean.shape[0], params)
+    points = ukf.sigma_points(predicted, params)
+    z_mean, dz = _composed_moments(measurement_fn(points), w_mean, "measurement sigma point")
+    s = (dz * w_cov[:, None]).T @ dz + r
+    s = 0.5 * (s + s.T)
+    cross = ((points - predicted.mean) * w_cov[:, None]).T @ dz
+    factor, _ = ukf.cholesky_with_jitter(s, "innovation covariance")
+    gain = cho_solve(factor, cross.T).T
+    mean = predicted.mean + gain @ (z - z_mean)
+    return (mean, *ukf.repair_psd(predicted.cov - gain @ cross.T, repair_log))
 
 
 def strided_window_states(model, system, y0, duration, cfg):

@@ -228,9 +228,11 @@ class TestTrainConfig:
         ("lengthscale_range", (0.0, 1.0)), ("variance_range", (-1.0, 2.0)),
         ("noise_range", (math.nan, 1.0)), ("lengthscale_range", (1e-2, math.inf)),
         ("variance_range", (1.0, math.nan)), ("noise_range", (1e-8,)),
-        ("eps_tol", -1e-9), ("eps_tol", math.nan), ("eps_tol", math.inf)])
+        ("eps_tol", -1e-9), ("eps_tol", math.nan), ("eps_tol", math.inf),
+        ("n_restarts", 0), ("n_restarts", 2.5), ("n_max", 2.5), ("n_max", True)])
     def test_invalid_search_settings_rejected(self, field, value):
-        # at construction, not in train after a whole window was filtered
+        # at construction, not in train after a whole window was filtered;
+        # a count of 2.5 restarts used to end train in a raw TypeError
         with pytest.raises(InvalidParameterError, match=field):
             GpTrainConfig(**{field: value})
 

@@ -213,14 +213,21 @@ class TestCampaignGeneration:
                            match="^master_seed must be a non-negative integer, got "):
             CampaignConfig(master_seed=seed)
 
-    @pytest.mark.parametrize("name", ["horizon_days", "window_interval_days",
-                                      "window_duration_s"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name, value", [
+        *((name, value) for name in ("horizon_days", "window_interval_days",
+                                     "window_duration_s", "degradation_rate_per_day")
+          for value in (math.nan, math.inf)),
+        ("snr_accel", math.nan), ("snr_accel", -1.0), ("snr_accel", 0.0),
+        ("snr_force", math.inf), ("snr_force", -1.0)])
     def test_plan_must_be_finite(self, name, value):
         # NaN used to fail in numpy's conversion to a window count, and an
-        # infinite horizon in an OverflowError
+        # infinite horizon in an OverflowError; a NaN accel SNR failed only
+        # in generation, as "accel is not finite at sample 0"
         with pytest.raises(InvalidParameterError, match=f"^{name} must be finite"):
             CampaignConfig(**{name: value})
+        if name == "degradation_rate_per_day":
+            with pytest.raises(InvalidParameterError, match="^rate_per_day must be finite"):
+                DegradationSchedule(k0=[1000.0], rate_per_day=value)
 
     def test_grid_arithmetic(self):
         cfg = CampaignConfig(horizon_days=2000.0, window_interval_days=50.0)
@@ -445,18 +452,29 @@ class TestAssimilation:
         result = filter_window(system, cfg_override, window)
         assert np.all(np.isfinite(result.param_estimate))
 
-    @pytest.mark.parametrize("std", [(0.05, -0.05), (np.nan, 0.05), (0.05, np.inf)])
-    def test_bad_measurement_noise_override_rejected(self, tmp_path, capsys, std):
-        # a negative level used to be squared into a valid variance
-        message = "measurement_noise_std must be finite and non-negative"
+    @pytest.mark.parametrize("name, value, message", [
+        *(("measurement_noise_std", std, "measurement_noise_std must be finite and non-negative")
+          for std in [(0.05, -0.05), (np.nan, 0.05), (0.05, np.inf)]),
+        ("q_scale", -2.0, "q_scale must be finite and non-negative"),
+        ("q_scale", math.nan, "q_scale must be finite"),
+        ("init_state_variance", -1.0, "init_state_variance must be finite and positive"),
+        ("init_offset_factor", math.nan, "init_offset_factor must be finite"),
+        ("init_param_std_factor", math.inf, "init_param_std_factor must be finite"),
+        ("warm_param_std_factor", 0.0, "warm_param_std_factor must be finite and positive"),
+        ("frozen_param_std_factor", math.nan, "frozen_param_std_factor must be finite")])
+    def test_bad_filter_settings_rejected(self, tmp_path, capsys, name, value,
+                                          message):
+        # a negative level used to be squared into a valid variance; a
+        # negative q_scale used to stop run_campaign at its first window, and
+        # a NaN one or a negative prior variance to reject every window
         with pytest.raises(InvalidParameterError, match=f"^{message}"):
-            UkfRunConfig(measurement_noise_std=std)
-        if np.isfinite(std).all():
+            UkfRunConfig(**{name: value})
+        if np.isfinite(value).all():
             _, _, _, windows = self.run_snapshot(n_windows=1)
             windows[0].save(tmp_path / "w")
             config = tmp_path / "cfg.json"
             config.write_text(json.dumps({"system": {"kind": "duffing_2dof"},
-                                          "ukf": {"measurement_noise_std": list(std)}}))
+                                          "ukf": {name: np.asarray(value).tolist()}}))
             assert main(["filter", "--config", str(config), "--out",
                          str(tmp_path / "out"), "--window", str(tmp_path / "w")]) == 2
             assert message in capsys.readouterr().err

@@ -18,9 +18,46 @@ from mdoftwin.ukf import (GaussianBelief, NoiseModel, PsdRepairLog,
                           repair_psd, run_filter, sigma_points, ukf_weights,
                           update)
 
-from conftest import textbook_filter
+from conftest import composed_predict, composed_update, textbook_filter
 
 BENCH_PARAMS = UkfParams(alpha_f=0.001, beta=2.0, kappa=0.0)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Every ``ukf.cho_factor`` call from here on: a copy of its matrix and
+    whether it factored."""
+    calls = []
+
+    def recording(a):
+        matrix = a.copy()
+        try:
+            factor = cho_factor(a)
+        except np.linalg.LinAlgError:
+            calls.append((matrix, False))
+            raise
+        calls.append((matrix, True))
+        return factor
+
+    monkeypatch.setattr(ukf, "cho_factor", recording)
+    return calls
+
+
+def assert_same_half_step(run, oracle, factorizations):
+    """``run()`` gives the belief and ``oracle()`` the mean, covariance and
+    factor of ``composed_predict``/``composed_update``, bit for bit, after
+    the same factorizations of the same matrices."""
+    factorizations.clear()
+    want = oracle()
+    want_calls = factorizations[:]
+    factorizations.clear()
+    belief = run()
+    for got, expected in zip((belief.mean, belief.cov, belief.factor), want):
+        np.testing.assert_array_equal(got, expected)
+    assert [ok for _, ok in factorizations] == [ok for _, ok in want_calls]
+    for (got, _), (expected, _) in zip(factorizations, want_calls):
+        np.testing.assert_array_equal(got, expected)
+    return belief
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +269,27 @@ class TestPredictUpdate:
                      rng.normal(size=2), 1e-8 * np.eye(2), BENCH_PARAMS)
         assert np.trace(out.cov) <= np.trace(cov) + 1e-10
 
-    def test_nonfinite_propagation_names_sigma_index(self):
+    # an image that is not a float ndarray, or not 2-D, is converted first
+    @pytest.mark.parametrize("form", [np.asarray, np.ndarray.tolist])
+    def test_nonfinite_propagation_names_sigma_index(self, form):
         belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
 
         def bad_dynamics(pts):
             out = np.array(pts)
             out[3, 0] = np.nan
-            return out
+            return form(out)
 
         with pytest.raises(NumericError,
                            match="^non-finite propagated sigma point at sigma index 3$"):
             predict(belief, bad_dynamics, np.zeros((2, 2)), BENCH_PARAMS)
 
-    def test_nonfinite_measurement_names_sigma_index(self):
+    @pytest.mark.parametrize("columns", [slice(0, 1), 0], ids=["2-D", "1-D"])
+    def test_nonfinite_measurement_names_sigma_index(self, columns):
         belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
 
         def bad_measurement(pts):
-            out = np.array(pts[:, :1])
-            out[4, 0] = np.inf
+            out = np.array(pts[:, columns])
+            out[4, ...] = np.inf
             return out
 
         with pytest.raises(NumericError,
@@ -269,13 +309,29 @@ class TestPredictUpdate:
                                "matrix has non-finite entries$"):
                 update(belief, huge, np.zeros(2), np.eye(2), BENCH_PARAMS)
 
+    def test_finite_images_whose_sum_of_squares_overflows_pass(self, factorizations):
+        # every image entry is finite but one above ~1e154, so the sum of
+        # squares of the image is not; the deviations and moments are finite
+        belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
+        shifted = lambda pts: pts + [1e155, 0.0]  # noqa: E731
+        predicted = assert_same_half_step(
+            lambda: predict(belief, shifted, np.eye(2), BENCH_PARAMS),
+            lambda: composed_predict(belief, shifted, np.eye(2), BENCH_PARAMS),
+            factorizations)
+        assert predicted.mean[0] == 1e155
+        z = np.array([1e155, 0.5])
+        assert_same_half_step(
+            lambda: update(belief, shifted, z, np.eye(2), BENCH_PARAMS),
+            lambda: composed_update(belief, shifted, z, np.eye(2), BENCH_PARAMS),
+            factorizations)
+
     def test_singular_innovation_raises(self):
         belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
         with pytest.raises(NumericError):
             update(belief, lambda pts: np.zeros((pts.shape[0], 1)),
                    np.zeros(1), np.zeros((1, 1)), BENCH_PARAMS)
 
-    def test_singular_innovation_with_positive_trace_uses_jitter_rung(self):
+    def test_singular_innovation_with_positive_trace_uses_jitter_rung(self, factorizations):
         # 1-D state N(0, 4) measured twice without noise: the sigma points are
         # 0 and +/-2 with weights 0 and 1/2, so S = [[4, 4], [4, 4]] exactly,
         # which fails rung 0 and factors at rung 1 (1e-12 * trace(S) / 2)
@@ -283,7 +339,13 @@ class TestPredictUpdate:
         belief = GaussianBelief(mean=np.zeros(1), cov=np.full((1, 1), 4.0))
         twice = lambda pts: pts[:, [0, 0]]  # noqa: E731
         z = np.array([0.3, 0.3])
-        out = update(belief, twice, z, np.zeros((2, 2)), params)
+        out = assert_same_half_step(
+            lambda: update(belief, twice, z, np.zeros((2, 2)), params),
+            lambda: composed_update(belief, twice, z, np.zeros((2, 2)), params),
+            factorizations)
+        # S is tried once, then the ladder, then the updated covariance
+        assert [ok for _, ok in factorizations] == [False, True, True]
+        np.testing.assert_array_equal(factorizations[0][0], np.full((2, 2), 4.0))
         with pytest.raises(np.linalg.LinAlgError):
             cho_factor(np.full((2, 2), 4.0))
         ref = update(belief, twice, z, (1e-12 * 4.0) * np.eye(2), params)
@@ -385,34 +447,55 @@ class TestBeliefFactor:
         np.testing.assert_array_equal(sigma_points(belief, BENCH_PARAMS),
                                       sigma_points(fresh, BENCH_PARAMS))
 
-    def test_predict_then_update_bit_identical(self):
+    # a 1-D measurement image is one column, and z may be a list
+    @pytest.mark.parametrize("n_obs", [2, 1], ids=["2-D", "1-D-and-list"])
+    def test_predict_then_update_bit_identical(self, n_obs, factorizations):
         rng = np.random.default_rng(23)
-        dim, n_obs = 5, 2
+        dim = 5
         a_mat, h_mat, q, r = random_linear_system(rng, dim, n_obs)
         root = rng.normal(size=(dim, dim))
         belief = GaussianBelief(mean=rng.normal(size=dim),
                                 cov=root @ root.T + np.eye(dim))
-        predicted = predict(belief, lambda pts: pts @ a_mat.T, q, BENCH_PARAMS)
+        dynamics = lambda pts: pts @ a_mat.T  # noqa: E731
+        predicted = assert_same_half_step(
+            lambda: predict(belief, dynamics, q, BENCH_PARAMS),
+            lambda: composed_predict(belief, dynamics, q, BENCH_PARAMS), factorizations)
         np.testing.assert_array_equal(predicted.factor, cho_factor(predicted.cov))
         self.assert_same_factor(predicted)
-        updated = update(predicted, lambda pts: pts @ h_mat.T,
-                         rng.normal(size=n_obs), r, BENCH_PARAMS)
+        z = rng.normal(size=n_obs)
+        measure = lambda pts: pts @ h_mat.T  # noqa: E731
+        if n_obs == 1:
+            z, measure = z.tolist(), lambda pts: pts @ h_mat[0]  # noqa: E731
+        updated = assert_same_half_step(
+            lambda: update(predicted, measure, z, r, BENCH_PARAMS),
+            lambda: composed_update(predicted, measure, z, r, BENCH_PARAMS), factorizations)
         np.testing.assert_array_equal(updated.factor, cho_factor(updated.cov))
         self.assert_same_factor(updated)
 
-    def test_eigh_repair_carries_ladder_factor(self):
+    def test_eigh_repair_carries_ladder_factor(self, factorizations):
         # the dynamics drop the last entry and Q is negative there
-        log = PsdRepairLog()
+        log, composed_log = PsdRepairLog(), PsdRepairLog()
         belief = GaussianBelief(mean=np.ones(3), cov=np.eye(3))
         q = np.diag([0.0, 0.0, -1e-3])
-        predicted = predict(belief, lambda pts: pts * [1.0, 1.0, 0.0], q,
-                            BENCH_PARAMS, log)
-        assert log.count == 1
+        dropped = lambda pts: pts * [1.0, 1.0, 0.0]  # noqa: E731
+        predicted = assert_same_half_step(
+            lambda: predict(belief, dropped, q, BENCH_PARAMS, log),
+            lambda: composed_predict(belief, dropped, q, BENCH_PARAMS, composed_log),
+            factorizations)
+        # the covariance fails its one PSD test; the repaired one fails as
+        # given and factors at the ladder's first rung
+        assert [ok for _, ok in factorizations] == [False, False, True]
+        assert log == composed_log and log.count == 1
         np.testing.assert_array_equal(
             predicted.factor, ukf.cholesky_with_jitter(predicted.cov)[0])
         self.assert_same_factor(predicted)
-        updated = update(predicted, lambda pts: pts[:, :1], np.zeros(1),
-                         np.eye(1), BENCH_PARAMS, log)
+        first = lambda pts: pts[:, :1]  # noqa: E731
+        updated = assert_same_half_step(
+            lambda: update(predicted, first, np.zeros(1), np.eye(1), BENCH_PARAMS, log),
+            lambda: composed_update(predicted, first, np.zeros(1), np.eye(1), BENCH_PARAMS,
+                                    composed_log),
+            factorizations)
+        assert log == composed_log
         self.assert_same_factor(updated)
 
     def test_belief_is_frozen(self):
