@@ -279,15 +279,15 @@ def sigma_points(belief: GaussianBelief, params: UkfParams) -> np.ndarray:
 
 
 def _as_image(values) -> np.ndarray:
-    """The images of the sigma points as a float array, a 1-D one as one
-    column."""
+    """The sigma points' images as a float array, a 1-D one as one column."""
     image = np.asarray(values, dtype=float)
     return image[:, None] if image.ndim == 1 else image
 
 
 def _require_finite(image: np.ndarray, what: str) -> None:
-    """Name the first sigma point with a non-finite image, if any; for the
-    images whose sum of squares is not finite."""
+    """NumericError naming the first sigma point whose image is not finite,
+    if any; for an image whose sum of squares is not finite, which a finite
+    entry above ~1e154 also makes."""
     bad = np.nonzero(~np.all(np.isfinite(np.atleast_2d(image)), axis=-1))[0]
     if bad.size:
         raise NumericError(f"non-finite {what} at sigma index {int(bad[0])}")

@@ -3,7 +3,8 @@ second-order system, the reference Euler-Maruyama and Taylor-1.5 steppers of
 any model and the L(b) partial they take for the chain models, the element
 kernel and the filter sample as first written (the bit-for-bit references of
 the compiled ones), the filter half-steps composed of the library's public
-steps (the bit-for-bit references of the inline ones), finite-difference oracles for the analytic partials, the
+steps (the bit-for-bit references of the inline ones), finite-difference
+oracles for the analytic partials, the
 per-model GP predictor, the GP kernel and the stacked GP query as first
 written (the byte-for-byte references of the in-place ones), GP training as
 one scipy ``minimize`` per restart and the likelihood of one GP as a batch
