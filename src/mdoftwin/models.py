@@ -14,7 +14,8 @@ Conventions used throughout:
   of the DVP element; the cubic acts on one elongation too. One compiled
   kernel of element forces serves the drift, the measurement and the
   filter's Euler transition alike; it works element-major, on contiguous
-  rows, with the bits of the row-wise products.
+  rows, with the bits of the row-wise products, and takes the cubic
+  element's force in tangent form, (k + coeff e^2) e.
 * First-order state vectors come in two orderings: ``blocked``
   ``[x1..xN, v1..vN]`` (2-DOF benchmark) and ``interleaved``
   ``[x1, v1, x2, v2, ...]`` (7-DOF benchmark). Augmented states append the
@@ -219,7 +220,7 @@ class DegradationSchedule:
     frozen_indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        k0 = np.asarray(self.k0, dtype=float)
+        k0 = decode(np.ndarray, self.k0, "k0")
         if k0.ndim != 1 or np.any(k0 <= 0.0):
             raise InvalidParameterError("k0 must be a positive vector")
         object.__setattr__(self, "k0", k0)
@@ -242,9 +243,10 @@ class DegradationSchedule:
 def degraded_stiffness(schedule: DegradationSchedule, t_s: float) -> np.ndarray:
     """Stiffness vector after t_s days of service.
 
-    Raises InvalidParameterError for negative t_s.
+    Raises InvalidParameterError for a t_s that is negative, not finite or
+    not a number.
     """
-    t_s = float(t_s)
+    t_s = float(decode(float, t_s, "t_s"))
     if t_s < 0.0:
         raise InvalidParameterError("service time t_s must be non-negative")
     delta = math.exp(-schedule.rate_per_day * t_s)
@@ -357,14 +359,19 @@ def _element_forces(system: MdofSystem, aug0: np.ndarray) -> tuple:
 
     Every chain force acts along a spring elongation e = B x or its rate
     B v, so the node forces are B^T applied to the element forces
-    w = s * k * e + c * B v + g(e), with g the cubic on ``cubic_element``.
-    One product of S states with ``to_elements`` yields e, c * B v and s * k
-    for the stiffness read off the state tail at ``aug0``. ``kernel(ev)``
-    binds the one formula of w to a buffer ``ev`` of these element values,
+    w = s * k * e + c * B v + g(e), with g(e) = coeff * e^3 on
+    ``cubic_element``. One product of S states with ``to_elements`` yields
+    e, c * B v and s * k for the stiffness read off the state tail at
+    ``aug0``. The kernel takes w in tangent form, (s * k + g(e) / e) * e +
+    c * B v: the cubic element's stiffness is s_c k_c + coeff * e_c^2, with
+    e_c^2 one product into a buffer of the kernel (no libm ``pow``; it is
+    also the square of the element's tangent s_c k_c + 3 coeff e_c^2), and
+    the other rows are those of the linear chain. ``kernel(ev)`` binds this
+    one formula of w to a buffer ``ev`` of the element values,
     element-major ``(3n, S)`` and C-contiguous so that each block is
-    contiguous: it makes the block and cubic-row views and a buffer for w
-    ``(n, S)`` once, and returns ``forces()``, which fills w from what
-    ``ev`` holds and returns that buffer. ``restoring(y, to_out)`` is
+    contiguous: it makes the block and cubic-row views and buffers for w
+    ``(n, S)`` and e_c^2 once, and returns ``forces()``, which fills w from
+    what ``ev`` holds and returns that buffer. ``restoring(y, to_out)`` is
     w^T ``to_out`` for states ``(..., dim)``, a fresh array; it keeps one
     element buffer per state count. Both products keep the bits of the
     row-wise layout ``y @ to_elements``: states ``(S, dim)`` take the
@@ -386,22 +393,24 @@ def _element_forces(system: MdofSystem, aug0: np.ndarray) -> tuple:
     signed_k = signs * system.stiffnesses
     signed_k[aug0] = 0.0  # taken from the state instead
     fixed_k = None if not signed_k.any() else signed_k[:, None]
-    cubic, coeff = system.cubic_element, system.nonlinear_coeff
-    multiply, add, power = np.multiply, np.add, np.power
+    cubic, coeff = system.cubic_element, np.array(system.nonlinear_coeff)
+    multiply, add, copyto = np.multiply, np.add, np.copyto
 
     def kernel(ev: np.ndarray) -> Callable:
         e, damper, tail_k, e_cubic = ev[:n], ev[n:2 * n], ev[2 * n:], ev[cubic]
         w = np.empty((n, ev.shape[1]))
-        w_cubic, cube = w[cubic], np.empty(ev.shape[1])
+        w_cubic, square = w[cubic], np.empty(ev.shape[1])
 
         def forces() -> np.ndarray:
             if fixed_k is None:
-                multiply(tail_k, e, w)
+                copyto(w, tail_k)
             else:
-                multiply(add(fixed_k, tail_k, w), e, w)
+                add(fixed_k, tail_k, w)
+            multiply(e_cubic, e_cubic, square)
+            multiply(coeff, square, square)
+            add(w_cubic, square, w_cubic)  # the cubic's tangent-form stiffness
+            multiply(w, e, w)
             add(w, damper, w)
-            multiply(coeff, power(e_cubic, 3, cube), cube)
-            add(w_cubic, cube, w_cubic)
             return w
 
         return forces

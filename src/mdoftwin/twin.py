@@ -202,8 +202,9 @@ class UkfRunConfig:
                 f"q_scale must be finite and non-negative, got {self.q_scale!r}")
         # the override takes the place of a window's accel_noise_std, so it
         # is held to the same rule
-        std = self.measurement_noise_std
-        if std is not None and not (np.isfinite(std) & (np.asarray(std) >= 0.0)).all():
+        std = decode(tuple[float, ...] | None, self.measurement_noise_std,
+                     "measurement_noise_std")
+        if std is not None and min(std, default=0.0) < 0.0:
             raise InvalidParameterError(
                 f"measurement_noise_std must be finite and non-negative, got {list(std)}")
 

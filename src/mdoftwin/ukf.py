@@ -74,6 +74,7 @@ logger = logging.getLogger(__name__)
 _JITTER_LADDER = (1e-12, 1e-10, 1e-8, 1e-6)  # tried after p itself fails
 _REPAIR_BOUND_FACTOR = 1e-6
 _FLOAT = np.dtype(float)
+_HALF = np.array(0.5)  # a 0-d operand: no float conversion per in-place product
 
 
 @codec
@@ -318,7 +319,7 @@ def predict(
     cov = (dev * transform.weights[dev.shape[1]]).T.dot(dev)
     cov = q(mean, cov) if callable(q) else cov + q
     cov = cov + cov.T  # repair_psd from here on
-    cov *= 0.5
+    cov *= _HALF
     if not (math.isfinite(np.vdot(cov, cov)) or np.isfinite(cov).all()):
         raise NumericError("sigma-point square root: matrix has non-finite entries")
     try:
@@ -362,7 +363,7 @@ def update(
     s = (dz * weights[dz.shape[1]]).T.dot(dz)
     s += r
     s = s + s.T
-    s *= 0.5
+    s *= _HALF
     # the points' deviations, weighed in place: the points are not read again
     deviations = np.subtract(points, predicted.mean, out=points)
     cross = np.multiply(deviations, weights[length], out=deviations).T.dot(dz)
@@ -377,7 +378,7 @@ def update(
     mean = predicted.mean + gain.dot(z - z_mean)
     cov = predicted.cov - gain.dot(cross.T)  # K S K^T = K C^T, also under jitter
     cov = cov + cov.T  # repair_psd from here on
-    cov *= 0.5
+    cov *= _HALF
     if not (math.isfinite(np.vdot(cov, cov)) or np.isfinite(cov).all()):
         raise NumericError("sigma-point square root: matrix has non-finite entries")
     try:
@@ -557,7 +558,7 @@ def run_filter(
 
     for k in range(1, n_samples):
         try:
-            belief = predict(belief, functools.partial(transition, k=k - 1),
+            belief = predict(belief, lambda y, k=k - 1: transition(y, k),
                              noise.q, params, repair_log)
             belief = update(belief, h, accel[k], noise.r, params, repair_log)
         except NumericError as exc:

@@ -119,11 +119,14 @@ def state_positions(system):
     return np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
 
 
-def rowwise_elements(system, augment_params):
+def rowwise_elements(system, augment_params, physical=False):
     """The element kernel in its first, row-wise layout: ``to_elements`` and
     ``forces``, which maps the product ``y @ to_elements`` ``(..., 3n)`` to
     the element forces ``(..., n)``, adding the signed stiffness even where
-    it is all zero. The compiled kernel must equal it bit for bit."""
+    it is all zero. ``forces`` takes the cubic element in the tangent form
+    of the compiled kernel, (k + coeff e^2) e + d, which must equal it bit
+    for bit; with ``physical`` it is the physical formula k e + d +
+    coeff e^3 (``** 3``), which the kernel matches to a few ulp."""
     n = system.n_dof
     aug0 = np.array(sorted(augment_params), dtype=int) - 1
     disp, vel = state_positions(system)
@@ -139,9 +142,13 @@ def rowwise_elements(system, augment_params):
 
     def forces(ev):
         e, damper, tail_k = ev[..., :n], ev[..., n:2 * n], ev[..., 2 * n:]
-        w = (signed_k + tail_k) * e + damper
-        w[..., cubic] += coeff * e[..., cubic] ** 3
-        return w
+        k = signed_k + tail_k
+        if physical:
+            w = k * e + damper
+            w[..., cubic] += coeff * e[..., cubic] ** 3
+            return w
+        k[..., cubic] += coeff * (e[..., cubic] * e[..., cubic])
+        return k * e + damper
 
     return to_elements, forces
 
@@ -171,11 +178,11 @@ def reference_drift(system, augment_params):
     return drift
 
 
-def reference_transition(system, augment_params, dt, force):
+def reference_transition(system, augment_params, dt, force, physical=False):
     """``models.euler_transition`` as first written: one row-wise product
     ``y @ [Phi | E]``, the element forces into the velocities, then the
-    force term."""
-    to_elements, forces = rowwise_elements(system, augment_params)
+    force term; ``physical`` as for ``rowwise_elements``."""
+    to_elements, forces = rowwise_elements(system, augment_params, physical)
     n, dim = system.n_dof, to_elements.shape[0]
     disp, vel = state_positions(system)
     linear = np.eye(dim)

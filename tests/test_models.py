@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mdoftwin import twin
+from mdoftwin import models, twin
 from mdoftwin.errors import InvalidParameterError
 from mdoftwin.models import (DegradationSchedule, MdofSystem,
                              acceleration_model, build_duffing_2dof,
@@ -15,8 +15,8 @@ from mdoftwin.models import (DegradationSchedule, MdofSystem,
 from conftest import (damping_matrix, fd_drift_hessian_quad,
                       fd_drift_jacobian, fd_dispersion_jacobian, mass_matrix,
                       nonlinear_term, reference_drift, reference_restoring,
-                      reference_transition, stiffness_matrix,
-                      with_dispersion_jacobian)
+                      reference_transition, rowwise_elements, state_positions,
+                      stiffness_matrix, with_dispersion_jacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +693,87 @@ class TestElementKernelShapes:
         assert window.accel.tobytes() == again.accel.tobytes()
 
 
+class TestCubicTangentForm:
+    """The kernel takes the cubic element's force in tangent form,
+    (k + coeff e^2) e + d, so it is not bitwise the physical formula
+    k e + d + coeff e^3 with libm's ``pow``. Each form is within 2.5 eps of
+    the exact force, relative to the sum T = |k e| + |d| + |coeff e^3| of
+    its terms (five roundings at most, ``pow`` within one), so the two must
+    agree within 6 eps T: a few ulp of the force where its terms do not
+    cancel. Every state layout, stiffness source and both systems."""
+
+    # the cubic element's stiffness fixed, in the tail, or alone in either
+    AUGMENTS = pytest.mark.parametrize("build, augment", [
+        (build_duffing_2dof, ()), (build_duffing_2dof, (1, 2)),
+        (build_duffing_2dof, (2,)), (build_duffing_2dof, (1,)),
+        (build_dvp_7dof, ()), (build_dvp_7dof, range(1, 8)),
+        (build_dvp_7dof, (1, 2, 3, 5, 6, 7)), (build_dvp_7dof, (4,))])
+
+    @staticmethod
+    def points(system, augment, shape, scale):
+        # sigma-point-like states, with displacements scaled so that the
+        # cubic term ranges from a correction to the larger term
+        rng = np.random.default_rng(41)
+        y = random_points(rng, system, augment, math.prod(shape))
+        y[:, :2 * system.n_dof] *= scale
+        return y.reshape(shape + (y.shape[-1],))
+
+    @staticmethod
+    def term_scale(system, augment, y):
+        to_elements, _, _, signed_k = models._element_forces(
+            system, np.array(sorted(augment), dtype=int) - 1)
+        n = system.n_dof
+        ev = y @ to_elements
+        e, d, k = ev[..., :n], ev[..., n:2 * n], signed_k + ev[..., 2 * n:]
+        scale = np.abs(k * e) + np.abs(d)
+        cubic = system.cubic_element
+        scale[..., cubic] += system.nonlinear_coeff * np.abs(e[..., cubic]) ** 3
+        return scale
+
+    @AUGMENTS
+    @pytest.mark.parametrize("shape", [(43,), (4, 3), ()])
+    @pytest.mark.parametrize("scale", [1.0, 5.0])
+    def test_restoring_forces(self, build, augment, shape, scale):
+        # (S, dim) takes the transposed product, (..., dim) numpy's own;
+        # an identity output leaves the element forces as they are
+        s = build()
+        n = s.n_dof
+        y = self.points(s, augment, shape, scale)
+        restoring = models._element_forces(s, np.array(sorted(augment), dtype=int) - 1)[2]
+        to_elements, physical = rowwise_elements(s, augment, physical=True)
+        got = restoring(y, np.eye(n))
+        expected = physical(y @ to_elements)
+        assert got.shape == expected.shape == y.shape[:-1] + (n,)
+        bound = 6.0 * np.finfo(float).eps * self.term_scale(s, augment, y)
+        assert np.all(np.abs(got - expected) <= bound)
+
+    @AUGMENTS
+    @pytest.mark.parametrize("scale", [1.0, 5.0])
+    def test_transition(self, build, augment, scale):
+        # only the velocity rows take element forces, through dt M^-1 B^T
+        # (two terms per row, the product's rounding within eps of them on
+        # each side); each image then adds the velocity and the force
+        # term, within eps of the three on each side
+        s = build()
+        n, dt = s.n_dof, 1e-3
+        dim = 2 * n + len(augment)
+        vel = state_positions(s)[1]
+        others = np.setdiff1d(np.arange(dim), vel)
+        rng = np.random.default_rng(43)
+        forces = rng.normal(0.0, 10.0, (3, n))
+        y = self.points(s, augment, (2 * dim + 1,), scale)
+        transition = euler_transition(s, augment, dt, forces)
+        reference = reference_transition(s, augment, dt, forces, physical=True)
+        eps = np.finfo(float).eps
+        pushed = self.term_scale(s, augment, y).dot(np.abs(dt * s.elongation_operator / s.masses))
+        for k in range(forces.shape[0]):
+            got, expected = transition(y, k), reference(y, k)
+            np.testing.assert_array_equal(got[:, others], expected[:, others])
+            bound = 8.0 * eps * pushed + 2.0 * eps * (
+                np.abs(y[:, vel]) + pushed + dt * np.abs(forces[k]) / s.masses)
+            assert np.all(np.abs(got[:, vel] - expected[:, vel]) <= bound)
+
+
 # ---------------------------------------------------------------------------
 # Degradation law
 # ---------------------------------------------------------------------------
@@ -731,6 +812,26 @@ class TestDegradation:
         sched = DegradationSchedule(k0=np.array([1.0]))
         with pytest.raises(InvalidParameterError):
             degraded_stiffness(sched, -1.0)
+
+    @pytest.mark.parametrize("t_s", [math.nan, math.inf, -math.inf, "50", True])
+    def test_bad_time_rejected(self, t_s):
+        # NaN gave NaN stiffnesses and inf zeros; a window generated at a
+        # NaN t_s failed later on a non-finite input state
+        system = build_duffing_2dof()
+        sched = DegradationSchedule.for_system(system)
+        with pytest.raises(InvalidParameterError, match="^t_s must be"):
+            degraded_stiffness(sched, t_s)
+        cfg = twin.CampaignConfig(window_duration_s=0.2)
+        with pytest.raises(InvalidParameterError, match="^t_s must be"):
+            twin.generate_window(system, sched, cfg, t_s, 2, 1)
+
+    @pytest.mark.parametrize("k0", [
+        [math.nan, 500.0], [1000.0, math.inf], [-math.inf, 500.0], [1000.0, 0.0],
+        [[1000.0, 500.0]], ["1000", "500"]])
+    def test_bad_k0_rejected(self, k0):
+        # the constructor took a NaN or infinite k0, which from_dict refuses
+        with pytest.raises(InvalidParameterError, match="k0 must"):
+            DegradationSchedule(k0=k0)
 
 
 class TestSerialization:

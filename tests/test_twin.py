@@ -453,8 +453,13 @@ class TestAssimilation:
         assert np.all(np.isfinite(result.param_estimate))
 
     @pytest.mark.parametrize("name, value, message", [
-        *(("measurement_noise_std", std, "measurement_noise_std must be finite and non-negative")
-          for std in [(0.05, -0.05), (np.nan, 0.05), (0.05, np.inf)]),
+        ("measurement_noise_std", (0.05, -0.05),
+         "measurement_noise_std must be finite and non-negative"),
+        *(("measurement_noise_std", std, "measurement_noise_std must be finite")
+          for std in [(np.nan, 0.05), (0.05, np.inf)]),
+        *(("measurement_noise_std", std, "measurement_noise_std must be of type float")
+          for std in [("a",), (1.0, None), (True,)]),
+        ("measurement_noise_std", 0.05, "measurement_noise_std must be a list"),
         ("q_scale", -2.0, "q_scale must be finite and non-negative"),
         ("q_scale", math.nan, "q_scale must be finite"),
         ("init_state_variance", -1.0, "init_state_variance must be finite and positive"),
@@ -469,7 +474,7 @@ class TestAssimilation:
         # a NaN one or a negative prior variance to reject every window
         with pytest.raises(InvalidParameterError, match=f"^{message}"):
             UkfRunConfig(**{name: value})
-        if np.isfinite(value).all():
+        if all(not isinstance(v, float) or math.isfinite(v) for v in np.ravel(value)):
             _, _, _, windows = self.run_snapshot(n_windows=1)
             windows[0].save(tmp_path / "w")
             config = tmp_path / "cfg.json"
