@@ -362,11 +362,11 @@ def _element_forces(system: MdofSystem, aug0: np.ndarray) -> tuple:
     w = s * k * e + c * B v + g(e), with g(e) = coeff * e^3 on
     ``cubic_element``. One product of S states with ``to_elements`` yields
     e, c * B v and s * k for the stiffness read off the state tail at
-    ``aug0``. The kernel takes w in tangent form, (s * k + g(e) / e) * e +
-    c * B v: the cubic element's stiffness is s_c k_c + coeff * e_c^2, with
-    e_c^2 one product into a buffer of the kernel (no libm ``pow``; it is
-    also the square of the element's tangent s_c k_c + 3 coeff e_c^2), and
-    the other rows are those of the linear chain. ``kernel(ev)`` binds this
+    ``aug0``. The kernel takes the cubic element in tangent form,
+    w_c = (s_c k_c + coeff * e_c^2) * e_c + c_c (B v)_c, with e_c^2 one
+    product into a buffer of the kernel (no libm ``pow``; it is also the
+    square in the element's tangent s_c k_c + 3 coeff e_c^2); the other
+    rows are those of the linear chain. ``kernel(ev)`` binds this
     one formula of w to a buffer ``ev`` of the element values,
     element-major ``(3n, S)`` and C-contiguous so that each block is
     contiguous: it makes the block and cubic-row views and buffers for w

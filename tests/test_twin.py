@@ -471,7 +471,8 @@ class TestAssimilation:
                                           message):
         # a negative level used to be squared into a valid variance; a
         # negative q_scale used to stop run_campaign at its first window, and
-        # a NaN one or a negative prior variance to reject every window
+        # a NaN one or a negative prior variance to reject every window; a
+        # level that is not a number raised a bare TypeError or was taken
         with pytest.raises(InvalidParameterError, match=f"^{message}"):
             UkfRunConfig(**{name: value})
         if all(not isinstance(v, float) or math.isfinite(v) for v in np.ravel(value)):
