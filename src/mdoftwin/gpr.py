@@ -43,25 +43,30 @@ data in training, every field in ``GpModel`` and the query in ``predict``.
 Prediction (Rasmussen & Williams 2006, Alg. 2.1, plus the GLS term) runs on
 a ``GpStack``: J models of one kernel family and one training length, their
 arrays stacked on a leading axis. The GPs of a twin are trained together on
-one history, so a query for every tracked stiffness is one ``_kernel`` call
-on (J, n, m), one posterior product and one variance reduction:
+one history, so a query for every tracked stiffness is one batched
+evaluation:
 
     mean = beta + alpha^T K*,   v = L^-1 K*,
-    s^2  = sigma^2 - v^T v + (1 - (L^-1 1)^T v)^2 / (1^T Kt^-1 1).
+    s^2  = sigma^2 - v^T v + (1 - 1^T Kt^-1 K*)^2 / (1^T Kt^-1 1).
 
 L^-1, the inverse of the Cholesky factor of Kt (LAPACK ``dtrtri``), is
 formed once per model, so that a query is a batched matrix product rather
 than J triangular solves; at n <= 41 points the per-call overhead of J
 solves costs more than the arithmetic. Each ``GpModel`` carries its
 one-model stack, derived on construction; ``stack`` concatenates those.
-Means agree with the per-solve formula to ~1e-15 relative and variances to
-~1e-15 of sigma^2 absolute.
 
 At these sizes a query costs numpy's per-call overhead, not arithmetic, so
-the query path keeps the arithmetic of the first stacked form, bit for bit,
-and cuts the calls and objects around it: the kernel runs in place on one
-buffer of K*'s shape, the stack holds every array in the shape the query
-meets it, the query's finiteness is a sum of squares
+the stack folds in whatever depends on the models alone and leaves K* and
+the mean's own product alpha^T K* as the first stacked form computed them:
+the mean's offset target_scale beta + target_shift is one number, and
+1^T Kt^-1 rides as one more row under L^-1, so that v and the GLS dot come
+from one product and v^T v is one reduction. A GP whose noise variance fell
+to the jitter, as on a short or exact history, sums alpha^T K* from terms
+many orders of magnitude larger than the mean, so a rounding of K* or alpha
+(inputs scaled by the lengthscale once, or sigma^2 s folded into alpha)
+moves the mean by up to ~1e-10 relative there, and the variance is scaled
+after its sum for the same reason. The kernel runs in place on one buffer
+of K*'s shape, the query's finiteness is a sum of squares
 (``linalg.all_finite``), the clip test is one reduction and a prediction is
 a slots dataclass.
 """
@@ -91,7 +96,7 @@ _CONFIDENCE_FACTOR = 1.959963984540054  # two-sided 95% normal quantile
 # constants of the query path as 0-d arrays: a ufunc takes one of them with
 # less overhead than a Python float, for the same result
 _ONE, _MINUS_HALF = np.array(1.0), np.array(-0.5)
-_REAL = np.dtype(float)  # taken for a query that has no dtype
+_REAL = np.dtype(float)  # the dtype a query is cast to
 
 
 @dataclass(frozen=True)
@@ -238,15 +243,16 @@ class GpPrediction:
 
 
 @codec
-@dataclass
+@dataclass(frozen=True)
 class GpModel:
     """Trained GP: hyperparameters, data, transforms, cached posterior.
 
     ``noise_floor`` holds optional fixed per-point noise variances in raw
     target units (e.g. squared filter stddevs). The GLS mean ``beta`` and
     the model's one-model ``GpStack`` are derived on construction, never
-    serialized. Every value must be finite, since the factorization does
-    not check.
+    serialized; the model is frozen so that they cannot go stale, and
+    ``dataclasses.replace`` builds a new one. Every value must be finite,
+    since the factorization does not check.
     """
 
     kernel: Kernel
@@ -262,8 +268,8 @@ class GpModel:
     nlml: float = math.nan
 
     def __post_init__(self):
-        self.train_inputs = np.asarray(self.train_inputs, dtype=float)
-        self.train_targets = np.asarray(self.train_targets, dtype=float)
+        object.__setattr__(self, "train_inputs", np.asarray(self.train_inputs, dtype=float))
+        object.__setattr__(self, "train_targets", np.asarray(self.train_targets, dtype=float))
         if (self.train_inputs.ndim != 1
                 or self.train_inputs.shape != self.train_targets.shape):
             raise InvalidParameterError("training inputs/targets must be matching vectors")
@@ -274,7 +280,7 @@ class GpModel:
         if not (self.input_scale > 0.0 and self.target_scale > 0.0):
             raise InvalidParameterError("input and target scales must be positive")
         if self.noise_floor is not None:
-            self.noise_floor = np.asarray(self.noise_floor, dtype=float)
+            object.__setattr__(self, "noise_floor", np.asarray(self.noise_floor, dtype=float))
             if self.noise_floor.shape != self.train_inputs.shape:
                 raise InvalidParameterError("noise_floor must match the training grid")
             if (self.noise_floor < 0.0).any():  # as train requires
@@ -296,49 +302,56 @@ class GpModel:
             self.mean_spec)
         if posterior is None:
             raise InvalidParameterError("kernel matrix not positive definite")
-        factor, self.beta, alpha, gls_denom = posterior
-        l_inv = tri_inverse(factor)
-        target_scale = np.full((1, 1, 1), self.target_scale)
-        column = (1, x_std.shape[0], 1)
-        self._stack = GpStack(
+        factor, beta, alpha, gls_denom = posterior
+        object.__setattr__(self, "beta", beta)
+        n, scale, variance = x_std.shape[0], self.target_scale, kernel.variance
+        # Kt^-1 1 as the GLS mean solved it; a zero mean adds no GLS term
+        ones_solve = np.zeros(n) if gls_denom is None else cho_solve(factor, np.ones(n))
+        column = (1, n, 1)
+        object.__setattr__(self, "_stack", GpStack(
             family=kernel.family, x_std=x_std.reshape(column),
-            variance=np.full(column, kernel.variance),
-            prior_variance=np.full((1, 1), kernel.variance),
-            lengthscale=np.full(column, kernel.lengthscale),
             input_shift=np.full((1, 1, 1), self.input_shift),
             input_scale=np.full((1, 1, 1), self.input_scale),
-            target_shift=np.full((1, 1, 1), self.target_shift),
-            target_scale=target_scale, target_scale_sq=target_scale[0] ** 2,
-            beta=np.full((1, 1, 1), self.beta), alpha=alpha[None, None],
-            l_inv=l_inv[None], l_inv_ones=l_inv.sum(axis=1)[None, None],
-            gls_denom=np.full((1, 1, 1), math.inf if gls_denom is None else gls_denom))
+            variance=np.full(column, variance), lengthscale=np.full(column, kernel.lengthscale),
+            alpha=alpha.reshape(1, 1, n), target_scale=np.full((1, 1, 1), scale),
+            mean_offset=np.full((1, 1, 1), scale * beta + self.target_shift),
+            l_inv_gls=np.vstack((tri_inverse(factor), ones_solve))[None],
+            gls_denom=np.full((1, 1), math.inf if gls_denom is None else gls_denom),
+            prior_variance=np.full((1, 1), variance),
+            target_scale_sq=np.full((1, 1), scale ** 2)))
 
 
 @dataclass(frozen=True)
 class GpStack:
     """J trained GPs of one kernel family and one training length, stacked on
-    a leading model axis for one batched prediction, each array shaped as
-    the query uses it. The kernel's hyperparameters are repeated along the
-    training inputs, in the (J, n, 1) shape of K* at one query time: numpy
-    scales arrays of one shape without its broadcasting iterator, and a
-    query of m times broadcasts them along its last axis. Derived from the
-    models, never serialized."""
+    a leading model axis: the compiled posterior of one batched query at
+    the times t,
+
+        K*   = K(x_std, (t - input_shift) / input_scale),
+        mean = (alpha K*) target_scale + mean_offset,
+        (v, w) = l_inv_gls K*,   w = 1^T Kt^-1 K*,
+        s^2  = (prior_variance - v^T v + (1 - w)^2 / gls_denom) target_scale_sq,
+
+    with v = L^-1 K* and L the lower Cholesky factor of Kt. Each array is
+    shaped as the query meets it. The kernel's hyperparameters are repeated
+    along the training inputs, in the (J, n, 1) shape of K* at one query
+    time: numpy scales arrays of one shape without its broadcasting
+    iterator, and a query of m times broadcasts them along its last axis.
+    Derived from the models, never serialized."""
 
     family: str
     x_std: np.ndarray  # (J, n, 1) standardized training inputs, a column per model
+    input_shift: np.ndarray  # (J, 1, 1)
+    input_scale: np.ndarray  # (J, 1, 1)
     variance: np.ndarray  # (J, n, 1) kernel variance
-    prior_variance: np.ndarray  # (J, 1) the same, as a row of the (J, m) variances
     lengthscale: np.ndarray  # (J, n, 1)
-    input_shift: np.ndarray  # (J, 1, 1), as the three transforms below
-    input_scale: np.ndarray
-    target_shift: np.ndarray
-    target_scale: np.ndarray
-    target_scale_sq: np.ndarray  # (J, 1) target_scale ** 2
-    beta: np.ndarray  # (J, 1, 1) GLS mean, 0 for a zero mean
     alpha: np.ndarray  # (J, 1, n) Kt^-1 (v - beta)
-    l_inv: np.ndarray  # (J, n, n) inverse of the lower Cholesky factor L of Kt
-    l_inv_ones: np.ndarray  # (J, 1, n) (L^-1 1)^T
-    gls_denom: np.ndarray  # (J, 1, 1) 1^T Kt^-1 1; inf for a zero mean, so no GLS term
+    target_scale: np.ndarray  # (J, 1, 1)
+    mean_offset: np.ndarray  # (J, 1, 1) target_scale beta + target_shift
+    l_inv_gls: np.ndarray  # (J, n + 1, n) L^-1 over the row (Kt^-1 1)^T
+    gls_denom: np.ndarray  # (J, 1) 1^T Kt^-1 1; inf for a zero mean, so no GLS term
+    prior_variance: np.ndarray  # (J, 1) kernel variance, a row of the (J, m) variances
+    target_scale_sq: np.ndarray  # (J, 1) target_scale ** 2
 
 
 def stack(models) -> GpStack:
@@ -617,14 +630,17 @@ def train(tau, v, config: GpTrainConfig = GpTrainConfig(), noise_floor=None):
 def predict(model: GpModel | GpStack, query) -> GpPrediction:
     """Predictive mean and latent-function variance at the m query inputs:
     (m,) arrays for a model, (J, m) for a stack of J models.
-    InvalidParameterError for a query that is not a finite vector."""
+    InvalidParameterError for a query that is not a finite vector of
+    numbers (bools and integers count; strings, bytes and complex do not)."""
     s = model._stack if isinstance(model, GpModel) else model
     try:
-        if getattr(query, "dtype", _REAL).kind == "c":  # the cast would drop the imaginary part
-            raise TypeError
-        query = np.asarray(query, dtype=float)
+        query = np.asarray(query)
     except (TypeError, ValueError):
         raise InvalidParameterError("GP query times must be real numbers") from None
+    if query.dtype is not _REAL:  # checked before the cast, which reads "700" as 700
+        if query.dtype.kind not in "biuf":
+            raise InvalidParameterError("GP query times must be real numbers")
+        query = query.astype(float)
     if query.ndim != 1:
         if query.ndim:
             raise InvalidParameterError("GP query times must be a vector")
@@ -635,17 +651,16 @@ def predict(model: GpModel | GpStack, query) -> GpPrediction:
     xq /= s.input_scale
     k_star = _kernel(s.family, s.variance, s.lengthscale, s.x_std, xq)  # (J, n, m)
     mean = s.alpha @ k_star  # (J, 1, m)
-    mean += s.beta
     mean *= s.target_scale
-    mean += s.target_shift
-    v = s.l_inv @ k_star
-    gls = s.l_inv_ones @ v  # (J, 1, m): 1 - (L^-1 1)^T v, squared, over 1^T Kt^-1 1
-    np.subtract(_ONE, gls, out=gls)
-    gls *= gls
+    mean += s.mean_offset
+    rows = s.l_inv_gls @ k_star  # (J, n + 1, m): v over 1^T Kt^-1 K*
+    gls = rows[:, -1]  # (J, m) view: w, then (w - 1)^2 / 1^T Kt^-1 1
+    gls -= _ONE
+    np.square(rows, out=rows)
+    var_std = np.add.reduce(rows[:, :-1], 1)  # v^T v
     gls /= s.gls_denom
-    var_std = np.einsum("jnm,jnm->jm", v, v)
     np.subtract(s.prior_variance, var_std, out=var_std)
-    var_std += gls[:, 0]
+    var_std += gls
     if var_std.min(initial=0.0) < 0.0:
         worst = var_std.min(axis=1)
         for value in worst[worst < -1e-8 * s.prior_variance[:, 0]]:

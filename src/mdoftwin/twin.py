@@ -310,8 +310,7 @@ class TwinSnapshot:
         gp_models = self.gp_models
         cached = getattr(self, "_gp_stack", None)
         if (cached is None or len(cached[1]) != len(gp_models)
-                or any(gp_models.get(name) is not model
-                       for name, model in zip(cached[0], cached[1]))):
+                or not all(map(operator.is_, map(gp_models.get, cached[0]), cached[1]))):
             names = sorted(gp_models)
             models = [gp_models[name] for name in names]
             cached = self._gp_stack = (names, models, gpr.stack(models))
@@ -639,12 +638,16 @@ def predict_parameters(snapshot: TwinSnapshot, future_ts) -> dict:
 
 def _slow_time(t_tilde) -> float:
     """The query time of a response prediction as a float;
-    InvalidParameterError for anything that is not a real number."""
+    InvalidParameterError naming ``t_tilde`` for anything but a finite real
+    number, Python's or numpy's: a string, a bool, NaN and inf are refused,
+    before the GP or a cast reads them."""
     try:
-        return float(t_tilde)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(
-            f"t_tilde must be a real number, got {t_tilde!r}") from None
+        value = np.asarray(t_tilde)
+    except ValueError:  # a ragged sequence
+        value = None
+    if value is None or value.ndim or value.dtype.kind not in "iuf" or not np.isfinite(value):
+        raise InvalidParameterError(f"t_tilde must be a real number, got {t_tilde!r}")
+    return float(value)
 
 
 def predicted_stiffness_vector(snapshot: TwinSnapshot, t_tilde: float) -> np.ndarray:

@@ -546,13 +546,14 @@ def assert_matches_reference(prediction, model, query):
         atol=1e-10 * model.kernel.variance * model.target_scale ** 2)
 
 
-# ---- the stacked GP query as first written: its byte-for-byte oracle ------
+# ---- the stacked GP query in plain numpy: its byte-for-byte oracle -------
 
 
 def first_stack(models):
-    """The stacked arrays of GP models as the first stacked query laid them
-    out, (J, n) inputs and (J, 1) transforms, each posterior recomputed from
-    the model's fields."""
+    """The stacked arrays of GP models as the query's compiled posterior lays
+    them out, (J, n, 1) inputs and hyperparameters, (J, 1, 1) transforms and
+    (J, 1) variance terms, each posterior recomputed from the model's
+    fields."""
     parts = []
     for model in models:
         kernel = model.kernel
@@ -562,39 +563,40 @@ def first_stack(models):
         factor, beta, alpha, gls_denom = reference_posterior(
             reference_kernel(kernel.family, kernel.variance, kernel.lengthscale, x, x),
             model.noise_variance, floor, v, model.mean_spec)
-        l_inv = tri_inverse(factor)
+        n = x.shape[0]
+        ones_solve = np.zeros(n) if gls_denom is None else cho_solve(factor, np.ones(n))
         parts.append(dict(
-            x_std=x[None], variance=np.full((1, 1, 1), kernel.variance),
-            lengthscale=np.full((1, 1, 1), kernel.lengthscale),
-            input_shift=np.full((1, 1), model.input_shift),
-            input_scale=np.full((1, 1), model.input_scale),
-            target_shift=np.full((1, 1), model.target_shift),
-            target_scale=np.full((1, 1), model.target_scale),
-            beta=np.full((1, 1), beta), alpha=alpha[None, None],
-            l_inv=l_inv[None], l_inv_ones=l_inv.sum(axis=1)[None, None],
-            gls_denom=np.full((1, 1), math.inf if gls_denom is None else gls_denom)))
+            x_std=x[None, :, None], input_shift=np.full((1, 1, 1), model.input_shift),
+            input_scale=np.full((1, 1, 1), model.input_scale),
+            variance=np.full((1, n, 1), kernel.variance),
+            lengthscale=np.full((1, n, 1), kernel.lengthscale), alpha=alpha[None, None],
+            target_scale=np.full((1, 1, 1), model.target_scale),
+            mean_offset=np.full((1, 1, 1), model.target_scale * beta + model.target_shift),
+            l_inv_gls=np.vstack((tri_inverse(factor), ones_solve))[None],
+            gls_denom=np.full((1, 1), math.inf if gls_denom is None else gls_denom),
+            prior_variance=np.full((1, 1), kernel.variance),
+            target_scale_sq=np.full((1, 1), model.target_scale ** 2)))
     return SimpleNamespace(family=models[0].kernel.family, **{
         name: np.concatenate([part[name] for part in parts]) for name in parts[0]})
 
 
 def first_predict(model, query):
-    """``gpr.predict`` as first written for a stack, for one GP model, a
-    list of them or their ``first_stack``: the byte-for-byte oracle of the
-    query path."""
+    """``gpr.predict`` written out in plain numpy on ``first_stack``, for one
+    GP model, a list of them or their ``first_stack``: the byte-for-byte
+    oracle of the query path."""
     single = isinstance(model, gpr.GpModel)
     s = model if isinstance(model, SimpleNamespace) else first_stack(
         [model] if single else model)
     query = np.atleast_1d(np.asarray(query, dtype=float))
-    xq = (query - s.input_shift) / s.input_scale  # (J, m)
-    k_star = reference_kernel(s.family, s.variance, s.lengthscale, s.x_std, xq)
-    mean_std = s.beta + (s.alpha @ k_star)[:, 0]
-    v = s.l_inv @ k_star
-    u = 1.0 - (s.l_inv_ones @ v)[:, 0]
-    var_std = s.variance[:, 0] - np.einsum("jnm,jnm->jm", v, v) + u * u / s.gls_denom
-    if (var_std < 0.0).any():
-        var_std = np.clip(var_std, 0.0, None)
-    mean = mean_std * s.target_scale + s.target_shift
-    variance = var_std * s.target_scale ** 2
+    xq = (query - s.input_shift) / s.input_scale  # (J, 1, m)
+    k_star = reference_kernel(s.family, s.variance, s.lengthscale, s.x_std[..., 0], xq[:, 0])
+    mean = ((s.alpha @ k_star) * s.target_scale + s.mean_offset)[:, 0]
+    rows = s.l_inv_gls @ k_star
+    v, gls = rows[:, :-1], rows[:, -1]
+    var = s.prior_variance - (v ** 2).sum(axis=1) + (gls - 1.0) ** 2 / s.gls_denom
+    if (var < 0.0).any():
+        var = np.clip(var, 0.0, None)
+    variance = var * s.target_scale_sq
     if single:
         return gpr.GpPrediction(inputs=query, mean=mean[0], variance=variance[0])
     return gpr.GpPrediction(inputs=query, mean=mean, variance=variance)

@@ -4,7 +4,7 @@ import json
 import logging
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -388,6 +388,30 @@ class TestPredict:
                        mean_spec=mean_spec, noise_variance=noise,
                        train_inputs=x, train_targets=v)
 
+    @pytest.mark.parametrize("name, value", [
+        ("kernel", Kernel(variance=2.0, lengthscale=3.6)), ("train_targets", np.zeros(4)),
+        ("noise_variance", 0.5), ("target_shift", 10.0), ("noise_floor", np.ones(4)),
+        ("beta", 1.0), ("_stack", None)])
+    def test_model_is_frozen(self, name, value):
+        # an assigned field used to leave the stack derived on construction
+        # stale: predict kept the old posterior
+        model = self.fixed_model(noise=1e-3, mean_spec="constant")
+        before = predict(model, [0.5, 3.0])
+        with pytest.raises(FrozenInstanceError):
+            setattr(model, name, value)
+        assert_same_bytes(predict(model, [0.5, 3.0]), before)
+
+    def test_replace_rebuilds_the_stack(self):
+        model = self.fixed_model(noise=1e-3, mean_spec="constant")
+        kernel = Kernel(variance=2.0, lengthscale=3.6)
+        query = np.array([0.5, 3.0, 6.0])
+        changed = replace(model, kernel=kernel)
+        rebuilt = GpModel(kernel=kernel, mean_spec="constant", noise_variance=1e-3,
+                          train_inputs=model.train_inputs, train_targets=model.train_targets)
+        assert_same_bytes(predict(changed, query), predict(rebuilt, query))
+        assert_matches_reference(predict(changed, query), changed, query)
+        assert not np.array_equal(predict(changed, query).mean, predict(model, query).mean)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_query_rejected(self, bad):
         with pytest.raises(InvalidParameterError, match="finite"):
@@ -644,12 +668,13 @@ class TestQueryOracle:
         assert one.mean.shape == one.variance.shape == (0,)
 
     def test_clipped_variance_is_logged(self, caplog):
-        # L^-1 inflated by 1% in both layouts: v^T v grows by 2%, so at the
-        # training inputs the variance falls ~2% of sigma^2 below zero
+        # L^-1 and the GLS row under it inflated by 1% in both layouts: v^T v
+        # grows by 2%, so at the training inputs the variance falls ~2% of
+        # sigma^2 below zero
         models = drawn_models(FAMILY_SE, "constant", False, 14)
         stacked, oracle = stack(models), first_stack(models)
-        inflated = replace(stacked, l_inv=1.01 * stacked.l_inv)
-        oracle.l_inv = 1.01 * oracle.l_inv
+        inflated = replace(stacked, l_inv_gls=1.01 * stacked.l_inv_gls)
+        oracle.l_inv_gls = 1.01 * oracle.l_inv_gls
         query = models[0].train_inputs
         with caplog.at_level(logging.WARNING, logger="mdoftwin.gpr"):
             prediction = predict(inflated, query)
@@ -660,11 +685,16 @@ class TestQueryOracle:
         assert_same_bytes(prediction, first_predict(oracle, query))
 
     @pytest.mark.parametrize(
-        "query", [["a"], [object()], [1 + 2j], "x", np.array([1 + 2j]), np.array(1 + 2j)],
-        ids=["string", "object", "complex", "bare-string", "complex-array", "complex-0d"])
+        "query", [["a"], [object()], [1 + 2j], "x", np.array([1 + 2j]), np.array(1 + 2j),
+                  "700", ["700", "800"], np.array(["700"]), [b"700"], b"700", [700.0, "800"],
+                  None, np.array(["2020-01-01"], dtype="datetime64[D]")],
+        ids=["string", "object", "complex", "bare-string", "complex-array", "complex-0d",
+             "numeric-string", "numeric-strings", "numeric-string-array", "bytes-list",
+             "bytes", "mixed", "none", "datetime"])
     def test_query_that_is_not_numbers_rejected(self, query):
         # a complex array used to lose its imaginary part behind numpy's
-        # ComplexWarning, which fails here as an error
+        # ComplexWarning, which fails here as an error; numeric strings and
+        # bytes used to be read as the numbers they spell
         model = drawn_models(FAMILY_SE, "constant", False, 3, n_models=1)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

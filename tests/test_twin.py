@@ -853,9 +853,13 @@ class TestPrediction:
         ens = predict_response_ensemble(snap, 450.0, 0.05, 3, n_draws=np.int64(3))
         assert ens.stiffness_draws.shape == (3, 2)
 
-    @pytest.mark.parametrize("t_tilde", ["x", None, 1 + 2j, [450.0, 500.0]])
+    @pytest.mark.parametrize("t_tilde", [
+        "x", None, 1 + 2j, [450.0, 500.0], "450", b"450", True, np.bool_(False),
+        math.nan, math.inf, -math.inf, np.float64(math.nan)])
     def test_query_time_that_is_not_a_number_rejected(self, monkeypatch, t_tilde):
-        # float(t_tilde) used to raise ValueError or TypeError
+        # float(t_tilde) used to raise ValueError or TypeError; a numeric
+        # string and a bool used to be read as the number, and NaN and inf
+        # failed later in the GP query
         snap = self.nominal_snapshot()
 
         def never(*args, **kwargs):
@@ -869,6 +873,18 @@ class TestPrediction:
             predict_response(snap, t_tilde, 0.2, 3)
         with pytest.raises(InvalidParameterError, match=match):
             predict_response_ensemble(snap, t_tilde, 0.2, 3, n_draws=4)
+
+    @pytest.mark.parametrize("t_tilde", [np.float32(450.0), np.int64(450), np.float64(450.0),
+                                         np.array(450.0)], ids=["float32", "int64", "float64", "0-d"])
+    def test_numpy_real_query_time(self, t_tilde):
+        snap = self.nominal_snapshot()
+        np.testing.assert_array_equal(predicted_stiffness_vector(snap, t_tilde),
+                                      predicted_stiffness_vector(snap, 450.0))
+        np.testing.assert_array_equal(predict_response(snap, t_tilde, 0.05, 3).states,
+                                      predict_response(snap, 450.0, 0.05, 3).states)
+        np.testing.assert_array_equal(
+            predict_response_ensemble(snap, t_tilde, 0.05, 3, n_draws=2).quantiles,
+            predict_response_ensemble(snap, 450.0, 0.05, 3, n_draws=2).quantiles)
 
     @pytest.mark.parametrize("query", [["a"], [object()], [1 + 2j]],
                              ids=["string", "object", "complex"])

@@ -18,7 +18,7 @@ from mdoftwin.ukf import (GaussianBelief, NoiseModel, PsdRepairLog,
                           repair_psd, run_filter, sigma_points, ukf_weights,
                           update)
 
-from conftest import composed_predict, composed_update, textbook_filter
+from conftest import composed_predict, composed_update, state_positions, textbook_filter
 
 BENCH_PARAMS = UkfParams(alpha_f=0.001, beta=2.0, kappa=0.0)
 
@@ -771,7 +771,24 @@ class TestRunFilter:
         # BLAS-direct products and in-place moments change no bit of the
         # recursion written with @ and out-of-place moments, over 500 samples
         # of a generated window
-        system = build()
+        self.assert_equals_the_textbook_sample(build())
+
+    @pytest.mark.parametrize("build, coeff", [(build_duffing_2dof, 1e7), (build_dvp_7dof, 3e7)])
+    def test_equals_the_textbook_sample_at_large_elongations(self, build, coeff):
+        # at the default coefficient c e_c^2 is ~1e-5 of k_c (2-DOF), so the
+        # last bit of the cubic term is absorbed in k_c + c e_c^2 and a kernel
+        # forming (c e_c) e_c in place of c (e_c e_c) passes the test above;
+        # here c e_c^2 is a third (2-DOF) and a half (7-DOF) of |k_c| in the
+        # median sample, and it fails
+        system = build(nonlinear_coeff=coeff)
+        means = self.assert_equals_the_textbook_sample(system)
+        disp, _ = state_positions(system)
+        e_cubic = (means[:, disp] @ system.elongation_operator.T)[:, system.cubic_element]
+        share = coeff * e_cubic ** 2 / abs(system.stiffnesses[system.cubic_element])
+        assert np.median(share) > 0.2
+
+    @staticmethod
+    def assert_equals_the_textbook_sample(system):
         n = system.n_dof
         cfg = CampaignConfig(master_seed=1, window_duration_s=0.5)
         window = generate_window(system, DegradationSchedule.for_system(system),
@@ -790,6 +807,7 @@ class TestRunFilter:
         np.testing.assert_array_equal(result.means, means)
         np.testing.assert_array_equal(result.stds, stds)
         np.testing.assert_array_equal(result.param_cov, param_cov)
+        return result.means
 
     def test_augment_order_does_not_matter(self):
         system = build_duffing_2dof()
