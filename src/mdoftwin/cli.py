@@ -138,7 +138,7 @@ def cmd_simulate(args) -> int:
         "n_samples": int(traj.times.shape[0]),
         "dt": cfg.integrator.dt,
         "scheme": "taylor15",
-        "seed": int(cfg.integrator.seed),
+        "seed": cfg.integrator.seed,
         "state_labels": list(model.labels),
         "columns": columns,
     }

@@ -8,6 +8,8 @@ for an unknown key, a missing field without a default, a scalar of the
 wrong type, an array that does not hold numbers, or a non-finite float or
 array entry (``write_json`` refuses those, so no written document holds
 one). Scalars are not coerced, so ``to_dict(from_dict(doc)) == doc``.
+A ``@codec`` class reads its fields by the same rules on construction, so a
+constructor refuses what ``from_dict`` refuses, naming the field.
 ``decode`` applies the same rules to one value of a document that is not a
 dataclass, such as a config section or a window sidecar field.
 """
@@ -31,15 +33,27 @@ from .errors import InvalidParameterError, NumericError
 
 _SCALARS = {float: (int, float), int: (int,), str: (str,), bool: (bool,)}
 
+Seed = typing.NewType("Seed", int)  # a field read by ``check_seed``
+
 
 def codec(cls):
-    """Install ``to_dict``/``from_dict`` in the dataclass's own ``__dict__``."""
+    """Install ``to_dict``/``from_dict`` in the dataclass's own ``__dict__``, and
+    read every field with ``decode``, under its name, on construction before the
+    class's own ``__post_init__``: a constructor applies the rules of ``from_dict``."""
+    post_init = cls.__post_init__
+
+    def __post_init__(self):
+        for name, hint in _hints(cls).items():
+            object.__setattr__(self, name, decode(hint, getattr(self, name), name))
+        post_init(self)
+
     def to_dict(self) -> dict:
         return _encode(self)
 
     def from_dict(klass, doc: dict):
         return decode(klass, doc, klass.__name__)
 
+    cls.__post_init__ = __post_init__
     cls.to_dict = to_dict
     cls.from_dict = classmethod(from_dict)
     return cls
@@ -65,14 +79,22 @@ def _encode(value):
 
 def decode(hint, value, where: str):
     """``value`` read as type ``hint`` by the rules above; ``where`` names it
-    in the InvalidParameterError raised for a value of another type."""
+    in the InvalidParameterError raised for a value of another type. An
+    instance of a dataclass hint is taken as it is, a numpy scalar as the
+    matching Python scalar, and a ``Seed`` by ``check_seed``."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):  # X | None
         if value is None:
             return None
         (hint,) = [arg for arg in args if arg is not type(None)]
         return decode(hint, value, where)
+    if hint is Seed:
+        return check_seed(value, where)
+    if isinstance(value, np.generic):
+        value = value.item()
     if dataclasses.is_dataclass(hint):
+        if isinstance(value, hint):
+            return value
         if not isinstance(value, dict):
             raise InvalidParameterError(f"{where} must be an object")
         return _decode_fields(hint, value, where)

@@ -79,7 +79,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .codec import check_seed, codec, decode
+from .codec import Seed, codec
 from .errors import InvalidParameterError, TrainingError
 from .linalg import all_finite, cho_factor, cho_solve, scipy_extension, tri_inverse
 
@@ -90,6 +90,7 @@ logger = logging.getLogger(__name__)
 FAMILY_SE = "squared-exponential"
 FAMILY_MATERN52 = "matern-5/2"
 _FAMILIES = (FAMILY_SE, FAMILY_MATERN52)
+_MEAN_SPECS = ("zero", "constant")
 
 _GRAM_JITTER = 1e-10
 _CONFIDENCE_FACTOR = 1.959963984540054  # two-sided 95% normal quantile
@@ -99,6 +100,7 @@ _ONE, _MINUS_HALF = np.array(1.0), np.array(-0.5)
 _REAL = np.dtype(float)  # the dtype a query is cast to
 
 
+@codec
 @dataclass(frozen=True)
 class Kernel:
     """Stationary covariance function on the 1-D slow-time axis."""
@@ -110,7 +112,7 @@ class Kernel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise InvalidParameterError(f"unknown kernel family {self.family!r}")
-        if not (0.0 < self.variance < math.inf and 0.0 < self.lengthscale < math.inf):
+        if not (self.variance > 0.0 and self.lengthscale > 0.0):
             raise InvalidParameterError("variance and lengthscale must be positive and finite")
 
 
@@ -198,7 +200,7 @@ class GpTrainConfig:
     n_restarts: int = 5
     n_max: int = 500
     eps_tol: float = 1e-6
-    seed: int = 0
+    seed: Seed = 0
     use_stddev_floor: bool = False
     lengthscale_range: tuple[float, float] = (1e-2, 1e2)
     variance_range: tuple[float, float] = (1e-2, 1e2)
@@ -207,21 +209,20 @@ class GpTrainConfig:
     def __post_init__(self):
         if self.kernel_family not in _FAMILIES:
             raise InvalidParameterError(f"unknown kernel family {self.kernel_family!r}")
-        if self.mean_spec not in ("zero", "constant"):
+        if self.mean_spec not in _MEAN_SPECS:
             raise InvalidParameterError("mean_spec must be 'zero' or 'constant'")
         for name in ("n_restarts", "n_max"):
-            if decode(int, getattr(self, name), name) < 1:
+            if getattr(self, name) < 1:
                 raise InvalidParameterError(
                     f"{name} must be a positive integer, got {getattr(self, name)!r}")
         for name in ("lengthscale_range", "variance_range", "noise_range"):
             bounds = getattr(self, name)
-            if len(bounds) != 2 or not all(0.0 < bound < math.inf for bound in bounds):
+            if not all(bound > 0.0 for bound in bounds):
                 raise InvalidParameterError(
                     f"{name} must be two finite positive bounds, got {bounds!r}")
-        if not 0.0 <= self.eps_tol < math.inf:
+        if self.eps_tol < 0.0:
             raise InvalidParameterError(
                 f"eps_tol must be finite and non-negative, got {self.eps_tol!r}")
-        check_seed(self.seed, "seed")
 
 
 @dataclass(slots=True)
@@ -251,8 +252,8 @@ class GpModel:
     target units (e.g. squared filter stddevs). The GLS mean ``beta`` and
     the model's one-model ``GpStack`` are derived on construction, never
     serialized; the model is frozen so that they cannot go stale, and
-    ``dataclasses.replace`` builds a new one. Every value must be finite,
-    since the factorization does not check.
+    ``dataclasses.replace`` builds a new one. ``nlml``, the negative log
+    marginal likelihood ``train`` reached, is None for a model built by hand.
     """
 
     kernel: Kernel
@@ -265,11 +266,11 @@ class GpModel:
     target_shift: float = 0.0
     target_scale: float = 1.0
     noise_floor: np.ndarray | None = None
-    nlml: float = math.nan
+    nlml: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "train_inputs", np.asarray(self.train_inputs, dtype=float))
-        object.__setattr__(self, "train_targets", np.asarray(self.train_targets, dtype=float))
+        if self.mean_spec not in _MEAN_SPECS:
+            raise InvalidParameterError("mean_spec must be 'zero' or 'constant'")
         if (self.train_inputs.ndim != 1
                 or self.train_inputs.shape != self.train_targets.shape):
             raise InvalidParameterError("training inputs/targets must be matching vectors")
@@ -280,17 +281,11 @@ class GpModel:
         if not (self.input_scale > 0.0 and self.target_scale > 0.0):
             raise InvalidParameterError("input and target scales must be positive")
         if self.noise_floor is not None:
-            object.__setattr__(self, "noise_floor", np.asarray(self.noise_floor, dtype=float))
             if self.noise_floor.shape != self.train_inputs.shape:
                 raise InvalidParameterError("noise_floor must match the training grid")
             if (self.noise_floor < 0.0).any():  # as train requires
                 raise InvalidParameterError(
                     f"noise_floor must be non-negative per point, got {self.noise_floor.tolist()}")
-        values = (self.train_inputs, self.train_targets, self.noise_variance,
-                  self.input_shift, self.input_scale, self.target_shift,
-                  self.target_scale, () if self.noise_floor is None else self.noise_floor)
-        if not all(np.isfinite(value).all() for value in values):
-            raise InvalidParameterError("GP model values must be finite")
         kernel = self.kernel
         x_std, v, floor = _standardize(
             self.train_inputs, self.train_targets, self.noise_floor, self.input_shift,

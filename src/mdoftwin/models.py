@@ -43,13 +43,6 @@ _BLOCKED = "blocked"
 _INTERLEAVED = "interleaved"
 
 
-def _as_vector(x, n: int, name: str) -> np.ndarray:
-    v = decode(np.ndarray, x, name)
-    if v.shape != (n,):
-        raise InvalidParameterError(f"{name} must have shape ({n},), got {v.shape}")
-    return v
-
-
 @codec
 @dataclass(frozen=True)
 class MdofSystem:
@@ -89,20 +82,19 @@ class MdofSystem:
         n = 2 if self.kind == KIND_DUFFING_2DOF else 7
         for name in ("masses", "stiffnesses", "dampings", "force_amplitudes",
                      "force_frequencies", "noise_sigmas"):
-            object.__setattr__(self, name, _as_vector(getattr(self, name), n, name))
+            shape = getattr(self, name).shape
+            if shape != (n,):
+                raise InvalidParameterError(f"{name} must have shape ({n},), got {shape}")
         if np.any(self.masses <= 0.0):
             raise InvalidParameterError("masses must be strictly positive")
         if np.any(self.stiffnesses <= 0.0):
             raise InvalidParameterError("stiffnesses must be strictly positive")
         if np.any(self.dampings < 0.0) or np.any(self.noise_sigmas < 0.0):
             raise InvalidParameterError("dampings and noise_sigmas must be non-negative")
-        object.__setattr__(self, "nonlinear_coeff",
-                           float(decode(float, self.nonlinear_coeff, "nonlinear_coeff")))
-        decode(bool, self.symmetric_consistent, "symmetric_consistent")
-        frozen = tuple(sorted(int(i) for i in self.frozen_indices))
-        if any(i < 1 or i > n for i in frozen):
+        object.__setattr__(self, "nonlinear_coeff", float(self.nonlinear_coeff))
+        object.__setattr__(self, "frozen_indices", tuple(sorted(self.frozen_indices)))
+        if any(i < 1 or i > n for i in self.frozen_indices):
             raise InvalidParameterError("frozen_indices must lie in 1..n_dof")
-        object.__setattr__(self, "frozen_indices", frozen)
 
     # ---- topology -----------------------------------------------------------
 
@@ -220,16 +212,12 @@ class DegradationSchedule:
     frozen_indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        k0 = decode(np.ndarray, self.k0, "k0")
-        if k0.ndim != 1 or np.any(k0 <= 0.0):
+        if self.k0.ndim != 1 or np.any(self.k0 <= 0.0):
             raise InvalidParameterError("k0 must be a positive vector")
-        object.__setattr__(self, "k0", k0)
-        object.__setattr__(self, "rate_per_day",
-                           float(decode(float, self.rate_per_day, "rate_per_day")))
-        frozen = tuple(sorted(int(i) for i in self.frozen_indices))
-        if any(i < 1 or i > k0.shape[0] for i in frozen):
+        object.__setattr__(self, "rate_per_day", float(self.rate_per_day))
+        object.__setattr__(self, "frozen_indices", tuple(sorted(self.frozen_indices)))
+        if any(i < 1 or i > self.k0.shape[0] for i in self.frozen_indices):
             raise InvalidParameterError("frozen_indices must lie in 1..len(k0)")
-        object.__setattr__(self, "frozen_indices", frozen)
 
     @classmethod
     def for_system(cls, system: MdofSystem, rate_per_day: float = 0.5e-4) -> "DegradationSchedule":

@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import check_seed, codec, decode, write_csv
+from .codec import Seed, check_seed, codec, write_csv
 from .errors import InvalidParameterError, NumericError
 from .models import (MdofSystem, StateSpaceModel, acceleration_model,
                      dispersion_split)
@@ -68,12 +68,11 @@ class IntegratorConfig:
     bit for bit."""
 
     dt: float = 1e-3
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self):
-        if decode(float, self.dt, "dt") <= 0.0:
+        if self.dt <= 0.0:
             raise InvalidParameterError("dt must be positive")
-        check_seed(self.seed, "seed")
 
 
 def _increment_pair(u1: np.ndarray, u2: np.ndarray, dt: float) -> tuple:

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gpr
-from .codec import check_seed, codec, decode, write_csv, write_json
+from .codec import Seed, check_seed, codec, decode, write_csv, write_json
 from .errors import InvalidParameterError, NumericError
 from .models import (DegradationSchedule, MdofSystem, acceleration_model,
                      check_observed_dofs, degraded_stiffness, to_state_space)
@@ -194,16 +194,15 @@ class UkfRunConfig:
     def __post_init__(self):
         for name in ("init_offset_factor", "init_state_variance", "init_param_std_factor",
                      "warm_param_std_factor", "frozen_param_std_factor"):
-            if not decode(float, getattr(self, name), name) > 0.0:
+            if not getattr(self, name) > 0.0:
                 raise InvalidParameterError(
                     f"{name} must be finite and positive, got {getattr(self, name)!r}")
-        if decode(float | None, self.q_scale, "q_scale") is not None and self.q_scale < 0.0:
+        if self.q_scale is not None and self.q_scale < 0.0:
             raise InvalidParameterError(
                 f"q_scale must be finite and non-negative, got {self.q_scale!r}")
         # the override takes the place of a window's accel_noise_std, so it
         # is held to the same rule
-        std = decode(tuple[float, ...] | None, self.measurement_noise_std,
-                     "measurement_noise_std")
+        std = self.measurement_noise_std
         if std is not None and min(std, default=0.0) < 0.0:
             raise InvalidParameterError(
                 f"measurement_noise_std must be finite and non-negative, got {list(std)}")
@@ -221,27 +220,20 @@ class CampaignConfig:
     snr_accel: float = 50.0
     snr_force: float = 20.0
     degradation_rate_per_day: float = 0.5e-4
-    master_seed: int = 0
+    master_seed: Seed = 0
     integrator: IntegratorConfig = IntegratorConfig()
     ukf: UkfRunConfig = UkfRunConfig()
     gp: gpr.GpTrainConfig = gpr.GpTrainConfig()
 
     def __post_init__(self):
-        for name in ("horizon_days", "window_interval_days", "window_duration_s"):
-            decode(float, getattr(self, name), name)
         if self.window_interval_days <= 0.0 or self.window_duration_s <= 0.0:
             raise InvalidParameterError("interval and duration must be positive")
         if self.horizon_days < 0.0:
             raise InvalidParameterError("horizon must be non-negative")
         for name in ("snr_accel", "snr_force"):
-            if not decode(float, getattr(self, name), name) > 0.0:
+            if not getattr(self, name) > 0.0:
                 raise InvalidParameterError(
                     f"{name} must be finite and positive, got {getattr(self, name)!r}")
-        decode(float, self.degradation_rate_per_day, "degradation_rate_per_day")
-        check_seed(self.master_seed, "master_seed")
-        if self.observed_dofs is not None:
-            object.__setattr__(self, "observed_dofs",
-                               tuple(int(d) for d in self.observed_dofs))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +254,9 @@ class TwinSnapshot:
     the non-negative integers ``psd_repairs`` and ``n_updates``; a rejected
     entry holds exactly a finite ``t_s`` and a ``reason`` string. They also
     check that each ``gp_models`` key is ``k<i>`` for a tracked stiffness i
-    (``_tracked_stiffnesses``). InvalidParameterError names the first entry
-    or key that is not so."""
+    (``_tracked_stiffnesses``), and that ``schedule.k0`` holds n_dof
+    stiffnesses. InvalidParameterError names the first entry or key that is
+    not so."""
 
     system: MdofSystem
     config: CampaignConfig
@@ -277,6 +270,9 @@ class TwinSnapshot:
     def __post_init__(self):
         _check_version(self.version)
         _check_history(self.parameter_history, self.rejected_windows, self.system.n_dof)
+        if self.schedule is not None and self.schedule.k0.shape != (self.system.n_dof,):
+            raise InvalidParameterError(f"schedule.k0 must hold {self.system.n_dof} "
+                                        f"stiffnesses, got {self.schedule.k0.tolist()}")
         names = [f"k{i}" for i in _tracked_stiffnesses(self.system)]
         for key in self.gp_models:
             if key not in names:
@@ -669,7 +665,7 @@ def predict_response(snapshot: TwinSnapshot, t_tilde: float, duration: float,
     k_pred = predicted_stiffness_vector(snapshot, t_tilde)
     system_pred = replace(system, stiffnesses=k_pred)
     model = to_state_space(system_pred)
-    integrator = replace(cfg.integrator, seed=check_seed(seed, "seed"))
+    integrator = replace(cfg.integrator, seed=seed)
     start = np.zeros(model.dim_state) if y0 is None else np.asarray(y0, dtype=float)
     return simulate_window(model, system_pred, start, duration, integrator)
 

@@ -62,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from .codec import codec, decode, write_csv
+from .codec import codec, write_csv
 from .errors import InvalidParameterError, NumericError
 from .linalg import all_finite, cho_factor, cho_solve
 from .models import (MdofSystem, StateSpaceModel, acceleration_model,
@@ -87,8 +87,6 @@ class UkfParams:
     kappa: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha_f", "beta", "kappa"):
-            decode(float, getattr(self, name), name)
         if not 0.0 < self.alpha_f <= 1.0:
             raise InvalidParameterError("alpha_f must lie in (0, 1]")
 

@@ -456,6 +456,8 @@ MALFORMED_INPUTS = [
                  id="snapshot-field-inf"),
     pytest.param("unsupported snapshot version 2", _snapshot_field_argv("version", 2),
                  id="snapshot-version-2"),
+    pytest.param("schedule.k0", _snapshot_field_argv("schedule", {"k0": [1000.0]}),
+                 id="snapshot-schedule-short"),
     *[pytest.param(param.values[2], _snapshot_field_argv(*param.values[:2]),
                    id=f"snapshot-history-{param.id}") for param in MALFORMED_HISTORIES],
     pytest.param("snapshot", _snapshot_argv("predict", "--times", "100"),

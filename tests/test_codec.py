@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from mdoftwin.gpr import (FAMILY_MATERN52, FAMILY_SE, GpModel, GpTrainConfig,
 from mdoftwin.models import (DegradationSchedule, MdofSystem,
                              build_duffing_2dof, build_dvp_7dof)
 from mdoftwin.sde import IntegratorConfig
-from mdoftwin.twin import CampaignConfig, TwinSnapshot, UkfRunConfig
+from mdoftwin.twin import CampaignConfig, TwinSnapshot, UkfRunConfig, new_snapshot
 from mdoftwin.ukf import UkfParams
 
 from test_gpr import decay_samples
@@ -180,6 +181,52 @@ def test_round_trip(cls):
 def test_strict_documents(cls, doc, key):
     with pytest.raises(InvalidParameterError, match=key):
         cls.from_dict(doc)
+
+
+GP = GpModel(kernel=Kernel(), mean_spec="zero", noise_variance=0.1,
+             train_inputs=[0.0, 1.0], train_targets=[0.0, 1.0])
+SNAPSHOT = new_snapshot(build_duffing_2dof(), CampaignConfig())
+
+
+# valid instance, field, value: each value was taken by the constructor
+# (cast, read as a float or kept as a nested config) or ended in a raw
+# TypeError, while from_dict refused it
+@pytest.mark.parametrize("valid, field, value", [
+    (CampaignConfig(), "observed_dofs", (1.5, 2)),
+    (build_dvp_7dof(), "frozen_indices", (3.9,)),
+    (DegradationSchedule(k0=[1000.0, 500.0]), "frozen_indices", (1.5,)),
+    (GpTrainConfig(), "use_stddev_floor", "no"),
+    (Kernel(), "variance", True),
+    (GpTrainConfig(), "eps_tol", True),
+    (GpTrainConfig(), "noise_range", (1e-8, True)),
+    (GP, "noise_variance", True),
+    (GP, "nlml", True),
+    (CampaignConfig(), "gp", "x"),
+    (UkfRunConfig(), "params", "x"),
+    (SNAPSHOT, "schedule", "x"),
+    (SNAPSHOT, "gp_trained_upto", math.nan),
+    (GpTrainConfig(), "eps_tol", "1"),
+    (GP, "noise_variance", "0.1"),
+], ids=lambda x: type(x).__name__ if dataclasses.is_dataclass(x) else repr(x))
+def test_constructor_refuses_what_from_dict_refuses(valid, field, value):
+    with pytest.raises(InvalidParameterError, match=rf"\b{field}\b"):
+        dataclasses.replace(valid, **{field: value})
+    doc = {**valid.to_dict(), field: list(value) if isinstance(value, tuple) else value}
+    with pytest.raises(InvalidParameterError, match=rf"\b{field}\b"):
+        type(valid).from_dict(doc)
+
+
+def test_constructors_take_numpy_scalars_as_python_scalars():
+    assert_same(CampaignConfig(observed_dofs=(np.int64(1), np.int64(2)),
+                               master_seed=np.int64(3), snr_accel=np.float32(30.0),
+                               integrator=IntegratorConfig(dt=np.float64(0.5),
+                                                           seed=np.int64(4))),
+                CampaignConfig(observed_dofs=(1, 2), master_seed=3, snr_accel=30.0,
+                               integrator=IntegratorConfig(dt=0.5, seed=4)))
+    assert_same(Kernel(variance=np.float32(2.0), lengthscale=np.float64(1.5)),
+                Kernel(variance=2.0, lengthscale=1.5))
+    assert_same(dataclasses.replace(GP, noise_variance=np.float64(0.1), nlml=np.float32(-2.5)),
+                dataclasses.replace(GP, noise_variance=0.1, nlml=-2.5))
 
 
 def test_write_json_rejects_non_finite(tmp_path):

@@ -429,6 +429,16 @@ class TestPredict:
         with pytest.raises(InvalidParameterError, match="finite"):
             replace(model, **{field: bad[field]})
 
+    @pytest.mark.parametrize("mean_spec", ["Constant", "linear", ""])
+    def test_unknown_mean_spec_rejected(self, mean_spec):
+        # a model of another mean_spec used to build and load, and predicted
+        # with a zero mean: "Constant" gave 7.2e-6 for 1.0856 at t = 10
+        with pytest.raises(InvalidParameterError, match="^mean_spec must be"):
+            self.fixed_model(noise=1e-3, mean_spec=mean_spec)
+        doc = self.fixed_model(noise=1e-3, mean_spec="constant").to_dict()
+        with pytest.raises(InvalidParameterError, match="^mean_spec must be"):
+            GpModel.from_dict({**doc, "mean_spec": mean_spec})
+
     def test_negative_noise_floor_rejected(self, tmp_path):
         # gpr.train rejects a negative floor; a model built or loaded with
         # one had a predictive variance below zero at its own inputs

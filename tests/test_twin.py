@@ -542,6 +542,19 @@ class TestRunCampaign:
         np.testing.assert_allclose(chunked.history_estimates, whole.history_estimates,
                                    rtol=1e-9, atol=0.0)
 
+    def test_integer_plan(self):
+        # a plan of integers, as JSON configs give, made numpy-integer window
+        # times, which MeasurementWindow refused as not a float
+        system = build_duffing_2dof()
+        histories = []
+        for horizon, interval in ((100.0, 50.0), (100, 50)):
+            snap = new_snapshot(system, quick_config(horizon_days=horizon,
+                                                     window_interval_days=interval),
+                                DegradationSchedule.for_system(system))
+            assert run_campaign(snap) == 0
+            histories.append(snap.parameter_history)
+        assert histories[0] == histories[1]
+
     def test_cutoff_and_missing_schedule(self):
         system = build_duffing_2dof()
         cfg = quick_config()
@@ -668,6 +681,26 @@ class TestSnapshotPersistence:
             TwinSnapshot.load(path)
         with pytest.raises(InvalidParameterError, match="^" + re.escape(message)):
             TwinSnapshot(system=build_duffing_2dof(), config=quick_config(), **{key: value})
+
+    def test_hand_built_gp_saved_and_loaded(self, tmp_path):
+        # nlml defaulted to NaN, so save refused a model built without one
+        model = gpr.GpModel(kernel=gpr.Kernel(variance=2.0, lengthscale=1.2),
+                            mean_spec="constant", noise_variance=1e-3,
+                            train_inputs=[0.0, 1.0, 2.5], train_targets=[1.0, -0.5, 0.3])
+        snap = new_snapshot(build_duffing_2dof(), quick_config())
+        snap.gp_models = {"k1": model}
+        snap.save(tmp_path / "snapshot.json")
+        loaded = TwinSnapshot.load(tmp_path / "snapshot.json").gp_models["k1"]
+        assert loaded.nlml is None
+        assert_same_bytes(gpr.predict(loaded, [0.5, 4.0]), gpr.predict(model, [0.5, 4.0]))
+
+    @pytest.mark.parametrize("k0", [[1000.0], [1000.0, 500.0, 250.0]], ids=["short", "long"])
+    def test_schedule_must_hold_one_stiffness_per_dof(self, k0):
+        # a 1-entry schedule used to run a 2-DOF campaign with both true
+        # stiffnesses at k0 exp(-rate t_s)
+        message = f"^schedule.k0 must hold 2 stiffnesses, got {re.escape(str(k0))}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            new_snapshot(build_duffing_2dof(), quick_config(), DegradationSchedule(k0=k0))
 
 
 class TestPrediction:
