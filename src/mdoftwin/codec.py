@@ -11,7 +11,8 @@ one). Scalars are not coerced, so ``to_dict(from_dict(doc)) == doc``.
 A ``@codec`` class reads its fields by the same rules on construction, so a
 constructor refuses what ``from_dict`` refuses, naming the field.
 ``decode`` applies the same rules to one value of a document that is not a
-dataclass, such as a config section or a window sidecar field.
+dataclass, such as a config section, a window sidecar field or a ``TypedDict``
+record of the twin's history.
 """
 
 from __future__ import annotations
@@ -64,6 +65,15 @@ def _hints(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
+@functools.cache
+def _required(cls) -> frozenset:
+    """The keys of a dataclass or ``TypedDict`` that a document must hold."""
+    if typing.is_typeddict(cls):
+        return cls.__required_keys__
+    return frozenset(f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING
+                     and f.default_factory is dataclasses.MISSING)
+
+
 def _encode(value):
     if dataclasses.is_dataclass(value):
         return {f.name: _encode(getattr(value, f.name))
@@ -79,9 +89,11 @@ def _encode(value):
 
 def decode(hint, value, where: str):
     """``value`` read as type ``hint`` by the rules above; ``where`` names it
-    in the InvalidParameterError raised for a value of another type. An
-    instance of a dataclass hint is taken as it is, a numpy scalar as the
-    matching Python scalar, and a ``Seed`` by ``check_seed``."""
+    in the InvalidParameterError raised for a value of another type, and the
+    index of a bad list entry. An instance of a dataclass hint is taken as it
+    is, a numpy scalar or 0-d array as the matching Python scalar, a
+    ``TypedDict`` as a plain dict of exactly its keys, and a ``Seed`` by
+    ``check_seed``."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):  # X | None
         if value is None:
@@ -90,14 +102,30 @@ def decode(hint, value, where: str):
         return decode(hint, value, where)
     if hint is Seed:
         return check_seed(value, where)
-    if isinstance(value, np.generic):
+    if isinstance(value, np.generic) or (isinstance(value, np.ndarray) and not value.ndim):
         value = value.item()
-    if dataclasses.is_dataclass(hint):
-        if isinstance(value, hint):
-            return value
+    if hint in _SCALARS:
+        if not isinstance(value, _SCALARS[hint]) or (isinstance(value, bool) and hint is not bool):
+            raise InvalidParameterError(
+                f"{where} must be of type {hint.__name__}, got {value!r}")
+        if hint is float and not math.isfinite(value):
+            raise InvalidParameterError(f"{where} must be finite, got {value!r}")
+        return value
+    if dataclasses.is_dataclass(hint) and isinstance(value, hint):
+        return value
+    if dataclasses.is_dataclass(hint) or typing.is_typeddict(hint):
         if not isinstance(value, dict):
             raise InvalidParameterError(f"{where} must be an object")
-        return _decode_fields(hint, value, where)
+        unknown = sorted(set(value) - set(_hints(hint)))
+        if unknown:
+            raise InvalidParameterError(f"unknown key {unknown[0]!r} in {where}")
+        values = {}
+        for key, key_hint in _hints(hint).items():
+            if key in value:
+                values[key] = decode(key_hint, value[key], f"{where}.{key}")
+            elif key in _required(hint):
+                raise InvalidParameterError(f"{where} is missing {key!r}")
+        return hint(**values)  # a TypedDict makes a plain dict
     if hint is np.ndarray:
         try:
             array = np.asarray(value)
@@ -105,42 +133,35 @@ def decode(hint, value, where: str):
             raise InvalidParameterError(f"{where}: {exc}") from exc
         if array.dtype.kind not in "iuf":
             raise InvalidParameterError(f"{where} must hold numbers, got {value!r}")
-        if not np.isfinite(array).all():
-            raise InvalidParameterError(f"{where} must be finite, got {value!r}")
+        problem = not_finite(array, where)
+        if problem is not None:
+            raise InvalidParameterError(problem)
         return array.astype(float, copy=False)
-    if hint is tuple or origin is tuple:
-        if not isinstance(value, (list, tuple)):
+    if hint in (list, tuple) or origin in (list, tuple):
+        as_list = list in (hint, origin)  # a list field takes a list, a tuple either
+        if not isinstance(value, list if as_list else (list, tuple)):
             raise InvalidParameterError(f"{where} must be a list")
-        if args and args[-1] is not Ellipsis and len(args) != len(value):
+        if origin is tuple and args[-1] is not Ellipsis and len(args) != len(value):
             raise InvalidParameterError(f"{where} must have {len(args)} entries")
-        return tuple(decode(args[0] if args else object, item, where) for item in value)
+        items = [decode(args[0] if args else object, item, f"{where}[{i}]")
+                 for i, item in enumerate(value)]
+        return items if as_list else tuple(items)
     if hint is dict or origin is dict:
         if not isinstance(value, dict):
             raise InvalidParameterError(f"{where} must be an object")
         return {key: decode(args[1] if args else object, item, f"{where}.{key}")
                 for key, item in value.items()}
-    if hint in _SCALARS and (not isinstance(value, _SCALARS[hint])
-                             or (isinstance(value, bool) and hint is not bool)):
-        raise InvalidParameterError(
-            f"{where} must be of type {hint.__name__}, got {value!r}")
-    if hint is float and not math.isfinite(value):
-        raise InvalidParameterError(f"{where} must be finite, got {value!r}")
     return value
 
 
-def _decode_fields(cls, doc: dict, where: str):
-    fields = dataclasses.fields(cls)
-    unknown = sorted(set(doc) - {f.name for f in fields})
-    if unknown:
-        raise InvalidParameterError(f"unknown key {unknown[0]!r} in {where}")
-    hints = _hints(cls)
-    kwargs = {}
-    for f in fields:
-        if f.name in doc:
-            kwargs[f.name] = decode(hints[f.name], doc[f.name], f"{where}.{f.name}")
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise InvalidParameterError(f"{where} is missing {f.name!r}")
-    return cls(**kwargs)
+def not_finite(values: np.ndarray, where: str) -> str | None:
+    """``"<where> is not finite at sample <i>"`` for the first sample (row)
+    of ``values`` holding a non-finite number, counted from 0; None when
+    every value is finite."""
+    if np.isfinite(values).all():
+        return None
+    rows = values.reshape(values.shape[0] if values.ndim else 1, -1)
+    return f"{where} is not finite at sample {int(np.argmin(np.isfinite(rows).all(axis=1)))}"
 
 
 def check_seed(seed, name: str) -> int:

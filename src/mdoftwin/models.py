@@ -517,8 +517,9 @@ def to_state_space(system: MdofSystem, augment_params: Iterable[int] = ()) -> St
 
 def check_observed_dofs(observed_dofs: Iterable[int], n_dof: int) -> tuple:
     """The observed DOF numbers as a tuple of ints; InvalidParameterError
-    unless they are unique DOF numbers in 1..n_dof."""
-    obs = tuple(int(i) for i in observed_dofs)
+    unless they are integers (``codec.decode``) and unique DOF numbers in
+    1..n_dof."""
+    obs = decode(tuple[int, ...], tuple(observed_dofs), "observed_dofs")
     if not obs:
         raise InvalidParameterError("observed_dofs must be nonempty")
     if any(i < 1 or i > n_dof for i in obs) or len(set(obs)) != len(obs):

@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import Seed, check_seed, codec, write_csv
+from .codec import Seed, check_seed, codec, not_finite, write_csv
 from .errors import InvalidParameterError, NumericError
 from .models import (MdofSystem, StateSpaceModel, acceleration_model,
                      dispersion_split)
@@ -138,10 +138,9 @@ def non_finite(window) -> str | None:
     holding a non-finite value, and its first such sample (0-based); None
     when every value is finite."""
     for name in ("times", "accel", "force"):
-        values = np.asarray(getattr(window, name), dtype=float)
-        finite = np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
-        if not finite.all():
-            return f"{name} is not finite at sample {int(np.argmin(finite))}"
+        problem = not_finite(np.asarray(getattr(window, name), dtype=float), name)
+        if problem is not None:
+            return problem
     return None
 
 

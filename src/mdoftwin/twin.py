@@ -34,6 +34,7 @@ import logging
 import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TypedDict
 
 import numpy as np
 
@@ -43,8 +44,7 @@ from .errors import InvalidParameterError, NumericError
 from .models import (DegradationSchedule, MdofSystem, acceleration_model,
                      check_observed_dofs, degraded_stiffness, to_state_space)
 from .sde import (DIVERGED, IntegratorConfig, Trajectory, corrupt_with_snr,
-                  non_finite, noise_std_for_snr, simulate_window, uniform_step,
-                  window_times)
+                  noise_std_for_snr, simulate_window, uniform_step, window_times)
 from .ukf import (GaussianBelief, NoiseModel, UkfParams, build_process_noise,
                   run_filter)
 
@@ -60,55 +60,46 @@ _BATCH_WINDOWS = 64  # campaign visits per batched integration
 # ---------------------------------------------------------------------------
 
 
+@codec
 @dataclass
 class MeasurementWindow:
     """One fast-time record: noisy accelerations and force at slow time t_s.
 
-    InvalidParameterError unless ``t_s`` is a finite number (not a bool),
-    ``accel`` and ``force`` have one row per sample of ``times``, every
-    value is finite and the grid is uniform (``sde.uniform_step``), and
-    unless each noise level given is finite and non-negative,
-    ``accel_noise_std`` one per observed DOF and ``force_noise_std`` one
-    per force column.
+    Every field is read by its type hint (``codec``), so ``t_s`` is a finite
+    number and the arrays and noise levels hold finite numbers.
+    InvalidParameterError also unless ``accel`` and ``force`` have one row
+    per sample of ``times``, the grid is uniform (``sde.uniform_step``), and
+    each noise level given is non-negative, ``accel_noise_std`` one per
+    observed DOF and ``force_noise_std`` one per force column.
     """
 
     t_s: float
     times: np.ndarray
     accel: np.ndarray
     force: np.ndarray
-    observed_dofs: tuple
+    observed_dofs: tuple[int, ...]
     accel_noise_std: np.ndarray | None = None
     force_noise_std: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        decode(float, self.t_s, "t_s")
-        self.times = np.asarray(self.times, dtype=float)
-        self.accel = np.asarray(self.accel, dtype=float)
-        self.force = np.asarray(self.force, dtype=float)
-        self.observed_dofs = tuple(int(d) for d in self.observed_dofs)
         n = self.times.shape[0]
         if self.accel.shape != (n, len(self.observed_dofs)):
             raise InvalidParameterError("accel must be (n_samples, n_observed)")
         if self.force.ndim != 2 or self.force.shape[0] != n:
             raise InvalidParameterError("force must be (n_samples, n_force) on the window grid")
-        problem = non_finite(self)
-        if problem is not None:
-            raise InvalidParameterError(problem)
         uniform_step(self.times)
         for name, n_columns in (("accel_noise_std", len(self.observed_dofs)),
                                 ("force_noise_std", self.force.shape[1])):
             std = getattr(self, name)
             if std is None:
                 continue
-            std = np.asarray(std, dtype=float)
             if std.shape != (n_columns,):
                 raise InvalidParameterError(
                     f"{name} must hold {n_columns} entries, got shape {std.shape}")
-            if not (np.isfinite(std) & (std >= 0.0)).all():
+            if (std < 0.0).any():
                 raise InvalidParameterError(
                     f"{name} must be finite and non-negative, got {std.tolist()}")
-            setattr(self, name, std)
 
     def save(self, base_path) -> tuple:
         """Write <base>.csv (series) and <base>.json (sidecar); return paths."""
@@ -241,6 +232,25 @@ class CampaignConfig:
 # ---------------------------------------------------------------------------
 
 
+class WindowRecord(TypedDict):
+    """One assimilated window: its slow time, the filter's terminal stiffness
+    estimates and stddevs (one per DOF), and its counts of PSD repairs and
+    measurement updates."""
+
+    t_s: float
+    estimate: list[float]
+    stddev: list[float]
+    psd_repairs: int
+    n_updates: int
+
+
+class RejectedWindow(TypedDict):
+    """A window left out of the history, and why."""
+
+    t_s: float
+    reason: str
+
+
 @codec
 @dataclass
 class TwinSnapshot:
@@ -248,31 +258,26 @@ class TwinSnapshot:
     the nominal system, the config, the true schedule when known, the
     estimate history and one trained GP per tracked stiffness.
 
-    Construction and load check the history: an accepted entry holds
-    exactly ``t_s``, finite and above the entry before, ``estimate`` and
-    ``stddev``, n_dof finite numbers each and the stddevs non-negative, and
-    the non-negative integers ``psd_repairs`` and ``n_updates``; a rejected
-    entry holds exactly a finite ``t_s`` and a ``reason`` string. They also
-    check that each ``gp_models`` key is ``k<i>`` for a tracked stiffness i
-    (``_tracked_stiffnesses``), and that ``schedule.k0`` holds n_dof
-    stiffnesses. InvalidParameterError names the first entry or key that is
-    not so."""
+    Construction and load also check that the history's times increase,
+    that each entry holds n_dof estimates and n_dof non-negative stddevs and
+    non-negative counts, that each ``gp_models`` key is ``k<i>`` for a
+    tracked stiffness i (``_tracked_stiffnesses``), and that ``schedule.k0``
+    holds n_dof stiffnesses. InvalidParameterError names the first entry or
+    key that is not so."""
 
     system: MdofSystem
     config: CampaignConfig
     schedule: DegradationSchedule | None = None
     version: int = SNAPSHOT_VERSION
-    parameter_history: list = field(default_factory=list)
-    rejected_windows: list = field(default_factory=list)
+    parameter_history: list[WindowRecord] = field(default_factory=list)
+    rejected_windows: list[RejectedWindow] = field(default_factory=list)
     gp_models: dict[str, gpr.GpModel] = field(default_factory=dict)
     gp_trained_upto: float | None = None
 
     def __post_init__(self):
         _check_version(self.version)
-        _check_history(self.parameter_history, self.rejected_windows, self.system.n_dof)
-        if self.schedule is not None and self.schedule.k0.shape != (self.system.n_dof,):
-            raise InvalidParameterError(f"schedule.k0 must hold {self.system.n_dof} "
-                                        f"stiffnesses, got {self.schedule.k0.tolist()}")
+        _check_history(self.parameter_history, self.system.n_dof)
+        _check_schedule(self.schedule, self.system.n_dof)
         names = [f"k{i}" for i in _tracked_stiffnesses(self.system)]
         for key in self.gp_models:
             if key not in names:
@@ -331,42 +336,30 @@ def _check_version(version) -> None:
         raise InvalidParameterError(f"unsupported snapshot version {version!r}")
 
 
-def _check_history(history: list, rejected: list, n_dof: int) -> None:
-    for name, entries in (("parameter_history", history), ("rejected_windows", rejected)):
-        if not isinstance(entries, list):
-            raise InvalidParameterError(f"{name} must be a list, got {entries!r}")
+def _check_history(history: list, n_dof: int) -> None:
     last = -np.inf
     for i, rec in enumerate(history):
         where = f"parameter_history[{i}]"
-        _check_keys(rec, ("t_s", "estimate", "stddev", "psd_repairs", "n_updates"), where)
-        t_s = decode(float, rec["t_s"], f"{where}.t_s")
-        if t_s <= last:
+        if rec["t_s"] <= last:
             raise InvalidParameterError(
-                f"{where}.t_s must exceed the previous entry's {last!r}, got {t_s!r}")
-        last = t_s
-        estimate = decode(np.ndarray, rec["estimate"], f"{where}.estimate")
-        stddev = decode(np.ndarray, rec["stddev"], f"{where}.stddev")
-        if estimate.shape != (n_dof,) or stddev.shape != (n_dof,):
+                f"{where}.t_s must exceed the previous entry's {last!r}, got {rec['t_s']!r}")
+        last = rec["t_s"]
+        if len(rec["estimate"]) != n_dof or len(rec["stddev"]) != n_dof:
             raise InvalidParameterError(f"{where}: estimate and stddev must hold "
                                         f"{n_dof} numbers each")
-        if (stddev < 0.0).any():
+        if min(rec["stddev"]) < 0.0:
             raise InvalidParameterError(
                 f"{where}.stddev must be non-negative, got {rec['stddev']!r}")
         for name in ("psd_repairs", "n_updates"):
-            if decode(int, rec[name], f"{where}.{name}") < 0:
+            if rec[name] < 0:
                 raise InvalidParameterError(
                     f"{where}.{name} must be non-negative, got {rec[name]!r}")
-    for i, rec in enumerate(rejected):
-        where = f"rejected_windows[{i}]"
-        _check_keys(rec, ("t_s", "reason"), where)
-        decode(float, rec["t_s"], f"{where}.t_s")
-        decode(str, rec["reason"], f"{where}.reason")
 
 
-def _check_keys(rec, keys: tuple, where: str) -> None:
-    if not isinstance(rec, dict) or set(rec) != set(keys):
+def _check_schedule(schedule: DegradationSchedule | None, n_dof: int) -> None:
+    if schedule is not None and schedule.k0.shape != (n_dof,):
         raise InvalidParameterError(
-            f"{where} must be an object with exactly the keys {', '.join(keys)}, got {rec!r}")
+            f"schedule.k0 must hold {n_dof} stiffnesses, got {schedule.k0.tolist()}")
 
 
 def _tracked_stiffnesses(system: MdofSystem) -> list:
@@ -544,7 +537,7 @@ def assimilate_window(snapshot: TwinSnapshot,
     history = snapshot.parameter_history
     if history and window.t_s <= history[-1]["t_s"]:
         snapshot.rejected_windows.append(
-            {"t_s": float(window.t_s), "reason": "out-of-order window"})
+            RejectedWindow(t_s=float(window.t_s), reason="out-of-order window"))
         logger.warning("rejected out-of-order window at t_s=%s", window.t_s)
         return snapshot
 
@@ -554,17 +547,17 @@ def assimilate_window(snapshot: TwinSnapshot,
         result = filter_window(system, cfg, window, prior_estimate=prior)
     except NumericError as exc:
         snapshot.rejected_windows.append(
-            {"t_s": float(window.t_s), "reason": f"filter failure: {exc}"})
+            RejectedWindow(t_s=float(window.t_s), reason=f"filter failure: {exc}"))
         logger.warning("rejected window at t_s=%s: %s", window.t_s, exc)
         return snapshot
 
-    history.append({
-        "t_s": float(window.t_s),
-        "estimate": [float(v) for v in result.param_estimate],
-        "stddev": [float(v) for v in result.param_std],
-        "psd_repairs": int(result.psd_repairs.count),
-        "n_updates": int(result.n_updates),
-    })
+    history.append(WindowRecord(
+        t_s=float(window.t_s),
+        estimate=[float(v) for v in result.param_estimate],
+        stddev=[float(v) for v in result.param_std],
+        psd_repairs=int(result.psd_repairs.count),
+        n_updates=int(result.n_updates),
+    ))
 
     if len(history) >= 3:
         _retrain_gps(snapshot, system, cfg)
@@ -598,6 +591,8 @@ def run_campaign(snapshot: TwinSnapshot, cutoff_days: float | None = None) -> in
     if snapshot.schedule is None:
         raise InvalidParameterError("run_campaign needs a snapshot with a degradation schedule")
     system, cfg, schedule = snapshot.system, snapshot.config, snapshot.schedule
+    _check_schedule(schedule, system.n_dof)  # the field may have been reassigned
+    cutoff_days = decode(float | None, cutoff_days, "cutoff_days")
     visits = [(t_s, cfg.master_seed + i, i) for i, t_s in enumerate(campaign_times(cfg))
               if cutoff_days is None or t_s <= cutoff_days]
     failures = 0
@@ -607,7 +602,7 @@ def run_campaign(snapshot: TwinSnapshot, cutoff_days: float | None = None) -> in
             if isinstance(window, NumericError):
                 failures += 1
                 snapshot.rejected_windows.append(
-                    {"t_s": float(t_s), "reason": f"generation failure: {window}"})
+                    RejectedWindow(t_s=float(t_s), reason=f"generation failure: {window}"))
                 logger.warning("window %d generation failed: %s", index, window)
             else:
                 assimilate_window(snapshot, window)
@@ -632,24 +627,10 @@ def predict_parameters(snapshot: TwinSnapshot, future_ts) -> dict:
             for name, mean, variance in zip(names, stacked.mean, stacked.variance)}
 
 
-def _slow_time(t_tilde) -> float:
-    """The query time of a response prediction as a float;
-    InvalidParameterError naming ``t_tilde`` for anything but a finite real
-    number, Python's or numpy's: a string, a bool, NaN and inf are refused,
-    before the GP or a cast reads them."""
-    try:
-        value = np.asarray(t_tilde)
-    except ValueError:  # a ragged sequence
-        value = None
-    if value is None or value.ndim or value.dtype.kind not in "iuf" or not np.isfinite(value):
-        raise InvalidParameterError(f"t_tilde must be a real number, got {t_tilde!r}")
-    return float(value)
-
-
 def predicted_stiffness_vector(snapshot: TwinSnapshot, t_tilde: float) -> np.ndarray:
     """Full stiffness vector at t_tilde: GP means plus nominal frozen entries."""
     k = snapshot.system.stiffnesses.copy()
-    predictions = predict_parameters(snapshot, [_slow_time(t_tilde)])
+    predictions = predict_parameters(snapshot, [decode(float, t_tilde, "t_tilde")])
     for name, pred in predictions.items():
         idx = int(name[1:]) - 1
         k[idx] = pred.mean[0]
@@ -704,15 +685,11 @@ def predict_response_ensemble(
     a non-negative integer and ``t_tilde`` a real number, and ``duration``
     is checked.
     """
-    try:
-        count = operator.index(n_draws)
-    except TypeError:
-        count = 0
-    if count < 2:
+    n_draws = decode(int, n_draws, "n_draws")
+    if n_draws < 2:
         raise InvalidParameterError(f"n_draws must be an integer of at least 2, got {n_draws!r}")
-    n_draws = count
     seed = check_seed(seed, "seed")
-    t_tilde = _slow_time(t_tilde)
+    t_tilde = decode(float, t_tilde, "t_tilde")
     _check_levels(levels)
     system, cfg = snapshot.system, snapshot.config
     n = system.n_dof

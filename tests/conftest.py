@@ -394,20 +394,20 @@ MALFORMED_HISTORIES = [
     pytest.param("parameter_history", 5, "parameter_history must be a list", id="not-a-list"),
     pytest.param("parameter_history", ["junk"], "parameter_history[0] must be an object",
                  id="entry-not-an-object"),
-    pytest.param("parameter_history", [{"t_s": "x"}], "parameter_history[0] must be an object",
-                 id="entry-keys-missing"),
-    pytest.param("parameter_history", [{"t_s": 0.0}], "parameter_history[0] must be an object",
+    pytest.param("parameter_history", [{"t_s": "x"}],
+                 "parameter_history[0].t_s must be of type float", id="entry-keys-missing"),
+    pytest.param("parameter_history", [{"t_s": 0.0}], "parameter_history[0] is missing 'estimate'",
                  id="entry-time-only"),
     pytest.param("parameter_history", [{**_ENTRY, "note": ""}],
-                 "parameter_history[0] must be an object", id="entry-extra-key"),
+                 "unknown key 'note' in", id="entry-extra-key"),
     pytest.param("parameter_history", [{**_ENTRY, "t_s": "x"}],
                  "parameter_history[0].t_s must be of type float", id="time-text"),
     pytest.param("parameter_history", [_ENTRY, {**_ENTRY, "t_s": 0.0}],
                  "parameter_history[1].t_s must exceed", id="time-repeated"),
     pytest.param("parameter_history", [{**_ENTRY, "estimate": [math.nan, 500.0]}],
-                 "parameter_history[0].estimate must be finite", id="estimate-nan"),
+                 "parameter_history[0].estimate[0] must be finite", id="estimate-nan"),
     pytest.param("parameter_history", [{**_ENTRY, "estimate": ["junk", 500.0]}],
-                 "parameter_history[0].estimate must hold numbers", id="estimate-text"),
+                 "parameter_history[0].estimate[0] must be of type float", id="estimate-text"),
     pytest.param("parameter_history", [{**_ENTRY, "stddev": [1.0]}],
                  "parameter_history[0]: estimate and stddev must hold 2", id="stddev-short"),
     pytest.param("parameter_history", [{**_ENTRY, "stddev": [-1.0, 1.0]}],

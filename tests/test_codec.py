@@ -9,14 +9,15 @@ import pytest
 from hypothesis import configuration, example, given, settings
 from hypothesis import strategies as st
 
-from mdoftwin.codec import write_json
+from mdoftwin.codec import decode, write_json
 from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.gpr import (FAMILY_MATERN52, FAMILY_SE, GpModel, GpTrainConfig,
                           Kernel, predict, train)
 from mdoftwin.models import (DegradationSchedule, MdofSystem,
                              build_duffing_2dof, build_dvp_7dof)
 from mdoftwin.sde import IntegratorConfig
-from mdoftwin.twin import CampaignConfig, TwinSnapshot, UkfRunConfig, new_snapshot
+from mdoftwin.twin import (CampaignConfig, TwinSnapshot, UkfRunConfig, WindowRecord,
+                           new_snapshot)
 from mdoftwin.ukf import UkfParams
 
 from test_gpr import decay_samples
@@ -227,6 +228,54 @@ def test_constructors_take_numpy_scalars_as_python_scalars():
                 Kernel(variance=2.0, lengthscale=1.5))
     assert_same(dataclasses.replace(GP, noise_variance=np.float64(0.1), nlml=np.float32(-2.5)),
                 dataclasses.replace(GP, noise_variance=0.1, nlml=-2.5))
+
+
+def test_list_entry_named_by_index():
+    assert decode(list[float], [1.0, np.float64(2.5)], "v") == [1.0, 2.5]
+    with pytest.raises(InvalidParameterError, match=r"^v\[1\] must be of type float, got 'x'$"):
+        decode(list[float], [1.0, "x"], "v")
+    with pytest.raises(InvalidParameterError, match=r"^v must be a list$"):
+        decode(list[float], (1.0,), "v")
+    records = [{"t_s": 0.0, "reason": "ok"}, {"t_s": 1.0, "reason": 2}]
+    with pytest.raises(InvalidParameterError,
+                       match=r"^rejected_windows\[1\]\.reason must be of type str, got 2$"):
+        dataclasses.replace(SNAPSHOT, rejected_windows=records)
+
+
+RECORD = {"t_s": 50.0, "estimate": [1000.0, 500.0], "stddev": [1.0, 2.0],
+          "psd_repairs": 0, "n_updates": 9}
+
+
+def test_typed_dict_read_by_exact_keys():
+    record = decode(WindowRecord, RECORD, "rec")
+    assert type(record) is dict and record == RECORD
+    missing = {key: value for key, value in RECORD.items() if key != "n_updates"}
+    with pytest.raises(InvalidParameterError, match=r"^rec is missing 'n_updates'$"):
+        decode(WindowRecord, missing, "rec")
+    with pytest.raises(InvalidParameterError, match=r"^unknown key 'note' in rec$"):
+        decode(WindowRecord, {**RECORD, "note": ""}, "rec")
+    with pytest.raises(InvalidParameterError, match=r"^rec\.estimate\[1\] must be finite"):
+        decode(WindowRecord, {**RECORD, "estimate": [1000.0, math.inf]}, "rec")
+
+
+def test_zero_dimensional_array_read_as_scalar():
+    value = decode(float, np.array(2.5), "x")
+    assert type(value) is float and value == 2.5
+    count = decode(int, np.array(3), "n")
+    assert type(count) is int and count == 3
+    assert_same(Kernel(variance=np.array(2.0), lengthscale=np.array(1.5)),
+                Kernel(variance=2.0, lengthscale=1.5))
+    with pytest.raises(InvalidParameterError, match=r"^n must be of type int, got 3.5$"):
+        decode(int, np.array(3.5), "n")
+
+
+@pytest.mark.parametrize("value, sample", [
+    ([1000.0, math.nan], 1), ([math.inf, 500.0], 0), (np.array([-math.inf, 500.0]), 0)])
+def test_non_finite_array_names_first_sample(value, sample):
+    with pytest.raises(InvalidParameterError, match=rf"^k0 is not finite at sample {sample}$"):
+        DegradationSchedule(k0=value)
+    with pytest.raises(InvalidParameterError, match=r"^a is not finite at sample 2$"):
+        decode(np.ndarray, [[1.0, 2.0], [3.0, 4.0], [5.0, math.nan], [math.nan, 0.0]], "a")
 
 
 def test_write_json_rejects_non_finite(tmp_path):

@@ -521,6 +521,14 @@ class TestAccelerationModel:
         with pytest.raises(InvalidParameterError):
             acceleration_model(s, (1, 1))
 
+    def test_fractional_dof_rejected(self):
+        # int(1.5) used to turn the DOF number into 1
+        with pytest.raises(InvalidParameterError,
+                           match=r"^observed_dofs\[0\] must be of type int, got 1.5$"):
+            models.check_observed_dofs([1.5], 2)
+        assert models.check_observed_dofs(np.array([2, 1]), 2) == (2, 1)
+        assert models.check_observed_dofs(range(1, 3), 2) == (1, 2)
+
 
 # ---------------------------------------------------------------------------
 # The filter's compiled transition and its measurement
@@ -830,7 +838,7 @@ class TestDegradation:
         [[1000.0, 500.0]], ["1000", "500"]])
     def test_bad_k0_rejected(self, k0):
         # the constructor took a NaN or infinite k0, which from_dict refuses
-        with pytest.raises(InvalidParameterError, match="k0 must"):
+        with pytest.raises(InvalidParameterError, match="k0 (must|is not finite at sample)"):
             DegradationSchedule(k0=k0)
 
 

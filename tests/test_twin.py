@@ -85,6 +85,13 @@ class TestMeasurementWindow:
                               accel=np.zeros((4, 1)), force=np.zeros((5, 2)),
                               observed_dofs=(1,))
 
+    def test_fractional_dof_rejected(self):
+        # int(1.5) used to turn the DOF number into 1
+        with pytest.raises(InvalidParameterError,
+                           match=r"^observed_dofs\[0\] must be of type int, got 1.5$"):
+            MeasurementWindow(t_s=0.0, times=np.arange(5) * 0.01, accel=np.zeros((5, 1)),
+                              force=np.zeros((5, 2)), observed_dofs=(1.5,))
+
     def test_one_sample_grid_rejected(self):
         # the filter's dt needs two samples; a one-sample window used to
         # reach it and fail on times[1]
@@ -112,9 +119,9 @@ class TestMeasurementWindow:
             replace(self.make_window(), t_s=t_s)
 
     BAD_NOISE_LEVELS = [
-        ("accel_noise_std", [np.nan, 1.0], "must be finite and non-negative"),
+        ("accel_noise_std", [np.nan, 1.0], "is not finite at sample 0"),
         ("accel_noise_std", [-1.0, 1.0], "must be finite and non-negative"),
-        ("force_noise_std", [1.0, np.inf], "must be finite and non-negative"),
+        ("force_noise_std", [1.0, np.inf], "is not finite at sample 1"),
         ("force_noise_std", [1.0, -0.5], "must be finite and non-negative"),
         ("accel_noise_std", [0.1], "must hold 2 entries"),
         ("force_noise_std", [[1.0, 1.0]], "must hold 2 entries"),
@@ -139,7 +146,8 @@ class TestMeasurementWindow:
         sidecar = json.loads(sidecar_path.read_text())
         sidecar[name] = value
         sidecar_path.write_text(json.dumps(sidecar))
-        with pytest.raises(InvalidParameterError, match=f"w.(csv|json): {name} must"):
+        with pytest.raises(InvalidParameterError,
+                           match=f"w.(csv|json): {name} (must|is not finite)"):
             MeasurementWindow.load(tmp_path / "w")
 
     def test_zero_noise_level_accepted(self):
@@ -455,10 +463,10 @@ class TestAssimilation:
     @pytest.mark.parametrize("name, value, message", [
         ("measurement_noise_std", (0.05, -0.05),
          "measurement_noise_std must be finite and non-negative"),
-        *(("measurement_noise_std", std, "measurement_noise_std must be finite")
-          for std in [(np.nan, 0.05), (0.05, np.inf)]),
-        *(("measurement_noise_std", std, "measurement_noise_std must be of type float")
-          for std in [("a",), (1.0, None), (True,)]),
+        ("measurement_noise_std", (np.nan, 0.05), "measurement_noise_std[0] must be finite"),
+        ("measurement_noise_std", (0.05, np.inf), "measurement_noise_std[1] must be finite"),
+        *(("measurement_noise_std", std, f"measurement_noise_std[{i}] must be of type float")
+          for std, i in [(("a",), 0), ((1.0, None), 1), ((True,), 0)]),
         ("measurement_noise_std", 0.05, "measurement_noise_std must be a list"),
         ("q_scale", -2.0, "q_scale must be finite and non-negative"),
         ("q_scale", math.nan, "q_scale must be finite"),
@@ -473,7 +481,7 @@ class TestAssimilation:
         # negative q_scale used to stop run_campaign at its first window, and
         # a NaN one or a negative prior variance to reject every window; a
         # level that is not a number raised a bare TypeError or was taken
-        with pytest.raises(InvalidParameterError, match=f"^{message}"):
+        with pytest.raises(InvalidParameterError, match="^" + re.escape(message)):
             UkfRunConfig(**{name: value})
         if all(not isinstance(v, float) or math.isfinite(v) for v in np.ravel(value)):
             _, _, _, windows = self.run_snapshot(n_windows=1)
@@ -563,6 +571,39 @@ class TestRunCampaign:
         snap = new_snapshot(system, cfg, DegradationSchedule.for_system(system))
         assert run_campaign(snap, cutoff_days=50.0) == 0
         assert snap.history_times.tolist() == [0.0, 50.0]
+
+
+    def test_reassigned_schedule_checked_before_generation(self, monkeypatch):
+        # the one entry was broadcast over both stiffnesses: three windows
+        # were assimilated and the campaign reported no failure
+        system = build_duffing_2dof()
+        snap = new_snapshot(system, quick_config(), DegradationSchedule.for_system(system))
+        snap.schedule = DegradationSchedule(k0=[1000.0])
+
+        def never(*args, **kwargs):
+            raise AssertionError("generated a window before the schedule was checked")
+
+        monkeypatch.setattr(twin_mod, "_synthesize", never)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^schedule.k0 must hold 2 stiffnesses, got \[1000.0\]$"):
+            run_campaign(snap, cutoff_days=100.0)
+        assert snap.parameter_history == snap.rejected_windows == []
+
+    @pytest.mark.parametrize("cutoff, message", [
+        (math.nan, "must be finite, got nan"), ("100", "must be of type float, got '100'"),
+        (True, "must be of type float, got True")])
+    def test_bad_cutoff_rejected(self, monkeypatch, cutoff, message):
+        # NaN assimilated nothing, "100" raised numpy's UFuncTypeError and
+        # True was read as day 1
+        system = build_duffing_2dof()
+        snap = new_snapshot(system, quick_config(), DegradationSchedule.for_system(system))
+
+        def never(*args, **kwargs):
+            raise AssertionError("generated a window before the cutoff was checked")
+
+        monkeypatch.setattr(twin_mod, "_synthesize", never)
+        with pytest.raises(InvalidParameterError, match=f"^cutoff_days {re.escape(message)}$"):
+            run_campaign(snap, cutoff_days=cutoff)
 
 
 class TestSnapshotPersistence:
@@ -677,7 +718,9 @@ class TestSnapshotPersistence:
         doc = json.loads(path.read_text())
         doc[key] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(InvalidParameterError, match="^" + re.escape(message)):
+        # load names the field as from_dict does, TwinSnapshot.<key>
+        loaded = "^" + re.escape(message).replace(key, rf"(TwinSnapshot\.)?{key}", 1)
+        with pytest.raises(InvalidParameterError, match=loaded):
             TwinSnapshot.load(path)
         with pytest.raises(InvalidParameterError, match="^" + re.escape(message)):
             TwinSnapshot(system=build_duffing_2dof(), config=quick_config(), **{key: value})
@@ -864,7 +907,7 @@ class TestPrediction:
         monkeypatch.setattr(twin_mod, "predict_parameters", never)
         monkeypatch.setattr(twin_mod, "simulate_window", never)
         with pytest.raises(InvalidParameterError,
-                           match="^n_draws must be an integer of at least 2, got "):
+                           match="^n_draws must be (of type int|an integer of at least 2), got "):
             predict_response_ensemble(snap, 450.0, 0.2, 3, n_draws=n_draws)
 
     @pytest.mark.parametrize("seed", [1.5, -1, "3", None, True])
@@ -899,7 +942,7 @@ class TestPrediction:
             raise AssertionError("simulated before the query time was checked")
 
         monkeypatch.setattr(twin_mod, "simulate_window", never)
-        match = "^t_tilde must be a real number, got "
+        match = "^t_tilde must be (of type float|finite), got "
         with pytest.raises(InvalidParameterError, match=match):
             predicted_stiffness_vector(snap, t_tilde)
         with pytest.raises(InvalidParameterError, match=match):
