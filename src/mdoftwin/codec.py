@@ -2,17 +2,17 @@
 and the one rule for the seeds of numpy's generators (``check_seed``).
 
 ``to_dict`` writes every field under its name: nested dataclasses as dicts,
-tuples and arrays as lists, numpy scalars as Python numbers. ``from_dict``
-reads the fields back by their type hints and raises InvalidParameterError
-for an unknown key, a missing field without a default, a scalar of the
-wrong type, an array that does not hold numbers, or a non-finite float or
-array entry (``write_json`` refuses those, so no written document holds
-one). Scalars are not coerced, so ``to_dict(from_dict(doc)) == doc``.
-A ``@codec`` class reads its fields by the same rules on construction, so a
-constructor refuses what ``from_dict`` refuses, naming the field.
-``decode`` applies the same rules to one value of a document that is not a
-dataclass, such as a config section, a window sidecar field or a ``TypedDict``
-record of the twin's history.
+tuples and arrays as lists, numpy scalars as Python numbers. A ``@codec``
+class reads each field by its type hint on construction, the only reader of
+a record: ``from_dict`` refuses an unknown key or a missing field without a
+default and hands the raw values to the constructor. InvalidParameterError
+names the field for a scalar of the wrong type, an array that does not hold
+numbers, a non-finite float or array entry (``write_json`` refuses those) or
+a value out of range, by its full path when read from a document
+(``TwinSnapshot.config.integrator.dt must be positive``). Scalars are not
+coerced, so ``to_dict(from_dict(doc)) == doc``. ``decode`` applies the same
+rules to one value that is not a dataclass, such as a window sidecar field
+or a ``TypedDict`` record of the twin's history, read key by key.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ Seed = typing.NewType("Seed", int)  # a field read by ``check_seed``
 def codec(cls):
     """Install ``to_dict``/``from_dict`` in the dataclass's own ``__dict__``, and
     read every field with ``decode``, under its name, on construction before the
-    class's own ``__post_init__``: a constructor applies the rules of ``from_dict``."""
+    class's own ``__post_init__``; ``from_dict`` hands a document's values to it."""
     post_init = cls.__post_init__
 
     def __post_init__(self):
@@ -48,14 +48,11 @@ def codec(cls):
             object.__setattr__(self, name, decode(hint, getattr(self, name), name))
         post_init(self)
 
-    def to_dict(self) -> dict:
-        return _encode(self)
-
     def from_dict(klass, doc: dict):
         return decode(klass, doc, klass.__name__)
 
     cls.__post_init__ = __post_init__
-    cls.to_dict = to_dict
+    cls.to_dict = _encode
     cls.from_dict = classmethod(from_dict)
     return cls
 
@@ -91,9 +88,9 @@ def decode(hint, value, where: str):
     """``value`` read as type ``hint`` by the rules above; ``where`` names it
     in the InvalidParameterError raised for a value of another type, and the
     index of a bad list entry. An instance of a dataclass hint is taken as it
-    is, a numpy scalar or 0-d array as the matching Python scalar, a
-    ``TypedDict`` as a plain dict of exactly its keys, and a ``Seed`` by
-    ``check_seed``."""
+    is, a dict as its constructor's arguments, a numpy scalar or 0-d array as
+    the matching Python scalar, a ``TypedDict`` as a plain dict of exactly
+    its keys, and a ``Seed`` by ``check_seed``."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):  # X | None
         if value is None:
@@ -118,14 +115,18 @@ def decode(hint, value, where: str):
             raise InvalidParameterError(f"{where} must be an object")
         unknown = sorted(set(value) - set(_hints(hint)))
         if unknown:
-            raise InvalidParameterError(f"unknown key {unknown[0]!r} in {where}")
+            raise InvalidParameterError(f"{where} has unknown key {unknown[0]!r}")
+        raw = dataclasses.is_dataclass(hint)  # read by its @codec constructor
         values = {}
         for key, key_hint in _hints(hint).items():
             if key in value:
-                values[key] = decode(key_hint, value[key], f"{where}.{key}")
+                values[key] = value[key] if raw else decode(key_hint, value[key], f"{where}.{key}")
             elif key in _required(hint):
                 raise InvalidParameterError(f"{where} is missing {key!r}")
-        return hint(**values)  # a TypedDict makes a plain dict
+        try:
+            return hint(**values)  # a TypedDict makes a plain dict
+        except InvalidParameterError as exc:  # it names the field under ``where``
+            raise InvalidParameterError(f"{where}.{exc}") from exc
     if hint is np.ndarray:
         try:
             array = np.asarray(value)

@@ -111,9 +111,10 @@ class Kernel:
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
-            raise InvalidParameterError(f"unknown kernel family {self.family!r}")
-        if not (self.variance > 0.0 and self.lengthscale > 0.0):
-            raise InvalidParameterError("variance and lengthscale must be positive and finite")
+            raise InvalidParameterError(f"family must be one of {_FAMILIES}, got {self.family!r}")
+        for name in ("variance", "lengthscale"):
+            if not getattr(self, name) > 0.0:
+                raise InvalidParameterError(f"{name} must be positive")
 
 
 def _kernel(family, variance, lengthscale, a, b, with_grad=False):
@@ -208,7 +209,8 @@ class GpTrainConfig:
 
     def __post_init__(self):
         if self.kernel_family not in _FAMILIES:
-            raise InvalidParameterError(f"unknown kernel family {self.kernel_family!r}")
+            raise InvalidParameterError(
+                f"kernel_family must be one of {_FAMILIES}, got {self.kernel_family!r}")
         if self.mean_spec not in _MEAN_SPECS:
             raise InvalidParameterError("mean_spec must be 'zero' or 'constant'")
         for name in ("n_restarts", "n_max"):
@@ -273,13 +275,14 @@ class GpModel:
             raise InvalidParameterError("mean_spec must be 'zero' or 'constant'")
         if (self.train_inputs.ndim != 1
                 or self.train_inputs.shape != self.train_targets.shape):
-            raise InvalidParameterError("training inputs/targets must be matching vectors")
+            raise InvalidParameterError("train_inputs and train_targets must be matching vectors")
         if np.any(np.diff(self.train_inputs) <= 0.0):
-            raise InvalidParameterError("training inputs must be strictly increasing")
+            raise InvalidParameterError("train_inputs must be strictly increasing")
         if self.noise_variance < 0.0:
-            raise InvalidParameterError("noise variance must be non-negative")
-        if not (self.input_scale > 0.0 and self.target_scale > 0.0):
-            raise InvalidParameterError("input and target scales must be positive")
+            raise InvalidParameterError("noise_variance must be non-negative")
+        for name in ("input_scale", "target_scale"):
+            if not getattr(self, name) > 0.0:
+                raise InvalidParameterError(f"{name} must be positive")
         if self.noise_floor is not None:
             if self.noise_floor.shape != self.train_inputs.shape:
                 raise InvalidParameterError("noise_floor must match the training grid")
@@ -296,7 +299,7 @@ class GpModel:
             np.array([self.noise_variance]), None if floor is None else floor[None], v[None],
             self.mean_spec)
         if posterior is None:
-            raise InvalidParameterError("kernel matrix not positive definite")
+            raise InvalidParameterError("kernel gives no positive definite matrix on train_inputs")
         factor, beta, alpha, gls_denom = posterior
         object.__setattr__(self, "beta", beta)
         n, scale, variance = x_std.shape[0], self.target_scale, kernel.variance

@@ -78,7 +78,7 @@ class MdofSystem:
 
     def __post_init__(self):
         if self.kind not in _KNOWN_KINDS:
-            raise InvalidParameterError(f"unknown system kind {self.kind!r}")
+            raise InvalidParameterError(f"kind must be one of {_KNOWN_KINDS}, got {self.kind!r}")
         n = 2 if self.kind == KIND_DUFFING_2DOF else 7
         for name in ("masses", "stiffnesses", "dampings", "force_amplitudes",
                      "force_frequencies", "noise_sigmas"):
@@ -89,8 +89,9 @@ class MdofSystem:
             raise InvalidParameterError("masses must be strictly positive")
         if np.any(self.stiffnesses <= 0.0):
             raise InvalidParameterError("stiffnesses must be strictly positive")
-        if np.any(self.dampings < 0.0) or np.any(self.noise_sigmas < 0.0):
-            raise InvalidParameterError("dampings and noise_sigmas must be non-negative")
+        for name in ("dampings", "noise_sigmas"):
+            if np.any(getattr(self, name) < 0.0):
+                raise InvalidParameterError(f"{name} must be non-negative")
         object.__setattr__(self, "nonlinear_coeff", float(self.nonlinear_coeff))
         object.__setattr__(self, "frozen_indices", tuple(sorted(self.frozen_indices)))
         if any(i < 1 or i > n for i in self.frozen_indices):

@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import Seed, check_seed, codec, not_finite, write_csv
+from .codec import Seed, check_seed, codec, decode, not_finite, write_csv
 from .errors import InvalidParameterError, NumericError
 from .models import (MdofSystem, StateSpaceModel, acceleration_model,
                      dispersion_split)
@@ -125,7 +125,7 @@ def uniform_step(times) -> float:
     spaced samples; InvalidParameterError otherwise."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.shape[0] < 2:
-        raise InvalidParameterError("a time grid needs at least two samples")
+        raise InvalidParameterError("times must hold at least two samples")
     steps = np.diff(times)
     if not (np.all(steps > 0.0)
             and np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)):
@@ -205,8 +205,9 @@ class WindowRun(NamedTuple):
 def window_times(duration: float, dt: float) -> np.ndarray:
     """The n + 1 sample times of a window, n = round(duration / dt);
     InvalidParameterError unless the duration is finite and at least dt."""
-    if not np.isfinite(duration) or duration < dt:
-        raise InvalidParameterError(f"duration must be finite and at least dt, got {duration}")
+    duration = decode(float, duration, "duration")
+    if duration < dt:
+        raise InvalidParameterError(f"duration must be at least dt, got {duration}")
     return np.arange(int(round(duration / dt)) + 1) * dt
 
 

@@ -126,19 +126,14 @@ class MeasurementWindow:
         noise levels finite numbers, ``provenance`` an object), an empty CSV
         or a header without the observed DOFs, ragged, non-numeric or
         non-finite rows, a sidecar ``n_samples`` other than the row count
-        and a non-uniform time grid."""
+        and a non-uniform time grid; the constructor's refusals name <base>."""
         base = Path(base_path)
         csv_path = base.with_suffix(".csv")
         sidecar_path = base.with_suffix(".json")
         with open(sidecar_path, encoding="utf-8") as fh:
             sidecar = decode(dict, json.load(fh), str(sidecar_path))
-        where = f"{sidecar_path}: "
-        t_s = decode(float, sidecar.get("t_s"), where + "t_s")
-        observed = decode(tuple[int, ...], sidecar.get("observed_dofs"), where + "observed_dofs")
-        ingested = {"kind": "ingested", "path": str(csv_path)}
-        provenance = decode(dict, sidecar.get("provenance", ingested), where + "provenance")
-        noise_stds = {name: decode(np.ndarray | None, sidecar.get(name), where + name)
-                      for name in ("accel_noise_std", "force_noise_std")}
+        observed = decode(tuple[int, ...], sidecar.get("observed_dofs"),  # for the header
+                          f"{sidecar_path}: observed_dofs")
         with open(csv_path, newline="", encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh)) or [[]]
         n_obs = len(observed)
@@ -155,12 +150,14 @@ class MeasurementWindow:
         if sidecar.get("n_samples") != len(rows):
             raise InvalidParameterError(f"{sidecar_path}: n_samples {sidecar.get('n_samples')!r}"
                                         f" does not match the {len(rows)} rows of {csv_path}")
+        ingested = {"kind": "ingested", "path": str(csv_path)}
         try:
-            return cls(t_s=t_s, times=data[:, 0], accel=data[:, 1:1 + n_obs],
-                       force=data[:, 1 + n_obs:], observed_dofs=observed,
-                       provenance=provenance, **noise_stds)
-        except InvalidParameterError as exc:
-            raise InvalidParameterError(f"{csv_path}: {exc}") from exc
+            return cls(times=data[:, 0], accel=data[:, 1:1 + n_obs], force=data[:, 1 + n_obs:],
+                       observed_dofs=observed, provenance=sidecar.get("provenance", ingested),
+                       **{name: sidecar.get(name)
+                          for name in ("t_s", "accel_noise_std", "force_noise_std")})
+        except InvalidParameterError as exc:  # a field of either file
+            raise InvalidParameterError(f"{base}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +214,12 @@ class CampaignConfig:
     gp: gpr.GpTrainConfig = gpr.GpTrainConfig()
 
     def __post_init__(self):
-        if self.window_interval_days <= 0.0 or self.window_duration_s <= 0.0:
-            raise InvalidParameterError("interval and duration must be positive")
-        if self.horizon_days < 0.0:
-            raise InvalidParameterError("horizon must be non-negative")
-        for name in ("snr_accel", "snr_force"):
+        for name in ("window_interval_days", "window_duration_s", "snr_accel", "snr_force"):
             if not getattr(self, name) > 0.0:
                 raise InvalidParameterError(
                     f"{name} must be finite and positive, got {getattr(self, name)!r}")
+        if self.horizon_days < 0.0:
+            raise InvalidParameterError("horizon_days must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +322,13 @@ class TwinSnapshot:
         with open(path, encoding="utf-8") as fh:
             doc = decode(dict, json.load(fh), f"snapshot {path}")
         # before the fields: a file of another version may hold other keys
-        _check_version(doc.get("version"))
+        _check_version(doc.get("version"), f"{cls.__name__}.version")
         return cls.from_dict(doc)
 
 
-def _check_version(version) -> None:
+def _check_version(version, where: str = "version") -> None:
     if version != SNAPSHOT_VERSION:
-        raise InvalidParameterError(f"unsupported snapshot version {version!r}")
+        raise InvalidParameterError(f"{where} must be {SNAPSHOT_VERSION}, got {version!r}")
 
 
 def _check_history(history: list, n_dof: int) -> None:
@@ -775,10 +770,9 @@ def write_estimates_csv(snapshot: TwinSnapshot, path) -> None:
 
 def write_gp_track_csv(snapshot: TwinSnapshot, path, query_times) -> None:
     """Dense GP track with confidence bands at the queried slow times."""
-    query_times = np.asarray(query_times, dtype=float)
-    predictions = predict_parameters(snapshot, query_times)
-    header, columns = ["t_s"], [query_times]
-    for name, pred in sorted(predictions.items()):
+    predictions = sorted(predict_parameters(snapshot, query_times).items())
+    header, columns = ["t_s"], [predictions[0][1].inputs]
+    for name, pred in predictions:
         header += [f"{name}_mean", f"{name}_sd", f"{name}_lo95", f"{name}_hi95"]
         columns += [pred.mean, pred.stddev, *pred.confidence_band]
     write_csv(path, header, np.column_stack(columns))

@@ -12,8 +12,9 @@ of one, the window kernel's step loop on strided views (the bit-for-bit
 reference of the one on contiguous rows), synthetic windows from the whole
 batch's states (the byte-for-byte reference of the ones measured block by
 block), a runner of scripts in a fresh interpreter, malformed snapshot
-histories and the strong-convergence study."""
+histories and fields and the strong-convergence study."""
 
+import json
 import math
 import os
 import subprocess
@@ -31,10 +32,11 @@ import mdoftwin
 from mdoftwin import gpr, ukf
 from mdoftwin.errors import InvalidParameterError, NumericError, TrainingError
 from mdoftwin.linalg import cho_factor, cho_solve, tri_inverse
-from mdoftwin.models import (KIND_DUFFING_2DOF, StateSpaceModel, degraded_stiffness,
-                             dispersion_split, to_state_space)
+from mdoftwin.models import (KIND_DUFFING_2DOF, StateSpaceModel, build_dvp_7dof,
+                             degraded_stiffness, dispersion_split, to_state_space)
 from mdoftwin.sde import (_check_state, _increment_pair, _window_operators, corrupt_with_snr,
                           noise_std_for_snr, simulate_window, uniform_step)
+from mdoftwin.twin import CampaignConfig, TwinSnapshot
 from mdoftwin.ukf import ukf_weights
 
 
@@ -399,7 +401,7 @@ MALFORMED_HISTORIES = [
     pytest.param("parameter_history", [{"t_s": 0.0}], "parameter_history[0] is missing 'estimate'",
                  id="entry-time-only"),
     pytest.param("parameter_history", [{**_ENTRY, "note": ""}],
-                 "unknown key 'note' in", id="entry-extra-key"),
+                 "parameter_history[0] has unknown key 'note'", id="entry-extra-key"),
     pytest.param("parameter_history", [{**_ENTRY, "t_s": "x"}],
                  "parameter_history[0].t_s must be of type float", id="time-text"),
     pytest.param("parameter_history", [_ENTRY, {**_ENTRY, "t_s": 0.0}],
@@ -423,6 +425,48 @@ MALFORMED_HISTORIES = [
     pytest.param("rejected_windows", [{"t_s": 0.0, "reason": 3}],
                  "rejected_windows[0].reason must be of type str", id="rejected-reason"),
 ]
+
+
+# ---- malformed nested fields of a 7-DOF snapshot -----------------------------
+
+
+# (keys and list indices down to the field, its malformed value, the message
+# of load, which names the field by its full path)
+MALFORMED_FIELDS = [
+    pytest.param(("config", "integrator", "dt"), -1.0,
+                 "TwinSnapshot.config.integrator.dt must be positive", id="integrator-dt"),
+    pytest.param(("gp_models", "k3", "noise_variance"), -0.1,
+                 "TwinSnapshot.gp_models.k3.noise_variance must be non-negative", id="gp-noise"),
+    pytest.param(("parameter_history", 1, "t_s"), 0.0,
+                 "TwinSnapshot.parameter_history[1].t_s must exceed the previous entry's 0.0",
+                 id="history-order"),
+    pytest.param(("gp_models", "k3", "note"), "",
+                 "TwinSnapshot.gp_models.k3 has unknown key 'note'", id="gp-unknown-key"),
+    pytest.param(("gp_models", "k3", "kernel", "lengthscale"), -1.2,
+                 "TwinSnapshot.gp_models.k3.kernel.lengthscale must be positive",
+                 id="gp-lengthscale"),
+    pytest.param(("system", "masses", 0), -1.0,
+                 "TwinSnapshot.system.masses must be strictly positive", id="system-mass"),
+]
+
+
+def save_malformed_snapshot(path, field, value) -> None:
+    """Save to ``path`` a 7-DOF snapshot with two history entries and a GP
+    for k3, with ``field`` (keys and list indices) set to ``value``."""
+    system = build_dvp_7dof()
+    history = [{"t_s": t_s, "estimate": system.stiffnesses.tolist(), "stddev": [1.0] * 7,
+                "psd_repairs": 0, "n_updates": 10} for t_s in (0.0, 50.0)]
+    model = gpr.GpModel(kernel=gpr.Kernel(variance=2.0, lengthscale=1.2), mean_spec="constant",
+                        noise_variance=1e-3, train_inputs=[0.0, 1.0, 2.5],
+                        train_targets=[1.0, -0.5, 0.3])
+    doc = TwinSnapshot(system=system, config=CampaignConfig(), parameter_history=history,
+                       gp_models={"k3": model}).to_dict()
+    *parents, last = field
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    Path(path).write_text(json.dumps(doc))
 
 
 # ---- finite-difference oracles for the analytic partials (one state) -------

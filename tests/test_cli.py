@@ -2,11 +2,12 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_HISTORIES
+from conftest import MALFORMED_FIELDS, MALFORMED_HISTORIES, save_malformed_snapshot
 from mdoftwin.cli import main
 from mdoftwin.gpr import GpModel, Kernel
 from mdoftwin.models import DegradationSchedule, build_duffing_2dof
@@ -200,6 +201,20 @@ class TestCampaignCommand:
         snap = TwinSnapshot.load(out / "snapshot.json")
         assert snap.windows_processed == 2
 
+    def test_readme_example_config_runs(self, tmp_path):
+        # the README's own example once exited 2: its integer plan made
+        # numpy-integer window times that the window refused
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("A configuration file is JSON", 1)[1]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+        out = tmp_path / "out"
+        assert main(["campaign", "--config", str(cfg), "--out", str(out),
+                     "--cutoff-days", "0"]) == 0
+        assert TwinSnapshot.load(out / "snapshot.json").windows_processed == 1
+        assert main(["report", "--snapshot", str(out / "snapshot.json"),
+                     "--out", str(tmp_path / "report")]) == 0
+
     def test_idempotent_reruns(self, tmp_path):
         _, out1 = self.run_campaign(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -369,6 +384,14 @@ def _snapshot_field_argv(key, value):
     return argv
 
 
+def _malformed_snapshot_argv(field, value):
+    def argv(tmp_path):
+        path = tmp_path / "snap.json"
+        save_malformed_snapshot(path, field, value)
+        return ["report", "--snapshot", str(path), "--out", str(tmp_path / "out")]
+    return argv
+
+
 def _predict_argv(times, *extra):
     def argv(tmp_path):
         path = tmp_path / "snap.json"
@@ -454,12 +477,14 @@ MALFORMED_INPUTS = [
     pytest.param("snapshot", _snapshot_argv("report"), id="report-snapshot"),
     pytest.param("gp_trained_upto", _snapshot_field_argv("gp_trained_upto", float("inf")),
                  id="snapshot-field-inf"),
-    pytest.param("unsupported snapshot version 2", _snapshot_field_argv("version", 2),
+    pytest.param("TwinSnapshot.version must be 3, got 2", _snapshot_field_argv("version", 2),
                  id="snapshot-version-2"),
     pytest.param("schedule.k0", _snapshot_field_argv("schedule", {"k0": [1000.0]}),
                  id="snapshot-schedule-short"),
     *[pytest.param(param.values[2], _snapshot_field_argv(*param.values[:2]),
                    id=f"snapshot-history-{param.id}") for param in MALFORMED_HISTORIES],
+    *[pytest.param(param.values[2], _malformed_snapshot_argv(*param.values[:2]),
+                   id=f"snapshot-field-{param.id}") for param in MALFORMED_FIELDS],
     pytest.param("snapshot", _snapshot_argv("predict", "--times", "100"),
                  id="predict-snapshot"),
     pytest.param("--times", _predict_argv("nan"), id="predict-times-nan"),

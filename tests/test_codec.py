@@ -9,6 +9,7 @@ import pytest
 from hypothesis import configuration, example, given, settings
 from hypothesis import strategies as st
 
+from mdoftwin import codec
 from mdoftwin.codec import decode, write_json
 from mdoftwin.errors import InvalidParameterError, NumericError
 from mdoftwin.gpr import (FAMILY_MATERN52, FAMILY_SE, GpModel, GpTrainConfig,
@@ -252,7 +253,7 @@ def test_typed_dict_read_by_exact_keys():
     missing = {key: value for key, value in RECORD.items() if key != "n_updates"}
     with pytest.raises(InvalidParameterError, match=r"^rec is missing 'n_updates'$"):
         decode(WindowRecord, missing, "rec")
-    with pytest.raises(InvalidParameterError, match=r"^unknown key 'note' in rec$"):
+    with pytest.raises(InvalidParameterError, match=r"^rec has unknown key 'note'$"):
         decode(WindowRecord, {**RECORD, "note": ""}, "rec")
     with pytest.raises(InvalidParameterError, match=r"^rec\.estimate\[1\] must be finite"):
         decode(WindowRecord, {**RECORD, "estimate": [1000.0, math.inf]}, "rec")
@@ -276,6 +277,20 @@ def test_non_finite_array_names_first_sample(value, sample):
         DegradationSchedule(k0=value)
     with pytest.raises(InvalidParameterError, match=r"^a is not finite at sample 2$"):
         decode(np.ndarray, [[1.0, 2.0], [3.0, 4.0], [5.0, math.nan], [math.nan, 0.0]], "a")
+
+
+def test_from_dict_reads_each_field_once(monkeypatch):
+    # from_dict used to decode every field before the constructor read it again
+    calls = []
+
+    def counted(hint, value, where):
+        calls.append(where)
+        return read(hint, value, where)
+
+    read = codec.decode
+    monkeypatch.setattr(codec, "decode", counted)
+    IntegratorConfig.from_dict({"dt": 1e-3, "seed": 0})
+    assert calls == ["IntegratorConfig", "dt", "seed"]
 
 
 def test_write_json_rejects_non_finite(tmp_path):

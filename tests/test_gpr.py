@@ -436,7 +436,7 @@ class TestPredict:
         with pytest.raises(InvalidParameterError, match="^mean_spec must be"):
             self.fixed_model(noise=1e-3, mean_spec=mean_spec)
         doc = self.fixed_model(noise=1e-3, mean_spec="constant").to_dict()
-        with pytest.raises(InvalidParameterError, match="^mean_spec must be"):
+        with pytest.raises(InvalidParameterError, match=r"^GpModel\.mean_spec must be"):
             GpModel.from_dict({**doc, "mean_spec": mean_spec})
 
     def test_negative_noise_floor_rejected(self, tmp_path):
@@ -444,8 +444,8 @@ class TestPredict:
         # one had a predictive variance below zero at its own inputs
         fields = dict(kernel=Kernel(), mean_spec="zero", noise_variance=0.0,
                       train_inputs=[0.0, 5.0, 10.0], train_targets=[1.0, 2.0, 0.5], nlml=0.0)
-        message = r"^noise_floor must be non-negative per point, got \[-0.4, -0.4, -0.4\]$"
-        with pytest.raises(InvalidParameterError, match=message):
+        message = r"noise_floor must be non-negative per point, got \[-0.4, -0.4, -0.4\]$"
+        with pytest.raises(InvalidParameterError, match="^" + message):
             GpModel(**fields, noise_floor=[-0.4] * 3)
         snap = new_snapshot(build_duffing_2dof(), CampaignConfig())
         snap.gp_models = {"k1": GpModel(**fields, noise_floor=[0.4] * 3)}
@@ -454,7 +454,8 @@ class TestPredict:
         doc = json.loads(path.read_text())
         doc["gp_models"]["k1"]["noise_floor"] = [-0.4] * 3
         path.write_text(json.dumps(doc))
-        with pytest.raises(InvalidParameterError, match=message):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^TwinSnapshot\.gp_models\.k1\." + message):
             TwinSnapshot.load(path)
 
     @pytest.mark.parametrize("family", [FAMILY_SE, FAMILY_MATERN52])

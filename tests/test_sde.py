@@ -24,6 +24,12 @@ class TestIntegratorConfig:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             IntegratorConfig(dt=0.0)
+        # a constructor names the bare field, a document the field's path
+        with pytest.raises(InvalidParameterError, match="^dt must be positive$"):
+            IntegratorConfig(dt=-1.0)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^IntegratorConfig\.dt must be positive$"):
+            IntegratorConfig.from_dict({"dt": -1.0})
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, True])
     def test_dt_must_be_a_finite_number(self, dt):
@@ -286,11 +292,14 @@ class TestSimulateWindow:
             simulate_window(model, system, np.zeros(4), 1e-4,
                             IntegratorConfig(dt=1e-3))
 
-    @pytest.mark.parametrize("duration", [np.nan, np.inf])
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, "5", None, [5.0], True])
     def test_non_finite_duration_rejected(self, duration):
+        # "5", None and [5.0] used to escape as numpy's TypeError, and True
+        # ran a 1 s window
         system = build_duffing_2dof()
         model = to_state_space(system)
-        with pytest.raises(InvalidParameterError, match="finite"):
+        with pytest.raises(InvalidParameterError,
+                           match="^duration must be (finite|of type float)"):
             simulate_window(model, system, np.zeros(4), duration,
                             IntegratorConfig(dt=1e-3))
 
