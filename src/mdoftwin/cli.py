@@ -4,8 +4,8 @@ Subcommands: simulate, filter, campaign, predict, report. Every run writes
 ``config_echo.json`` into the output directory; all outputs are plain CSV
 (UTF-8, header row) or JSON (each JSON file replaced atomically) and are
 reproduced byte for byte given the same inputs and seed. Exit codes: 0
-success, 2 usage or configuration error (a malformed window file
-included), 3 numeric failure.
+success, 2 usage or configuration error (a window file holding other than
+what ``MeasurementWindow.save`` writes included), 3 numeric failure.
 
 ``campaign`` runs ``twin.run_campaign``: windows are generated in batches
 of up to 64, each one integration, and assimilated in order. A diverging
@@ -14,8 +14,10 @@ still written, and the exit code is 3; a config no window can be generated
 from (a zero-amplitude force) exits 2, as do observed DOFs the system lacks
 or, for ``filter``, that differ from the window's sidecar.
 
-Configuration file layout (JSON, all sections optional except ``system``;
-an unknown section, or an unknown key in any section, is an error)::
+Configuration file layout (JSON, every section but ``system`` optional),
+read by ``codec.decode`` with each refusal naming its path (``system.masses``):
+``system`` is an ``MdofSystem`` document over its kind's builder defaults,
+so a run's ``config_echo.json`` reads back without its command keys::
 
     {
       "system":     {"kind": "duffing_2dof", ...parameter overrides...},
@@ -32,6 +34,7 @@ import argparse
 import json
 import logging
 import sys
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,42 +55,36 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_BUILDER_KWARGS = ("masses", "stiffnesses", "dampings", "force_amplitudes",
-                   "force_frequencies", "noise_sigmas")
-_BUILDERS = {KIND_DUFFING_2DOF: (build_duffing_2dof, _BUILDER_KWARGS),
-             KIND_DVP_7DOF: (build_dvp_7dof, _BUILDER_KWARGS + ("symmetric_consistent",))}
+_BUILDERS = {KIND_DUFFING_2DOF: build_duffing_2dof, KIND_DVP_7DOF: build_dvp_7dof}
+_SECTIONS = typing.get_type_hints(CampaignConfig)  # of the top-level ukf, gp, integrator
 
 
 def _build_system(doc) -> MdofSystem:
+    """The ``system`` section read as an ``MdofSystem`` over its kind's defaults."""
     doc = decode(dict, doc, "system")
-    kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _BUILDERS:
-        raise InvalidParameterError(f"system kind must be one of "
-                                    f"{KIND_DUFFING_2DOF!r}, {KIND_DVP_7DOF!r}")
-    builder, keys = _BUILDERS[kind]
-    unknown = sorted(set(doc) - {"kind", "nonlinear_coefficient", *keys})
-    if unknown:
-        raise InvalidParameterError(f"unknown key {unknown[0]!r} in the {kind} system section")
-    kwargs = {key: doc[key] for key in keys if key in doc}
-    if "nonlinear_coefficient" in doc:
-        kwargs["nonlinear_coeff"] = doc["nonlinear_coefficient"]
-    return builder(**kwargs)
+    if "nonlinear_coefficient" in doc:  # the documented name of nonlinear_coeff
+        if "nonlinear_coeff" in doc:
+            raise InvalidParameterError(
+                "system names both 'nonlinear_coefficient' and 'nonlinear_coeff'")
+        doc["nonlinear_coeff"] = doc.pop("nonlinear_coefficient")
+    # any builder's defaults for an unknown kind, which MdofSystem refuses
+    defaults = _BUILDERS.get(decode(str, doc.get("kind"), "system.kind"), build_duffing_2dof)
+    return decode(MdofSystem, {**defaults().to_dict(), **doc}, "system")
 
 
 def _load_config(path: str, args) -> tuple:
     with open(path, encoding="utf-8") as fh:
         doc = decode(dict, json.load(fh), "config file")
     if "system" not in doc:
-        raise InvalidParameterError("config file must contain a 'system' section")
+        raise InvalidParameterError("config file is missing 'system'")
     unknown = sorted(set(doc) - {"system", "campaign", "ukf", "gp", "integrator"})
     if unknown:
-        raise InvalidParameterError(f"unknown config section {unknown[0]!r}")
+        raise InvalidParameterError(f"config file has unknown key {unknown[0]!r}")
     system = _build_system(doc["system"])
     campaign_doc = decode(dict, doc.get("campaign", {}), "campaign")
-    for section in ("ukf", "gp", "integrator"):
-        if section in doc:
-            campaign_doc[section] = doc[section]
-    cfg = CampaignConfig.from_dict(campaign_doc)
+    campaign_doc.update({key: decode(_SECTIONS[key], doc[key], key)
+                         for key in ("ukf", "gp", "integrator") if key in doc})
+    cfg = decode(CampaignConfig, campaign_doc, "campaign")
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, master_seed=args.seed,
                       integrator=replace(cfg.integrator, seed=args.seed))
@@ -103,12 +100,9 @@ def _load_config(path: str, args) -> tuple:
     return system, cfg
 
 
-def _echo_config(out_dir: Path, system: MdofSystem, cfg: CampaignConfig,
-                 extras: dict | None = None) -> None:
-    doc = {"system": system.to_dict(), "campaign": cfg.to_dict()}
-    if extras:
-        doc.update(extras)
-    write_json(out_dir / "config_echo.json", doc)
+def _echo_config(out_dir: Path, system: MdofSystem, cfg: CampaignConfig, extras: dict) -> None:
+    write_json(out_dir / "config_echo.json",
+               {"system": system.to_dict(), "campaign": cfg.to_dict(), **extras})
 
 
 def _out_dir(args) -> Path:

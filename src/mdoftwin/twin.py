@@ -120,35 +120,41 @@ class MeasurementWindow:
 
     @classmethod
     def load(cls, base_path) -> "MeasurementWindow":
-        """Read <base>.csv and <base>.json; InvalidParameterError for a
-        sidecar that is not an object or has a field of the wrong type
-        (``t_s`` a finite number, ``observed_dofs`` a list of integers, the
-        noise levels finite numbers, ``provenance`` an object), an empty CSV
-        or a header without the observed DOFs, ragged, non-numeric or
-        non-finite rows, a sidecar ``n_samples`` other than the row count
-        and a non-uniform time grid; the constructor's refusals name <base>."""
+        """Read <base>.csv and <base>.json, which hold exactly what ``save``
+        writes; InvalidParameterError naming the file and the field for a
+        sidecar that is not an object, has another key or a field of the
+        wrong type (``t_s`` a finite number, ``observed_dofs`` and
+        ``n_samples`` integers, the noise levels numbers, ``provenance`` an
+        object), a header other than ``save``'s, ragged, non-numeric or
+        non-finite rows, ``n_samples`` other than the row count and a
+        non-uniform time grid; the constructor's refusals name <base>."""
         base = Path(base_path)
         csv_path = base.with_suffix(".csv")
         sidecar_path = base.with_suffix(".json")
         with open(sidecar_path, encoding="utf-8") as fh:
             sidecar = decode(dict, json.load(fh), str(sidecar_path))
+        unknown = sorted(set(sidecar) - {"t_s", "observed_dofs", "n_samples", "provenance",
+                                         "accel_noise_std", "force_noise_std"})
+        if unknown:
+            raise InvalidParameterError(f"{sidecar_path} has unknown key {unknown[0]!r}")
         observed = decode(tuple[int, ...], sidecar.get("observed_dofs"),  # for the header
                           f"{sidecar_path}: observed_dofs")
         with open(csv_path, newline="", encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh)) or [[]]
         n_obs = len(observed)
-        expected = ["time"] + [f"accel_dof{d}" for d in observed]
-        if header[:1 + n_obs] != expected:
-            raise InvalidParameterError(
-                f"{csv_path}: unexpected window header {header[:1 + n_obs]}")
+        expected = (["time"] + [f"accel_dof{d}" for d in observed]
+                    + [f"force_dof{i}" for i in range(1, len(header) - n_obs)])
+        for i, want in enumerate(expected):
+            if header[i:i + 1] != [want]:  # [] past the header's end
+                raise InvalidParameterError(f"{csv_path}: header column {i + 1} must be {want!r}")
         if any(len(row) != len(header) for row in rows):
             raise InvalidParameterError(f"{csv_path}: rows must match the header's columns")
         try:
             data = np.array(rows, dtype=float).reshape(len(rows), len(header))
         except ValueError as exc:
             raise InvalidParameterError(f"{csv_path}: non-numeric sample: {exc}") from exc
-        if sidecar.get("n_samples") != len(rows):
-            raise InvalidParameterError(f"{sidecar_path}: n_samples {sidecar.get('n_samples')!r}"
+        if decode(int, sidecar.get("n_samples"), f"{sidecar_path}: n_samples") != len(rows):
+            raise InvalidParameterError(f"{sidecar_path}: n_samples {sidecar['n_samples']!r}"
                                         f" does not match the {len(rows)} rows of {csv_path}")
         ingested = {"kind": "ingested", "path": str(csv_path)}
         try:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file contracts, idempotence."""
 
+import argparse
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import MALFORMED_FIELDS, MALFORMED_HISTORIES, save_malformed_snapshot
-from mdoftwin.cli import main
+from mdoftwin.cli import _load_config, main
 from mdoftwin.gpr import GpModel, Kernel
 from mdoftwin.models import DegradationSchedule, build_duffing_2dof
 from mdoftwin.sde import IntegratorConfig
@@ -429,16 +430,22 @@ def _campaign_argv(*extra, **campaign):
     return argv
 
 
-def _sidecar_argv(key, value):
+def _sidecar_argv(key=None, value=None, header=None):
+    """``filter`` on a saved 5-row window whose sidecar holds ``value`` under
+    ``key`` and whose CSV header reads ``header``, where given."""
     def argv(tmp_path):
         window = MeasurementWindow(
             t_s=0.0, times=np.arange(5) * 1e-3, accel=np.zeros((5, 2)),
             force=np.zeros((5, 2)), observed_dofs=(1, 2),
             accel_noise_std=np.full(2, 0.1), force_noise_std=np.full(2, 0.1))
-        _, sidecar = window.save(tmp_path / "w0")
-        doc = json.loads(sidecar.read_text())
-        doc[key] = value
-        sidecar.write_text(json.dumps(doc))
+        series, sidecar = window.save(tmp_path / "w0")
+        if key is not None:
+            doc = json.loads(sidecar.read_text())
+            doc[key] = value
+            sidecar.write_text(json.dumps(doc))
+        if header is not None:
+            _, *rows = series.read_text().splitlines(keepends=True)
+            series.write_text("".join([header + "\n", *rows]))
         cfg = write_config(tmp_path / "cfg.json")
         return ["filter", "--config", str(cfg), "--out", str(tmp_path / "out"),
                 "--window", str(tmp_path / "w0")]
@@ -459,7 +466,15 @@ MALFORMED_INPUTS = [
         {"system": {"kind": "duffing_2dof", "masses": [float("nan"), 10.0]}}),
         id="system-vector-nan"),
     pytest.param("system", _config_argv({"system": []}), id="system-section"),
-    pytest.param("system kind", _config_argv({"system": {"kind": []}}), id="system-kind"),
+    pytest.param("system.kind", _config_argv({"system": {"kind": []}}), id="system-kind"),
+    pytest.param("system.masses must be strictly positive", _config_argv(
+        {"system": {"kind": "duffing_2dof", "masses": [-1.0, 10.0]}}),
+        id="system-masses-negative"),
+    pytest.param("system has unknown key 'x'", _config_argv(
+        {"system": {"kind": "duffing_2dof", "x": 1.0}}), id="system-unknown-key"),
+    pytest.param("system names both 'nonlinear_coefficient' and 'nonlinear_coeff'", _config_argv(
+        {"system": {"kind": "duffing_2dof", "nonlinear_coefficient": 80.0,
+                    "nonlinear_coeff": 80.0}}), id="system-both-coefficient-names"),
     pytest.param("config file", _config_argv(5), id="config-document"),
     pytest.param("campaign", _config_argv(
         {"system": {"kind": "duffing_2dof"}, "campaign": []}), id="campaign-section"),
@@ -531,6 +546,14 @@ MALFORMED_INPUTS = [
                  id="sidecar-noise"),
     pytest.param("accel_noise_std", _sidecar_argv("accel_noise_std", [0.1, float("inf")]),
                  id="sidecar-noise-inf"),
+    pytest.param("w0.json has unknown key 't_S'", _sidecar_argv("t_S", 5.0),
+                 id="sidecar-unknown-key"),
+    # the window has 5 rows: a float count equal to them is still refused
+    pytest.param("w0.json: n_samples must be of type int, got 5.0",
+                 _sidecar_argv("n_samples", 5.0), id="sidecar-float-count"),
+    pytest.param("w0.csv: header column 4 must be 'force_dof1'",
+                 _sidecar_argv(header="time,accel_dof1,accel_dof2,velocity,junk"),
+                 id="window-force-columns"),
 ]
 
 
@@ -539,3 +562,33 @@ def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, field, argv)
     assert main(argv(tmp_path)) == 2
     # the temporary path is dropped so that only the message can name the field
     assert field in capsys.readouterr().err.replace(str(tmp_path), "")
+
+
+@pytest.mark.parametrize("kind, n_dof", [("duffing_2dof", 2), ("dvp_7dof", 7)])
+def test_config_echo_reads_back_as_the_config_of_its_run(tmp_path, kind, n_dof):
+    # the echo, without the keys its command adds, is a config file of its own
+    cfg = write_config(tmp_path / "cfg.json", kind=kind,
+                       campaign={**QUICK_CAMPAIGN, "window_duration_s": 0.2},
+                       integrator=QUICK_INTEGRATOR, ukf={"q_scale": 2.0}, gp={"n_restarts": 2},
+                       system_extra={"nonlinear_coefficient": 80.0,
+                                     "noise_sigmas": [0.2] * n_dof})
+    system, campaign = _load_config(str(cfg), argparse.Namespace())
+    window = generate_window(system, DegradationSchedule.for_system(system), campaign, 0.0,
+                             seed=4)
+    window.save(tmp_path / "w0")
+    runs = {"simulate": [], "filter": ["--window", str(tmp_path / "w0")],
+            "campaign": ["--cutoff-days", "0", "--observe", "1"]}
+    for command, extra in runs.items():
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "7",
+                     *extra]) == 0
+        echo = json.loads((out / "config_echo.json").read_text())
+        for key in ("command", "window", "cutoff_days"):
+            echo.pop(key, None)
+        assert sorted(echo) == ["campaign", "system"]
+        assert echo["system"]["nonlinear_coeff"] == 80.0
+        assert echo["campaign"]["integrator"]["seed"] == 7
+        (out / "echo.json").write_text(json.dumps(echo))
+        again, again_cfg = _load_config(str(out / "echo.json"), argparse.Namespace())
+        assert again.to_dict() == echo["system"]
+        assert again_cfg.to_dict() == echo["campaign"]

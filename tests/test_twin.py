@@ -193,9 +193,13 @@ class TestMeasurementWindow:
         or [row[:-1] for row in rows],
         lambda rows, side: side.update(t_s=float("nan")) or rows,
         lambda rows, side: side.update(force_noise_std=[0.1, float("inf")]) or rows,
+        lambda rows, side: side.update(t_S=side["t_s"]) or rows,
+        lambda rows, side: side.update(n_samples=float(side["n_samples"])) or rows,
+        lambda rows, side: [rows[0][:3] + ["velocity", "junk"]] + rows[1:],
     ], ids=["empty", "header-only", "ragged", "non-numeric", "non-finite",
             "n-samples", "non-uniform", "one-force-column", "non-finite-time",
-            "non-finite-noise"])
+            "non-finite-noise", "unknown-sidecar-key", "float-n-samples",
+            "renamed-force-columns"])
     def test_bad_window_rejected(self, tmp_path, corrupt):
         csv_path, sidecar_path = self.make_window().save(tmp_path / "w")
         with open(csv_path, newline="") as fh:
