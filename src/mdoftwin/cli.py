@@ -67,9 +67,8 @@ def _build_system(doc) -> MdofSystem:
             raise InvalidParameterError(
                 "system names both 'nonlinear_coefficient' and 'nonlinear_coeff'")
         doc["nonlinear_coeff"] = doc.pop("nonlinear_coefficient")
-    # any builder's defaults for an unknown kind, which MdofSystem refuses
     defaults = _BUILDERS.get(decode(str, doc.get("kind"), "system.kind"), build_duffing_2dof)
-    return decode(MdofSystem, {**defaults().to_dict(), **doc}, "system")
+    return decode(MdofSystem, {**defaults().to_dict(), **doc}, "system")  # refuses a bad kind
 
 
 def _load_config(path: str, args) -> tuple:
@@ -100,9 +99,12 @@ def _load_config(path: str, args) -> tuple:
     return system, cfg
 
 
-def _echo_config(out_dir: Path, system: MdofSystem, cfg: CampaignConfig, extras: dict) -> None:
-    write_json(out_dir / "config_echo.json",
-               {"system": system.to_dict(), "campaign": cfg.to_dict(), **extras})
+def _echo_config(out_dir: Path, system: MdofSystem, cfg: CampaignConfig,
+                 extras: dict | None = None) -> None:
+    doc = {"system": system.to_dict(), "campaign": cfg.to_dict()}
+    if extras:
+        doc.update(extras)
+    write_json(out_dir / "config_echo.json", doc)
 
 
 def _out_dir(args) -> Path:

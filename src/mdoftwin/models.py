@@ -62,7 +62,7 @@ class MdofSystem:
         ``"duffing_2dof"`` or ``"dvp_7dof"``; fixes topology, nonlinearity
         and state ordering.
     frozen_indices : tuple of int
-        1-based stiffness indices excluded from slow-time degradation.
+        1-based stiffness indices excluded from degradation: ``()``, DVP ``(4,)``.
     """
 
     masses: np.ndarray
@@ -79,23 +79,23 @@ class MdofSystem:
     def __post_init__(self):
         if self.kind not in _KNOWN_KINDS:
             raise InvalidParameterError(f"kind must be one of {_KNOWN_KINDS}, got {self.kind!r}")
-        n = 2 if self.kind == KIND_DUFFING_2DOF else 7
+        n, frozen = (2, ()) if self.kind == KIND_DUFFING_2DOF else (7, (4,))
         for name in ("masses", "stiffnesses", "dampings", "force_amplitudes",
                      "force_frequencies", "noise_sigmas"):
             shape = getattr(self, name).shape
             if shape != (n,):
                 raise InvalidParameterError(f"{name} must have shape ({n},), got {shape}")
-        if np.any(self.masses <= 0.0):
-            raise InvalidParameterError("masses must be strictly positive")
-        if np.any(self.stiffnesses <= 0.0):
-            raise InvalidParameterError("stiffnesses must be strictly positive")
+        for name in ("masses", "stiffnesses"):
+            if np.any(getattr(self, name) <= 0.0):
+                raise InvalidParameterError(f"{name} must be strictly positive")
         for name in ("dampings", "noise_sigmas"):
             if np.any(getattr(self, name) < 0.0):
                 raise InvalidParameterError(f"{name} must be non-negative")
         object.__setattr__(self, "nonlinear_coeff", float(self.nonlinear_coeff))
-        object.__setattr__(self, "frozen_indices", tuple(sorted(self.frozen_indices)))
-        if any(i < 1 or i > n for i in self.frozen_indices):
-            raise InvalidParameterError("frozen_indices must lie in 1..n_dof")
+        if self.frozen_indices != frozen:
+            raise InvalidParameterError(f"frozen_indices must be {frozen} for {self.kind}")
+        if self.symmetric_consistent and self.kind == KIND_DUFFING_2DOF:
+            raise InvalidParameterError(f"symmetric_consistent must be false for {self.kind}")
 
     # ---- topology -----------------------------------------------------------
 

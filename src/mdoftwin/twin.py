@@ -59,6 +59,14 @@ _BATCH_WINDOWS = 64  # campaign visits per batched integration
 # Measurement windows
 # ---------------------------------------------------------------------------
 
+_SIDECAR_NOISE = ("accel_noise_std", "force_noise_std")  # written when set
+_SIDECAR_KEYS = frozenset({"t_s", "observed_dofs", "n_samples", "provenance", *_SIDECAR_NOISE})
+
+
+def _window_header(observed_dofs, n_force: int) -> list:  # of the CSV save writes
+    return (["time"] + [f"accel_dof{d}" for d in observed_dofs]
+            + [f"force_dof{i + 1}" for i in range(n_force)])
+
 
 @codec
 @dataclass
@@ -106,15 +114,12 @@ class MeasurementWindow:
         base = Path(base_path)
         csv_path = base.with_suffix(".csv")
         sidecar_path = base.with_suffix(".json")
-        header = (["time"]
-                  + [f"accel_dof{d}" for d in self.observed_dofs]
-                  + [f"force_dof{i + 1}" for i in range(self.force.shape[1])])
-        write_csv(csv_path, header, np.column_stack((self.times, self.accel, self.force)))
+        write_csv(csv_path, _window_header(self.observed_dofs, self.force.shape[1]),
+                  np.column_stack((self.times, self.accel, self.force)))
         sidecar = {"t_s": float(self.t_s), "observed_dofs": list(self.observed_dofs),
                    "n_samples": self.times.shape[0], "provenance": self.provenance}
-        for name in ("accel_noise_std", "force_noise_std"):
-            if getattr(self, name) is not None:
-                sidecar[name] = getattr(self, name).tolist()
+        sidecar.update({name: getattr(self, name).tolist() for name in _SIDECAR_NOISE
+                        if getattr(self, name) is not None})
         write_json(sidecar_path, sidecar)
         return csv_path, sidecar_path
 
@@ -122,19 +127,15 @@ class MeasurementWindow:
     def load(cls, base_path) -> "MeasurementWindow":
         """Read <base>.csv and <base>.json, which hold exactly what ``save``
         writes; InvalidParameterError naming the file and the field for a
-        sidecar that is not an object, has another key or a field of the
-        wrong type (``t_s`` a finite number, ``observed_dofs`` and
-        ``n_samples`` integers, the noise levels numbers, ``provenance`` an
-        object), a header other than ``save``'s, ragged, non-numeric or
-        non-finite rows, ``n_samples`` other than the row count and a
-        non-uniform time grid; the constructor's refusals name <base>."""
+        sidecar key, field type or ``n_samples`` other than ``save``'s, a
+        header other than ``_window_header``, ragged, non-numeric or
+        non-finite rows; the constructor's refusals name <base>."""
         base = Path(base_path)
         csv_path = base.with_suffix(".csv")
         sidecar_path = base.with_suffix(".json")
         with open(sidecar_path, encoding="utf-8") as fh:
             sidecar = decode(dict, json.load(fh), str(sidecar_path))
-        unknown = sorted(set(sidecar) - {"t_s", "observed_dofs", "n_samples", "provenance",
-                                         "accel_noise_std", "force_noise_std"})
+        unknown = sorted(set(sidecar) - _SIDECAR_KEYS)
         if unknown:
             raise InvalidParameterError(f"{sidecar_path} has unknown key {unknown[0]!r}")
         observed = decode(tuple[int, ...], sidecar.get("observed_dofs"),  # for the header
@@ -142,9 +143,7 @@ class MeasurementWindow:
         with open(csv_path, newline="", encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh)) or [[]]
         n_obs = len(observed)
-        expected = (["time"] + [f"accel_dof{d}" for d in observed]
-                    + [f"force_dof{i}" for i in range(1, len(header) - n_obs)])
-        for i, want in enumerate(expected):
+        for i, want in enumerate(_window_header(observed, len(header) - 1 - n_obs)):
             if header[i:i + 1] != [want]:  # [] past the header's end
                 raise InvalidParameterError(f"{csv_path}: header column {i + 1} must be {want!r}")
         if any(len(row) != len(header) for row in rows):
@@ -160,8 +159,7 @@ class MeasurementWindow:
         try:
             return cls(times=data[:, 0], accel=data[:, 1:1 + n_obs], force=data[:, 1 + n_obs:],
                        observed_dofs=observed, provenance=sidecar.get("provenance", ingested),
-                       **{name: sidecar.get(name)
-                          for name in ("t_s", "accel_noise_std", "force_noise_std")})
+                       **{name: sidecar.get(name) for name in ("t_s", *_SIDECAR_NOISE)})
         except InvalidParameterError as exc:  # a field of either file
             raise InvalidParameterError(f"{base}: {exc}") from exc
 

@@ -475,6 +475,14 @@ MALFORMED_INPUTS = [
     pytest.param("system names both 'nonlinear_coefficient' and 'nonlinear_coeff'", _config_argv(
         {"system": {"kind": "duffing_2dof", "nonlinear_coefficient": 80.0,
                     "nonlinear_coeff": 80.0}}), id="system-both-coefficient-names"),
+    # fixed by the kind: the 2-DOF chain has no DVP k4 to make symmetric
+    pytest.param("system.symmetric_consistent must be false for duffing_2dof", _config_argv(
+        {"system": {"kind": "duffing_2dof", "symmetric_consistent": True}}),
+        id="system-flag-2dof"),
+    pytest.param("system.frozen_indices must be (4,) for dvp_7dof", _config_argv(
+        {"system": {"kind": "dvp_7dof", "frozen_indices": []}}), id="system-frozen-dvp"),
+    pytest.param("system.frozen_indices must be () for duffing_2dof", _config_argv(
+        {"system": {"kind": "duffing_2dof", "frozen_indices": [1]}}), id="system-frozen-2dof"),
     pytest.param("config file", _config_argv(5), id="config-document"),
     pytest.param("campaign", _config_argv(
         {"system": {"kind": "duffing_2dof"}, "campaign": []}), id="campaign-section"),
