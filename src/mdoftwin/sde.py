@@ -84,8 +84,16 @@ def _increment_pair(u1: np.ndarray, u2: np.ndarray, dt: float) -> tuple:
     return np.sqrt(dt) * u1, 0.5 * dt ** 1.5 * (u1 + u2 / np.sqrt(3.0))
 
 
-def _check_state(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
+def _check_state(y) -> np.ndarray:
+    """``y0`` as a float array: InvalidParameterError unless it holds real
+    numbers (bools and integers count), NumericError unless they are finite."""
+    try:
+        y = np.asarray(y)
+    except (TypeError, ValueError):
+        raise InvalidParameterError("y0 must hold real numbers") from None
+    if y.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"y0 must hold real numbers, got dtype {y.dtype}")
+    y = y.astype(float, copy=False)
     if not np.all(np.isfinite(y)):
         raise NumericError("non-finite input state")
     return y

@@ -646,7 +646,7 @@ def predict_response(snapshot: TwinSnapshot, t_tilde: float, duration: float,
     system_pred = replace(system, stiffnesses=k_pred)
     model = to_state_space(system_pred)
     integrator = replace(cfg.integrator, seed=seed)
-    start = np.zeros(model.dim_state) if y0 is None else np.asarray(y0, dtype=float)
+    start = np.zeros(model.dim_state) if y0 is None else y0
     return simulate_window(model, system_pred, start, duration, integrator)
 
 
@@ -679,17 +679,22 @@ def predict_response_ensemble(
     as the paths of one integration, and each finished block of their
     states is reduced to its quantiles, so the states of the whole window
     are never held; a diverging draw raises NumericError naming it. Before
-    anything is drawn, the ``levels`` of the returned quantiles are checked
-    to lie in [0, 1], ``n_draws`` to be an integer of at least 2, ``seed``
-    a non-negative integer and ``t_tilde`` a real number, and ``duration``
-    is checked.
+    anything is drawn, the ``levels`` of the returned quantiles are read as
+    floats and checked to lie in [0, 1], ``n_draws`` to be an integer of at
+    least 2, ``seed`` a non-negative integer and ``t_tilde`` a real number,
+    and ``duration`` is checked.
     """
     n_draws = decode(int, n_draws, "n_draws")
     if n_draws < 2:
         raise InvalidParameterError(f"n_draws must be an integer of at least 2, got {n_draws!r}")
     seed = check_seed(seed, "seed")
     t_tilde = decode(float, t_tilde, "t_tilde")
-    _check_levels(levels)
+    if isinstance(levels, np.ndarray):  # an array reads as its list
+        levels = levels.tolist()
+    levels = tuple(map(float, decode(tuple[float, ...], levels, "levels")))
+    if not levels or not all(0.0 <= q <= 1.0 for q in levels):
+        raise InvalidParameterError(
+            f"levels must be a non-empty sequence of numbers in [0, 1], got {levels!r}")
     system, cfg = snapshot.system, snapshot.config
     n = system.n_dof
     times = window_times(duration, cfg.integrator.dt)
@@ -717,41 +722,41 @@ def predict_response_ensemble(
     if run.diverged.any():
         j = int(np.argmax(run.diverged))
         raise NumericError(f"draw {j}: {DIVERGED}", path=j)
-    return ResponseEnsemble(times=run.times, levels=tuple(levels), quantiles=qs,
+    return ResponseEnsemble(times=run.times, levels=levels, quantiles=qs,
                             stiffness_draws=draws)
 
 
-def _check_levels(levels) -> None:
-    try:
-        values = np.asarray(levels, dtype=float)
-        valid = (values.ndim == 1 and values.size > 0
-                 and np.all((values >= 0.0) & (values <= 1.0)))  # NaN fails too
-    except (TypeError, ValueError):
-        valid = False
-    if not valid:
-        raise InvalidParameterError(
-            f"levels must be a non-empty sequence of numbers in [0, 1], got {levels!r}")
-
-
 def _path_quantiles(samples: np.ndarray, levels) -> np.ndarray:
-    """``np.quantile(samples, levels, axis=1)`` by one sort along the path
-    axis, with numpy's default linear rule written out: at virtual index
-    v = (P - 1) q, with i = floor(v) (at most P - 2) and gamma = v - i, the
-    level lies between the sorted values a = s_i and b = s_(i+1), at
-    ``a + (b - a) gamma``, or ``b - (b - a) (1 - gamma)`` when
-    gamma >= 0.5. Equal to ``np.quantile`` on finite samples.
+    """``np.quantile(samples, levels, axis=1)`` with numpy's default linear
+    rule written out: at virtual index v = (P - 1) q, with i = floor(v) (at
+    most P - 2) and gamma = v - i, the level lies between the ordered values
+    a = s_i and b = s_(i+1), at ``a + (b - a) gamma``, or
+    ``b - (b - a) (1 - gamma)`` when gamma >= 0.5. Equal to ``np.quantile``
+    on finite samples, up to the sign of a zero.
 
-    The sort runs on a contiguous copy with the path axis last; the
-    ensemble passes one block of time samples at a time."""
-    last = samples.shape[1] - 1
+    The ensemble passes one block of time samples at a time. Below 8 paths a
+    path-major copy is ordered by odd-even transposition, P rounds of one
+    ``np.minimum`` and one ``np.maximum`` over every lane; from 8 on, by one
+    sort per lane on a copy with the path axis last (on a 256-row 7-DOF
+    block, 38 µs against 187 at P = 2, 164 against 162 at P = 8)."""
+    n_paths = samples.shape[1]
     out = np.empty((len(levels),) + samples.shape[:1] + samples.shape[2:])
-    ordered = np.moveaxis(samples, 1, -1).copy()
-    ordered.sort(axis=-1)
+    if n_paths < 8:
+        ordered = np.moveaxis(samples, 1, 0).copy()
+        for r in range(n_paths if n_paths > 2 else 1):  # round 1 of two paths is empty
+            lo, hi = ordered[r % 2:n_paths - 1:2], ordered[r % 2 + 1::2]
+            low = np.minimum(hi, lo)  # on a tie each side keeps its own value
+            np.maximum(lo, hi, out=hi)
+            lo[...] = low
+    else:
+        ordered = np.moveaxis(samples, 1, -1).copy()
+        ordered.sort(axis=-1)
+        ordered = np.moveaxis(ordered, -1, 0)
     for row, q in zip(out, levels):
-        v = last * float(q)
-        i = min(int(v), last - 1)
+        v = (n_paths - 1) * float(q)
+        i = min(int(v), n_paths - 2)
         gamma = v - i
-        a, b = ordered[..., i], ordered[..., i + 1]
+        a, b = ordered[i], ordered[i + 1]
         diff = b - a
         if gamma >= 0.5:
             np.subtract(b, diff * (1.0 - gamma), out=row)

@@ -36,7 +36,7 @@ finiteness by a sum of squares (BLAS forms it faster than numpy reduces
 ``isfinite``), weighs the deviations by the transform's read-only weight
 matrix of their shape (a same-shape product, with the bits of the broadcast
 column), symmetrizes in place and tries the PSD test's ``cho_factor``, as
-``repair_psd`` and ``cholesky_with_jitter`` do. Every other case enters its
+``cholesky_with_jitter`` does. Every other case enters its
 slow path once: ``_as_image`` for other images, ``_require_finite`` when the
 sum of squares is not finite (it names the sigma index, and a finite image
 above ~1e154 passes), ``_clip_eigenvalues`` after a failed PSD test and
@@ -240,24 +240,9 @@ def _jitter_ladder(p: np.ndarray, context: str) -> tuple:
     raise NumericError(f"{context}: Cholesky failed after maximum jitter")
 
 
-def repair_psd(p: np.ndarray, log: PsdRepairLog | None = None) -> tuple:
-    """Symmetrize p and return it with its lower Cholesky factor; if p is not
-    positive definite, clip negative eigenvalues to zero, record the repair
-    magnitude and return the repaired matrix with the jitter ladder's
-    factor. A non-finite p raises NumericError."""
-    p = p + p.T  # an in-place p += p.T makes numpy buffer p.T
-    p *= 0.5
-    if not all_finite(p):
-        raise NumericError("sigma-point square root: matrix has non-finite entries")
-    try:
-        return p, cho_factor(p)
-    except np.linalg.LinAlgError:
-        pass
-    return _clip_eigenvalues(p, log)
-
-
 def _clip_eigenvalues(p: np.ndarray, log: PsdRepairLog | None) -> tuple:
-    """``repair_psd`` of a symmetric, finite p that failed to factor."""
+    """A symmetric, finite p that failed to factor with negative eigenvalues
+    clipped to zero, logged, and the jitter ladder's factor."""
     w, v = np.linalg.eigh(p)
     magnitude = float(max(0.0, -w.min()))
     fixed = (v * np.clip(w, 0.0, None)) @ v.T
@@ -316,7 +301,7 @@ def predict(
     np.subtract(image, mean, out=dev)
     cov = (dev * transform.weights[dev.shape[1]]).T.dot(dev)
     cov = q(mean, cov) if callable(q) else cov + q
-    cov = cov + cov.T  # repair_psd from here on
+    cov = cov + cov.T  # the PSD test from here on
     cov *= _HALF
     if not (math.isfinite(np.vdot(cov, cov)) or np.isfinite(cov).all()):
         raise NumericError("sigma-point square root: matrix has non-finite entries")
@@ -375,7 +360,7 @@ def update(
     gain = cho_solve(factor, cross.T).T
     mean = predicted.mean + gain.dot(z - z_mean)
     cov = predicted.cov - gain.dot(cross.T)  # K S K^T = K C^T, also under jitter
-    cov = cov + cov.T  # repair_psd from here on
+    cov = cov + cov.T  # the PSD test from here on
     cov *= _HALF
     if not (math.isfinite(np.vdot(cov, cov)) or np.isfinite(cov).all()):
         raise NumericError("sigma-point square root: matrix has non-finite entries")

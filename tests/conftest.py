@@ -2,8 +2,9 @@
 second-order system, the reference Euler-Maruyama and Taylor-1.5 steppers of
 any model and the L(b) partial they take for the chain models, the element
 kernel and the filter sample as first written (the bit-for-bit references of
-the compiled ones), the filter half-steps composed of the library's public
-steps (the bit-for-bit references of the inline ones), finite-difference
+the compiled ones), the PSD repair and the filter half-steps composed of it
+and the library's public steps (the bit-for-bit references of the inline
+ones), finite-difference
 oracles for the analytic partials, the
 per-model GP predictor, the GP kernel and the stacked GP query as first
 written (the byte-for-byte references of the in-place ones), GP training as
@@ -265,17 +266,31 @@ def _composed_moments(image, w_mean, what):
     return center, image - center
 
 
+def repair_psd(p, log=None):
+    """The PSD test and repair that ``ukf.predict`` and ``ukf.update`` run
+    inline: symmetrize p and return it with its lower Cholesky factor; if p
+    is not positive definite, ``ukf._clip_eigenvalues`` repairs it. A
+    non-finite p raises NumericError."""
+    p = p + p.T
+    p *= 0.5
+    if not np.isfinite(p).all():
+        raise NumericError("sigma-point square root: matrix has non-finite entries")
+    try:
+        return p, ukf.cho_factor(p)
+    except np.linalg.LinAlgError:
+        return ukf._clip_eigenvalues(p, log)
+
+
 def composed_predict(belief, dynamic_fn, q, params, repair_log=None):
-    """``ukf.predict`` composed of the library's public steps
-    (``sigma_points``, ``ukf_weights`` and ``repair_psd``) and written with
-    ``@`` and out-of-place moments; returns the mean, covariance and factor.
-    A 1-D image is one column."""
+    """``ukf.predict`` composed of ``sigma_points``, ``ukf_weights`` and
+    ``repair_psd`` above, and written with ``@`` and out-of-place moments;
+    returns the mean, covariance and factor. A 1-D image is one column."""
     w_mean, w_cov = ukf_weights(belief.mean.shape[0], params)
     mean, dev = _composed_moments(dynamic_fn(ukf.sigma_points(belief, params)), w_mean,
                                   "propagated sigma point")
     cov = (dev * w_cov[:, None]).T @ dev
     cov = q(mean, cov) if callable(q) else cov + q
-    return (mean, *ukf.repair_psd(cov, repair_log))
+    return (mean, *repair_psd(cov, repair_log))
 
 
 def composed_update(predicted, measurement_fn, z, r, params, repair_log=None):
@@ -291,7 +306,7 @@ def composed_update(predicted, measurement_fn, z, r, params, repair_log=None):
     factor, _ = ukf.cholesky_with_jitter(s, "innovation covariance")
     gain = cho_solve(factor, cross.T).T
     mean = predicted.mean + gain @ (z - z_mean)
-    return (mean, *ukf.repair_psd(predicted.cov - gain @ cross.T, repair_log))
+    return (mean, *repair_psd(predicted.cov - gain @ cross.T, repair_log))
 
 
 def strided_window_states(model, system, y0, duration, cfg):

@@ -845,8 +845,9 @@ class TestPrediction:
         np.testing.assert_array_equal(reversed_.spread, ordered.spread)
         assert np.all(reversed_.spread >= 0.0) and np.any(reversed_.spread > 0.0)
 
+    @pytest.mark.parametrize("n_draws", [2, 5])
     @pytest.mark.parametrize("build", [build_duffing_2dof, build_dvp_7dof])
-    def test_ensemble_matches_serial_draws(self, build):
+    def test_ensemble_matches_serial_draws(self, build, n_draws):
         # all draws in one integration against one plain simulation per
         # draw, seeded seed + 1 + j as before the batching
         system = build()
@@ -855,7 +856,7 @@ class TestPrediction:
         rng = np.random.default_rng(3)
         est = system.stiffnesses * (1.0 + 0.01 * rng.normal(size=(8, system.n_dof)))
         snap = fabricate_snapshot(system, cfg, times, est)
-        seed, n_draws, duration = 17, 5, 0.5
+        seed, duration = 17, 0.5
         ens = predict_response_ensemble(snap, 450.0, duration, seed,
                                         n_draws=n_draws)
         serial = []
@@ -872,21 +873,25 @@ class TestPrediction:
                       <= 1e-10 * scale)
         assert np.unique(ens.stiffness_draws[:, 0]).shape[0] == n_draws
 
-    @pytest.mark.parametrize("n_draws", [2, 3, 20, 100])
+    @pytest.mark.parametrize("n_draws", [2, 3, 5, 7, 8, 20, 100])
     @pytest.mark.parametrize("levels", [(0.05, 0.5, 0.95), (0, 1), (0.0, 1.0),
                                         (0.9, 0.0, 0.33, 1.0, 0.5, 0.25)])
     def test_path_quantiles_equal_numpy(self, n_draws, levels):
-        # a series shorter than a block of the kernel's steps, and one longer
+        # a series shorter than a block of the kernel's steps, and one
+        # longer; below 8 draws the network orders them, from 8 on the sort
         for n_samples in (40, 2 * _MEASURE_BLOCK + 37):
             rng = np.random.default_rng(n_draws)
             samples = rng.normal(size=(n_samples, n_draws, 5))
             samples[0] = 0.0  # the shared start of every draw
             samples[1:4, :, 0] = np.round(samples[1:4, :, 0])  # ties
-            np.testing.assert_array_equal(twin_mod._path_quantiles(samples, levels),
-                                          np.quantile(samples, levels, axis=1))
+            # ties of +0.0 and -0.0, which may order either way: equal values
+            samples[4:9, :, 1] = np.where(rng.random((5, n_draws)) < 0.5, -0.0, 0.0)
+            assert np.array_equal(twin_mod._path_quantiles(samples, levels),
+                                  np.quantile(samples, levels, axis=1))
 
     @pytest.mark.parametrize("levels", [(0.05, 1.2), (-0.1, 0.5), (0.5, float("nan")),
-                                        (float("inf"),), (), ((0.1, 0.9),), ("low",)])
+                                        (float("inf"),), (), ((0.1, 0.9),), ("low",),
+                                        ("0.9", "0.1"), (True, False), np.zeros((1, 2))])
     def test_bad_levels_rejected_before_integrating(self, monkeypatch, levels):
         system = build_duffing_2dof()
         cfg = quick_config()
@@ -897,8 +902,18 @@ class TestPrediction:
             raise AssertionError("integrated before the levels were checked")
 
         monkeypatch.setattr(twin_mod, "simulate_window", never)
-        with pytest.raises(InvalidParameterError, match="^levels must be"):
+        # a bad entry is named by its index, as codec names it
+        with pytest.raises(InvalidParameterError, match=r"^levels(\[\d\])? must be"):
             predict_response_ensemble(snap, 450.0, 0.2, 3, n_draws=4, levels=levels)
+
+    @pytest.mark.parametrize("levels", [[0, 1], (0.0, 1), np.array([0.0, 1.0]),
+                                        np.array([0, 1]), (np.float64(0.0), 1.0)],
+                             ids=["list", "tuple", "float-array", "int-array", "numpy-scalar"])
+    def test_levels_read_as_floats(self, levels):
+        ens = predict_response_ensemble(self.nominal_snapshot(), 450.0, 0.05, 3, n_draws=2,
+                                        levels=levels)
+        assert ens.levels == (0.0, 1.0)
+        assert all(type(q) is float for q in ens.levels)
 
     @staticmethod
     def nominal_snapshot():
@@ -971,6 +986,22 @@ class TestPrediction:
         np.testing.assert_array_equal(
             predict_response_ensemble(snap, t_tilde, 0.05, 3, n_draws=2).quantiles,
             predict_response_ensemble(snap, 450.0, 0.05, 3, n_draws=2).quantiles)
+
+    @pytest.mark.parametrize("y0", ["abc", None, ["0", "0", "0", "0"], [0.0, [0.0], 0.0, 0.0],
+                                    [1j, 0, 0, 0], [math.nan, 0.0, 0.0, 0.0]],
+                             ids=["string", "none", "strings", "ragged", "complex", "nan"])
+    def test_start_state_that_is_not_numbers_rejected(self, y0):
+        # "abc" used to leak numpy's ValueError from predict_response, None
+        # read as a non-finite state and numeric strings were integrated
+        system = build_duffing_2dof()
+        model = to_state_space(system)
+        error, match = ((NumericError, "^non-finite input state") if y0 and y0[0] is math.nan
+                        else (InvalidParameterError, "^y0 must hold real numbers"))
+        with pytest.raises(error, match=match):
+            simulate_window(model, system, y0, 0.05, IntegratorConfig(dt=1e-3))
+        if y0 is not None:  # the rest state
+            with pytest.raises(error, match=match):
+                predict_response(self.nominal_snapshot(), 450.0, 0.05, 3, y0=y0)
 
     @pytest.mark.parametrize("query", [["a"], [object()], [1 + 2j]],
                              ids=["string", "object", "complex"])

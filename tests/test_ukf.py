@@ -14,11 +14,11 @@ from mdoftwin.models import (DegradationSchedule, acceleration_model,
 from mdoftwin.sde import IntegratorConfig, simulate_window, uniform_step
 from mdoftwin.twin import CampaignConfig, MeasurementWindow, generate_window
 from mdoftwin.ukf import (GaussianBelief, NoiseModel, PsdRepairLog,
-                          UkfParams, build_process_noise, predict,
-                          repair_psd, run_filter, sigma_points, ukf_weights,
-                          update)
+                          UkfParams, build_process_noise, predict, run_filter,
+                          sigma_points, ukf_weights, update)
 
-from conftest import composed_predict, composed_update, state_positions, textbook_filter
+from conftest import (composed_predict, composed_update, repair_psd, state_positions,
+                      textbook_filter)
 
 BENCH_PARAMS = UkfParams(alpha_f=0.001, beta=2.0, kappa=0.0)
 
