@@ -9,8 +9,9 @@ default and hands the raw values to the constructor. InvalidParameterError
 names the field for a scalar of the wrong type, an array that does not hold
 numbers, a non-finite float or array entry (``write_json`` refuses those) or
 a value out of range, by its full path when read from a document
-(``TwinSnapshot.config.integrator.dt must be positive``). Scalars are not
-coerced, so ``to_dict(from_dict(doc)) == doc``. ``decode`` applies the same
+(``TwinSnapshot.config.integrator.dt must be positive``). A float field
+reads an integer as its float; no other scalar is coerced, so
+``to_dict(from_dict(doc)) == doc``. ``decode`` applies the same
 rules to one value that is not a dataclass, such as a window sidecar field
 or a ``TypedDict`` record of the twin's history, read key by key.
 """
@@ -89,8 +90,9 @@ def decode(hint, value, where: str):
     in the InvalidParameterError raised for a value of another type, and the
     index of a bad list entry. An instance of a dataclass hint is taken as it
     is, a dict as its constructor's arguments, a numpy scalar or 0-d array as
-    the matching Python scalar, a ``TypedDict`` as a plain dict of exactly
-    its keys, and a ``Seed`` by ``check_seed``."""
+    the matching Python scalar, an array for a list or tuple hint as its
+    list, a ``TypedDict`` as a plain dict of exactly its keys, and a ``Seed``
+    by ``check_seed``."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):  # X | None
         if value is None:
@@ -107,7 +109,7 @@ def decode(hint, value, where: str):
                 f"{where} must be of type {hint.__name__}, got {value!r}")
         if hint is float and not math.isfinite(value):
             raise InvalidParameterError(f"{where} must be finite, got {value!r}")
-        return value
+        return float(value) if hint is float else value
     if dataclasses.is_dataclass(hint) and isinstance(value, hint):
         return value
     if dataclasses.is_dataclass(hint) or typing.is_typeddict(hint):
@@ -140,6 +142,8 @@ def decode(hint, value, where: str):
         return array.astype(float, copy=False)
     if hint in (list, tuple) or origin in (list, tuple):
         as_list = list in (hint, origin)  # a list field takes a list, a tuple either
+        if isinstance(value, np.ndarray):  # an array reads as its list
+            value = value.tolist()
         if not isinstance(value, list if as_list else (list, tuple)):
             raise InvalidParameterError(f"{where} must be a list")
         if origin is tuple and args[-1] is not Ellipsis and len(args) != len(value):

@@ -259,6 +259,20 @@ def test_typed_dict_read_by_exact_keys():
         decode(WindowRecord, {**RECORD, "estimate": [1000.0, math.inf]}, "rec")
 
 
+def test_integer_read_as_float_and_array_as_list():
+    # an int given for a float used to be kept, and written back, as an int
+    value = decode(float, 2, "x")
+    assert type(value) is float and value == 2.0
+    config = CampaignConfig(window_duration_s=2)
+    assert type(config.window_duration_s) is float
+    assert config.to_dict()["window_duration_s"] == 2.0
+    assert json.dumps(config.to_dict()["window_duration_s"]) == "2.0"
+    assert decode(tuple[float, ...], np.array([0, 1]), "v") == (0.0, 1.0)
+    assert decode(list[int], np.array([3, 4]), "v") == [3, 4]
+    with pytest.raises(InvalidParameterError, match=r"^v\[0\] must be of type float"):
+        decode(tuple[float, ...], np.zeros((1, 2)), "v")
+
+
 def test_zero_dimensional_array_read_as_scalar():
     value = decode(float, np.array(2.5), "x")
     assert type(value) is float and value == 2.5

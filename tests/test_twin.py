@@ -884,10 +884,11 @@ class TestPrediction:
             samples = rng.normal(size=(n_samples, n_draws, 5))
             samples[0] = 0.0  # the shared start of every draw
             samples[1:4, :, 0] = np.round(samples[1:4, :, 0])  # ties
-            # ties of +0.0 and -0.0, which may order either way: equal values
+            # ties of +0.0 and -0.0: a signed zero may order either way, and
+            # assert_array_equal takes the two zeros as equal
             samples[4:9, :, 1] = np.where(rng.random((5, n_draws)) < 0.5, -0.0, 0.0)
-            assert np.array_equal(twin_mod._path_quantiles(samples, levels),
-                                  np.quantile(samples, levels, axis=1))
+            np.testing.assert_array_equal(twin_mod._path_quantiles(samples, levels),
+                                          np.quantile(samples, levels, axis=1))
 
     @pytest.mark.parametrize("levels", [(0.05, 1.2), (-0.1, 0.5), (0.5, float("nan")),
                                         (float("inf"),), (), ((0.1, 0.9),), ("low",),
